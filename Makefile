@@ -2,15 +2,25 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-sarif lint-baseline lint-stats lint-stats-baseline test race fuzz bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
+.PHONY: all build fmt-check perfbench-test vet lint lint-sarif lint-baseline lint-stats lint-stats-baseline test race fuzz bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
 
 all: ci
 
 build:
 	$(GO) build ./...
 
+# Fails listing the files gofmt would rewrite.
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "files need gofmt:"; echo "$$unformatted"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
+
+# perfbench is a module of its own, so the root vet and test never
+# compile it against internal API changes.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Diff-gated: findings recorded in zivlint.baseline.json do not fail the
 # run; only fresh findings do.
@@ -195,4 +205,4 @@ serve-smoke:
 	@echo "serve-smoke: job API round-trip, metrics and clean drain all validate"
 	rm -rf serve-smoke.tmp
 
-ci: build vet lint lint-stats test race
+ci: build fmt-check vet perfbench-test lint lint-stats test race

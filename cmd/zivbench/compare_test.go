@@ -16,7 +16,7 @@ func TestCompareReportsWithinTolerance(t *testing.T) {
 		FigResult{ID: "fig8", RefsPerSec: 2_000_000},
 	)
 	newRep := report(
-		FigResult{ID: "fig1", RefsPerSec: 960_000},  // -4%: inside 5%
+		FigResult{ID: "fig1", RefsPerSec: 960_000},   // -4%: inside 5%
 		FigResult{ID: "fig8", RefsPerSec: 2_400_000}, // +20%
 	)
 	var buf bytes.Buffer

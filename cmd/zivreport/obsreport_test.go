@@ -38,11 +38,11 @@ func TestObsReport(t *testing.T) {
 		"### Machine intervals",
 		"### Per-core IPC",
 		"### Relocation-depth histogram",
-		"| 0 | 0-100 | 3 |",     // machine interval 0, relocations 3
-		"core0 | core1 |",       // IPC matrix header
-		"0.4000 | 0.5500 |",     // per-core IPC values
-		"| 1 | 2 | ##",          // depth 1 seen twice, full-width bar
-		"| 15+ | 1 | #",         // saturated bucket labeled 15+
+		"| 0 | 0-100 | 3 |", // machine interval 0, relocations 3
+		"core0 | core1 |",   // IPC matrix header
+		"0.4000 | 0.5500 |", // per-core IPC values
+		"| 1 | 2 | ##",      // depth 1 seen twice, full-width bar
+		"| 15+ | 1 | #",     // saturated bucket labeled 15+
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

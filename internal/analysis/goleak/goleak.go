@@ -69,8 +69,8 @@ func (s Summary) empty() bool {
 type sigKind int8
 
 const (
-	sigDone  sigKind = iota // wg.Done
-	sigChan                 // channel send or close
+	sigDone sigKind = iota // wg.Done
+	sigChan                // channel send or close
 )
 
 // sigKey identifies a signal: kind plus the root variable and dotted

@@ -9,8 +9,8 @@ import (
 
 // TestZIVFillChurnNoAllocs guards the heap-free steady-state fill path: the
 // common ZIV miss — eviction or alternate-victim selection — must not
-// allocate. FillOutcome and its Evicted/Relocation records are plain values
-// precisely so the per-miss hot path stays off the heap.
+// allocate. Fill hands back a pointer to an LLC-owned FillOutcome precisely
+// so the per-miss hot path stays off the heap.
 func TestZIVFillChurnNoAllocs(t *testing.T) {
 	dir := directory.New(directory.Config{Slices: 8, SetsPerSlice: 256, Ways: 8})
 	llc := New(Config{
@@ -64,7 +64,7 @@ func TestZIVRelocationNoAllocs(t *testing.T) {
 	const poolSize = 8
 	now := uint64(0)
 	track := func(a uint64) {
-		if _, evicted, _ := dir.Allocate(a, 0, directory.Shared); evicted.Valid {
+		if _, evicted, _ := dir.Allocate(a, 0, directory.Shared); evicted != nil {
 			t.Fatalf("unexpected directory eviction tracking %#x", a)
 		}
 	}

@@ -17,8 +17,9 @@ import (
 //     block; conversely every Relocated directory entry points at a valid
 //     relocated LLC block for the same address.
 //  3. LikelyDead implies NotInPrC.
-//  4. Property-vector coherence: each configured PV bit equals the
-//     recomputed set predicate.
+//  4. Way-mask and property-vector coherence: each set's way masks equal
+//     the ones recomputed from its blocks, and each configured PV bit
+//     equals the set predicate evaluated on them.
 //  5. No duplicate addresses among non-relocated blocks, and no relocated
 //     block shadowing a non-relocated copy of the same address.
 func (l *LLC) CheckInvariants() error {
@@ -26,9 +27,10 @@ func (l *LLC) CheckInvariants() error {
 	for i := range l.banks {
 		bk := &l.banks[i]
 		for s := 0; s < l.cfg.SetsPerBank; s++ {
-			valid := 0
+			var masks wayMasks
 			for w := 0; w < l.cfg.Ways; w++ {
 				b := &bk.blocks[s*l.cfg.Ways+w]
+				masks.sync(w, b)
 				wantTag := tagNone
 				if b.Valid && !b.Relocated {
 					wantTag = b.Addr
@@ -39,7 +41,6 @@ func (l *LLC) CheckInvariants() error {
 				if !b.Valid {
 					continue
 				}
-				valid++
 				loc := directory.Location{Bank: i, Set: s, Way: w}
 				if b.LikelyDead && !b.NotInPrC {
 					return fmt.Errorf("block %#x at %+v: LikelyDead without NotInPrC", b.Addr, loc)
@@ -72,8 +73,8 @@ func (l *LLC) CheckInvariants() error {
 					return fmt.Errorf("block %#x at %+v: NotInPrC=%v but directory tracked=%v", b.Addr, loc, b.NotInPrC, tracked)
 				}
 			}
-			if int(bk.validCnt[s]) != valid {
-				return fmt.Errorf("bank %d set %d: validCnt %d != actual valid ways %d", i, s, bk.validCnt[s], valid)
+			if got := bk.masks[s]; got != masks {
+				return fmt.Errorf("bank %d set %d: way masks %#x != recomputed %#x", i, s, got, masks)
 			}
 			for _, lev := range l.levels {
 				if got, want := bk.pvs[lev].Get(s), l.setSatisfies(bk, s, lev); got != want {

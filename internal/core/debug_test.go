@@ -39,7 +39,7 @@ func relocatedSetup(t *testing.T) (*LLC, *directory.Directory, uint64, directory
 		d.access(0, a, 1)
 	}
 	addr := addrs[4]
-	if _, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive); evicted.Valid {
+	if _, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive); evicted != nil {
 		t.Fatal("unexpected directory eviction in setup")
 	}
 	out := llc.Fill(addr, 0, false, true, policy.Meta{Addr: addr}, 123)
@@ -93,11 +93,12 @@ func TestCheckInvariantsDetectsBrokenReverseLinkage(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// Vanish the relocated LLC copy while the directory entry still points
 	// at it. The tag sidecar already holds tagNone for a relocated way, so
-	// only the valid count and property vectors need recomputing for the
+	// only the way masks and property vectors need recomputing for the
 	// emptied set.
 	bk := &llc.banks[to.Bank]
-	bk.blocks[to.Set*llc.cfg.Ways+to.Way] = Block{}
-	bk.validCnt[to.Set]--
+	b := &bk.blocks[to.Set*llc.cfg.Ways+to.Way]
+	*b = Block{}
+	bk.masks[to.Set].sync(to.Way, b)
 	llc.updateSet(bk, to.Set)
 	wantInvariantError(t, llc, "but LLC block there is")
 }
@@ -109,7 +110,7 @@ func TestCheckInvariantsDetectsBackPointerMismatch(t *testing.T) {
 	// walk must flag the impostor.
 	impostor := addr + 0x10000
 	p2, evicted, _ := dir.Allocate(impostor, 0, directory.Exclusive)
-	if evicted.Valid {
+	if evicted != nil {
 		t.Fatal("unexpected directory eviction in setup")
 	}
 	e2 := dir.At(p2)
@@ -146,4 +147,15 @@ func TestCheckInvariantsDetectsNotInPrCDisagreement(t *testing.T) {
 	// must be false; flip it behind the accessors' back.
 	llc.block(loc).NotInPrC = true
 	wantInvariantError(t, llc, "directory tracked")
+}
+
+func TestCheckInvariantsDetectsMaskBitFlip(t *testing.T) {
+	llc, dir := mkLLC(t, SchemeZIV, PropNotInPrC, lruPol)
+	d := newDriver(t, llc, dir, 32)
+	for _, a := range conflictAddrs(4) {
+		d.access(0, a, 4) // privately cached: no NotInPrC bit in set 0
+	}
+	d.check()
+	llc.banks[0].masks[0].notInPrC ^= 1
+	wantInvariantError(t, llc, "way masks")
 }

@@ -8,8 +8,7 @@ import (
 )
 
 // Evicted describes a block that left the LLC to make room for a fill.
-// Valid is false when no block was evicted. The record is embedded by value
-// in FillOutcome so the per-fill hot path allocates nothing.
+// Valid is false when no block was evicted.
 type Evicted struct {
 	Valid bool
 	Addr  uint64
@@ -21,12 +20,12 @@ type Evicted struct {
 }
 
 // Relocation describes a ZIV block relocation performed during a fill.
-// Valid is false when the fill performed no relocation.
+// Valid is false when the fill performed no relocation; the other fields are
+// meaningful only when it is true. The relocated block is BlockAt(To), and
+// Stats.RelocationsByLevel attributes the move to its priority level.
 type Relocation struct {
 	Valid        bool
-	Addr         uint64 // relocated block's address (debug field)
 	From, To     directory.Location
-	Level        string // priority level that supplied the relocation set
 	CrossBank    bool
 	ReRelocation bool // the relocated block was already in Relocated state
 	// Depth is the block's relocation-chain length after this move (1 for a
@@ -34,9 +33,9 @@ type Relocation struct {
 	Depth uint8
 }
 
-// FillOutcome reports everything a fill did. It is a plain value — returning
-// it performs no heap allocation, which matters because every LLC miss
-// constructs one.
+// FillOutcome reports everything a fill did. Fill returns a pointer to an
+// LLC-owned outcome that the next Fill overwrites, so a miss neither
+// allocates nor copies the record.
 type FillOutcome struct {
 	// Loc is where the new block landed.
 	Loc directory.Location
@@ -60,10 +59,11 @@ type FillOutcome struct {
 //
 // The caller (hierarchy) must have verified the address misses in the LLC
 // and must have already allocated/updated the sparse-directory entry for the
-// requester when inPrC is true.
+// requester when inPrC is true. The returned outcome stays valid until the
+// next Fill.
 //
 //ziv:noalloc
-func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta, now uint64) FillOutcome {
+func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta, now uint64) *FillOutcome {
 	if l.cfg.DebugChecks {
 		if _, hit := l.Probe(addr); hit {
 			panic(fmt.Sprintf("core: Fill of resident block %#x", addr))
@@ -77,7 +77,7 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	// invalid way absorbs the fill with no eviction at all.
 	if w := l.invalidWay(bk, set); w >= 0 {
 		l.fillWay(bk, set, w, addr, dirty, inPrC, m)
-		return FillOutcome{Loc: directory.Location{Bank: bk.id, Set: set, Way: w}}
+		return l.outcome(bk, set, w)
 	}
 
 	if l.cfg.Scheme == SchemeZIV {
@@ -97,12 +97,31 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	default:
 		panic(fmt.Sprintf("core: unknown scheme %d", l.cfg.Scheme))
 	}
-	ev := l.evictWay(bk, set, victim)
-	l.fillWay(bk, set, victim, addr, dirty, inPrC, m)
-	return FillOutcome{
-		Loc:     directory.Location{Bank: bk.id, Set: set, Way: victim},
-		Evicted: ev,
-	}
+	return l.replace(bk, set, victim, addr, dirty, inPrC, m)
+}
+
+// outcome resets the LLC-owned fill outcome for a fill landing at (bank,
+// set, way) that evicted and relocated nothing, and returns it.
+//
+//ziv:noalloc
+func (l *LLC) outcome(bk *bank, set, way int) *FillOutcome {
+	o := &l.out
+	o.Loc = directory.Location{Bank: bk.id, Set: set, Way: way}
+	o.Evicted = Evicted{}
+	o.Relocation.Valid = false
+	o.AlternateVictim = false
+	return o
+}
+
+// replace evicts the block at (bank, set, way) and fills addr into the freed
+// way.
+//
+//ziv:noalloc
+func (l *LLC) replace(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m policy.Meta) *FillOutcome {
+	o := l.outcome(bk, set, way)
+	o.Evicted = l.evictWay(bk, set, way)
+	l.fillWay(bk, set, way, addr, dirty, inPrC, m)
+	return o
 }
 
 // qbsVictim implements query-based selection: walk the baseline preference
@@ -113,9 +132,9 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 //ziv:noalloc
 func (l *LLC) qbsVictim(bk *bank, set int) int {
 	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
-	base := set * l.cfg.Ways
+	notInPrC := bk.masks[set].notInPrC
 	for _, w := range order {
-		if bk.blocks[base+w].NotInPrC {
+		if notInPrC>>uint(w)&1 != 0 {
 			return w
 		}
 		bk.pol.Promote(set, w)
@@ -126,17 +145,17 @@ func (l *LLC) qbsVictim(bk *bank, set int) int {
 
 // sharpVictim implements the SHARP victim search: (1) a block with no
 // private copies, (2) a block cached only in the requester's private
-// hierarchy, (3) a random block.
+// hierarchy, (3) a random block. Either stage 1 finds its way with FirstIn
+// or the directory stage walks Rank, so each search queries the policy
+// order once.
 //
 //ziv:noalloc
 func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
+	if notInPrC := bk.masks[set].notInPrC; notInPrC != 0 {
+		return bk.pol.FirstIn(set, notInPrC)
+	}
 	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
 	base := set * l.cfg.Ways
-	for _, w := range order {
-		if bk.blocks[base+w].NotInPrC {
-			return w
-		}
-	}
 	for _, w := range order {
 		b := &bk.blocks[base+w]
 		if b.Relocated {
@@ -153,23 +172,18 @@ func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 // charOnBaseVictim implements CHARonBase (§V-A): when the baseline victim is
 // privately cached, prefer a CHAR-inferred likely-dead block from the same
 // set (in baseline preference order); otherwise fall back to the baseline
-// victim even though it generates inclusion victims.
+// victim even though it generates inclusion victims. The FirstIn query
+// after the Victim query repeats no side effect for the LLC policies the
+// hierarchy builds: SRRIP's aging is a no-op once a way sits at max RRPV.
 //
 //ziv:noalloc
 func (l *LLC) charOnBaseVictim(bk *bank, set int) int {
-	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
-	v0 := order[0]
-	if bk.blocks[base+v0].NotInPrC {
+	m := &bk.masks[set]
+	v0 := l.worstWay(bk, set)
+	if m.dead == 0 || m.notInPrC>>uint(v0)&1 != 0 {
 		return v0
 	}
-	for _, w := range order {
-		b := &bk.blocks[base+w]
-		if b.Valid && b.LikelyDead && b.NotInPrC {
-			return w
-		}
-	}
-	return v0
+	return bk.pol.FirstIn(set, m.dead)
 }
 
 // fillWay installs addr at (bank, set, way), which must be invalid, and
@@ -183,7 +197,7 @@ func (l *LLC) fillWay(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m 
 	}
 	*b = Block{Valid: true, Dirty: dirty, NotInPrC: !inPrC, Addr: addr, EvictCore: -1}
 	bk.tags[set*l.cfg.Ways+way] = addr
-	bk.validCnt[set]++
+	bk.masks[set].sync(way, b)
 	bk.pol.OnFill(set, way, m)
 	l.updateSet(bk, set)
 }
@@ -208,7 +222,7 @@ func (l *LLC) evictWay(bk *bank, set, way int) Evicted {
 	bk.pol.OnEvict(set, way)
 	*b = Block{}
 	bk.tags[set*l.cfg.Ways+way] = tagNone
-	bk.validCnt[set]--
+	bk.masks[set].sync(way, b)
 	l.updateSet(bk, set)
 	return ev
 }

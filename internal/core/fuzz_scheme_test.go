@@ -19,16 +19,22 @@ func schemeCombos() []schemeCombo {
 	return []schemeCombo{
 		{SchemeBaseline, PropNone, lruPol},
 		{SchemeBaseline, PropNone, hawkeyePol},
+		{SchemeBaseline, PropNone, srripPol},
 		{SchemeQBS, PropNone, lruPol},
 		{SchemeQBS, PropNone, hawkeyePol},
+		{SchemeQBS, PropNone, srripPol},
 		{SchemeSHARP, PropNone, lruPol},
 		{SchemeSHARP, PropNone, hawkeyePol},
+		{SchemeSHARP, PropNone, srripPol},
 		{SchemeCHARonBase, PropNone, lruPol},
+		{SchemeCHARonBase, PropNone, srripPol},
 		{SchemeZIV, PropNotInPrC, lruPol},
 		{SchemeZIV, PropLRUNotInPrC, lruPol},
 		{SchemeZIV, PropLikelyDead, lruPol},
 		{SchemeZIV, PropMaxRRPVNotInPrC, hawkeyePol},
 		{SchemeZIV, PropMaxRRPVLikelyDead, hawkeyePol},
+		{SchemeZIV, PropMaxRRPVNotInPrC, srripPol},
+		{SchemeZIV, PropMaxRRPVLikelyDead, srripPol},
 	}
 }
 

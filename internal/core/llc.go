@@ -236,8 +236,10 @@ type Stats struct {
 	QBSPromotions uint64
 	SHARPFallback uint64 // SHARP stage-3 random victims
 
-	// IntervalHist buckets relocation intervals per bank by floor(log2(cycles)),
-	// for the Fig. 18 CDF. Index 0 counts intervals of 0-1 cycles.
+	// IntervalHist buckets relocation intervals per bank by
+	// bits.Len64(cycles), for the Fig. 18 CDF: index 0 counts intervals of
+	// 0 cycles and index b >= 1 those in [2^(b-1), 2^b), the last bucket
+	// absorbing everything longer.
 	IntervalHist [40]uint64
 	FIFOMaxOcc   int // modeled relocation-FIFO high-water mark
 }
@@ -277,6 +279,8 @@ type LLC struct {
 	bankMask uint64
 	setMask  uint64
 	bankBits uint
+	// allWays has one bit per way: a set whose valid mask equals it is full.
+	allWays  uint64
 	levels   []level
 	rngState uint64
 	// oracleNow tracks the latest global stream position observed (Meta.Pos)
@@ -287,6 +291,9 @@ type LLC struct {
 	// the policy-owned slice directly. One reusable buffer avoids a per-miss
 	// allocation.
 	rankScratch []int
+	// out is the outcome Fill hands back by pointer; every fill rewrites it,
+	// so a miss copies no outcome record.
+	out FillOutcome
 	// obs is the attached event ring, nil when observability is off; every
 	// probe point guards on it, so the detached cost is one branch.
 	obs *obs.Ring
@@ -297,32 +304,60 @@ type LLC struct {
 type bank struct {
 	id int
 	// blocks is the primary store. sidecarsync enforces the sidecars:
-	// whole-element writes must refresh tags and validCnt, and writes to
-	// the private-residency state consumed by the property vectors must
-	// re-derive them via updateSet.
+	// whole-element writes must refresh tags and masks, and writes to the
+	// private-residency state must refresh masks and re-derive the
+	// property vectors via updateSet.
 	//
-	//ziv:mirror(tags,validCnt)
-	//ziv:mirror(updateSet) on NotInPrC,LikelyDead
+	//ziv:mirror(tags,masks)
+	//ziv:mirror(masks,updateSet) on NotInPrC,LikelyDead
 	blocks []Block
 	// tags mirrors blocks for fast probing: the block address when the way
 	// holds a valid non-relocated block, tagNone otherwise. Maintained by
 	// the few mutation points and validated by CheckInvariants.
 	tags []uint64
-	// validCnt counts valid ways (relocated included) per set, so the
-	// invalid-way probe on the fill path answers without scanning once the
-	// set is full. Validated by CheckInvariants.
-	validCnt []uint16
-	pol      policy.Policy
-	vic      policy.Victimer      // nil unless the policy exposes the fast victim path
-	rrip     policy.RRPVer        // nil unless the policy exposes RRPVs
-	lru      policy.LRUPositioner // nil unless the policy exposes LRU position
-	pvs      [numLevels]*PV       // only the configured levels are non-nil
-	thresh   *char.BankThresholder
+	// masks mirrors each set's blocks as way bitmasks (see wayMasks), so
+	// the fill path and the property predicates never read a Block.
+	// Validated by CheckInvariants.
+	masks  []wayMasks
+	pol    policy.Policy
+	vic    policy.Victimer      // nil unless the policy exposes the fast victim path
+	rrip   policy.RRPVer        // nil unless the policy exposes RRPVs
+	lru    policy.LRUPositioner // nil unless the policy exposes LRU position
+	pvs    [numLevels]*PV       // only the configured levels are non-nil
+	thresh *char.BankThresholder
 
 	lastReloc     uint64
 	everRelocated bool
 	fifoOcc       float64
 	relocTargets  []uint32 // per-set count of relocations landing in the set
+}
+
+// wayMasks holds one bit per way of a set for the block state the fill
+// path and the relocation properties ask about: the way is valid (relocated
+// blocks included); valid with no private copy (NotInPrC); and, of those,
+// inferred dead by CHAR (LikelyDead).
+type wayMasks struct {
+	valid, notInPrC, dead uint64
+}
+
+// sync refreshes way's bits from its block b after a write to b.
+//
+//ziv:noalloc
+func (m *wayMasks) sync(way int, b *Block) {
+	bit := uint64(1) << uint(way)
+	m.valid &^= bit
+	m.notInPrC &^= bit
+	m.dead &^= bit
+	if !b.Valid {
+		return
+	}
+	m.valid |= bit
+	if b.NotInPrC {
+		m.notInPrC |= bit
+		if b.LikelyDead {
+			m.dead |= bit
+		}
+	}
 }
 
 // New builds an LLC. dir may be nil only for SchemeBaseline/QBS/CHARonBase
@@ -334,8 +369,8 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 	if cfg.SetsPerBank <= 0 || bits.OnesCount(uint(cfg.SetsPerBank)) != 1 {
 		panic(fmt.Sprintf("core: sets per bank must be a positive power of two, got %d", cfg.SetsPerBank))
 	}
-	if cfg.Ways <= 0 {
-		panic("core: ways must be positive")
+	if cfg.Ways <= 0 || cfg.Ways > 64 {
+		panic(fmt.Sprintf("core: ways must be in [1, 64] (one mask bit per way), got %d", cfg.Ways))
 	}
 	if cfg.NewPolicy == nil {
 		panic("core: NewPolicy is required")
@@ -353,6 +388,7 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		bankMask: uint64(cfg.Banks - 1),
 		setMask:  uint64(cfg.SetsPerBank - 1),
 		bankBits: uint(bits.TrailingZeros(uint(cfg.Banks))),
+		allWays:  ^uint64(0) >> uint(64-cfg.Ways),
 		levels:   levelsFor(cfg.Property),
 		rngState: 0x2545f4914f6cdd1d,
 	}
@@ -365,7 +401,7 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		for j := range b.tags {
 			b.tags[j] = tagNone
 		}
-		b.validCnt = make([]uint16, cfg.SetsPerBank)
+		b.masks = make([]wayMasks, cfg.SetsPerBank)
 		b.relocTargets = make([]uint32, cfg.SetsPerBank)
 		b.pol = cfg.NewPolicy()
 		b.pol.Init(cfg.SetsPerBank, cfg.Ways)
@@ -506,6 +542,7 @@ func (l *LLC) Access(addr uint64, m policy.Meta) (loc directory.Location, hit bo
 	b.NotInPrC = false
 	b.LikelyDead = false
 	b.EvictCore = -1
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.updateSet(bk, loc.Set)
 	return loc, true
 }
@@ -540,6 +577,7 @@ func (l *LLC) MarkNotInPrC(addr uint64, dirty, dead bool, group uint8, core int)
 	if !ok {
 		return false
 	}
+	bk := &l.banks[loc.Bank]
 	b := l.block(loc)
 	if dirty {
 		b.Dirty = true
@@ -548,7 +586,8 @@ func (l *LLC) MarkNotInPrC(addr uint64, dirty, dead bool, group uint8, core int)
 	b.LikelyDead = dead
 	b.CharGroup = group
 	b.EvictCore = int16(core)
-	l.updateSet(&l.banks[loc.Bank], loc.Set)
+	bk.masks[loc.Set].sync(loc.Way, b)
+	l.updateSet(bk, loc.Set)
 	return true
 }
 
@@ -598,7 +637,7 @@ func (l *LLC) InvalidateRelocated(loc directory.Location) (dirty bool) {
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
 	*b = Block{}
 	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.validCnt[loc.Set]--
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.Stats.RelocatedInvalidated++
 	l.updateSet(bk, loc.Set)
 	return dirty
@@ -620,46 +659,31 @@ func (l *LLC) Invalidate(addr uint64) (present, dirty bool) {
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
 	*b = Block{}
 	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.validCnt[loc.Set]--
+	bk.masks[loc.Set].sync(loc.Way, b)
 	l.updateSet(bk, loc.Set)
 	return true, dirty
 }
 
-// setSatisfies evaluates one relocation-set property for (bank, set).
+// setSatisfies evaluates one relocation-set property for (bank, set) from
+// the set's way masks; only the LRU and MaxRRPV properties consult the
+// policy, and only about ways with no private copy.
 //
 //ziv:noalloc
 func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
-	base := set * l.cfg.Ways
+	m := &bk.masks[set]
 	switch lev {
 	case levInvalid:
-		for w := 0; w < l.cfg.Ways; w++ {
-			if !bk.blocks[base+w].Valid {
-				return true
-			}
-		}
+		return m.valid != l.allWays
 	case levNotInPrC:
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC {
-				return true
-			}
-		}
+		return m.notInPrC != 0
+	case levLikelyDead:
+		return m.dead != 0
 	case levLRU:
-		w := bk.lru.LRUWay(set)
-		b := &bk.blocks[base+w]
-		return b.Valid && b.NotInPrC
+		return m.notInPrC != 0 && m.notInPrC>>uint(bk.lru.LRUWay(set))&1 != 0
 	case levMaxRRPV:
 		max := bk.rrip.MaxRRPV()
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC && bk.rrip.RRPV(set, w) == max {
-				return true
-			}
-		}
-	case levLikelyDead:
-		for w := 0; w < l.cfg.Ways; w++ {
-			b := &bk.blocks[base+w]
-			if b.Valid && b.NotInPrC && b.LikelyDead {
+		for n := m.notInPrC; n != 0; n &= n - 1 {
+			if bk.rrip.RRPV(set, bits.TrailingZeros64(n)) == max {
 				return true
 			}
 		}
@@ -668,60 +692,25 @@ func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
 }
 
 // updateSet recomputes every configured property bit of (bank, set). Called
-// after any mutation of the set's blocks or replacement state. The Invalid,
-// NotInPrC and LikelyDead predicates are folded into one pass over the set
-// (setSatisfies would scan once per level); the LRU and MaxRRPV predicates
-// need policy state and keep their dedicated queries.
+// after any mutation of the set's blocks or replacement state, once the
+// set's way masks are current.
 //
 //ziv:noalloc
 func (l *LLC) updateSet(bk *bank, set int) {
-	if len(l.levels) == 0 {
-		return
-	}
-	base := set * l.cfg.Ways
-	var anyInvalid, anyNotInPrC, anyDead bool
-	for w := 0; w < l.cfg.Ways; w++ {
-		b := &bk.blocks[base+w]
-		if !b.Valid {
-			anyInvalid = true
-		} else if b.NotInPrC {
-			anyNotInPrC = true
-			if b.LikelyDead {
-				anyDead = true
-			}
-		}
-	}
 	for _, lev := range l.levels {
-		var v bool
-		switch lev {
-		case levInvalid:
-			v = anyInvalid
-		case levNotInPrC:
-			v = anyNotInPrC
-		case levLikelyDead:
-			v = anyDead
-		default:
-			v = l.setSatisfies(bk, set, lev)
-		}
-		bk.pvs[lev].Set(set, v)
+		bk.pvs[lev].Set(set, l.setSatisfies(bk, set, lev))
 	}
 }
 
-// invalidWay returns an invalid way in (bank, set) or -1. Full sets (the
-// steady state after warmup) answer from the per-set valid count.
+// invalidWay returns the lowest invalid way in (bank, set) or -1.
 //
 //ziv:noalloc
 func (l *LLC) invalidWay(bk *bank, set int) int {
-	if int(bk.validCnt[set]) == l.cfg.Ways {
+	free := l.allWays &^ bk.masks[set].valid
+	if free == 0 {
 		return -1
 	}
-	base := set * l.cfg.Ways
-	for w := 0; w < l.cfg.Ways; w++ {
-		if !bk.blocks[base+w].Valid {
-			return w
-		}
-	}
-	return -1
+	return bits.TrailingZeros64(free)
 }
 
 func (l *LLC) rand() uint64 {

@@ -23,6 +23,10 @@ type driver struct {
 	inclusionVictims int // private copies killed by LLC evictions
 	maxPriv          int // cap on per-core private blocks (simulates L2 size)
 	perCore          map[int][]uint64
+	// deadNotices makes the last-copy notice of every block whose address
+	// is a multiple of 3 carry CHAR's dead inference, so the LikelyDead
+	// paths see dead blocks.
+	deadNotices bool
 }
 
 func newDriver(t *testing.T, llc *LLC, dir *directory.Directory, maxPriv int) *driver {
@@ -62,7 +66,7 @@ func (d *driver) dropPrivate(core int, addr uint64) {
 	if e.Relocated {
 		d.llc.InvalidateRelocated(e.Loc)
 	} else {
-		d.llc.MarkNotInPrC(addr, false, false, 0, core)
+		d.llc.MarkNotInPrC(addr, false, d.deadNotices && addr%3 == 0, 0, core)
 	}
 	d.dir.Free(p)
 }
@@ -135,8 +139,7 @@ func (d *driver) access(core int, addr uint64, pc uint64) {
 		d.t.Fatalf("directory hit with LLC miss for %#x in inclusive mode", addr)
 	}
 	// Full miss: allocate directory entry, then LLC fill.
-	_, evictedEntry, _ := d.dir.Allocate(addr, core, directory.Exclusive)
-	if evictedEntry.Valid {
+	if _, evictedEntry, _ := d.dir.Allocate(addr, core, directory.Exclusive); evictedEntry != nil {
 		// Directory conflict: back-invalidate that block's private copies.
 		victimAddr := evictedEntry.Addr
 		if evictedEntry.Relocated {
@@ -200,6 +203,7 @@ func mkLLC(t *testing.T, scheme Scheme, prop Property, pol func() policy.Policy)
 
 func lruPol() policy.Policy     { return policy.NewLRU() }
 func hawkeyePol() policy.Policy { return policy.NewHawkeye(2) }
+func srripPol() policy.Policy   { return policy.NewSRRIP(2) }
 
 func TestFillAndHit(t *testing.T) {
 	llc, dir := mkLLC(t, SchemeBaseline, PropNone, lruPol)
@@ -652,6 +656,7 @@ func TestConfigValidation(t *testing.T) {
 		{Banks: 3, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol},
 		{Banks: 2, SetsPerBank: 7, Ways: 4, NewPolicy: lruPol},
 		{Banks: 2, SetsPerBank: 8, Ways: 0, NewPolicy: lruPol},
+		{Banks: 2, SetsPerBank: 8, Ways: 65, NewPolicy: lruPol}, // one way-mask bit per way
 		{Banks: 2, SetsPerBank: 8, Ways: 4},
 		{Banks: 2, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol, Scheme: SchemeZIV},
 		{Banks: 2, SetsPerBank: 8, Ways: 4, NewPolicy: lruPol, Scheme: SchemeZIV, Property: PropMaxRRPVNotInPrC}, // LRU has no RRPV
@@ -730,6 +735,27 @@ func TestZIVInvariantProperty(t *testing.T) {
 		return ok && baseVictims >= 0 // baseline may or may not generate them
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSixtyFourWaySet fills a 64-way set, the widest the way masks hold:
+// the 64th fill must take the last invalid way and the 65th must evict.
+func TestSixtyFourWaySet(t *testing.T) {
+	dir := directory.New(directory.Config{Slices: 1, SetsPerSlice: 64, Ways: 8})
+	llc := New(Config{Banks: 1, SetsPerBank: 1, Ways: 64, NewPolicy: lruPol, DebugChecks: true}, dir)
+	for a := uint64(0); a < 64; a++ {
+		if out := llc.Fill(a, 0, false, false, policy.Meta{Addr: a}, a); out.Evicted.Valid || out.Loc.Way != int(a) {
+			t.Fatalf("fill %d: %+v, want way %d with no eviction", a, *out, a)
+		}
+	}
+	if w := llc.invalidWay(&llc.banks[0], 0); w != -1 {
+		t.Fatalf("full 64-way set reports invalid way %d", w)
+	}
+	if out := llc.Fill(64, 0, false, false, policy.Meta{Addr: 64}, 64); !out.Evicted.Valid || out.Evicted.Addr != 0 {
+		t.Fatalf("65th fill: %+v, want the LRU block 0 evicted", *out)
+	}
+	if err := llc.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

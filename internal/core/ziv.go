@@ -50,12 +50,9 @@ func (l *LLC) oraclePickRS(bk *bank) (rs, way int) {
 func (l *LLC) oracleVictimIn(bk *bank, set int) (way int, nextUse uint64) {
 	base := set * l.cfg.Ways
 	way = -1
-	for w := 0; w < l.cfg.Ways; w++ {
-		b := &bk.blocks[base+w]
-		if !b.Valid || !b.NotInPrC {
-			continue
-		}
-		nu := l.cfg.Oracle.NextUse(b.Addr, l.oracleNow)
+	for n := bk.masks[set].notInPrC; n != 0; n &= n - 1 {
+		w := bits.TrailingZeros64(n)
+		nu := l.cfg.Oracle.NextUse(bk.blocks[base+w].Addr, l.oracleNow)
 		if way < 0 || nu > nextUse {
 			way, nextUse = w, nu
 		}
@@ -74,21 +71,15 @@ func (l *LLC) oracleVictimIn(bk *bank, set int) (way int, nextUse uint64) {
 // inclusion victim.
 //
 //ziv:noalloc
-func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m policy.Meta, now uint64) FillOutcome {
+func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m policy.Meta, now uint64) *FillOutcome {
 	if m.Pos > l.oracleNow {
 		l.oracleNow = m.Pos
 	}
 	victim := l.worstWay(bk, set)
-	vb := &bk.blocks[set*l.cfg.Ways+victim]
-	if vb.NotInPrC {
+	if bk.masks[set].notInPrC>>uint(victim)&1 != 0 {
 		// The baseline victim is not privately cached: a plain eviction is
 		// already inclusion-victim free.
-		ev := l.evictWay(bk, set, victim)
-		l.fillWay(bk, set, victim, addr, dirty, inPrC, m)
-		return FillOutcome{
-			Loc:     directory.Location{Bank: bk.id, Set: set, Way: victim},
-			Evicted: ev,
-		}
+		return l.replace(bk, set, victim, addr, dirty, inPrC, m)
 	}
 
 	for _, lev := range l.levels {
@@ -108,17 +99,13 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 			if alt < 0 {
 				panic("core: original set satisfies property but has no relocation victim")
 			}
-			ev := l.evictWay(bk, set, alt)
-			l.fillWay(bk, set, alt, addr, dirty, inPrC, m)
+			o := l.replace(bk, set, alt, addr, dirty, inPrC, m)
+			o.AlternateVictim = true
 			l.Stats.AlternateVictims++
 			if l.obs != nil {
 				l.obs.Record(obs.EvInclusionAverted, -1, int16(bk.id), addr, uint64(lev))
 			}
-			return FillOutcome{
-				Loc:             directory.Location{Bank: bk.id, Set: set, Way: alt},
-				Evicted:         ev,
-				AlternateVictim: true,
-			}
+			return o
 		}
 		if lev == levLikelyDead && bk.pvs[levLikelyDead].Empty() && bk.thresh != nil {
 			// A relocation request found the LikelyDeadNotInPrC PV empty:
@@ -160,61 +147,43 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 		panic("core: ZIV found no relocation set anywhere — private caches exceed LLC capacity?")
 	}
 	l.Stats.ForcedInclusions++
-	ev := l.evictWay(bk, set, victim)
-	l.fillWay(bk, set, victim, addr, dirty, inPrC, m)
-	return FillOutcome{
-		Loc:     directory.Location{Bank: bk.id, Set: set, Way: victim},
-		Evicted: ev,
-	}
+	return l.replace(bk, set, victim, addr, dirty, inPrC, m)
 }
 
 // relocVictimWay picks the victim within a relocation set per §III-E,
 // following the configured property's priority chain. Invalid ways are
 // handled by the caller. It returns -1 when the set holds no block that can
-// be evicted without inclusion victims.
+// be evicted without inclusion victims. Each candidate class is a way mask,
+// and FirstIn finds its first way in the baseline policy's order.
 //
 //ziv:noalloc
 func (l *LLC) relocVictimWay(bk *bank, set int) int {
-	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
-	firstWhere := func(pred func(b *Block, w int) bool) int {
-		for _, w := range order {
-			b := &bk.blocks[base+w]
-			if b.Valid && pred(b, w) {
-				return w
-			}
-		}
-		return -1
-	}
+	m := &bk.masks[set]
 	switch l.cfg.Property {
-	case PropNotInPrC, PropLRUNotInPrC:
-		// The NotInPrC block closest to the LRU position.
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
-	case PropMaxRRPVNotInPrC:
-		// The NotInPrC block with as high an RRPV as possible (the rank
-		// order is descending RRPV).
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
+	case PropNotInPrC, PropLRUNotInPrC, PropMaxRRPVNotInPrC:
+		// The NotInPrC block closest to the LRU position, or with as high
+		// an RRPV as possible (the rank order is descending RRPV).
+		return bk.pol.FirstIn(set, m.notInPrC)
 	case PropLikelyDead:
 		// LikelyDead closest to LRU, else NotInPrC closest to LRU.
-		if w := firstWhere(func(b *Block, _ int) bool { return b.LikelyDead && b.NotInPrC }); w >= 0 {
-			return w
+		if m.dead != 0 {
+			return bk.pol.FirstIn(set, m.dead)
 		}
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
+		return bk.pol.FirstIn(set, m.notInPrC)
 	case PropOracleNotInPrC:
 		w, _ := l.oracleVictimIn(bk, set)
 		return w
 	case PropMaxRRPVLikelyDead:
 		// NotInPrC at max RRPV (a Hawkeye cache-averse block), else
 		// LikelyDead with as high an RRPV as possible, else NotInPrC with as
-		// high an RRPV as possible.
-		max := bk.rrip.MaxRRPV()
-		if w := firstWhere(func(b *Block, w int) bool { return b.NotInPrC && bk.rrip.RRPV(set, w) == max }); w >= 0 {
+		// high an RRPV as possible. The rank order is descending RRPV, so
+		// the first NotInPrC way is at max RRPV if any NotInPrC way is;
+		// querying it first also runs SRRIP's aging before any RRPV read.
+		w := bk.pol.FirstIn(set, m.notInPrC)
+		if w < 0 || bk.rrip.RRPV(set, w) == bk.rrip.MaxRRPV() || m.dead == 0 {
 			return w
 		}
-		if w := firstWhere(func(b *Block, _ int) bool { return b.LikelyDead && b.NotInPrC }); w >= 0 {
-			return w
-		}
-		return firstWhere(func(b *Block, _ int) bool { return b.NotInPrC })
+		return bk.pol.FirstIn(set, m.dead)
 	}
 	return -1
 }
@@ -226,16 +195,16 @@ func (l *LLC) relocVictimWay(bk *bank, set int) int {
 //
 //ziv:noalloc
 func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWayOverride int, lev level,
-	addr uint64, dirty, inPrC bool, m policy.Meta, now uint64) FillOutcome {
+	addr uint64, dirty, inPrC bool, m policy.Meta, now uint64) *FillOutcome {
 
-	vb := home.blocks[homeSet*l.cfg.Ways+victimWay] // copy out the victim
-	reReloc := vb.Relocated
+	vb := &home.blocks[homeSet*l.cfg.Ways+victimWay]
+	vAddr, vDirty, reReloc := vb.Addr, vb.Dirty, vb.Relocated
 	depth := vb.RelocDepth
 	if depth < ^uint8(0) {
 		depth++
 	}
 	if l.obs != nil {
-		l.obs.Record(obs.EvRelocBegin, -1, int16(home.id), vb.Addr, uint64(lev))
+		l.obs.Record(obs.EvRelocBegin, -1, int16(home.id), vAddr, uint64(lev))
 		l.obs.Record(obs.EvRelocSetSelect, -1, int16(dst.id), uint64(rs), uint64(lev))
 	}
 
@@ -246,9 +215,9 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	if reReloc {
 		ptr = vb.DirPtr
 	} else {
-		_, p, ok := l.dir.Find(vb.Addr)
+		_, p, ok := l.dir.Find(vAddr)
 		if !ok {
-			panic(fmt.Sprintf("core: relocating block %#x with no directory entry", vb.Addr))
+			panic(fmt.Sprintf("core: relocating block %#x with no directory entry", vAddr))
 		}
 		ptr = p
 	}
@@ -257,12 +226,12 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	// replacement mistake (the block stays in the LLC), so the policy sees
 	// an invalidation, not an eviction.
 	home.pol.OnInvalidate(homeSet, victimWay)
-	home.blocks[homeSet*l.cfg.Ways+victimWay] = Block{}
+	*vb = Block{}
 	home.tags[homeSet*l.cfg.Ways+victimWay] = tagNone
-	home.validCnt[homeSet]--
+	home.masks[homeSet].sync(victimWay, vb)
 
 	// Find the destination way and evict its occupant if needed.
-	var evicted Evicted
+	o := l.outcome(home, homeSet, victimWay)
 	var dstWay int
 	if lev == levInvalid {
 		dstWay = l.invalidWay(dst, rs)
@@ -277,25 +246,26 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 		if dstWay < 0 {
 			panic(fmt.Sprintf("core: %v PV pointed at set with no eligible victim", lev))
 		}
-		evicted = l.evictWay(dst, rs, dstWay)
-		if l.cfg.DebugChecks && evicted.InPrC {
+		o.Evicted = l.evictWay(dst, rs, dstWay)
+		if l.cfg.DebugChecks && o.Evicted.InPrC {
 			panic("core: relocation-set victim was privately cached")
 		}
 	}
 
 	// Install the relocated block. The insertion protects it (MRU/RRPV 0)
 	// without predictor training: a relocation is not a program access.
-	dst.blocks[rs*l.cfg.Ways+dstWay] = Block{
+	db := &dst.blocks[rs*l.cfg.Ways+dstWay]
+	*db = Block{
 		Valid:      true,
-		Dirty:      vb.Dirty,
+		Dirty:      vDirty,
 		Relocated:  true,
-		Addr:       vb.Addr,
+		Addr:       vAddr,
 		DirPtr:     ptr,
 		EvictCore:  -1,
 		RelocDepth: depth,
 	}
 	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone // relocated blocks are invisible to lookups
-	dst.validCnt[rs]++
+	dst.masks[rs].sync(dstWay, db)
 	dst.pol.Promote(rs, dstWay)
 
 	// Record the new location in the directory entry.
@@ -342,23 +312,17 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	l.fillWay(home, homeSet, victimWay, addr, dirty, inPrC, m)
 
 	if l.obs != nil {
-		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), vb.Addr, uint64(depth))
+		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), vAddr, uint64(depth))
 	}
 
-	return FillOutcome{
-		Loc:     directory.Location{Bank: home.id, Set: homeSet, Way: victimWay},
-		Evicted: evicted,
-		Relocation: Relocation{
-			Valid:        true,
-			Addr:         vb.Addr,
-			From:         directory.Location{Bank: home.id, Set: homeSet, Way: victimWay},
-			To:           to,
-			Level:        lev.String(),
-			CrossBank:    cross,
-			ReRelocation: reReloc,
-			Depth:        depth,
-		},
-	}
+	r := &o.Relocation
+	r.Valid = true
+	r.From = o.Loc
+	r.To = to
+	r.CrossBank = cross
+	r.ReRelocation = reReloc
+	r.Depth = depth
+	return o
 }
 
 // fillRelocated implements the §III-D1 cross-bank alternative: the newly
@@ -368,7 +332,7 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 // fills (a directory entry must exist to locate the block).
 //
 //ziv:noalloc
-func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dirty bool, m policy.Meta, now uint64) FillOutcome {
+func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dirty bool, m policy.Meta, now uint64) *FillOutcome {
 	_, ptr, ok := l.dir.Find(addr)
 	if !ok {
 		panic(fmt.Sprintf("core: FillCrossBank for untracked block %#x", addr))
@@ -377,15 +341,22 @@ func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dir
 		l.obs.Record(obs.EvRelocBegin, -1, int16(home.id), addr, uint64(lev))
 		l.obs.Record(obs.EvRelocSetSelect, -1, int16(dst.id), uint64(rs), uint64(lev))
 	}
-	var evicted Evicted
 	var dstWay int
+	var evicted Evicted
 	if lev == levInvalid {
 		dstWay = l.invalidWay(dst, rs)
+		if dstWay < 0 {
+			panic("core: Invalid PV pointed at a full set")
+		}
 	} else {
 		dstWay = l.relocVictimWay(dst, rs)
+		if dstWay < 0 {
+			panic(fmt.Sprintf("core: %v PV pointed at set with no eligible victim", lev))
+		}
 		evicted = l.evictWay(dst, rs, dstWay)
 	}
-	dst.blocks[rs*l.cfg.Ways+dstWay] = Block{
+	db := &dst.blocks[rs*l.cfg.Ways+dstWay]
+	*db = Block{
 		Valid:      true,
 		Dirty:      dirty,
 		Relocated:  true,
@@ -395,7 +366,7 @@ func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dir
 		RelocDepth: 1,
 	}
 	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone
-	dst.validCnt[rs]++
+	dst.masks[rs].sync(dstWay, db)
 	dst.pol.Promote(rs, dstWay)
 	to := directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
 	e := l.dir.At(ptr)
@@ -409,19 +380,16 @@ func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dir
 	if l.obs != nil {
 		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), addr, 1)
 	}
-	return FillOutcome{
-		Loc:     to,
-		Evicted: evicted,
-		Relocation: Relocation{
-			Valid:     true,
-			Addr:      addr,
-			From:      directory.Location{Bank: home.id},
-			To:        to,
-			Level:     lev.String(),
-			CrossBank: true,
-			Depth:     1,
-		},
-	}
+	o := l.outcome(dst, rs, dstWay)
+	o.Evicted = evicted
+	r := &o.Relocation
+	r.Valid = true
+	r.From = directory.Location{Bank: home.id}
+	r.To = to
+	r.CrossBank = true
+	r.ReRelocation = false
+	r.Depth = 1
+	return o
 }
 
 // intervalBucket maps a cycle delta to its log2 histogram bucket.

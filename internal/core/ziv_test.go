@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"zivsim/internal/directory"
@@ -184,24 +186,30 @@ func TestFillOutcomeRelocationFields(t *testing.T) {
 	}
 	// Direct Fill call to inspect the outcome (driver wraps it otherwise).
 	addr := addrs[4]
-	_, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive)
-	if evicted.Valid {
+	if _, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive); evicted != nil {
 		t.Fatal("unexpected directory eviction in setup")
 	}
+	before := llc.Stats.RelocationsByLevel[levNotInPrC]
 	out := llc.Fill(addr, 0, false, true, policy.Meta{Addr: addr}, 123)
 	if !out.Relocation.Valid {
-		t.Fatalf("expected relocation, got %+v", out)
+		t.Fatalf("expected relocation, got %+v", *out)
 	}
 	rel := &out.Relocation
-	if rel.Level != "NotInPrC" {
-		t.Errorf("relocation level = %q", rel.Level)
+	if got := llc.Stats.RelocationsByLevel[levNotInPrC] - before; got != 1 {
+		t.Errorf("fill added %d NotInPrC-level relocations, want 1", got)
 	}
 	if rel.From == rel.To {
 		t.Error("relocation did not move the block")
 	}
+	if rel.From != out.Loc {
+		t.Errorf("relocation left %+v, but the fill landed at %+v", rel.From, out.Loc)
+	}
 	b := llc.BlockAt(rel.To)
-	if !b.Relocated || b.Addr != rel.Addr {
+	if !b.Relocated || (b.Addr != addrs[0] && b.Addr != addrs[1] && b.Addr != addrs[2] && b.Addr != addrs[3]) {
 		t.Errorf("block at relocation target: %+v", b)
+	}
+	if e, _, ok := dir.Find(b.Addr); !ok || !e.Relocated || e.Loc != rel.To {
+		t.Errorf("directory entry of relocated block %#x does not point at %+v", b.Addr, rel.To)
 	}
 	if !out.Evicted.Valid || out.Evicted.InPrC {
 		t.Errorf("relocation-set eviction wrong: %+v", out.Evicted)
@@ -247,4 +255,53 @@ func TestFillCrossBankPlacesNewBlock(t *testing.T) {
 		t.Fatal("FillCrossBank generated inclusion victims")
 	}
 	d.check()
+}
+
+// TestFillCrossBankRejectsUnusableRelocationSet flips a bank-1 PV bit, as
+// TestCheckInvariantsDetectsPVBitFlip does, so that a FillCrossBank fill is
+// sent to a relocation set with no usable way. The fill must panic rather
+// than index way -1 of the set, which is the previous set's last way.
+func TestFillCrossBankRejectsUnusableRelocationSet(t *testing.T) {
+	for _, lev := range []level{levInvalid, levNotInPrC} {
+		t.Run(lev.String(), func(t *testing.T) {
+			dir := directory.New(directory.Config{Slices: 2, SetsPerSlice: 32, Ways: 8})
+			llc := New(Config{
+				Banks: 2, SetsPerBank: 2, Ways: 4,
+				Scheme: SchemeZIV, Property: PropNotInPrC,
+				NewPolicy:     lruPol,
+				FillCrossBank: true,
+				DebugChecks:   true,
+			}, dir)
+			d := newDriver(t, llc, dir, 64)
+			// Every way of both banks holds a privately cached block, so no
+			// PV of either bank has a bit on.
+			for a := uint64(0); a < 16; a++ {
+				d.access(0, a, 1)
+			}
+			d.check()
+			neighbour := directory.Location{Bank: 1, Set: 0, Way: 3}
+			before := llc.BlockAt(neighbour)
+			llc.banks[1].pvs[lev].Set(1, true)
+
+			addr := uint64(16) // bank 0, set 0
+			if _, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive); evicted != nil {
+				t.Fatal("unexpected directory eviction in setup")
+			}
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatal("fill sent to a set with no usable way did not panic")
+					}
+					if !strings.Contains(fmt.Sprint(r), "PV pointed at") {
+						t.Fatalf("unexpected panic: %v", r)
+					}
+				}()
+				llc.Fill(addr, 0, false, true, policy.Meta{Addr: addr}, 1)
+			}()
+			if after := llc.BlockAt(neighbour); after != before {
+				t.Errorf("the neighbour set's last way changed: %+v -> %+v", before, after)
+			}
+		})
+	}
 }

@@ -25,8 +25,7 @@ func BenchmarkOverflowSpillFree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := uint64(8 + i)
-		_, _, spilled := d.Allocate(a, 0, Shared)
-		if spilled.Valid {
+		if _, spilled, ok := d.Allocate(a, 0, Shared); ok {
 			d.Free(d.OverflowPtr(spilled.Addr))
 		}
 	}
@@ -38,15 +37,14 @@ func TestOverflowChurnNoAllocs(t *testing.T) {
 	d := New(Config{Slices: 1, SetsPerSlice: 1, Ways: 8, ZeroDEV: true})
 	next := uint64(0)
 	for ; next < 64; next++ { // warm the pool and the overflow map
-		_, _, spilled := d.Allocate(next, 0, Shared)
-		if spilled.Valid {
+		if _, spilled, ok := d.Allocate(next, 0, Shared); ok {
 			d.Free(d.OverflowPtr(spilled.Addr))
 		}
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		_, _, spilled := d.Allocate(next, 0, Shared)
+		_, spilled, ok := d.Allocate(next, 0, Shared)
 		next++
-		if spilled.Valid {
+		if ok {
 			d.Free(d.OverflowPtr(spilled.Addr))
 		}
 	}); n != 0 {

@@ -175,6 +175,9 @@ type Directory struct {
 	// obs is the attached event ring, nil when observability is off; every
 	// probe point guards on it, so the detached cost is one branch.
 	obs *obs.Ring
+	// victim holds the entry the last Allocate evicted, which Allocate
+	// hands out by pointer instead of returning a copy.
+	victim Entry
 
 	Stats Stats
 }
@@ -330,16 +333,20 @@ func (d *Directory) Tracked(blockAddr uint64) bool {
 }
 
 // Allocate installs a new entry for blockAddr with the initial core and
-// state. If the target set is full, the NRU victim is evicted and returned
-// so the caller can back-invalidate its private copies (and, for a relocated
-// victim, invalidate the relocated LLC block). In ZeroDEV mode the victim is
-// spilled to the overflow instead (evicted.Valid stays false) and returned
-// as spilled: a spilled entry changes its pointer, so the caller must
+// state. If the target set is full, the NRU victim is displaced and
+// returned so the caller can act on it; victim is nil otherwise. By default
+// the victim is evicted (spilled false): the caller back-invalidates its
+// private copies and, for a relocated victim, invalidates the relocated LLC
+// block. In ZeroDEV mode the victim is spilled to the overflow instead
+// (spilled true): a spilled entry changes its pointer, so the caller must
 // retarget any state that addressed it — in particular a relocated LLC
 // block's tag-encoded directory pointer (use OverflowPtr for the new one).
+// victim points at directory-owned storage (a scratch copy of an evicted
+// entry, or a spilled entry's overflow slot) that stays valid until the
+// next Allocate or Free.
 //
 // Allocate must not be called for an address that is already tracked.
-func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, evicted, spilled Entry) {
+func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, victim *Entry, spilled bool) {
 	if d.Tracked(blockAddr) {
 		panic(fmt.Sprintf("directory: Allocate of tracked block %#x", blockAddr))
 	}
@@ -357,7 +364,7 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, evict
 	}
 	if way < 0 {
 		way = sl.pol.Victim(set)
-		victim := sl.entries[base+way]
+		old := &sl.entries[base+way]
 		sl.pol.OnEvict(set, way)
 		d.Stats.Evictions++
 		if d.cfg.ZeroDEV {
@@ -369,9 +376,9 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, evict
 			} else {
 				box = new(Entry)
 			}
-			*box = victim
-			sl.overflow[victim.Addr] = box
-			spilled = victim
+			*box = *old
+			sl.overflow[box.Addr] = box
+			victim, spilled = box, true
 			d.overflowLive++
 			if d.overflowLive > d.Stats.MaxOverflow {
 				d.Stats.MaxOverflow = d.overflowLive
@@ -384,7 +391,8 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, evict
 				d.obs.Record(obs.EvDirPtrUpdate, -1, int16(bank), victim.Addr, arg)
 			}
 		} else {
-			evicted = victim
+			d.victim = *old
+			victim = &d.victim
 			if d.obs != nil {
 				d.obs.Record(obs.EvDirEviction, -1, int16(bank), victim.Addr, uint64(victim.Sharers.Count()))
 			}
@@ -395,7 +403,7 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, evict
 	e.Sharers.Set(core)
 	sl.tags[base+way] = blockAddr
 	sl.pol.OnFill(set, way, policy.Meta{Addr: blockAddr})
-	return Ptr{Bank: bank, Set: set, Way: way}, evicted, spilled
+	return Ptr{Bank: bank, Set: set, Way: way}, victim, spilled
 }
 
 // OverflowPtr returns the pointer addressing blockAddr's overflow-resident

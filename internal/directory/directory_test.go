@@ -64,7 +64,7 @@ func TestLookupAllocateFree(t *testing.T) {
 		t.Fatal("lookup hit in empty directory")
 	}
 	p, ev, _ := d.Allocate(100, 3, Exclusive)
-	if ev.Valid {
+	if ev != nil {
 		t.Fatal("allocation into empty directory evicted")
 	}
 	e, p2 := d.Lookup(100)
@@ -103,8 +103,8 @@ func TestConflictEviction(t *testing.T) {
 	// SliceOf = addr & 1, setOf = (addr>>1) & 3. Use addrs 0, 8, 16 (slice 0, set 0).
 	d.Allocate(0, 0, Shared)
 	d.Allocate(8, 0, Shared)
-	_, ev, _ := d.Allocate(16, 0, Shared)
-	if !ev.Valid {
+	_, ev, spilled := d.Allocate(16, 0, Shared)
+	if ev == nil || spilled {
 		t.Fatal("full set allocation did not evict")
 	}
 	if ev.Addr != 0 && ev.Addr != 8 {
@@ -122,9 +122,9 @@ func TestZeroDEVSpill(t *testing.T) {
 	d := mkDir(true)
 	d.Allocate(0, 0, Shared)
 	d.Allocate(8, 1, Shared)
-	_, ev, _ := d.Allocate(16, 2, Shared)
-	if ev.Valid {
-		t.Fatal("ZeroDEV mode returned an eviction victim")
+	_, ev, spilled := d.Allocate(16, 2, Shared)
+	if ev == nil || !spilled {
+		t.Fatal("ZeroDEV mode did not spill its victim")
 	}
 	if d.Stats.Spills != 1 {
 		t.Errorf("Spills = %d", d.Stats.Spills)
@@ -232,9 +232,9 @@ func TestDirectoryModelProperty(t *testing.T) {
 				}
 				continue
 			}
-			_, ev, _ := d.Allocate(a, rng.Intn(8), Shared)
+			_, ev, spilled := d.Allocate(a, rng.Intn(8), Shared)
 			model[a] = true
-			if ev.Valid {
+			if ev != nil && !spilled {
 				if zeroDEV {
 					return false // ZeroDEV must never surface an eviction
 				}
@@ -265,11 +265,8 @@ func TestZeroDEVSpillReturnsSpilledEntry(t *testing.T) {
 	e8 := d.At(p8)
 	e8.Relocated = true
 	e8.Loc = Location{Bank: 1, Set: 2, Way: 3}
-	_, ev, spilled := d.Allocate(16, 2, Shared)
-	if ev.Valid {
-		t.Fatal("ZeroDEV surfaced an eviction")
-	}
-	if !spilled.Valid {
+	_, spilled, ok := d.Allocate(16, 2, Shared)
+	if spilled == nil || !ok {
 		t.Fatal("spill did not return the spilled entry")
 	}
 	if spilled.Addr != 0 && spilled.Addr != 8 {

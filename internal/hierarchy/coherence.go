@@ -129,10 +129,23 @@ func (m *Machine) upgrade(c *coreState, blockAddr uint64) uint64 {
 	return lat
 }
 
+// allocateDir allocates the directory entry for core id's new copy of
+// blockAddr and processes the entry it displaced, if any.
+func (m *Machine) allocateDir(id int, blockAddr uint64, st directory.State) {
+	_, victim, spilled := m.dir.Allocate(blockAddr, id, st)
+	switch {
+	case victim == nil:
+	case spilled:
+		m.handleDirSpill(victim)
+	default:
+		m.handleDirEviction(victim)
+	}
+}
+
 // handleDirSpill retargets a relocated block's tag-encoded directory
 // pointer after ZeroDEV moved its entry into the overflow structure.
-func (m *Machine) handleDirSpill(spilled directory.Entry) {
-	if spilled.Valid && spilled.Relocated {
+func (m *Machine) handleDirSpill(spilled *directory.Entry) {
+	if spilled.Relocated {
 		m.llc.SetDirPtr(spilled.Loc, m.dir.OverflowPtr(spilled.Addr))
 	}
 }
@@ -141,7 +154,7 @@ func (m *Machine) handleDirSpill(spilled directory.Entry) {
 // private copy of the tracked block is force-invalidated (these are
 // directory-induced inclusion victims, the effect Fig. 15 studies), and a
 // relocated block loses its only locator and dies with it (§III-F).
-func (m *Machine) handleDirEviction(ev directory.Entry) {
+func (m *Machine) handleDirEviction(ev *directory.Entry) {
 	anyDirty := false
 	ev.Sharers.ForEach(func(id int) {
 		present, dirty := m.dropPrivate(&m.cores[id], ev.Addr)
@@ -175,7 +188,7 @@ func (m *Machine) handleDirEviction(ev directory.Entry) {
 // dirty victims write back to memory; privately cached victims of an
 // inclusive LLC are back-invalidated, generating inclusion victims — the
 // event the ZIV design eliminates.
-func (m *Machine) handleFillOutcome(requester int, out core.FillOutcome) {
+func (m *Machine) handleFillOutcome(requester int, out *core.FillOutcome) {
 	if out.Relocation.Valid {
 		m.meter.Add(energy.Relocation, 1)
 		m.meter.Add(energy.DirUpdate, 1)
@@ -252,11 +265,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 			if write {
 				st = directory.Modified
 			}
-			_, evicted, spilled := m.dir.Allocate(blockAddr, c.id, st)
-			if evicted.Valid {
-				m.handleDirEviction(evicted)
-			}
-			m.handleDirSpill(spilled)
+			m.allocateDir(c.id, blockAddr, st)
 			writable = true
 		} else {
 			writable = m.joinSharers(c, e, write, blockAddr)
@@ -318,11 +327,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 	if write {
 		st = directory.Modified
 	}
-	_, evicted, spilled := m.dir.Allocate(blockAddr, c.id, st)
-	if evicted.Valid {
-		m.handleDirEviction(evicted)
-	}
-	m.handleDirSpill(spilled)
+	m.allocateDir(c.id, blockAddr, st)
 	out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
 	m.meter.Add(energy.LLCDataWrite, 1)
 	m.handleFillOutcome(c.id, out)

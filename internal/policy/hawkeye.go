@@ -256,6 +256,12 @@ func (p *Hawkeye) Rank(set int) []int {
 	return out
 }
 
+// FirstIn implements Policy: the way in ways with the highest RRPV, ties
+// broken by way index, as in Rank's stable descending sort.
+func (p *Hawkeye) FirstIn(set int, ways uint64) int {
+	return firstMaxIn(p.rrpv[set*p.ways:(set+1)*p.ways], ways)
+}
+
 // RRPV implements RRPVer.
 func (p *Hawkeye) RRPV(set, way int) int { return p.rrpv[set*p.ways+way] }
 

@@ -1,5 +1,7 @@
 package policy
 
+import "math/bits"
+
 // LRU implements true least-recently-used replacement using per-way
 // timestamps. Victim ranking is oldest-first.
 type LRU struct {
@@ -54,6 +56,21 @@ func (p *LRU) Rank(set int) []int {
 		}
 	}
 	return out
+}
+
+// FirstIn implements Policy: the way in ways with the smallest timestamp,
+// ties broken by lowest way index, as in Rank's stable ascending sort.
+func (p *LRU) FirstIn(set int, ways uint64) int {
+	stamp := p.stamp[set*p.ways : (set+1)*p.ways]
+	best := -1
+	var bestStamp uint64
+	for m := inWays(ways, p.ways); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if s := stamp[w]; best < 0 || s < bestStamp {
+			best, bestStamp = w, s
+		}
+	}
+	return best
 }
 
 // LRUWay implements LRUPositioner: the valid way with the smallest timestamp.

@@ -1,6 +1,9 @@
 package policy
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Oracle supplies future knowledge of the global L1 access stream to the
 // offline MIN policy. Positions index the canonical interleaved stream of L1
@@ -121,6 +124,26 @@ func (p *MIN) Rank(set int) []int {
 		}
 	}
 	return out
+}
+
+// FirstIn implements Policy: the way in ways whose next use lies furthest
+// in the future (invalid ways query as most-imminent), ties broken by way
+// index, as in Rank's stable descending sort.
+func (p *MIN) FirstIn(set int, ways uint64) int {
+	base := set * p.ways
+	best := -1
+	var bestNU uint64
+	for m := inWays(ways, p.ways); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		var nu uint64
+		if i := base + w; p.valid[i] {
+			nu = p.oracle.NextUse(p.addr[i], p.now)
+		}
+		if best < 0 || nu > bestNU {
+			best, bestNU = w, nu
+		}
+	}
+	return best
 }
 
 var _ Policy = (*MIN)(nil)

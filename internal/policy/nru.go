@@ -1,5 +1,7 @@
 package policy
 
+import "math/bits"
+
 // NRU implements not-recently-used replacement with one reference bit per
 // way, the policy the paper configures for the sparse directory ("1-bit
 // NRU"). When every bit in a set becomes 1, all bits except the one just
@@ -67,6 +69,22 @@ func (p *NRU) Rank(set int) []int {
 		}
 	}
 	return out
+}
+
+// FirstIn implements Policy: the lowest unreferenced way in ways, else the
+// lowest way in ways, following Rank's two-class order.
+func (p *NRU) FirstIn(set int, ways uint64) int {
+	m := inWays(ways, p.ways)
+	if m == 0 {
+		return -1
+	}
+	ref := p.ref[set*p.ways : (set+1)*p.ways]
+	for r := m; r != 0; r &= r - 1 {
+		if w := bits.TrailingZeros64(r); !ref[w] {
+			return w
+		}
+	}
+	return bits.TrailingZeros64(m)
 }
 
 var _ Policy = (*NRU)(nil)

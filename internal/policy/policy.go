@@ -9,6 +9,8 @@
 // policy's preference order looking for a victim with particular properties.
 package policy
 
+import "math/bits"
+
 // Meta carries the access context a policy may learn from.
 type Meta struct {
 	PC   uint64 // program counter of the access (Hawkeye trains on this)
@@ -38,6 +40,12 @@ type Policy interface {
 	// (filled) ways need a meaningful order; the cache consults invalid ways
 	// before ranking. The returned slice is reused across calls.
 	Rank(set int) []int
+	// FirstIn returns the first way of Rank(set) whose bit is set in ways
+	// (bit w stands for way w), or -1 when there is none. It has exactly
+	// Rank's side effects (SRRIP ages the set, Random draws) but builds no
+	// permutation: the LLC victim searches that only need the first
+	// eligible way in preference order ask for it directly.
+	FirstIn(set int, ways uint64) int
 	// Promote moves (set, way) to the most-protected position (MRU or
 	// RRPV 0) without any predictor training side effects. QBS uses this to
 	// move privately cached victim candidates out of harm's way (paper §II).
@@ -82,4 +90,27 @@ func (r *rankBuf) take(ways int) []int {
 		panic("policy: Rank called before Init")
 	}
 	return r.buf[:ways]
+}
+
+// inWays drops the bits of a FirstIn mask that name no way of an n-way
+// set: Rank never returns them, so FirstIn must never match them.
+func inWays(ways uint64, n int) uint64 {
+	if n >= 64 {
+		return ways
+	}
+	return ways & (1<<uint(n) - 1)
+}
+
+// firstMaxIn returns the way in ways with the largest value, ties broken by
+// lowest way index: the first of ways in a stable descending sort by value,
+// which is how the RRIP policies rank.
+func firstMaxIn(vals []int, ways uint64) int {
+	best, bestVal := -1, 0
+	for m := inWays(ways, len(vals)); m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if v := vals[w]; best < 0 || v > bestVal {
+			best, bestVal = w, v
+		}
+	}
+	return best
 }

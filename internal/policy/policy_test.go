@@ -68,20 +68,31 @@ func rankIsPermutation(r []int, ways int) bool {
 	return true
 }
 
+// namedPolicy is one policy under test: its name and a constructor whose
+// every call returns an identical fresh instance.
+type namedPolicy struct {
+	name string
+	mk   func() Policy
+}
+
+// allPolicies lists the six policies; MIN consults oracle.
+func allPolicies(oracle Oracle) []namedPolicy {
+	return []namedPolicy{
+		{"LRU", func() Policy { return NewLRU() }},
+		{"NRU", func() Policy { return NewNRU() }},
+		{"Random", func() Policy { return NewRandom(7) }},
+		{"SRRIP", func() Policy { return NewSRRIP(2) }},
+		{"Hawkeye", func() Policy { return NewHawkeye(2) }},
+		{"MIN", func() Policy { return NewMIN(oracle) }},
+	}
+}
+
 // Property: for every policy, Rank always returns a permutation of the ways.
 func TestRankIsPermutationProperty(t *testing.T) {
-	mk := map[string]func() Policy{
-		"LRU":     func() Policy { return NewLRU() },
-		"NRU":     func() Policy { return NewNRU() },
-		"Random":  func() Policy { return NewRandom(7) },
-		"SRRIP":   func() Policy { return NewSRRIP(2) },
-		"Hawkeye": func() Policy { return NewHawkeye(2) },
-		"MIN":     func() Policy { return NewMIN(NewStreamOracle([]uint64{1, 2, 3, 1, 2})) },
-	}
-	for name, f := range mk {
-		t.Run(name, func(t *testing.T) {
+	for _, np := range allPolicies(NewStreamOracle([]uint64{1, 2, 3, 1, 2})) {
+		t.Run(np.name, func(t *testing.T) {
 			prop := func(seed int64) bool {
-				p := f()
+				p := np.mk()
 				exercise(p, 4, 4, seed, 300)
 				for s := 0; s < 4; s++ {
 					if !rankIsPermutation(p.Rank(s), 4) {

@@ -1,5 +1,7 @@
 package policy
 
+import "math/bits"
+
 // Random implements pseudo-random replacement with a deterministic xorshift
 // sequence, so simulations remain reproducible.
 type Random struct {
@@ -54,6 +56,20 @@ func (p *Random) Rank(set int) []int {
 		out[i] = (start + i) % p.ways
 	}
 	return out
+}
+
+// FirstIn implements Policy: Rank's draw picks the rotation start, and the
+// first way of ways at or after it (wrapping) is returned.
+func (p *Random) FirstIn(_ int, ways uint64) int {
+	start := uint(p.next() % uint64(p.ways))
+	m := inWays(ways, p.ways)
+	if hi := m >> start; hi != 0 {
+		return int(start) + bits.TrailingZeros64(hi)
+	}
+	if m != 0 {
+		return bits.TrailingZeros64(m)
+	}
+	return -1
 }
 
 var _ Policy = (*Random)(nil)

@@ -51,29 +51,42 @@ func (p *SRRIP) OnInvalidate(set, way int) { p.rrpv[set*p.ways+way] = p.max }
 // reaches max) is applied as a side effect so that subsequent fills observe
 // the aged state, matching hardware behaviour.
 func (p *SRRIP) Rank(set int) []int {
-	base := set * p.ways
-	// Age until at least one way is at max RRPV.
-	maxSeen := 0
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] > maxSeen {
-			maxSeen = p.rrpv[base+w]
-		}
-	}
-	if delta := p.max - maxSeen; delta > 0 {
-		for w := 0; w < p.ways; w++ {
-			p.rrpv[base+w] += delta
-		}
-	}
+	rrpv := p.age(set)
 	out := p.take(p.ways)
 	for w := 0; w < p.ways; w++ {
 		out[w] = w
 	}
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && p.rrpv[base+out[j]] > p.rrpv[base+out[j-1]]; j-- {
+		for j := i; j > 0 && rrpv[out[j]] > rrpv[out[j-1]]; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out
+}
+
+// FirstIn implements Policy: after Rank's aging step, the way in ways with
+// the highest RRPV, ties broken by way index.
+func (p *SRRIP) FirstIn(set int, ways uint64) int {
+	return firstMaxIn(p.age(set), ways)
+}
+
+// age applies the canonical aging step every victim query performs: all
+// RRPVs of set rise together until one reaches the distant-future value.
+// It returns the set's RRPV slice.
+func (p *SRRIP) age(set int) []int {
+	rrpv := p.rrpv[set*p.ways : (set+1)*p.ways]
+	maxSeen := 0
+	for _, r := range rrpv {
+		if r > maxSeen {
+			maxSeen = r
+		}
+	}
+	if delta := p.max - maxSeen; delta > 0 {
+		for w := range rrpv {
+			rrpv[w] += delta
+		}
+	}
+	return rrpv
 }
 
 // RRPV implements RRPVer.

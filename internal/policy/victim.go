@@ -4,9 +4,9 @@ package policy
 // Rank(set)[0] — including any side effects Rank performs (SRRIP ages the
 // set) — without materializing or sorting the full preference order. The
 // cache substrates consult it on every replacement, which makes it the
-// hottest policy entry point; the full Rank order is only needed by the
-// LLC schemes that walk the preference order (QBS, SHARP, CHARonBase, the
-// ZIV relocation-victim search).
+// hottest policy entry point. The LLC searches that want the first way of
+// the order with some property ask FirstIn; the full Rank order is only
+// needed by QBS, which promotes ways mid-walk, and SHARP's directory stage.
 type Victimer interface {
 	// Victim returns the way Rank(set)[0] would return.
 	Victim(set int) int
@@ -43,20 +43,8 @@ func (p *NRU) Victim(set int) int {
 // distant-future RRPV is the victim, matching Rank's stable descending
 // sort.
 func (p *SRRIP) Victim(set int) int {
-	base := set * p.ways
-	maxSeen := 0
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] > maxSeen {
-			maxSeen = p.rrpv[base+w]
-		}
-	}
-	if delta := p.max - maxSeen; delta > 0 {
-		for w := 0; w < p.ways; w++ {
-			p.rrpv[base+w] += delta
-		}
-	}
-	for w := 0; w < p.ways; w++ {
-		if p.rrpv[base+w] == p.max {
+	for w, r := range p.age(set) {
+		if r == p.max {
 			return w
 		}
 	}
