@@ -81,28 +81,53 @@ obs-smoke:
 
 # End-to-end interrupt/resume check (OPERATIONS.md): a clean tiny sweep,
 # the same sweep drained after 3 jobs via fault injection (must exit 4),
-# then a resume that must produce byte-identical output. Uses a built
-# binary, not `go run`, because go run collapses exit codes to 1.
+# then a rerun over the same -store that must produce byte-identical
+# output. Then a hard kill: a longer sweep (24 jobs, a few seconds) is
+# SIGKILLed once its store holds two results, and the rerun over that
+# store must match a clean run byte for byte while its ledger shows at
+# least two results adopted from the store and at least one simulated.
+# Uses built binaries, not `go run`, because go run collapses exit codes.
 RESUME_SMOKE_FLAGS = -fig fig1 -scale 32 -cores 2 -mixes 2 -homo 0 \
 	-warmup 1000 -refs 4000 -parallel 1 -csv
 
 resume-smoke:
 	rm -rf resume-smoke.tmp && mkdir -p resume-smoke.tmp
 	$(GO) build -o resume-smoke.tmp/zivsim ./cmd/zivsim
+	$(GO) build -o resume-smoke.tmp/zivreport ./cmd/zivreport
 	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) > resume-smoke.tmp/clean.csv
-	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -checkpoint resume-smoke.tmp/ck \
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -store resume-smoke.tmp/store \
 		-faultspec 'drain-after:3' > resume-smoke.tmp/drained.csv; \
 		st=$$?; if [ $$st -ne 4 ]; then \
 			echo "resume-smoke: drained run: want exit 4 (interrupted), got $$st"; exit 1; fi
-	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -checkpoint resume-smoke.tmp/ck \
-		-resume > resume-smoke.tmp/resumed.csv
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -store resume-smoke.tmp/store \
+		> resume-smoke.tmp/resumed.csv
 	cmp resume-smoke.tmp/clean.csv resume-smoke.tmp/resumed.csv
 	@echo "resume-smoke: resumed sweep is byte-identical to the clean run"
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -refs 100000 > resume-smoke.tmp/clean-long.csv
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -refs 100000 -store resume-smoke.tmp/killed \
+		> /dev/null 2>&1 & \
+	pid=$$!; \
+	for i in $$(seq 1 600); do \
+		[ "$$(ls resume-smoke.tmp/killed 2>/dev/null | grep -c '\.json$$')" -ge 2 ] && break; \
+		sleep 0.05; \
+	done; \
+	kill -9 $$pid || { echo 'resume-smoke: the sweep ended before the kill'; exit 1; }; \
+	wait $$pid; true
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -refs 100000 -store resume-smoke.tmp/killed \
+		-ledger resume-smoke.tmp/killed.ndjson > resume-smoke.tmp/rerun.csv
+	cmp resume-smoke.tmp/clean-long.csv resume-smoke.tmp/rerun.csv
+	./resume-smoke.tmp/zivreport -ledger resume-smoke.tmp/killed.ndjson > resume-smoke.tmp/killed.md
+	@hits=$$(awk -F'|' '$$2 ~ /^ cache-hit $$/ {print $$3+0}' resume-smoke.tmp/killed.md); \
+	done=$$(awk -F'|' '$$2 ~ /^ done $$/ {print $$3+0}' resume-smoke.tmp/killed.md); \
+	if [ "$${hits:-0}" -lt 2 ] || [ "$${done:-0}" -lt 1 ]; then \
+		echo "resume-smoke: rerun after the kill: $$hits cache-hit, $$done done; want >= 2 and >= 1"; \
+		cat resume-smoke.tmp/killed.md; exit 1; fi; \
+	echo "resume-smoke: rerun after SIGKILL is byte-identical ($$hits adopted, $$done simulated)"
 	rm -rf resume-smoke.tmp
 
 # End-to-end telemetry check (OPERATIONS.md): run a tiny sweep with the
 # full telemetry surface attached — HTTP endpoint on an ephemeral port,
-# run ledger, sweep trace, checkpoint — scrape /healthz and /metrics
+# run ledger, sweep trace, result store — scrape /healthz and /metrics
 # while the endpoint lingers, stop the linger with a single SIGINT (must
 # still exit 0), then validate every artifact with zivreport. Uses a
 # built binary, not `go run`, because go run collapses exit codes.
@@ -115,7 +140,7 @@ telemetry-smoke:
 	$(GO) build -o telemetry-smoke.tmp/zivreport ./cmd/zivreport
 	./telemetry-smoke.tmp/zivsim $(TELEMETRY_SMOKE_FLAGS) \
 		-telemetry-addr 127.0.0.1:0 -telemetry-linger 60s \
-		-checkpoint telemetry-smoke.tmp/ck \
+		-store telemetry-smoke.tmp/store \
 		-ledger telemetry-smoke.tmp/run.ndjson \
 		-sweep-trace telemetry-smoke.tmp/sweep.trace.json \
 		> telemetry-smoke.tmp/out.csv 2> telemetry-smoke.tmp/stderr.log & \

@@ -20,7 +20,6 @@ import (
 var terminalLedgerOutcomes = []string{
 	telemetry.OutcomeDone,
 	telemetry.OutcomeCacheHit,
-	telemetry.OutcomeCheckpointHit,
 	telemetry.OutcomeFailed,
 	telemetry.OutcomeSkipped,
 }
@@ -68,7 +67,7 @@ func ledgerReport(path string, w io.Writer) error {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "- jobs: %d terminal, %d attempts (%d retried)\n", terminal, attempts, retries)
 	if terminal > 0 {
-		adopted := byOutcome[telemetry.OutcomeCacheHit] + byOutcome[telemetry.OutcomeCheckpointHit]
+		adopted := byOutcome[telemetry.OutcomeCacheHit]
 		fmt.Fprintf(w, "- cache-hit rate: %.1f%% (%d of %d served without running)\n",
 			100*float64(adopted)/float64(terminal), adopted, terminal)
 	}

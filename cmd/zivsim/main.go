@@ -7,9 +7,8 @@
 //	zivsim -fig fig8             # reproduce Fig. 8 at laptop scale
 //	zivsim -fig all -csv         # everything, CSV output
 //	zivsim -fig fig11 -scale 1 -mixes 36 -homo 36   # paper-fidelity run
-//	zivsim -fig all -cache       # persist results; reruns are instant
-//	zivsim -fig all -checkpoint .zivcheckpoint      # journal completed jobs
-//	zivsim -fig all -resume      # skip jobs finished before an interrupt
+//	zivsim -fig all -store .zivcache   # store results; reruns are instant,
+//	                             # and a rerun resumes an interrupted sweep
 //	zivsim -fig fig8 -cpuprofile cpu.pb.gz          # profile the run
 //	zivsim -fig fig1 -obs-interval 5000 -obs-events 4096 -obs-out obsout
 //	                             # per-run Perfetto traces, event dumps, interval CSVs
@@ -22,13 +21,13 @@
 // job only (after -retries attempts) and the sweep continues. SIGINT or
 // SIGTERM triggers a graceful drain — dispatching stops, in-flight jobs
 // finish (bounded by -job-deadline), completed work is flushed to the
-// checkpoint and observability artifacts — and a second signal exits
-// immediately. See OPERATIONS.md for the runbook.
+// -store directory and observability artifacts — and a second signal
+// exits immediately. See OPERATIONS.md for the runbook.
 //
 // Exit codes: 0 success; 2 usage error; 3 the sweep completed but at
 // least one job failed (a failed-job report is printed to stderr); 4 the
-// sweep was interrupted and drained (resume with -resume); 1 other
-// runtime errors (profile files etc.).
+// sweep was interrupted and drained (resume by rerunning with the same
+// -store); 1 other runtime errors (profile files etc.).
 package main
 
 import (
@@ -81,10 +80,7 @@ func run() int {
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		paper     = flag.Bool("paper", false, "paper-fidelity options (slow; overrides scale/mixes/refs)")
 
-		useCache    = flag.Bool("cache", false, "persist simulation results under -cachedir and reuse them")
-		cacheDir    = flag.String("cachedir", ".zivcache", "directory for the persistent result cache")
-		checkpoint  = flag.String("checkpoint", "", "journal completed jobs to this sweep checkpoint file (empty = off)")
-		resume      = flag.Bool("resume", false, "skip jobs recorded in the checkpoint file (default .zivcheckpoint; implies -checkpoint)")
+		storeDir    = flag.String("store", "", "result store directory: every finished simulation is stored there and reused, so rerunning with the same -store resumes a sweep (empty = off)")
 		retries     = flag.Int("retries", 2, "attempts per job before it is recorded as failed")
 		jobDeadline = flag.Duration("job-deadline", 0, "after an interrupt, how long to wait for in-flight jobs (0 = until they finish)")
 		faultspec   = flag.String("faultspec", "", "deterministic fault injection for testing, e.g. 'panic:KEY@1;drain-after:3' (see OPERATIONS.md)")
@@ -177,16 +173,9 @@ func run() int {
 		opt.Seed = *seed
 	}
 	opt.Parallelism = *par
-	if *useCache {
-		opt.CacheDir = *cacheDir
-	}
+	opt.CacheDir = *storeDir
 	opt.MaxAttempts = *retries
 	opt.FaultSpec = *faultspec
-	opt.CheckpointFile = *checkpoint
-	opt.Resume = *resume
-	if *resume && opt.CheckpointFile == "" {
-		opt.CheckpointFile = ".zivcheckpoint"
-	}
 	if *obsIval > 0 || *obsEvents > 0 {
 		opt.Obs = &harness.ObsOptions{
 			IntervalCycles: *obsIval,
@@ -312,13 +301,12 @@ func run() int {
 
 	st := rep.Status
 	if drain.Requested() {
-		fmt.Fprintf(os.Stderr, "zivsim: interrupted: %d job(s) completed (%d cached, %d from checkpoint), %d failed, %d skipped\n",
-			st.Completed, st.CacheHits, st.CheckpointHits, len(st.Failed), len(st.Skipped))
-		if opt.CheckpointFile != "" {
-			fmt.Fprintf(os.Stderr, "zivsim: completed jobs are journaled in %s; rerun with -resume -checkpoint %s to continue\n",
-				opt.CheckpointFile, opt.CheckpointFile)
+		fmt.Fprintf(os.Stderr, "zivsim: interrupted: %d job(s) completed (%d from the store), %d failed, %d skipped\n",
+			st.Completed, st.CacheHits, len(st.Failed), len(st.Skipped))
+		if opt.CacheDir != "" {
+			fmt.Fprintf(os.Stderr, "zivsim: completed jobs are stored in %s; rerun with the same -store to continue\n", opt.CacheDir)
 		} else {
-			fmt.Fprintln(os.Stderr, "zivsim: no checkpoint was configured; rerun with -checkpoint to make sweeps resumable")
+			fmt.Fprintln(os.Stderr, "zivsim: no -store was set; rerun with -store DIR to make sweeps resumable")
 		}
 		return exitInterrupted
 	}
@@ -343,7 +331,7 @@ func reportFailures(st harness.SweepStatus, experimentPanics int) {
 	if experimentPanics > 0 {
 		fmt.Fprintf(os.Stderr, "zivsim: %d experiment(s) aborted outside the job runner (see panics above)\n", experimentPanics)
 	}
-	fmt.Fprintln(os.Stderr, "zivsim: rerun with -resume -checkpoint <file> to retry only the failed jobs (see OPERATIONS.md)")
+	fmt.Fprintln(os.Stderr, "zivsim: rerun with the same -store to retry only the failed jobs (see OPERATIONS.md)")
 }
 
 // printConfig echoes the simulated machine parameters (the paper's Table I)

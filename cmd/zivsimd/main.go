@@ -2,7 +2,7 @@
 // job API: submit experiment sweeps, poll their status, stream their
 // progress, and fetch result tables that are byte-identical to what the
 // zivsim CLI prints for the same options. Jobs are content-addressed
-// (the SHA-256 identity the disk cache uses), so identical submissions
+// (the SHA-256 identity the result store uses), so identical submissions
 // deduplicate and finished results are served instantly — across
 // restarts when -state-dir is set. See docs/api.md for the endpoint
 // reference and OPERATIONS.md for the runbook.
@@ -10,7 +10,7 @@
 // Examples:
 //
 //	zivsimd                                   # serve on 127.0.0.1:9470, in-memory
-//	zivsimd -addr :9470 -state-dir .zivsimd   # persistent cache/checkpoints/results
+//	zivsimd -addr :9470 -state-dir .zivsimd   # persistent result store + job records
 //	zivsimd -workers 2 -parallel 4            # two sweeps at once, 4-way each
 //	curl -XPOST localhost:9470/v1/jobs -d '{"figs":["fig8"]}'
 //	curl localhost:9470/v1/jobs/<id>          # status + tables
@@ -20,12 +20,11 @@
 // The first SIGINT or SIGTERM begins a graceful drain: /healthz flips
 // to 503, new submissions are rejected, queued jobs are canceled, and
 // running sweeps stop dispatching while in-flight simulations finish
-// and are journaled to their per-job checkpoints (bounded by
-// -drain-deadline). Status queries and /metrics keep answering until
+// and are stored in the result store (bounded by -drain-deadline). Status queries and /metrics keep answering until
 // the drain completes. A second signal exits immediately with 130.
 //
 // Exit codes: 0 clean drain; 2 usage error; 4 the drain deadline
-// expired with sweeps still in flight (their checkpoints make
+// expired with sweeps still in flight (the result store makes
 // resubmissions resume); 1 other runtime errors; 130 second signal.
 package main
 
@@ -59,7 +58,7 @@ func main() {
 func run() int {
 	var (
 		addr          = flag.String("addr", "127.0.0.1:9470", "listen address for the HTTP API (use :0 for an ephemeral port)")
-		stateDir      = flag.String("state-dir", "", "directory for persistent state: result cache, per-job checkpoints, completed jobs (empty = in-memory only)")
+		stateDir      = flag.String("state-dir", "", "directory for persistent state: the result store and completed-job records (empty = in-memory only)")
 		queueDepth    = flag.Int("queue-depth", 8, "max pending (queued+running) jobs per client before submissions get 429")
 		workers       = flag.Int("workers", 1, "how many sweeps run concurrently (each parallelizes internally)")
 		par           = flag.Int("parallel", 0, "cap on each sweep's concurrent simulations (0 = no cap; submissions may ask for less)")
@@ -119,7 +118,7 @@ func run() int {
 	<-served
 
 	if srv.Abandoned() {
-		fmt.Fprintln(os.Stderr, "zivsimd: drain deadline expired with sweeps in flight; their checkpoints make identical resubmissions resume")
+		fmt.Fprintln(os.Stderr, "zivsimd: drain deadline expired with sweeps in flight; the result store makes identical resubmissions resume")
 		return exitInterrupted
 	}
 	fmt.Fprintln(os.Stderr, "zivsimd: drained cleanly")

@@ -1,8 +1,8 @@
 // Package doccomment enforces the godoc audit of the repository's
 // operational packages: in internal/harness, internal/obs,
-// internal/telemetry and internal/analysis (the packages OPERATIONS.md
-// and docs/cli.md document against), every exported symbol must carry a
-// doc comment —
+// internal/server, internal/telemetry and internal/analysis (the
+// packages OPERATIONS.md, docs/cli.md and docs/api.md document
+// against), every exported symbol must carry a doc comment —
 //
 //   - the package itself (one package doc comment somewhere in the
 //     package);
@@ -33,7 +33,7 @@ import (
 // Analyzer is the doccomment analysis.
 var Analyzer = &framework.Analyzer{
 	Name: "doccomment",
-	Doc:  "flags undocumented exported symbols in the audited packages (harness, obs, telemetry, analysis)",
+	Doc:  "flags undocumented exported symbols in the audited packages (harness, obs, server, telemetry, analysis)",
 	Run:  run,
 }
 

@@ -1,10 +1,13 @@
-// Persistent result cache. Every simulation is a pure function of
+// Persistent result store. Every simulation is a pure function of
 // (simulator version, options, machine config, workload mix), so its Result
-// can be reused across processes: cmd/zivsim -cache makes iterating on
-// figure output (formatting, new derived columns, partial reruns after a
-// crash) free for every simulation already performed.
+// can be reused across processes: with Options.CacheDir set (cmd/zivsim
+// -store) every finished job is stored under its content-derived key, and
+// a rerun over the same directory adopts every job already stored. That
+// is what makes iterating on figure output free and what resumes an
+// interrupted or partly failed sweep: a drained or failed job was never
+// stored, so exactly it reruns.
 //
-// The cache key hashes the full deterministic input set. Fields that cannot
+// The key hashes the full deterministic input set. Fields that cannot
 // change results — Parallelism, CacheDir itself — are normalized out, so a
 // parallel run and a serial run share entries. cacheVersion must be bumped
 // whenever a change alters simulation output (new statistics, model fixes);
@@ -17,9 +20,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
+	"zivsim/internal/harness/store"
 	"zivsim/internal/hierarchy"
 	"zivsim/internal/workload"
 )
@@ -39,7 +41,7 @@ type cacheKeyInput struct {
 	BaseL2   int
 }
 
-// diskKey returns the content-derived cache file stem for a job.
+// diskKey returns the content-derived store key for a job.
 func (r *runner) diskKey(j job, baseL2 int) string {
 	data, err := json.Marshal(cacheKeyInput{
 		Version:  cacheVersion,
@@ -56,7 +58,7 @@ func (r *runner) diskKey(j job, baseL2 int) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// cachedResult is the on-disk envelope. Key material is stored alongside
+// cachedResult is the stored envelope. Key material is stored alongside
 // the payload so `ls` + `cat` can identify entries and stale files from
 // older versions are self-describing.
 type cachedResult struct {
@@ -66,13 +68,11 @@ type cachedResult struct {
 	Result   Result
 }
 
-// diskLoad returns the cached Result for a job, if present and valid.
-// Unreadable or mismatched entries are treated as misses: the cache is an
-// accelerator, never a correctness dependency.
-func (r *runner) diskLoad(j job, baseL2 int) (Result, bool) {
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
+// diskLoad returns the stored Result under key, if present and valid.
+// Unreadable or mismatched entries are treated as misses.
+func (r *runner) diskLoad(key string) (Result, bool) {
+	data, ok := store.Dir(r.opt.CacheDir).Get(key)
+	if !ok {
 		return Result{}, false
 	}
 	var c cachedResult
@@ -82,14 +82,12 @@ func (r *runner) diskLoad(j job, baseL2 int) (Result, bool) {
 	return c.Result, true
 }
 
-// diskStore persists a job's Result. Writes go through a temp file + rename
-// so concurrent workers and interrupted runs never leave a torn entry.
-// Failures are silent by design (a read-only cache dir just disables
-// persistence).
-func (r *runner) diskStore(j job, baseL2 int, res Result) {
-	if err := os.MkdirAll(r.opt.CacheDir, 0o755); err != nil {
-		return
-	}
+// diskStore persists a job's Result under its key (j.dk). Failures are
+// silent by design: an unusable store just disables persistence. corrupt
+// stores the first half of the envelope instead — the "corrupt:"
+// FaultSpec directive's torn entry, which the read path must treat as a
+// miss and recompute.
+func (r *runner) diskStore(j job, res Result, corrupt bool) {
 	data, err := json.MarshalIndent(cachedResult{
 		Version:  cacheVersion,
 		CfgLabel: j.cfgLabel,
@@ -99,36 +97,9 @@ func (r *runner) diskStore(j job, baseL2 int, res Result) {
 	if err != nil {
 		return
 	}
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
-	tmp, err := os.CreateTemp(r.opt.CacheDir, ".tmp-*")
-	if err != nil {
-		return
+	if corrupt {
+		data = data[:len(data)/2]
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-	}
-}
-
-// corruptCacheEntry truncates a job's stored cache entry to half its
-// length. It exists solely for the "corrupt:" FaultSpec directive: the
-// read path must treat the damaged entry as a miss and recompute, which
-// the resilience tests and the CI resume-smoke job assert end to end.
-func (r *runner) corruptCacheEntry(j job, baseL2 int) {
-	path := filepath.Join(r.opt.CacheDir, r.diskKey(j, baseL2)+".json")
-	info, err := os.Stat(path)
-	if err != nil {
-		return
-	}
-	if err := os.Truncate(path, info.Size()/2); err != nil {
-		fmt.Fprintf(os.Stderr, "harness: faultspec corrupt %s: %v\n", path, err)
-	}
+	// Put errors mean the store is unusable; the result stands anyway.
+	_ = store.Dir(r.opt.CacheDir).Put(j.dk, data)
 }

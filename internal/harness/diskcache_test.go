@@ -32,9 +32,14 @@ func isolatedRunner(opt Options) *runner {
 	return &runner{opt: opt, results: map[string]Result{}}
 }
 
+// cacheTestJob returns the single test job, its store key filled in as
+// runAll fills it, and its baseline L2 size.
 func cacheTestJob(o Options) (job, int) {
 	s := baselineSpec()
-	return job{cfgLabel: s.label, cfg: s.config(o), mix: o.mixes()[0]}, kb256 / o.Scale
+	j := job{cfgLabel: s.label, cfg: s.config(o), mix: o.mixes()[0]}
+	baseL2 := kb256 / o.Scale
+	j.dk = isolatedRunner(o).diskKey(j, baseL2)
+	return j, baseL2
 }
 
 // runCacheJob executes the single test job on a fresh runner and returns
@@ -50,9 +55,8 @@ func runCacheJob(t *testing.T, opt Options) Result {
 // cacheFile returns the single entry the test job stores.
 func cacheFile(t *testing.T, opt Options) string {
 	t.Helper()
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	return filepath.Join(opt.CacheDir, r.diskKey(j, baseL2)+".json")
+	j, _ := cacheTestJob(opt)
+	return filepath.Join(opt.CacheDir, j.dk+".json")
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
@@ -64,9 +68,8 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatalf("no cache entry written: %v", err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	got, ok := r.diskLoad(j, baseL2)
+	j, _ := cacheTestJob(opt)
+	got, ok := isolatedRunner(opt).diskLoad(j.dk)
 	if !ok {
 		t.Fatal("diskLoad missed a freshly stored entry")
 	}
@@ -90,9 +93,8 @@ func TestDiskCacheTruncatedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	j, _ := cacheTestJob(opt)
+	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a truncated entry")
 	}
 	got := runCacheJob(t, opt) // recompute + re-store
@@ -128,9 +130,8 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	j, _ := cacheTestJob(opt)
+	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a version-mismatched entry")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -156,9 +157,8 @@ func TestDiskCacheBadKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	if _, ok := r.diskLoad(j, baseL2); ok {
+	j, _ := cacheTestJob(opt)
+	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad found an entry despite the wrong key")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -211,7 +211,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	opt := cacheTestOptions(t.TempDir())
 	want := runCacheJob(t, opt)
 	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
+	j, _ := cacheTestJob(opt)
 
 	stop := make(chan struct{})
 	errc := make(chan error, 1)
@@ -226,7 +226,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 					return
 				default:
 				}
-				if got, ok := r.diskLoad(j, baseL2); ok && !reflect.DeepEqual(got, want) {
+				if got, ok := r.diskLoad(j.dk); ok && !reflect.DeepEqual(got, want) {
 					select {
 					case errc <- fmt.Errorf("reader observed a torn or wrong entry"):
 					default:
@@ -243,7 +243,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 50; i++ {
-				r.diskStore(j, baseL2, want)
+				r.diskStore(j, want, false)
 			}
 		}()
 	}
@@ -257,7 +257,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	default:
 	}
 	assertNoTempResidue(t, opt.CacheDir)
-	got, ok := r.diskLoad(j, baseL2)
+	got, ok := r.diskLoad(j.dk)
 	if !ok {
 		t.Fatal("entry missing after concurrent stores")
 	}

@@ -4,9 +4,9 @@
 // thin front ends over RunSweep: the CLI formats the Report for a
 // terminal and maps it to exit codes, the server serializes it as JSON
 // and keeps it addressable under the request's content-derived identity
-// (IdentityKey, the same SHA-256 construction as the disk-cache and
-// checkpoint keys), so identical submissions are deduplicated and served
-// from whatever has already been computed.
+// (IdentityKey, the same SHA-256 construction as the result-store keys),
+// so identical submissions are deduplicated and served from whatever has
+// already been computed.
 package harness
 
 import (
@@ -60,11 +60,11 @@ type Report struct {
 	// figure: its table would hold placeholder zeros for skipped jobs.
 	Figures []FigureResult `json:"figures"`
 	// Status is the job-level outcome summary (completed counts, cache
-	// and checkpoint hits, failed and skipped jobs).
+	// hits, failed and skipped jobs).
 	Status SweepStatus `json:"status"`
 	// Drained reports that a graceful drain interrupted the sweep before
-	// every experiment finished; completed work is journaled when a
-	// checkpoint is configured, so an identical resubmission resumes.
+	// every experiment finished; completed work is stored when CacheDir
+	// is set, so an identical rerun resumes.
 	Drained bool `json:"drained"`
 }
 
@@ -149,6 +149,22 @@ func (q Request) IdentityKey() (string, error) {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// IdentityHash fingerprints the result-affecting option set: the SHA-256
+// (hex) of the normalized Options stamped with the cache version.
+// cmd/zivsim stamps it into the telemetry run ledger's header so a ledger
+// can be matched to the store entries of the sweep that produced it.
+func (o Options) IdentityHash() string {
+	data, err := json.Marshal(struct {
+		Version string
+		Options Options
+	}{cacheVersion, o.normalized()})
+	if err != nil {
+		panic(fmt.Sprintf("harness: identity hash marshal: %v", err))
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 var (

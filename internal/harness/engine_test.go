@@ -54,8 +54,6 @@ func TestIdentityKeyCanonical(t *testing.T) {
 	neutral.Parallelism = 7
 	neutral.CacheDir = "/elsewhere"
 	neutral.MaxAttempts = 9
-	neutral.CheckpointFile = "x.zivcheckpoint"
-	neutral.Resume = true
 	if k, _ := (Request{Figs: []string{"fig8"}, Options: neutral}).IdentityKey(); k != base {
 		t.Fatal("result-neutral options changed the identity key")
 	}
@@ -84,6 +82,46 @@ func TestIdentityKeyCanonical(t *testing.T) {
 
 	if _, err := (Request{Figs: []string{"fig99"}, Options: opt}).IdentityKey(); err == nil {
 		t.Fatal("IdentityKey accepted an unknown experiment")
+	}
+}
+
+// TestContentIdentitiesPinned pins the three content identities. Each
+// names data on disk — result-store entries, zivsimd job IDs, ledger
+// headers — so an Options edit that shifts them orphans every existing
+// store; such a change must be deliberate (and bump cacheVersion).
+func TestContentIdentitiesPinned(t *testing.T) {
+	id, err := Request{Figs: []string{"fig1"}, Options: DefaultOptions()}.IdentityKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "fa2342ecb355b3994f4dc33be70343263c7ca80a8992529d08e8ee6f64cc26af"; id != want {
+		t.Errorf("IdentityKey = %s, want %s", id, want)
+	}
+	if got, want := DefaultOptions().IdentityHash(), "5d459f97c21cdfd79883ea1859fd6d16f751bc98c8244d979d18665bb28274cb"; got != want {
+		t.Errorf("IdentityHash = %s, want %s", got, want)
+	}
+	j, _ := cacheTestJob(cacheTestOptions(""))
+	if want := "ca7439d5023d2709b579b6084a448e53a50148c38417dbb48dfb0dd816af92da"; j.dk != want {
+		t.Errorf("diskKey = %s, want %s", j.dk, want)
+	}
+}
+
+// TestIdentityHashNormalizesOptions: result-neutral options leave the
+// options identity unchanged, and a result-affecting one changes it.
+func TestIdentityHashNormalizesOptions(t *testing.T) {
+	a := resilienceOptions()
+	neutral := a
+	neutral.Parallelism = 7
+	neutral.CacheDir = "/elsewhere"
+	neutral.MaxAttempts = 3
+	neutral.FaultSpec = "drain-after:1"
+	if a.IdentityHash() != neutral.IdentityHash() {
+		t.Error("result-neutral options changed the options identity")
+	}
+	b := a
+	b.Seed++
+	if a.IdentityHash() == b.IdentityHash() {
+		t.Fatal("changing Seed did not change the options identity")
 	}
 }
 

@@ -9,7 +9,7 @@
 // finish or are abandoned when the drain deadline expires.
 //
 // Faults are injected deterministically through Options.FaultSpec so the
-// recovery, retry, checkpoint and drain paths are testable end to end
+// recovery, retry, store and drain paths are testable end to end
 // (see resilience_test.go and the CI resume-smoke job). The spec grammar
 // is documented on ParseFaultSpec.
 package harness
@@ -129,8 +129,8 @@ type hangGate struct {
 //	                   key contains SUBSTR
 //	panic:SUBSTR@N     panic only on attempts 1..N (the job succeeds on
 //	                   attempt N+1 if retries allow)
-//	corrupt:SUBSTR     after the matching job's disk-cache entry is
-//	                   written, truncate it (exercises the corruption-
+//	corrupt:SUBSTR     store only the first half of the matching job's
+//	                   result-store entry (exercises the corruption-
 //	                   tolerant read path)
 //	hang:SUBSTR        block the matching job on an internal test gate
 //	                   (inert outside the test suite)
@@ -216,8 +216,8 @@ func (p *faultPlan) beforeAttempt(key string, attempt int) {
 	}
 }
 
-// wantsCorrupt reports whether the job's disk-cache entry should be
-// corrupted after it is stored.
+// wantsCorrupt reports whether the job's result-store entry should be
+// stored torn.
 func (p *faultPlan) wantsCorrupt(key string) bool {
 	if p == nil {
 		return false

@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -51,16 +50,19 @@ type Options struct {
 	Seed uint64
 	// Parallelism bounds concurrent simulations (0 = NumCPU).
 	Parallelism int
-	// CacheDir, when non-empty, persists every simulation result to disk
-	// (one JSON file per (options, config, mix) key) and reuses it across
-	// processes. Neither CacheDir nor Parallelism affects simulation
-	// results, so both are excluded from cache keys.
+	// CacheDir, when non-empty, names the result store: every finished
+	// simulation is stored there (one JSON file per (options, config,
+	// mix) key, see diskcache.go) and every job already stored is adopted
+	// instead of run, across processes. Rerunning an interrupted or
+	// partly failed sweep over the same CacheDir therefore resumes it.
+	// Neither CacheDir nor Parallelism affects simulation results, so
+	// both are excluded from cache keys.
 	CacheDir string
 	// Obs, when non-nil, attaches the observability layer to every
 	// simulation and writes one artifact set per job under Obs.OutDir.
 	// Observability never changes simulation results (the golden tests pin
 	// that), so it is excluded from cache keys — but artifact production
-	// needs real runs, so obs runs bypass the disk-cache read path.
+	// needs real runs, so obs runs bypass the result-store read path.
 	Obs *ObsOptions `json:"-"`
 	// Progress, when non-nil, receives live run progress. It reports in
 	// the wall-clock domain and writes only to its configured sink
@@ -74,18 +76,8 @@ type Options struct {
 	// pressure), never against deterministic simulator bugs. Cannot affect
 	// results, so it is excluded from cache keys.
 	MaxAttempts int `json:"-"`
-	// CheckpointFile, when non-empty, journals every completed job to an
-	// append-only checkpoint (conventionally .zivcheckpoint) keyed exactly
-	// like the disk cache, so an interrupted sweep can be resumed. See
-	// checkpoint.go. Excluded from cache keys.
-	CheckpointFile string `json:"-"`
-	// Resume loads CheckpointFile before running and adopts every entry
-	// whose key matches, so finished jobs are skipped. Like the disk
-	// cache, checkpoint reads are bypassed when Obs is set (artifacts need
-	// real runs). Excluded from cache keys.
-	Resume bool `json:"-"`
 	// FaultSpec injects deterministic faults for testing the recovery,
-	// retry, checkpoint and drain machinery; see ParseFaultSpec for the
+	// retry, store and drain machinery; see ParseFaultSpec for the
 	// grammar. Empty injects nothing. Excluded from cache keys.
 	FaultSpec string `json:"-"`
 	// Drain, when non-nil, lets the caller request a graceful shutdown:
@@ -180,6 +172,10 @@ type job struct {
 	cfgLabel string
 	cfg      hierarchy.Config
 	mix      workload.Mix
+	// dk is the job's content-addressed store key (diskKey), computed
+	// once by runAll when the store or telemetry needs it; empty
+	// otherwise.
+	dk string
 }
 
 // runner executes jobs with caching and bounded parallelism. Runners are
@@ -189,9 +185,9 @@ type job struct {
 type runner struct {
 	opt Options
 	mu  sync.Mutex
-	// results holds genuinely computed (or cache-/checkpoint-adopted)
-	// Results. Failed and skipped jobs never enter it, so a later runAll
-	// over the same matrix re-attempts them.
+	// results holds genuinely computed (or store-adopted) Results.
+	// Failed and skipped jobs never enter it, so a later runAll over the
+	// same matrix re-attempts them.
 	//ziv:guards(mu)
 	results map[string]Result
 	// failed records jobs that exhausted their attempts, skipped the jobs
@@ -204,20 +200,15 @@ type runner struct {
 	//ziv:guards(mu)
 	placeholders map[string]Result
 	// completedRuns counts real simulations finished this process (cache
-	// and checkpoint hits excluded); the drain-after fault keys off it.
+	// hits excluded); the drain-after fault keys off it.
 	//ziv:guards(mu)
 	completedRuns int
 	//ziv:guards(mu)
 	cacheHits int
-	//ziv:guards(mu)
-	ckptHits int
 	// manifest accumulates per-job observability outcomes for the sweep
 	// manifest (obs.go); keyed by artifact stem.
 	//ziv:guards(mu)
 	manifest map[string]manifestRecord
-
-	ckptOnce sync.Once
-	ckpt     *checkpoint
 }
 
 var (
@@ -256,8 +247,6 @@ func (o Options) normalized() Options {
 	o.Obs = nil
 	o.Progress = nil
 	o.MaxAttempts = 0
-	o.CheckpointFile = ""
-	o.Resume = false
 	o.FaultSpec = ""
 	o.Drain = nil
 	o.Telemetry = nil
@@ -269,11 +258,6 @@ func (o Options) normalized() Options {
 func ResetMemo() {
 	runnersMu.Lock()
 	defer runnersMu.Unlock()
-	for _, r := range runners {
-		if r.ckpt != nil {
-			r.ckpt.close()
-		}
-	}
 	runners = map[Options]*runner{}
 }
 
@@ -310,9 +294,9 @@ func (j job) cost() int { return j.cfg.Cores }
 // The pool is fault-isolated: a panic inside one simulation is recovered,
 // retried up to Options.MaxAttempts times, and finally recorded as a
 // FailedJob — the rest of the sweep is unaffected. Completed jobs are
-// journaled to the checkpoint (when configured) as they finish, and a
-// requested Drain stops dispatch, waits for in-flight jobs until the
-// drain expires, and marks everything left as skipped.
+// stored (when CacheDir is set) as they finish, and a requested Drain
+// stops dispatch, waits for in-flight jobs until the drain expires, and
+// marks everything left as skipped.
 func (r *runner) runAll(jobs []job, baseL2 int) {
 	plan, err := compileFaultSpec(r.opt.FaultSpec)
 	if err != nil {
@@ -334,10 +318,15 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 			todo = append(todo, j)
 		}
 	}
+	if r.opt.CacheDir != "" || r.opt.Telemetry != nil {
+		for i := range todo {
+			todo[i].dk = r.diskKey(todo[i], baseL2)
+		}
+	}
 	// A sweep that is already draining runs nothing further: later
 	// experiments after an interrupt park their whole matrix as skipped.
 	if drain != nil && drain.Requested() {
-		r.markSkipped(todo, baseL2)
+		r.markSkipped(todo)
 		return
 	}
 	if p := r.opt.Progress; p != nil {
@@ -350,26 +339,14 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 			t.JobQueued(r.key(j.cfgLabel, j.mix.Name))
 		}
 	}
-	// Checkpoint and disk-cache adoption. Observability artifacts come
-	// from real runs, so obs runs skip both read paths (stores still
-	// happen: results stay valid).
-	if ck := r.checkpoint(); ck != nil && r.opt.Obs == nil {
-		rest := todo[:0]
-		for _, j := range todo {
-			dk := r.diskKey(j, baseL2)
-			if res, ok := ck.lookup(dk); ok {
-				r.adopt(j, res, fromCheckpoint, dk)
-				continue
-			}
-			rest = append(rest, j)
-		}
-		todo = rest
-	}
+	// Store adoption. Observability artifacts come from real runs, so
+	// obs runs skip the read path (stores still happen: results stay
+	// valid).
 	if r.opt.CacheDir != "" && r.opt.Obs == nil {
 		rest := todo[:0]
 		for _, j := range todo {
-			if res, ok := r.diskLoad(j, baseL2); ok {
-				r.adopt(j, res, fromCache, r.diskKey(j, baseL2))
+			if res, ok := r.diskLoad(j.dk); ok {
+				r.adopt(j, res)
 				continue
 			}
 			rest = append(rest, j)
@@ -425,7 +402,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		}
 	}
 	if drain != nil && drain.Requested() {
-		r.markSkipped(todo, baseL2)
+		r.markSkipped(todo)
 	}
 	r.flushObsManifest()
 }
@@ -435,10 +412,6 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 	k := r.key(j.cfgLabel, j.mix.Name)
 	tel := r.opt.Telemetry
-	dk := ""
-	if tel != nil || r.opt.CheckpointFile != "" {
-		dk = r.diskKey(j, baseL2)
-	}
 	attempts := r.opt.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -449,7 +422,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 		tel.AttemptStart(k, a)
 		res, o, failure := r.attemptJob(j, baseL2, plan, a)
 		if failure == nil {
-			tel.AttemptEnd(k, dk, j.cfgLabel, j.mix.Name, a, telemetry.OutcomeDone, refs, "")
+			tel.AttemptEnd(k, j.dk, j.cfgLabel, j.mix.Name, a, telemetry.OutcomeDone, refs, "")
 			r.mu.Lock()
 			r.results[k] = res
 			delete(r.failed, k)
@@ -458,15 +431,8 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 			r.completedRuns++
 			n := r.completedRuns
 			r.mu.Unlock()
-			if ck := r.checkpoint(); ck != nil {
-				ck.record(dk, j.cfgLabel, j.mix.Name, res)
-				tel.CheckpointRecorded(k)
-			}
 			if r.opt.CacheDir != "" {
-				r.diskStore(j, baseL2, res)
-				if plan.wantsCorrupt(k) {
-					r.corruptCacheEntry(j, baseL2)
-				}
+				r.diskStore(j, res, plan.wantsCorrupt(k))
 			}
 			if o != nil {
 				r.exportObs(j, o)
@@ -484,7 +450,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 		if a == attempts {
 			outcome = telemetry.OutcomeFailed
 		}
-		tel.AttemptEnd(k, dk, j.cfgLabel, j.mix.Name, a, outcome, 0, failure.Err)
+		tel.AttemptEnd(k, j.dk, j.cfgLabel, j.mix.Name, a, outcome, 0, failure.Err)
 	}
 	last.Attempts = attempts
 	r.mu.Lock()
@@ -528,49 +494,28 @@ func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (re
 	return res, o, nil
 }
 
-// adoptSource tells adopt which hit counter a served Result advances.
-type adoptSource int
-
-const (
-	fromCheckpoint adoptSource = iota
-	fromCache
-)
-
-// adopt installs a cache- or checkpoint-served Result and advances the
-// matching hit counter plus the progress line and telemetry sink. The
-// counter is selected by kind rather than by pointer so the guarded
-// fields never escape the critical section. dk is the job's
-// content-addressed disk key, already computed by the adoption scan.
-func (r *runner) adopt(j job, res Result, src adoptSource, dk string) {
+// adopt installs a store-served Result and advances the hit counter,
+// the progress line and the telemetry sink.
+func (r *runner) adopt(j job, res Result) {
 	k := r.key(j.cfgLabel, j.mix.Name)
 	r.mu.Lock()
 	r.results[k] = res
 	delete(r.failed, k)
 	delete(r.skipped, k)
 	delete(r.placeholders, k)
-	if src == fromCheckpoint {
-		r.ckptHits++
-	} else {
-		r.cacheHits++
-	}
+	r.cacheHits++
 	r.mu.Unlock()
 	if p := r.opt.Progress; p != nil {
 		p.JobDone(j.cost(), 0, true)
 	}
-	if t := r.opt.Telemetry; t != nil {
-		outcome := telemetry.OutcomeCacheHit
-		if src == fromCheckpoint {
-			outcome = telemetry.OutcomeCheckpointHit
-		}
-		t.JobAdopted(k, dk, j.cfgLabel, j.mix.Name, outcome)
-	}
+	r.opt.Telemetry.JobAdopted(k, j.dk, j.cfgLabel, j.mix.Name)
 }
 
 // markSkipped records every job of the slice that has neither completed
 // nor failed as skipped by the drain, with a placeholder result so table
 // rendering stays total. The telemetry sink is notified outside the
 // critical section (it takes its own locks).
-func (r *runner) markSkipped(jobs []job, baseL2 int) {
+func (r *runner) markSkipped(jobs []job) {
 	var telSkipped []job
 	r.mu.Lock()
 	for _, j := range jobs {
@@ -589,26 +534,9 @@ func (r *runner) markSkipped(jobs []job, baseL2 int) {
 	r.mu.Unlock()
 	if t := r.opt.Telemetry; t != nil {
 		for _, j := range telSkipped {
-			t.JobSkipped(r.key(j.cfgLabel, j.mix.Name), r.diskKey(j, baseL2), j.cfgLabel, j.mix.Name)
+			t.JobSkipped(r.key(j.cfgLabel, j.mix.Name), j.dk, j.cfgLabel, j.mix.Name)
 		}
 	}
-}
-
-// checkpoint lazily opens the sweep checkpoint named by the options, once
-// per runner; nil when checkpointing is off or the file is unusable.
-func (r *runner) checkpoint() *checkpoint {
-	if r.opt.CheckpointFile == "" {
-		return nil
-	}
-	r.ckptOnce.Do(func() {
-		ck, err := openCheckpoint(r.opt.CheckpointFile, r.opt.Resume, r.opt.checkpointOptionsHash())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "harness: checkpoint %s: %v (checkpointing disabled)\n", r.opt.CheckpointFile, err)
-			return
-		}
-		r.ckpt = ck
-	})
-	return r.ckpt
 }
 
 // placeholderResult is the zero-valued stand-in stored for failed and
@@ -639,12 +567,10 @@ func (r *runner) get(cfgLabel, mixName string) Result {
 // whole `-fig all` picture).
 type SweepStatus struct {
 	// Completed counts jobs with a real Result, whether simulated this
-	// process or adopted from the disk cache or checkpoint.
+	// process or adopted from the result store.
 	Completed int `json:"completed"`
-	// CacheHits counts jobs served by the persistent disk cache.
+	// CacheHits counts jobs adopted from the result store (CacheDir).
 	CacheHits int `json:"cache_hits"`
-	// CheckpointHits counts jobs adopted from a resumed checkpoint.
-	CheckpointHits int `json:"checkpoint_hits"`
 	// Failed lists jobs that exhausted their attempts, sorted by
 	// (config label, mix).
 	Failed []FailedJob `json:"failed,omitempty"`
@@ -668,9 +594,8 @@ func Status(opt Options) SweepStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := SweepStatus{
-		Completed:      len(r.results),
-		CacheHits:      r.cacheHits,
-		CheckpointHits: r.ckptHits,
+		Completed: len(r.results),
+		CacheHits: r.cacheHits,
 	}
 	var failedKeys []string
 	for k := range r.failed {

@@ -11,11 +11,12 @@ import (
 	"time"
 )
 
-// The resilience suite proves the ISSUE acceptance criteria end to end:
-// a single panicking job fails that job only; an interrupted-then-resumed
-// sweep (via deterministic fault injection standing in for SIGINT)
-// produces byte-identical figure tables to an uninterrupted run; and the
-// checkpoint journal tolerates the crashes it exists for.
+// The resilience suite proves the recovery guarantees end to end: a
+// single panicking job fails that job only; an interrupted-then-resumed
+// sweep (via deterministic fault injection standing in for SIGINT),
+// rerun over the same result store, produces byte-identical figure
+// tables to an uninterrupted run; and a damaged or unusable store never
+// changes a result.
 
 // faultedJob is the one fig1 job every fault in this file targets. Fault
 // substrings match any key containing them, so the NI- label is used: it
@@ -124,16 +125,17 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	}
 }
 
-// TestDrainResumeByteIdentical: interrupt a checkpointed sweep with the
-// drain-after fault (the deterministic stand-in for SIGINT), then resume
-// it in a fresh runner — the resumed figure must be byte-identical to an
-// uninterrupted run, with the finished jobs adopted from the journal.
+// TestDrainResumeByteIdentical: interrupt a sweep that stores its
+// results with the drain-after fault (the deterministic stand-in for
+// SIGINT), then rerun it over the same store in a fresh runner — the
+// resumed figure must be byte-identical to an uninterrupted run, with
+// the finished jobs adopted from the store.
 func TestDrainResumeByteIdentical(t *testing.T) {
 	clean, total := cleanFig1Run(t)
-	ckpt := filepath.Join(t.TempDir(), "ck")
+	dir := t.TempDir()
 
 	o := resilienceOptions()
-	o.CheckpointFile = ckpt
+	o.CacheDir = dir
 	o.FaultSpec = "drain-after:3"
 	o.Drain = NewDrain()
 	ResetMemo()
@@ -151,8 +153,7 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	}
 
 	r := resilienceOptions()
-	r.CheckpointFile = ckpt
-	r.Resume = true
+	r.CacheDir = dir
 	ResetMemo()
 	got := fig1Table(t, r)
 
@@ -160,8 +161,8 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 		t.Errorf("resumed run differs from uninterrupted run:\nclean:\n%s\nresumed:\n%s", clean, got)
 	}
 	rst := Status(r)
-	if rst.CheckpointHits != 3 {
-		t.Errorf("CheckpointHits = %d, want 3 (the jobs finished before the drain)", rst.CheckpointHits)
+	if rst.CacheHits != 3 {
+		t.Errorf("CacheHits = %d, want 3 (the jobs finished before the drain)", rst.CacheHits)
 	}
 	if rst.Completed != total || len(rst.Skipped) != 0 || len(rst.Failed) != 0 {
 		t.Errorf("resumed status = %d completed, %d skipped, %d failed; want %d/0/0",
@@ -169,15 +170,15 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeRetriesFailedJob: a failed job is never journaled, so a
-// resumed sweep re-attempts exactly it — and only it — then matches the
-// clean run byte for byte.
+// TestResumeRetriesFailedJob: a failed job is never stored, so a rerun
+// over the same store re-attempts exactly it — and only it — then
+// matches the clean run byte for byte.
 func TestResumeRetriesFailedJob(t *testing.T) {
 	clean, total := cleanFig1Run(t)
-	ckpt := filepath.Join(t.TempDir(), "ck")
+	dir := t.TempDir()
 
 	o := resilienceOptions()
-	o.CheckpointFile = ckpt
+	o.CacheDir = dir
 	o.FaultSpec = "panic:" + faultedJob
 	ResetMemo()
 	fig1Table(t, o)
@@ -187,8 +188,7 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 	}
 
 	r := resilienceOptions()
-	r.CheckpointFile = ckpt
-	r.Resume = true
+	r.CacheDir = dir
 	ResetMemo()
 	refsBefore := SimulatedRefs()
 	got := fig1Table(t, r)
@@ -202,9 +202,9 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 		t.Errorf("resume simulated %d refs, want %d (one job)", simulated, oneJob)
 	}
 	rst := Status(r)
-	if rst.CheckpointHits != total-1 || len(rst.Failed) != 0 {
-		t.Errorf("resumed status: %d checkpoint hits, %d failed; want %d hits, 0 failed",
-			rst.CheckpointHits, len(rst.Failed), total-1)
+	if rst.CacheHits != total-1 || len(rst.Failed) != 0 {
+		t.Errorf("resumed status: %d cache hits, %d failed; want %d hits, 0 failed",
+			rst.CacheHits, len(rst.Failed), total-1)
 	}
 }
 
@@ -241,97 +241,36 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestCheckpointTornTailTolerated: a journal whose final append was torn
-// by a crash must still resume every complete entry.
-func TestCheckpointTornTailTolerated(t *testing.T) {
+// TestUnusableStoreRunsClean: a CacheDir that names a regular file can
+// hold no entries — every read misses and every write fails — and the
+// sweep must neither panic nor change a byte: it simply runs every job.
+func TestUnusableStoreRunsClean(t *testing.T) {
 	clean, total := cleanFig1Run(t)
-	ckpt := filepath.Join(t.TempDir(), "ck")
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	o := resilienceOptions()
-	o.CheckpointFile = ckpt
+	o.CacheDir = file
 	ResetMemo()
-	fig1Table(t, o)
-	ResetMemo() // close the journal handle
-
-	f, err := os.OpenFile(ckpt, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
+	if got := fig1Table(t, o); got != clean {
+		t.Errorf("run over an unusable store differs from clean run:\nclean:\n%s\ngot:\n%s", clean, got)
 	}
-	if _, err := f.WriteString(`{"key":"deadbeef","cfg":"torn-by-`); err != nil {
-		t.Fatal(err)
+	st := Status(o)
+	if st.CacheHits != 0 || st.Completed != total || len(st.Failed) != 0 {
+		t.Errorf("status = %d hits, %d completed, %d failed; want 0/%d/0",
+			st.CacheHits, st.Completed, len(st.Failed), total)
 	}
-	f.Close()
-
-	r := resilienceOptions()
-	r.CheckpointFile = ckpt
-	r.Resume = true
-	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
-
-	if got != clean {
-		t.Errorf("resume over torn journal differs from clean run:\nclean:\n%s\nresumed:\n%s", clean, got)
-	}
-	if st := Status(r); st.CheckpointHits != total {
-		t.Errorf("CheckpointHits = %d, want %d (the torn line is dropped, complete entries kept)",
-			st.CheckpointHits, total)
-	}
-	if simulated := SimulatedRefs() - refsBefore; simulated != 0 {
-		t.Errorf("resume simulated %d refs, want 0", simulated)
-	}
-}
-
-// TestCheckpointOptionsMismatchIgnored: a journal taken under different
-// result-affecting options must be ignored wholesale, while
-// result-neutral options share the same identity.
-func TestCheckpointOptionsMismatchIgnored(t *testing.T) {
-	a := resilienceOptions()
-
-	par := a
-	par.Parallelism = 7
-	par.CheckpointFile = "/elsewhere"
-	if a.checkpointOptionsHash() != par.checkpointOptionsHash() {
-		t.Error("result-neutral options changed the checkpoint identity")
-	}
-	b := a
-	b.Seed++
-	if a.checkpointOptionsHash() == b.checkpointOptionsHash() {
-		t.Fatal("changing Seed did not change the checkpoint identity")
-	}
-
-	path := filepath.Join(t.TempDir(), "ck")
-	ck, err := openCheckpoint(path, false, a.checkpointOptionsHash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.record("k1", "cfg", "mix", Result{})
-	ck.close()
-
-	same, err := openCheckpoint(path, true, a.checkpointOptionsHash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := same.lookup("k1"); !ok {
-		t.Error("matching-options resume lost the journaled entry")
-	}
-	same.close()
-
-	other, err := openCheckpoint(path, true, b.checkpointOptionsHash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := other.lookup("k1"); ok {
-		t.Error("resume adopted an entry journaled under different options")
-	}
-	other.close()
 }
 
 // TestParallelFaultedSweep drives the whole recovery machinery — fault
-// injection, retry, checkpoint journaling, cache adoption and progress
-// rendering — at elevated parallelism. The rest of the resilience suite
-// stays serial for deterministic interruption points; this test exists
-// for the race detector: eight workers recording checkpoint entries and
-// advancing shared counters concurrently must still produce the same
-// table bytes as a clean serial run.
+// injection, retry, result storing and progress rendering — at elevated
+// parallelism. The rest of the resilience suite stays serial for
+// deterministic interruption points; this test exists for the race
+// detector: eight workers storing results and advancing shared counters
+// concurrently must still produce the same table bytes as a clean
+// serial run.
 func TestParallelFaultedSweep(t *testing.T) {
 	clean, total := cleanFig1Run(t)
 
@@ -340,7 +279,7 @@ func TestParallelFaultedSweep(t *testing.T) {
 	o.Parallelism = 8
 	o.FaultSpec = "panic:" + faultedJob + "@1"
 	o.MaxAttempts = 2
-	o.CheckpointFile = filepath.Join(t.TempDir(), "ck")
+	o.CacheDir = t.TempDir()
 	o.Progress = NewProgress(&buf, func() time.Time { return time.Unix(1000, 0) })
 	ResetMemo()
 	got := fig1Table(t, o)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bufio"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -68,40 +67,27 @@ func TestTelemetryInvariance(t *testing.T) {
 	}
 }
 
-// readCheckpointKeys loads the key set of a checkpoint journal directly
-// (the harness's own loader is package-private to the resume path).
-func readCheckpointKeys(t *testing.T, path string) map[string]bool {
+// storeKeys lists the keys of the entries in a result-store directory.
+func storeKeys(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	f, err := os.Open(path)
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	keys := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 16<<20)
-	first := true
-	for sc.Scan() {
-		if first {
-			first = false
-			continue // header
+	for _, e := range ents {
+		if k, ok := strings.CutSuffix(e.Name(), ".json"); ok {
+			keys[k] = true
 		}
-		var e struct {
-			Key string `json:"key"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Key == "" {
-			continue
-		}
-		keys[e.Key] = true
 	}
 	return keys
 }
 
-// TestTelemetrySweepLedger runs a faulted, checkpointed sweep with full
-// telemetry and cross-checks every surface against the harness's own
-// records: the ledger's per-job outcomes must match the checkpoint
-// journal exactly, the retry must be visible, the metrics must tally,
-// and the sweep trace must be a valid span timeline.
+// TestTelemetrySweepLedger runs a faulted sweep with full telemetry and
+// a result store, and cross-checks every surface against the harness's
+// own records: the ledger's done keys must equal the store's key set
+// exactly, the retry must be visible, the metrics must tally, and the
+// sweep trace must be a valid span timeline.
 func TestTelemetrySweepLedger(t *testing.T) {
 	e, ok := ByID("fig1")
 	if !ok {
@@ -113,19 +99,19 @@ func TestTelemetrySweepLedger(t *testing.T) {
 	opt := obsOptions()
 	opt.MaxAttempts = 2
 	opt.FaultSpec = "panic:" + faultedJob + "@1"
-	opt.CheckpointFile = filepath.Join(dir, "ck")
+	opt.CacheDir = filepath.Join(dir, "store")
 	sink, reg, spans, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
 	e.Run(opt)
 	st := Status(opt)
-	ResetMemo() // closes the checkpoint handle
+	ResetMemo()
 
 	if len(st.Failed) != 0 || len(st.Skipped) != 0 {
 		t.Fatalf("faulted sweep did not recover: %+v", st)
 	}
 
-	// Ledger ↔ checkpoint: the set of keys the ledger marked done must
-	// equal the journaled key set, and each done key must be unique.
+	// Ledger ↔ store: the set of keys the ledger marked done must equal
+	// the stored key set, and each done key must be unique.
 	_, recs, err := telemetry.ReadLedger(ledgerPath)
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +135,16 @@ func TestTelemetrySweepLedger(t *testing.T) {
 			}
 		}
 	}
-	ckKeys := readCheckpointKeys(t, opt.CheckpointFile)
-	if len(ckKeys) == 0 {
-		t.Fatal("checkpoint journaled nothing")
+	stored := storeKeys(t, opt.CacheDir)
+	if len(stored) == 0 {
+		t.Fatal("the store holds nothing")
 	}
-	if len(doneKeys) != len(ckKeys) {
-		t.Fatalf("ledger done keys = %d, checkpoint keys = %d", len(doneKeys), len(ckKeys))
+	if len(doneKeys) != len(stored) {
+		t.Fatalf("ledger done keys = %d, store keys = %d", len(doneKeys), len(stored))
 	}
-	for k := range ckKeys {
+	for k := range stored {
 		if !doneKeys[k] {
-			t.Fatalf("checkpointed key %s missing from ledger", k)
+			t.Fatalf("stored key %s missing from ledger", k)
 		}
 	}
 	if retries != 1 {
@@ -180,7 +166,6 @@ func TestTelemetrySweepLedger(t *testing.T) {
 		`zivsim_sweep_jobs_total{outcome="done"} ` + strconv.Itoa(st.Completed),
 		"zivsim_sweep_retries_total 1",
 		"zivsim_sweep_jobs_inflight 0",
-		"zivsim_sweep_checkpoint_writes_total " + strconv.Itoa(st.Completed),
 	} {
 		if !strings.Contains(expo.String(), want) {
 			t.Errorf("exposition missing %q:\n%s", want, expo.String())

@@ -145,26 +145,21 @@ type TimelineSpan struct {
 	Args map[string]any
 }
 
-// TimelineInstant is one instant ("i") event on a timeline track
-// (checkpoint writes, fault injections, drain requests).
-type TimelineInstant struct {
-	// Track names the row the instant renders on.
-	Track string
-	// Name is the instant label.
-	Name string
-	// TsUS is the event time in microseconds since the timeline epoch.
-	TsUS uint64
-	// Args carries optional annotations.
-	Args map[string]any
-}
-
 // WriteTimeline emits a generic span timeline as Chrome trace_event
 // JSON under the dedicated sweep pid, loadable in Perfetto alongside
 // (or independently of) the cycle-domain traces. Tracks become threads
-// in first-appearance order, spans become complete ("X") events and
-// instants become instant ("i") events. label names the timeline in the
-// trace metadata.
-func WriteTimeline(w io.Writer, label string, spans []TimelineSpan, instants []TimelineInstant) error {
+// in first-appearance order and spans become complete ("X") events.
+// label names the timeline in the trace metadata.
+//
+// Callers pass one span slice. The parameter is variadic only for
+// compatibility with perfbench's older call, which passes a trailing
+// nil where an instants slice used to be; it becomes a plain
+// spans []TimelineSpan once that call drops the nil.
+func WriteTimeline(w io.Writer, label string, groups ...[]TimelineSpan) error {
+	var spans []TimelineSpan
+	for _, g := range groups {
+		spans = append(spans, g...)
+	}
 	tids := map[string]int{}
 	var order []string
 	tidOf := func(track string) int {
@@ -179,11 +174,8 @@ func WriteTimeline(w io.Writer, label string, spans []TimelineSpan, instants []T
 	for _, s := range spans {
 		tidOf(s.Track)
 	}
-	for _, in := range instants {
-		tidOf(in.Track)
-	}
 
-	evs := make([]traceEvent, 0, len(spans)+len(instants)+len(order)+1)
+	evs := make([]traceEvent, 0, len(spans)+len(order)+1)
 	evs = append(evs, traceEvent{Name: "process_name", Ph: "M", Pid: tracePidSweep,
 		Args: map[string]any{"name": "sweep"}})
 	for id, track := range order {
@@ -194,10 +186,6 @@ func WriteTimeline(w io.Writer, label string, spans []TimelineSpan, instants []T
 	for _, s := range spans {
 		evs = append(evs, traceEvent{Name: s.Name, Ph: "X", Ts: s.StartUS, Dur: s.DurUS,
 			Pid: tracePidSweep, Tid: tids[s.Track], Args: s.Args})
-	}
-	for _, in := range instants {
-		evs = append(evs, traceEvent{Name: in.Name, Ph: "i", Ts: in.TsUS, S: "t",
-			Pid: tracePidSweep, Tid: tids[in.Track], Args: in.Args})
 	}
 
 	f := traceFile{

@@ -23,20 +23,20 @@ type Event struct {
 	// Type is the event kind: submitted, started, figure, done, failed,
 	// canceled, or a simulation-lifecycle step prefixed "sim-"
 	// (sim-queued, sim-attempt-start, sim-attempt-end, sim-adopted,
-	// sim-skipped, sim-checkpoint).
+	// sim-skipped).
 	Type string `json:"type"`
 	// Fig is the experiment ID, on figure events.
 	Fig string `json:"fig,omitempty"`
 	// Sim is the in-sweep simulation key ("cfgLabel|mix"), on sim-*
 	// events.
 	Sim string `json:"sim,omitempty"`
-	// Key is the simulation's content-addressed cache/checkpoint
-	// identity, when the step computed it.
+	// Key is the simulation's content-addressed result-store identity,
+	// when the step computed it.
 	Key string `json:"key,omitempty"`
 	// Attempt is the 1-based attempt number, on sim attempt events.
 	Attempt int `json:"attempt,omitempty"`
 	// Outcome is the attempt or adoption outcome (done, retry, failed,
-	// cache-hit, checkpoint-hit, skipped).
+	// cache-hit, skipped).
 	Outcome string `json:"outcome,omitempty"`
 	// Refs is the number of memory references the attempt simulated.
 	Refs uint64 `json:"refs,omitempty"`

@@ -1,20 +1,18 @@
 // Job model, admission queues and the executor pool. A job is one sweep
 // request (figures + options) addressed by its content-derived identity
 // (harness.Request.IdentityKey — the same SHA-256 construction as the
-// disk cache), which is what makes dedupe and instant replay safe:
-// identical submissions share one job, and a completed job's tables are
-// valid for every future identical submission. Admission is per client
-// (FIFO, bounded — overflow is the HTTP 429 the handlers report) with
-// round-robin fairness across clients; execution rides the harness
-// library end to end, including its drain/checkpoint machinery for
-// cancellation and graceful shutdown.
+// result-store keys), which is what makes dedupe and instant replay
+// safe: identical submissions share one job, and a completed job's
+// tables are valid for every future identical submission. Admission is
+// per client (FIFO, bounded — overflow is the HTTP 429 the handlers
+// report) with round-robin fairness across clients; execution rides the
+// harness library end to end, including its drain machinery for
+// cancellation and graceful shutdown and its result store for resuming.
 package server
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -40,7 +38,8 @@ const (
 	StateFailed JobState = "failed"
 	// StateCanceled marks a job canceled by the client or drained by a
 	// server shutdown before it could finish; resubmitting the same
-	// payload re-runs it, resuming from its checkpoint.
+	// payload re-runs it, adopting every simulation already in the
+	// result store.
 	StateCanceled JobState = "canceled"
 )
 
@@ -305,10 +304,10 @@ func (s *Server) submit(client string, sub Submission) (JobStatus, submitOutcome
 		return JobStatus{}, submitBad, err
 	}
 
-	// Replay a persisted result before taking the lock (read-only I/O);
-	// the critical section re-checks the in-memory table, so a racing
-	// identical submission still dedupes.
-	persisted := s.loadPersisted(id)
+	// Revive a persisted job before taking the lock: lookup reads the
+	// disk only on an in-memory miss and installs what it finds, so the
+	// critical section below dedupes against it like any other job.
+	s.lookup(id)
 
 	s.mu.Lock()
 	if s.draining {
@@ -326,14 +325,8 @@ func (s *Server) submit(client string, sub Submission) (JobStatus, submitOutcome
 			return st, submitDeduped, nil
 		}
 		// A failed or canceled job is re-admitted under the same
-		// identity: fall through and replace it (its checkpoint, if
-		// any, makes the re-run a resume).
-	} else if persisted != nil {
-		s.install(persisted)
-		st := s.snapshot(persisted, false)
-		st.Deduped = true
-		s.mu.Unlock()
-		return st, submitDeduped, nil
+		// identity: fall through and replace it (the result store
+		// makes the re-run a resume).
 	}
 	if s.pendingCount[client] >= s.cfg.QueueDepth {
 		s.mu.Unlock()
@@ -461,8 +454,8 @@ func (s *Server) executor(stop <-chan struct{}) {
 }
 
 // execute runs one job's sweep through the harness library, wiring the
-// server's cache and per-job checkpoint, the shared metrics registry,
-// and the job's event feed into it, then records the terminal state.
+// server's result store, the shared metrics registry, and the job's
+// event feed into it, then records the terminal state.
 func (s *Server) execute(j *Job) {
 	j.mu.Lock()
 	if j.cancelRequested {
@@ -482,13 +475,7 @@ func (s *Server) execute(j *Job) {
 	opt := j.opt
 	opt.MaxAttempts = s.cfg.Retries
 	opt.Drain = j.drain
-	if s.cacheDir != "" {
-		opt.CacheDir = s.cacheDir
-	}
-	if s.ckptDir != "" {
-		opt.CheckpointFile = filepath.Join(s.ckptDir, j.ID+".zivcheckpoint")
-		opt.Resume = true
-	}
+	opt.CacheDir = s.cacheDir
 	sink := telemetry.NewSink(s.cfg.Now, s.reg, nil, nil)
 	sink.SetObserver(func(ev telemetry.Event) {
 		j.events.append(Event{
@@ -517,7 +504,7 @@ func (s *Server) execute(j *Job) {
 	case rep.Drained && j.canceled():
 		state, msg = StateCanceled, "canceled by client"
 	case rep.Drained:
-		state, msg = StateCanceled, "server drained mid-sweep; resubmit to resume from the checkpoint"
+		state, msg = StateCanceled, "server drained mid-sweep; resubmit to resume from the result store"
 	case len(rep.Status.Failed) > 0 || rep.Panics() > 0:
 		state, msg = StateFailed,
 			fmt.Sprintf("%d simulation job(s) failed, %d experiment(s) panicked", len(rep.Status.Failed), rep.Panics())
@@ -563,7 +550,7 @@ const (
 
 // cancel handles DELETE /v1/jobs/{id}: a queued job is removed and
 // terminal immediately; a running job gets its sweep drained (dispatch
-// stops, in-flight simulations finish and are journaled) and turns
+// stops, in-flight simulations finish and are stored) and turns
 // canceled when the executor observes the drain.
 func (s *Server) cancel(id string) (JobStatus, cancelOutcome) {
 	s.mu.Lock()
@@ -617,8 +604,8 @@ func (s *Server) dequeueLocked(j *Job) bool {
 // BeginDrain moves the server into its draining state: /healthz flips
 // to 503, new submissions are rejected, every queued job is canceled,
 // and every running sweep gets a drain request (dispatch stops,
-// in-flight simulations finish and are journaled to the job's
-// checkpoint). Idempotent.
+// in-flight simulations finish and are stored in the result store).
+// Idempotent.
 func (s *Server) BeginDrain() {
 	s.mu.Lock()
 	if s.draining {
@@ -711,10 +698,10 @@ func (s *Server) Run(stop <-chan struct{}) {
 	wg.Wait()
 }
 
-// persistedJob is the on-disk envelope of a completed job, one JSON
-// file per identity under <state-dir>/jobs — the server's analogue of
-// the harness disk cache, so finished tables survive a restart and an
-// identical resubmission is served instantly.
+// persistedJob is the on-disk envelope of a completed job, stored under
+// its identity in <state-dir>/jobs through the same harness/store code
+// as the harness result store, so finished tables survive a restart and
+// an identical resubmission is served instantly.
 type persistedJob struct {
 	// Version stamps the envelope; mismatches are treated as a miss.
 	Version string `json:"version"`
@@ -725,45 +712,26 @@ type persistedJob struct {
 // persistVersion stamps persisted job files.
 const persistVersion = "zivsimd-job-v1"
 
-// persist writes a completed job's full status to the state directory
-// (temp file + rename, so a crash never leaves a torn entry). Failures
-// are silent by design: persistence is an accelerator, never a
+// persist stores a completed job's full status in the job records.
+// Failures are silent by design: persistence is an accelerator, never a
 // correctness dependency.
 func (s *Server) persist(j *Job) {
-	if s.jobsDir == "" {
+	if s.records == "" {
 		return
 	}
-	st := s.snapshot(j, true)
-	data, err := json.Marshal(persistedJob{Version: persistVersion, Job: st})
+	data, err := json.Marshal(persistedJob{Version: persistVersion, Job: s.snapshot(j, true)})
 	if err != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(s.jobsDir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(s.jobsDir, j.ID+".json")); err != nil {
-		os.Remove(tmp.Name())
-	}
+	_ = s.records.Put(j.ID, data)
 }
 
-// loadPersisted rebuilds a done Job from the state directory; nil when
-// absent, unreadable or version-mismatched (a miss, never an error).
+// loadPersisted rebuilds a done Job from the job records; nil when
+// absent, unreadable, version-mismatched or not a valid identity (a
+// miss, never an error).
 func (s *Server) loadPersisted(id string) *Job {
-	if s.jobsDir == "" || !validJobID(id) {
-		return nil
-	}
-	data, err := os.ReadFile(filepath.Join(s.jobsDir, id+".json"))
-	if err != nil {
+	data, ok := s.records.Get(id)
+	if !ok {
 		return nil
 	}
 	var p persistedJob
@@ -784,18 +752,4 @@ func (s *Server) loadPersisted(id string) *Job {
 	j.events.append(Event{WallUS: p.Job.EndedUS, Type: string(StateDone), State: string(StateDone)})
 	j.events.closeLog()
 	return j
-}
-
-// validJobID guards path construction: identities are exactly 64 hex
-// characters, so a crafted ID can never escape the jobs directory.
-func validJobID(id string) bool {
-	if len(id) != 64 {
-		return false
-	}
-	for _, r := range id {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return false
-		}
-	}
-	return true
 }

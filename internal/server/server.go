@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"zivsim/internal/harness/store"
 	"zivsim/internal/telemetry"
 )
 
@@ -29,9 +30,9 @@ type Config struct {
 	// Now supplies wall-clock time for event and job timestamps (pass
 	// time.Now from package main; tests inject a fake clock).
 	Now func() time.Time
-	// StateDir is the server's on-disk state root; the disk cache,
-	// per-job checkpoints and completed-job records live under it.
-	// Empty disables persistence (in-memory only).
+	// StateDir is the server's on-disk state root; the shared result
+	// store (cache/) and the completed-job records (jobs/) live under
+	// it. Empty disables persistence (in-memory only).
 	StateDir string
 	// QueueDepth bounds each client's pending (queued + running) jobs;
 	// submissions beyond it are rejected with 429. Default 8.
@@ -61,9 +62,8 @@ type Server struct {
 	cfg Config
 	reg *telemetry.Registry
 
-	cacheDir string // harness disk cache (shared across jobs)
-	ckptDir  string // per-job sweep checkpoints
-	jobsDir  string // persisted completed-job records
+	cacheDir string    // harness result store, shared across jobs
+	records  store.Dir // completed-job records, one per job identity
 
 	workAvail chan struct{} // wake-up signal for idle executors, cap 1
 
@@ -132,9 +132,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.StateDir != "" {
 		s.cacheDir = filepath.Join(cfg.StateDir, "cache")
-		s.ckptDir = filepath.Join(cfg.StateDir, "checkpoints")
-		s.jobsDir = filepath.Join(cfg.StateDir, "jobs")
-		for _, d := range []string{s.cacheDir, s.ckptDir, s.jobsDir} {
+		s.records = store.Dir(filepath.Join(cfg.StateDir, "jobs"))
+		for _, d := range []string{s.cacheDir, string(s.records)} {
 			if err := os.MkdirAll(d, 0o755); err != nil {
 				return nil, fmt.Errorf("server: state dir: %v", err)
 			}
@@ -376,7 +375,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // handleCancel implements DELETE /v1/jobs/{id}. Cancelling a terminal
 // job is a no-op that reports the final state; a queued job turns
 // canceled immediately; a running job's sweep is drained (in-flight
-// simulations finish and are journaled) and turns canceled when its
+// simulations finish and are stored) and turns canceled when its
 // executor observes the drain.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -197,7 +197,7 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 		t.Fatalf("persisted job differs after restart (state %s)", got3.State)
 	}
 
-	// With the persisted job record gone but the disk cache intact, a
+	// With the persisted job record gone but the result store intact, a
 	// third server recomputes entirely from cache hits — same bytes.
 	if err := removeJobRecord(stateDir, st.ID); err != nil {
 		t.Fatalf("remove job record: %v", err)
@@ -215,16 +215,15 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	if fin4.State != StateDone || fin4.Figures[0].Text != want {
 		t.Fatalf("cache-backed rerun differs (state %s)", fin4.State)
 	}
-	// Every simulation must be adopted, not recomputed — from the job's
-	// checkpoint journal or the shared disk cache, whichever answers
-	// first.
-	if fin4.Status.CacheHits+fin4.Status.CheckpointHits != fin4.Status.Completed {
+	// Every simulation must be adopted from the shared result store,
+	// not recomputed.
+	if fin4.Status.CacheHits != fin4.Status.Completed {
 		t.Fatalf("cache-backed rerun recomputed work: %+v", fin4.Status)
 	}
 }
 
-// removeJobRecord deletes one persisted job record, leaving the disk
-// cache intact.
+// removeJobRecord deletes one persisted job record, leaving the result
+// store intact.
 func removeJobRecord(stateDir, id string) error {
 	return os.Remove(filepath.Join(stateDir, "jobs", id+".json"))
 }
@@ -596,17 +595,5 @@ func TestListOrder(t *testing.T) {
 	}
 	if len(list.Jobs[0].Figures) != 0 {
 		t.Fatal("brief listing carried full figure payloads")
-	}
-}
-
-// TestValidJobID pins the path-traversal guard on persisted lookups.
-func TestValidJobID(t *testing.T) {
-	if !validJobID(strings.Repeat("0a", 32)) {
-		t.Fatal("rejected a valid id")
-	}
-	for _, bad := range []string{"", "..", strings.Repeat("g", 64), strings.Repeat("A", 64), strings.Repeat("0", 63)} {
-		if validJobID(bad) {
-			t.Fatalf("accepted %q", bad)
-		}
 	}
 }

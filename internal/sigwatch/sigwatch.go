@@ -1,7 +1,7 @@
 // Package sigwatch installs the two-stage interrupt convention shared
 // by the zivsim and zivsimd front ends: the first SIGINT/SIGTERM asks
 // the process to drain gracefully (in-flight simulations finish and are
-// checkpointed), a second signal exits immediately with the
+// stored), a second signal exits immediately with the
 // conventional status 130.
 package sigwatch
 

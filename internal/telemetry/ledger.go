@@ -1,12 +1,11 @@
 // The run ledger. A ledger file is an append-only NDJSON journal of a
-// sweep's job-level history — one record per job attempt or adoption —
-// built exactly like the harness checkpoint: a header line naming the
-// format version and the options identity, then one JSON line per
-// record, each appended with a single write so a crash can tear at most
-// the final line, which ReadLedger drops. Where the checkpoint stores
-// Results for resumption, the ledger stores provenance for reporting:
-// `zivreport -ledger` turns it into wall-time percentiles, cache-hit
-// rates and retry/fault breakdowns.
+// sweep's job-level history — one record per job attempt, adoption or
+// skip: a header line naming the format version and the options
+// identity, then one JSON line per record, each appended with a single
+// write so a crash can tear at most the final line, which ReadLedger
+// drops. Results themselves live in the harness result store; the ledger
+// stores provenance for reporting: `zivreport -ledger` turns it into
+// wall-time percentiles, cache-hit rates and retry/fault breakdowns.
 package telemetry
 
 import (
@@ -18,23 +17,24 @@ import (
 )
 
 // LedgerVersion stamps the ledger header; bump it when the record
-// schema changes incompatibly.
-const LedgerVersion = "zivsim-ledger-v1"
+// schema changes incompatibly. v2 dropped the checkpoint-hit outcome,
+// so a v1 ledger is rejected rather than miscounted.
+const LedgerVersion = "zivsim-ledger-v2"
 
 // LedgerHeader is the first line of a ledger file.
 type LedgerHeader struct {
 	// Version is the ledger format version (LedgerVersion).
 	Version string `json:"version"`
-	// Options fingerprints the sweep's result-affecting option set, the
-	// same hash that keys the checkpoint header (empty if the producer
-	// did not supply one).
+	// Options fingerprints the sweep's result-affecting option set
+	// (harness Options.IdentityHash; empty if the producer did not
+	// supply one).
 	Options string `json:"options,omitempty"`
 }
 
 // Record is one ledger line: a job attempt, adoption, or skip.
 type Record struct {
 	// Key is the job's content-addressed identity — the same SHA-256
-	// diskKey that names its cache entry and checkpoint line.
+	// key that names its result-store entry.
 	Key string `json:"key"`
 	// Cfg is the configuration label of the job.
 	Cfg string `json:"cfg"`
@@ -43,8 +43,8 @@ type Record struct {
 	// Attempt is the 1-based attempt number; 0 for records that did not
 	// run (adoptions and skips).
 	Attempt int `json:"attempt"`
-	// Outcome classifies the record: done, retry, failed, cache-hit,
-	// checkpoint-hit, or skipped.
+	// Outcome classifies the record: done, retry, failed, cache-hit, or
+	// skipped.
 	Outcome string `json:"outcome"`
 	// WallUS is the attempt's wall time in microseconds (0 when nothing
 	// ran).
@@ -59,7 +59,7 @@ type Record struct {
 
 // Ledger is an open, append-only run ledger. Writes are best-effort:
 // a failed append disables further journaling (and is reported once on
-// stderr) but never fails the sweep, mirroring the checkpoint.
+// stderr) but never fails the sweep.
 type Ledger struct {
 	mu sync.Mutex
 	//ziv:guards(mu)
@@ -122,11 +122,11 @@ func (l *Ledger) Close() error {
 	return err
 }
 
-// ReadLedger loads a ledger file. Like the checkpoint loader it is
-// torn-tail tolerant: unparsable record lines (a crash mid-append, or
-// stray corruption) are dropped individually and every earlier record
-// remains usable. A missing or unparsable header is an error — the file
-// is not a ledger.
+// ReadLedger loads a ledger file. It is torn-tail tolerant: unparsable
+// record lines (a crash mid-append, or stray corruption) are dropped
+// individually and every earlier record remains usable. A missing or
+// unparsable header is an error — the file is not a ledger — and so is
+// a header of another LedgerVersion.
 func ReadLedger(path string) (LedgerHeader, []Record, error) {
 	f, err := os.Open(path)
 	if err != nil {

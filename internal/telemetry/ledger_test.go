@@ -95,4 +95,13 @@ func TestLedgerHeaderRequired(t *testing.T) {
 	if _, _, err := ReadLedger(path); err == nil {
 		t.Fatal("ReadLedger accepted a mismatched version")
 	}
+	// A v1 ledger may hold checkpoint-hit rows that v2 no longer
+	// counts: it must be rejected, not silently under-reported.
+	v1 := `{"version":"zivsim-ledger-v1"}` + "\n" + `{"key":"k1","outcome":"checkpoint-hit"}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadLedger(path); err == nil {
+		t.Fatal("ReadLedger accepted a v1 ledger")
+	}
 }

@@ -1,8 +1,8 @@
 // The harness-facing sink. A Sink bundles the three telemetry outputs —
 // metrics registry, span recorder, run ledger — behind the small set of
 // lifecycle calls the runner makes (queued, attempt start/end, adoption,
-// skip, checkpoint write). Every output is optional and every method is
-// nil-receiver safe, so the runner instruments unconditionally and the
+// skip). Every output is optional and every method is nil-receiver
+// safe, so the runner instruments unconditionally and the
 // zero-configuration path stays free. Like Progress, a Sink lives in the
 // wall-clock domain with an injected clock and writes only to its own
 // outputs, never into simulation results; Options.Telemetry is excluded
@@ -28,8 +28,8 @@ type Event struct {
 	Type string
 	// Track is the in-sweep job key ("cfgLabel|mix").
 	Track string
-	// Key is the job's content-addressed disk/checkpoint identity
-	// (empty on steps that don't compute it).
+	// Key is the job's content-addressed result-store identity (empty on
+	// steps that don't compute it).
 	Key string
 	// Cfg is the job's machine-configuration label.
 	Cfg string
@@ -54,13 +54,11 @@ const (
 	// EventAttemptEnd marks one simulation attempt ending; Outcome is
 	// done, retry or failed.
 	EventAttemptEnd = "attempt-end"
-	// EventAdopted marks a job served without running; Outcome is
-	// cache-hit or checkpoint-hit.
+	// EventAdopted marks a job served from the result store without
+	// running; Outcome is cache-hit.
 	EventAdopted = "adopted"
 	// EventSkipped marks a job a drain prevented from running.
 	EventSkipped = "skipped"
-	// EventCheckpoint marks a completed job's checkpoint journal write.
-	EventCheckpoint = "checkpoint"
 )
 
 // Sink receives the runner's job lifecycle and fans it out to the
@@ -78,7 +76,6 @@ type Sink struct {
 	outcomes    map[string]*Counter // per terminal outcome, fixed key set
 	attempts    *Counter
 	retries     *Counter
-	ckptWrites  *Counter
 	refsTotal   *Counter
 	inflight    *Gauge
 	jobWallSecs *Histogram
@@ -91,19 +88,18 @@ type Sink struct {
 // Terminal job outcomes as they appear in ledger records and in the
 // zivsim_sweep_jobs_total outcome label.
 const (
-	OutcomeDone          = "done"
-	OutcomeRetry         = "retry"
-	OutcomeFailed        = "failed"
-	OutcomeCacheHit      = "cache-hit"
-	OutcomeCheckpointHit = "checkpoint-hit"
-	OutcomeSkipped       = "skipped"
+	OutcomeDone     = "done"
+	OutcomeRetry    = "retry"
+	OutcomeFailed   = "failed"
+	OutcomeCacheHit = "cache-hit"
+	OutcomeSkipped  = "skipped"
 )
 
 // terminalOutcomes enumerates the outcome label values pre-registered
 // on the jobs_total counter (retry is an attempt outcome, not a job
 // outcome, and has its own counter).
 var terminalOutcomes = []string{
-	OutcomeDone, OutcomeFailed, OutcomeCacheHit, OutcomeCheckpointHit, OutcomeSkipped,
+	OutcomeDone, OutcomeFailed, OutcomeCacheHit, OutcomeSkipped,
 }
 
 // NewSink builds a sink reading wall-clock time from now (required;
@@ -127,8 +123,6 @@ func NewSink(now func() time.Time, reg *Registry, spans *SpanRecorder, ledger *L
 			"Simulation attempts started (retries included).")
 		s.retries = reg.Counter("zivsim_sweep_retries_total",
 			"Attempts that failed and were retried.")
-		s.ckptWrites = reg.Counter("zivsim_sweep_checkpoint_writes_total",
-			"Completed jobs journaled to the sweep checkpoint.")
 		s.refsTotal = reg.Counter("zivsim_sweep_refs_simulated_total",
 			"Memory references simulated by completed attempts.")
 		s.inflight = reg.Gauge("zivsim_sweep_jobs_inflight",
@@ -255,20 +249,20 @@ func (s *Sink) AttemptEnd(track, key, cfg, mix string, attempt int, outcome stri
 		Attempt: attempt, Outcome: outcome, Refs: refs, Err: errMsg})
 }
 
-// JobAdopted records a job served without running: outcome is
-// OutcomeCacheHit or OutcomeCheckpointHit.
-func (s *Sink) JobAdopted(track, key, cfg, mix, outcome string) {
+// JobAdopted records a job served from the result store without
+// running (outcome OutcomeCacheHit).
+func (s *Sink) JobAdopted(track, key, cfg, mix string) {
 	if s == nil {
 		return
 	}
-	if c := s.outcomes[outcome]; c != nil {
+	if c := s.outcomes[OutcomeCacheHit]; c != nil {
 		c.Inc()
 	}
 	if s.spans != nil {
-		s.spans.End(track, map[string]any{"outcome": outcome})
+		s.spans.End(track, map[string]any{"outcome": OutcomeCacheHit})
 	}
-	s.ledger.WriteRecord(Record{Key: key, Cfg: cfg, Mix: mix, Outcome: outcome})
-	s.emit(Event{Type: EventAdopted, Track: track, Key: key, Cfg: cfg, Mix: mix, Outcome: outcome})
+	s.ledger.WriteRecord(Record{Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeCacheHit})
+	s.emit(Event{Type: EventAdopted, Track: track, Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeCacheHit})
 }
 
 // JobSkipped records a job a drain prevented from running.
@@ -284,21 +278,6 @@ func (s *Sink) JobSkipped(track, key, cfg, mix string) {
 	}
 	s.ledger.WriteRecord(Record{Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeSkipped})
 	s.emit(Event{Type: EventSkipped, Track: track, Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeSkipped})
-}
-
-// CheckpointRecorded annotates a completed job's checkpoint journal
-// write.
-func (s *Sink) CheckpointRecorded(track string) {
-	if s == nil {
-		return
-	}
-	if s.ckptWrites != nil {
-		s.ckptWrites.Inc()
-	}
-	if s.spans != nil {
-		s.spans.Instant(track, "checkpoint", nil)
-	}
-	s.emit(Event{Type: EventCheckpoint, Track: track})
 }
 
 // Spans exposes the sink's span recorder (nil if spans are disabled),

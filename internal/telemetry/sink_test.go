@@ -27,14 +27,13 @@ func TestSinkObserverMirrorsLifecycle(t *testing.T) {
 	s.AttemptEnd("cfg|mix", "key1", "cfg", "mix", 1, OutcomeRetry, 0, "boom")
 	s.AttemptStart("cfg|mix", 2)
 	s.AttemptEnd("cfg|mix", "key1", "cfg", "mix", 2, OutcomeDone, 1234, "")
-	s.JobAdopted("cfg|mix2", "key2", "cfg", "mix2", OutcomeCacheHit)
+	s.JobAdopted("cfg|mix2", "key2", "cfg", "mix2")
 	s.JobSkipped("cfg|mix3", "key3", "cfg", "mix3")
-	s.CheckpointRecorded("cfg|mix")
 
 	wantTypes := []string{
 		EventQueued, EventAttemptStart, EventAttemptEnd,
 		EventAttemptStart, EventAttemptEnd,
-		EventAdopted, EventSkipped, EventCheckpoint,
+		EventAdopted, EventSkipped,
 	}
 	if len(got) != len(wantTypes) {
 		t.Fatalf("observed %d events, want %d", len(got), len(wantTypes))
@@ -78,7 +77,6 @@ func TestSinkObserverNilReceivers(t *testing.T) {
 	s.JobQueued("x")
 	s.AttemptStart("x", 1)
 	s.AttemptEnd("x", "", "", "", 1, OutcomeDone, 0, "")
-	s.JobAdopted("x", "", "", "", OutcomeCacheHit)
+	s.JobAdopted("x", "", "", "")
 	s.JobSkipped("x", "", "", "")
-	s.CheckpointRecorded("x")
 }

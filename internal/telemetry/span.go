@@ -1,9 +1,8 @@
 // Per-job lifecycle spans. The harness runner reports state transitions
-// (queued → running → retry → done/failed/cache-hit/skipped) and point
-// annotations (checkpoint writes, fault recoveries) to a SpanRecorder;
-// WriteSweepTrace renders the recording through the obs trace_event
-// writer so a whole sweep loads as one Perfetto timeline, one track per
-// job, alongside the cycle-domain traces obs itself exports.
+// (queued → running → retry → done/failed/cache-hit/skipped) to a
+// SpanRecorder; WriteSweepTrace renders the recording through the obs
+// trace_event writer so a whole sweep loads as one Perfetto timeline, one
+// track per job, alongside the cycle-domain traces obs itself exports.
 package telemetry
 
 import (
@@ -37,8 +36,6 @@ type SpanRecorder struct {
 	open map[string]openSpan
 	//ziv:guards(mu)
 	spans []obs.TimelineSpan
-	//ziv:guards(mu)
-	instants []obs.TimelineInstant
 }
 
 // NewSpanRecorder builds a recorder reading wall-clock time from now
@@ -96,19 +93,10 @@ func (r *SpanRecorder) endLocked(track string, endUS uint64, args map[string]any
 		Track: track, Name: o.name, StartUS: o.startUS, DurUS: dur, Args: args})
 }
 
-// Instant records a point event on a track (checkpoint write, fault
-// recovery, drain request).
-func (r *SpanRecorder) Instant(track, name string, args map[string]any) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.instants = append(r.instants, obs.TimelineInstant{
-		Track: track, Name: name, TsUS: r.stampLocked(), Args: args})
-}
-
 // snapshot copies the recording, closing still-open phases at the
 // current clock reading (marked "open" so an abandoned in-flight job is
 // visible in the timeline) without mutating recorder state.
-func (r *SpanRecorder) snapshot() ([]obs.TimelineSpan, []obs.TimelineInstant) {
+func (r *SpanRecorder) snapshot() []obs.TimelineSpan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ts := r.stampLocked()
@@ -128,15 +116,13 @@ func (r *SpanRecorder) snapshot() ([]obs.TimelineSpan, []obs.TimelineInstant) {
 			Track: track, Name: o.name, StartUS: o.startUS, DurUS: dur,
 			Args: map[string]any{"outcome": "open"}})
 	}
-	instants := append([]obs.TimelineInstant(nil), r.instants...)
-	return spans, instants
+	return spans
 }
 
-// WriteSweepTrace renders the recorder's spans and instants as Chrome
-// trace_event JSON via the obs timeline writer; label names the sweep in
-// the trace metadata. Still-open phases are emitted as spans ending now,
-// flagged outcome=open.
+// WriteSweepTrace renders the recorder's spans as Chrome trace_event
+// JSON via the obs timeline writer; label names the sweep in the trace
+// metadata. Still-open phases are emitted as spans ending now, flagged
+// outcome=open.
 func (r *SpanRecorder) WriteSweepTrace(w io.Writer, label string) error {
-	spans, instants := r.snapshot()
-	return obs.WriteTimeline(w, label, spans, instants)
+	return obs.WriteTimeline(w, label, r.snapshot())
 }

@@ -34,13 +34,12 @@ type traceDoc struct {
 
 // TestSpanRecorderTimeline drives a two-job lifecycle under the fake
 // clock and checks the exported Chrome trace: per-track threads,
-// complete spans with durations, instants, and open-span closure.
+// complete spans with durations, and open-span closure.
 func TestSpanRecorderTimeline(t *testing.T) {
 	r := NewSpanRecorder(fakeClock(1))
 	r.Begin("jobA", "queued")
 	r.Begin("jobB", "queued")
 	r.Begin("jobA", "running") // implicitly ends queued
-	r.Instant("jobA", "checkpoint", nil)
 	r.End("jobA", map[string]any{"outcome": "done"})
 	// jobB's queued phase stays open: snapshot must close it as "open".
 
@@ -53,7 +52,7 @@ func TestSpanRecorderTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var spans, instants, meta int
+	var spans, meta int
 	sawOpen := false
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
@@ -68,8 +67,6 @@ func TestSpanRecorderTimeline(t *testing.T) {
 			if oc, ok := ev.Args["outcome"]; ok && oc == "open" {
 				sawOpen = true
 			}
-		case "i":
-			instants++
 		case "M":
 			meta++
 		default:
@@ -79,9 +76,6 @@ func TestSpanRecorderTimeline(t *testing.T) {
 	// jobA: queued + running; jobB: queued (closed as open) = 3 spans.
 	if spans != 3 {
 		t.Fatalf("%d spans, want 3", spans)
-	}
-	if instants != 1 {
-		t.Fatalf("%d instants, want 1", instants)
 	}
 	if !sawOpen {
 		t.Fatal("still-open phase not exported with outcome=open")
@@ -99,8 +93,7 @@ func TestSpanRecorderDeterministic(t *testing.T) {
 		r := NewSpanRecorder(fakeClock(7))
 		r.Begin("j", "queued")
 		r.Begin("j", "running")
-		r.Instant("j", "fault", map[string]any{"err": "boom"})
-		r.End("j", map[string]any{"outcome": "failed"})
+		r.End("j", map[string]any{"outcome": "failed", "err": "boom"})
 		var buf strings.Builder
 		if err := r.WriteSweepTrace(&buf, "d"); err != nil {
 			t.Fatal(err)
@@ -129,10 +122,9 @@ func TestSinkLifecycle(t *testing.T) {
 	s.AttemptStart("j1", 1)
 	s.AttemptEnd("j1", "key1", "cfg", "mix", 1, OutcomeRetry, 0, "boom")
 	s.AttemptStart("j1", 2)
-	s.CheckpointRecorded("j1")
 	s.AttemptEnd("j1", "key1", "cfg", "mix", 2, OutcomeDone, 5000, "")
 	s.JobQueued("j2")
-	s.JobAdopted("j2", "key2", "cfg", "mix2", OutcomeCacheHit)
+	s.JobAdopted("j2", "key2", "cfg", "mix2")
 	s.JobQueued("j3")
 	s.JobSkipped("j3", "key3", "cfg", "mix3")
 	if err := led.Close(); err != nil {
@@ -151,7 +143,6 @@ func TestSinkLifecycle(t *testing.T) {
 		`zivsim_sweep_jobs_total{outcome="skipped"} 1`,
 		"zivsim_sweep_attempts_total 2",
 		"zivsim_sweep_retries_total 1",
-		"zivsim_sweep_checkpoint_writes_total 1",
 		"zivsim_sweep_refs_simulated_total 5000",
 		"zivsim_sweep_jobs_inflight 0",
 	} {
@@ -181,9 +172,8 @@ func TestSinkLifecycle(t *testing.T) {
 	nilSink.JobQueued("x")
 	nilSink.AttemptStart("x", 1)
 	nilSink.AttemptEnd("x", "k", "c", "m", 1, OutcomeDone, 1, "")
-	nilSink.JobAdopted("x", "k", "c", "m", OutcomeCacheHit)
+	nilSink.JobAdopted("x", "k", "c", "m")
 	nilSink.JobSkipped("x", "k", "c", "m")
-	nilSink.CheckpointRecorded("x")
 	if nilSink.Spans() != nil {
 		t.Fatal("nil sink returned a span recorder")
 	}
