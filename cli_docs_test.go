@@ -26,9 +26,9 @@ var cliCommands = []string{"zivsim", "zivsimd", "zivbench", "zivreport", "zivlin
 var usageLine = regexp.MustCompile(`(?m)^Usage of \S*?([a-z]+):$`)
 
 // helpOutput runs `go run ./cmd/<name> -help` and returns its combined
-// output with the build-dependent binary path normalized away. -help is
-// expected to exit nonzero (flag uses status 2); only failures to run the
-// command at all are fatal.
+// output with the build-dependent binary path normalized away. -help may
+// exit nonzero (the flag package's default is status 2); only failures to
+// run the command at all are fatal.
 func helpOutput(t *testing.T, name string) string {
 	t.Helper()
 	cmd := exec.Command("go", "run", "./cmd/"+name, "-help")

@@ -1,37 +1,34 @@
-// Command zivlint is the project's static-analysis suite: twelve
+// Command zivlint is the project's static-analysis suite: eleven
 // zivsim-specific analyzers over a shared CFG/dataflow framework that
 // keep the simulator deterministic, its sidecar structures coherent,
 // its hot paths allocation-free, its runtime invariant checks sound,
 // and its concurrency (locks, goroutine joins, channel ownership,
 // context cancellation) disciplined.
 //
-//	zivlint ./...                        # analyze the module (CI default)
-//	zivlint -format=sarif -o out.sarif ./...
-//	zivlint -write-baseline ./...        # accept current findings
-//	zivlint -stats lint-stats.json -stats-gate zivlint.stats.json ./...
-//	zivlint help                         # list analyzers
+//	zivlint ./...                                  # analyze the module
+//	zivlint -stats-gate zivlint.stats.json ./...   # the CI gate
+//	zivlint -stats zivlint.stats.json ./...        # refresh the budget
+//	zivlint -help                                  # list analyzers
 //
-// Findings already recorded in the committed baseline
-// (zivlint.baseline.json by default, -baseline to override, -baseline=
-// to disable) are filtered out: only fresh findings fail the build, so
-// new analyzers can land with known debt while still gating every diff.
+// Findings print one per line to stdout, and any finding fails the run.
 // Individual findings are waived in source with
 // //ziv:ignore(analyzer) reason. Waivers that no longer suppress
 // anything — or that name an analyzer outside the suite — are
-// themselves reported under the unusedignore pseudo-analyzer.
+// themselves reported under the unusedignore pseudo-analyzer, and
+// -stats-gate fails the run when any analyzer's waiver count rises
+// above the committed budget.
 //
-// Exit status is 0 when no fresh findings remain, 1 when fresh findings
-// are reported, and 2 on usage or load errors.
+// Exit status is 0 when clean, 1 on any finding or a suppression rise,
+// and 2 on usage or load errors.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"zivsim/internal/analysis/allocpure"
-	"zivsim/internal/analysis/blockmutation"
 	"zivsim/internal/analysis/chandiscipline"
 	"zivsim/internal/analysis/ctxflow"
 	"zivsim/internal/analysis/detflow"
@@ -40,7 +37,6 @@ import (
 	"zivsim/internal/analysis/goleak"
 	"zivsim/internal/analysis/lockguard"
 	"zivsim/internal/analysis/nodeterminism"
-	"zivsim/internal/analysis/sarif"
 	"zivsim/internal/analysis/sidecarsync"
 	"zivsim/internal/analysis/statreset"
 	"zivsim/internal/analysis/uncheckedinvariant"
@@ -48,7 +44,6 @@ import (
 
 var analyzers = []*framework.Analyzer{
 	allocpure.Analyzer,
-	blockmutation.Analyzer,
 	chandiscipline.Analyzer,
 	ctxflow.Analyzer,
 	detflow.Analyzer,
@@ -68,12 +63,6 @@ func main() {
 func run(argv []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("zivlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	format := fs.String("format", "human", "output format: human, json, or sarif")
-	outPath := fs.String("o", "", "write output to file instead of stdout")
-	baselinePath := fs.String("baseline", "zivlint.baseline.json",
-		"baseline file filtering known findings; empty disables")
-	writeBaseline := fs.Bool("write-baseline", false,
-		"record current findings as the new baseline and exit")
 	statsPath := fs.String("stats", "",
 		"write per-analyzer finding/suppression counts to this file")
 	statsGate := fs.String("stats-gate", "",
@@ -87,31 +76,15 @@ func run(argv []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if len(argv) > 0 && argv[0] == "help" {
-		fs.Usage()
-		return 0
-	}
 	if err := fs.Parse(argv); err != nil {
-		return 2
-	}
-	switch *format {
-	case "human", "json", "sarif":
-	default:
-		fmt.Fprintf(stderr, "zivlint: unknown format %q\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "zivlint: -write-baseline requires a -baseline path")
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 2
 	}
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
-	}
-	root, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(stderr, "zivlint:", err)
-		return 2
 	}
 
 	res, err := framework.RunSuite(".", patterns, analyzers)
@@ -146,106 +119,11 @@ func run(argv []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	if *writeBaseline {
-		b := framework.NewBaseline(root, res.Diags)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "zivlint: wrote %s (%d findings across %d packages)\n",
-			*baselinePath, len(res.Diags), res.Packages)
-		return 0
+	for _, d := range res.Diags {
+		fmt.Fprintln(stdout, d)
 	}
-
-	fresh := res.Diags
-	baselined := 0
-	if *baselinePath != "" {
-		b, err := framework.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-		var known []framework.Diagnostic
-		known, fresh = b.Filter(root, res.Diags)
-		baselined = len(known)
-		for _, e := range b.Stale(root, res.Diags) {
-			fmt.Fprintf(stderr, "zivlint: stale baseline entry: %s %s %q x%d (finding fixed; prune with -write-baseline)\n",
-				e.Analyzer, e.File, e.Message, e.Count)
-		}
-	}
-
-	out := stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-		defer f.Close()
-		out = f
-	}
-
-	switch *format {
-	case "human":
-		for _, d := range fresh {
-			fmt.Fprintln(out, d)
-		}
-		if baselined > 0 {
-			fmt.Fprintf(stderr, "zivlint: %d baselined finding(s) suppressed\n", baselined)
-		}
-	case "json":
-		if err := writeJSON(out, root, fresh); err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-	case "sarif":
-		var rules []sarif.RuleInfo
-		for _, a := range analyzers {
-			rules = append(rules, sarif.RuleInfo{Name: a.Name, Doc: a.Doc})
-		}
-		rules = append(rules, sarif.RuleInfo{
-			Name: framework.UnusedIgnoreAnalyzer,
-			Doc:  "reports //ziv:ignore directives that suppress nothing or name an analyzer outside the suite",
-		})
-		raw, err := sarif.Marshal(sarif.New(root, rules, fresh))
-		if err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-		if _, err := out.Write(raw); err != nil {
-			fmt.Fprintln(stderr, "zivlint:", err)
-			return 2
-		}
-	}
-
-	if len(fresh) > 0 || gateFailed {
+	if len(res.Diags) > 0 || gateFailed {
 		return 1
 	}
 	return 0
-}
-
-// jsonDiag is the -format=json record: repo-relative, line-keyed, and
-// stable field order for diffable output.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(out *os.File, root string, diags []framework.Diagnostic) error {
-	recs := []jsonDiag{} // non-nil: a clean run is [], not null
-	for _, d := range diags {
-		recs = append(recs, jsonDiag{
-			Analyzer: d.Analyzer,
-			File:     framework.RelFile(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "\t")
-	return enc.Encode(recs)
 }

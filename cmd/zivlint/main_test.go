@@ -1,15 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"zivsim/internal/analysis/framework"
-	"zivsim/internal/analysis/sarif"
 )
 
 // capture runs the CLI entry point with argv and returns the exit code
@@ -42,94 +40,12 @@ func capture(t *testing.T, argv ...string) (code int, stdout, stderr string) {
 	return code, read(so), read(se)
 }
 
-// TestSARIFFullRepo is the SARIF regression gate: two full-module runs
-// must produce byte-identical, schema-valid SARIF 2.1.0, and the whole
-// double run must finish inside a generous wall-clock bound so the
-// suite stays cheap enough for every CI invocation.
-func TestSARIFFullRepo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-module analysis in -short mode")
-	}
-	start := time.Now()
-	code1, out1, err1 := capture(t, "-format=sarif", "-baseline=", "zivsim/...")
-	code2, out2, err2 := capture(t, "-format=sarif", "-baseline=", "zivsim/...")
-	elapsed := time.Since(start)
-
-	if code1 != 0 {
-		t.Fatalf("first run: exit %d\nstderr:\n%s", code1, err1)
-	}
-	if code2 != 0 {
-		t.Fatalf("second run: exit %d\nstderr:\n%s", code2, err2)
-	}
-	if out1 != out2 {
-		t.Fatalf("SARIF output not byte-identical across runs:\nfirst %d bytes, second %d bytes", len(out1), len(out2))
-	}
-	if err := sarif.Validate([]byte(out1)); err != nil {
-		t.Fatalf("SARIF output invalid: %v", err)
-	}
-	var envelope struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string            `json:"name"`
-					Rules []json.RawMessage `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out1), &envelope); err != nil {
-		t.Fatalf("decoding SARIF: %v", err)
-	}
-	if envelope.Version != "2.1.0" {
-		t.Errorf("SARIF version = %q, want 2.1.0", envelope.Version)
-	}
-	if len(envelope.Runs) != 1 {
-		t.Fatalf("SARIF runs = %d, want 1", len(envelope.Runs))
-	}
-	if got := len(envelope.Runs[0].Tool.Driver.Rules); got != len(analyzers)+1 {
-		t.Errorf("rule catalog has %d entries, want %d (one per analyzer plus unusedignore)", got, len(analyzers)+1)
-	}
-	if n := len(envelope.Runs[0].Results); n != 0 {
-		t.Errorf("full-module run reports %d findings, want a clean tree", n)
-	}
-
-	// Time bound: the double full-module run (load, type-check, seven
-	// analyzers, twice) must stay well under CI-breaking territory.
-	const bound = 3 * time.Minute
-	if elapsed > bound {
-		t.Errorf("two full-module runs took %v, want < %v", elapsed, bound)
-	}
-	t.Logf("two full-module SARIF runs in %v (%d bytes each)", elapsed, len(out1))
-}
-
-// TestStaleBaselineWarning feeds the gate a baseline entry for a
-// finding that no longer exists and checks it is called out on stderr
-// without failing the run.
-func TestStaleBaselineWarning(t *testing.T) {
-	if testing.Short() {
-		t.Skip("package analysis in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	b := framework.Baseline{Version: 1, Findings: []framework.BaselineEntry{
-		{Analyzer: "detflow", File: "internal/energy/energy.go", Message: "finding long since fixed", Count: 2},
-	}}
-	if err := b.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := capture(t, "-baseline="+path, "zivsim/internal/energy")
-	if code != 0 {
-		t.Fatalf("exit %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "stale baseline entry") || !strings.Contains(stderr, "detflow") {
-		t.Fatalf("stderr = %q, want a stale-entry warning naming detflow", stderr)
-	}
-}
-
-// TestBaselineGate runs the suite exactly as CI does — against the
-// committed baseline — and requires a clean exit.
+// TestBaselineGate runs the suite exactly as CI does — the whole module
+// against the committed suppression baseline (zivlint.stats.json, as
+// written by `make lint-stats-baseline`) — twice. Both runs must be
+// clean (exit 0, nothing on stdout) and write byte-identical -stats
+// reports, and the double run must finish inside a generous wall-clock
+// bound so the suite stays cheap enough for every CI invocation.
 func TestBaselineGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module analysis in -short mode")
@@ -138,35 +54,43 @@ func TestBaselineGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := filepath.Join(root, "zivlint.baseline.json")
-	if _, err := os.Stat(baseline); err != nil {
-		t.Fatalf("committed baseline missing: %v", err)
+	budget := filepath.Join(root, "zivlint.stats.json")
+	dir := t.TempDir()
+	start := time.Now()
+	var stats [2][]byte
+	for i := range stats {
+		path := filepath.Join(dir, fmt.Sprintf("stats%d.json", i))
+		code, stdout, stderr := capture(t, "-stats", path, "-stats-gate", budget, "zivsim/...")
+		if code != 0 {
+			t.Fatalf("run %d: exit %d\nstdout:\n%s\nstderr:\n%s", i+1, code, stdout, stderr)
+		}
+		if stdout != "" {
+			t.Fatalf("run %d: findings on a clean tree:\n%s", i+1, stdout)
+		}
+		if stats[i], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	code, _, stderr := capture(t, "-baseline="+baseline, "zivsim/...")
-	if code != 0 {
-		t.Fatalf("exit %d against committed baseline\nstderr:\n%s", code, stderr)
+	elapsed := time.Since(start)
+	if !bytes.Equal(stats[0], stats[1]) {
+		t.Fatalf("-stats reports differ across runs:\n%s\n---\n%s", stats[0], stats[1])
 	}
-}
 
-// TestJSONCleanPackageIsEmptyArray checks the -format=json contract: a
-// clean run emits [], never null, so downstream jq pipelines can rely
-// on an array.
-func TestJSONCleanPackageIsEmptyArray(t *testing.T) {
-	code, stdout, stderr := capture(t, "-format=json", "-baseline=", "zivsim/cmd/zivlint")
-	if code != 0 {
-		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
+	// Time bound: the double full-module run (load, type-check, every
+	// analyzer, twice) must stay well under CI-breaking territory.
+	const bound = 3 * time.Minute
+	if elapsed > bound {
+		t.Errorf("two full-module runs took %v, want < %v", elapsed, bound)
 	}
-	if got := strings.TrimSpace(stdout); got != "[]" {
-		t.Fatalf("clean JSON output = %q, want []", got)
-	}
+	t.Logf("two full-module runs in %v", elapsed)
 }
 
 // TestHelpListsAllAnalyzers keeps the CLI's self-description in sync
 // with the registered analyzer set.
 func TestHelpListsAllAnalyzers(t *testing.T) {
-	code, _, stderr := capture(t, "help")
+	code, _, stderr := capture(t, "-help")
 	if code != 0 {
-		t.Fatalf("help: exit %d", code)
+		t.Fatalf("-help: exit %d", code)
 	}
 	for _, a := range analyzers {
 		if !strings.Contains(stderr, a.Name) {
@@ -176,11 +100,11 @@ func TestHelpListsAllAnalyzers(t *testing.T) {
 }
 
 // TestConcurrencyDriftGates proves the concurrency analyzers take part
-// in every drift-control surface: fresh findings fail the run, a
-// baseline absorbs them, an honored waiver counts against the stats
-// gate, and the unusedignore known-set covers the new analyzer names.
-// It runs the CLI against a throwaway module that trips each analyzer
-// exactly once.
+// in every drift-control surface: findings fail the run and print in
+// the same order on every run, an honored waiver counts against the
+// stats gate, and the unusedignore known-set covers the new analyzer
+// names. It runs the CLI against a throwaway module that trips each
+// analyzer exactly once.
 func TestConcurrencyDriftGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module analysis in -short mode")
@@ -259,38 +183,31 @@ var Tick int
 	}
 	defer os.Chdir(wd)
 
-	// Fresh findings from every analyzer fail the run.
-	code, stdout, stderr := capture(t, "-baseline=", "./...")
+	// Findings from every analyzer fail the run.
+	code, stdout, stderr := capture(t, "./...")
 	if code != 1 {
-		t.Fatalf("fresh findings: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+		t.Fatalf("findings: exit %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
 	}
 	for _, name := range []string{"lockguard", "goleak", "chandiscipline", "ctxflow", "unusedignore"} {
 		if !strings.Contains(stdout, "("+name+")") {
-			t.Errorf("fresh run reports no %s finding:\n%s", name, stdout)
+			t.Errorf("run reports no %s finding:\n%s", name, stdout)
 		}
 	}
 
-	// A baseline absorbs them: record, then rerun clean.
-	bl := filepath.Join(dir, "baseline.json")
-	if code, _, stderr = capture(t, "-write-baseline", "-baseline="+bl, "./..."); code != 0 {
-		t.Fatalf("-write-baseline: exit %d\nstderr:\n%s", code, stderr)
-	}
-	if code, _, stderr = capture(t, "-baseline="+bl, "./..."); code != 0 {
-		t.Fatalf("baselined run: exit %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "baselined finding(s) suppressed") {
-		t.Errorf("baselined run stderr = %q, want a suppression note", stderr)
+	// A second fresh run prints the same findings byte for byte.
+	if code, again, stderr := capture(t, "./..."); code != 1 || again != stdout {
+		t.Fatalf("second run: exit %d, stdout differs from the first\nfirst:\n%s\nsecond:\n%s\nstderr:\n%s",
+			code, stdout, again, stderr)
 	}
 
 	// The honored goleak waiver counts against the stats gate: a
-	// committed budget of zero suppressions must flag the rise even
-	// though the baseline keeps the findings themselves quiet.
+	// committed budget of zero suppressions must flag the rise.
 	gate := filepath.Join(dir, "gate.json")
 	if err := writeStats(gate, lintStats{Version: statsVersion, Analyzers: map[string]analyzerStats{}}); err != nil {
 		t.Fatal(err)
 	}
 	stats := filepath.Join(dir, "stats.json")
-	code, _, stderr = capture(t, "-baseline="+bl, "-stats", stats, "-stats-gate", gate, "./...")
+	code, _, stderr = capture(t, "-stats", stats, "-stats-gate", gate, "./...")
 	if code != 1 {
 		t.Fatalf("stats-gated run: exit %d, want 1\nstderr:\n%s", code, stderr)
 	}
@@ -313,12 +230,13 @@ var Tick int
 	}
 }
 
-// TestUsageErrors checks the exit-2 contract for bad invocations.
+// TestUsageErrors checks the exit contract for flag handling: -help is
+// a successful request, an unknown flag is a usage error.
 func TestUsageErrors(t *testing.T) {
-	if code, _, _ := capture(t, "-format=yaml", "zivsim/cmd/zivlint"); code != 2 {
-		t.Errorf("unknown format: exit %d, want 2", code)
+	if code, _, stderr := capture(t, "-help"); code != 0 {
+		t.Errorf("-help: exit %d, want 0\nstderr:\n%s", code, stderr)
 	}
-	if code, _, _ := capture(t, "-write-baseline", "-baseline=", "zivsim/cmd/zivlint"); code != 2 {
-		t.Errorf("-write-baseline without path: exit %d, want 2", code)
+	if code, _, _ := capture(t, "-format=sarif", "zivsim/cmd/zivlint"); code != 2 {
+		t.Errorf("unknown flag: exit %d, want 2", code)
 	}
 }

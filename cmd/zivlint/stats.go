@@ -14,7 +14,7 @@ const statsVersion = 1
 
 // analyzerStats is one analyzer's row in the stats report.
 type analyzerStats struct {
-	// Findings is the raw finding count, before baseline filtering.
+	// Findings is the count of reported (unwaived) findings.
 	Findings int `json:"findings"`
 	// Suppressions is the count of //ziv:ignore-waived findings.
 	Suppressions int `json:"suppressions"`
@@ -52,8 +52,7 @@ func buildStats(res framework.SuiteResult) lintStats {
 }
 
 // writeStats saves the report with a trailing newline, suitable for
-// committing or uploading as a CI artifact. Map keys marshal sorted,
-// so the output is deterministic.
+// committing. Map keys marshal sorted, so the output is deterministic.
 func writeStats(path string, s lintStats) error {
 	data, err := json.MarshalIndent(s, "", "\t")
 	if err != nil {

@@ -96,7 +96,7 @@ func TestStatsEmissionAndGate(t *testing.T) {
 	}
 	dir := t.TempDir()
 	statsPath := filepath.Join(dir, "stats.json")
-	code, _, stderr := capture(t, "-baseline=", "-stats="+statsPath, "zivsim/internal/energy")
+	code, _, stderr := capture(t, "-stats="+statsPath, "zivsim/internal/energy")
 	if code != 0 {
 		t.Fatalf("emission run: exit %d\nstderr:\n%s", code, stderr)
 	}
@@ -113,7 +113,7 @@ func TestStatsEmissionAndGate(t *testing.T) {
 			s.Version, len(s.Analyzers), statsVersion, len(analyzers)+1)
 	}
 
-	code, _, stderr = capture(t, "-baseline=", "-stats-gate="+statsPath, "zivsim/internal/energy")
+	code, _, stderr = capture(t, "-stats-gate="+statsPath, "zivsim/internal/energy")
 	if code != 0 {
 		t.Fatalf("self-gate: exit %d\nstderr:\n%s", code, stderr)
 	}
@@ -124,7 +124,7 @@ func TestStatsEmissionAndGate(t *testing.T) {
 	if err := os.WriteFile(zero, []byte(`{"version":1,"analyzers":{}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	code, _, stderr = capture(t, "-baseline=", "-stats-gate="+zero, "zivsim/cmd/zivtrace")
+	code, _, stderr = capture(t, "-stats-gate="+zero, "zivsim/cmd/zivtrace")
 	if code != 1 {
 		t.Fatalf("zero-budget gate: exit %d, want 1\nstderr:\n%s", code, stderr)
 	}
@@ -133,7 +133,7 @@ func TestStatsEmissionAndGate(t *testing.T) {
 	}
 
 	// A missing budget file is a configuration error, not a pass.
-	code, _, stderr = capture(t, "-baseline=", "-stats-gate="+filepath.Join(dir, "absent.json"), "zivsim/internal/energy")
+	code, _, stderr = capture(t, "-stats-gate="+filepath.Join(dir, "absent.json"), "zivsim/internal/energy")
 	if code != 2 {
 		t.Fatalf("missing budget file: exit %d, want 2\nstderr:\n%s", code, stderr)
 	}

@@ -9,7 +9,6 @@
 //	zivsim -fig fig11 -scale 1 -mixes 36 -homo 36   # paper-fidelity run
 //	zivsim -fig all -store .zivcache   # store results; reruns are instant,
 //	                             # and a rerun resumes an interrupted sweep
-//	zivsim -fig fig8 -cpuprofile cpu.pb.gz          # profile the run
 //	zivsim -fig fig1 -obs-interval 5000 -obs-events 4096 -obs-out obsout
 //	                             # per-run Perfetto traces, event dumps, interval CSVs
 //	zivsim -fig all -progress    # live run counter + ETA on stderr
@@ -27,7 +26,8 @@
 // Exit codes: 0 success; 2 usage error; 3 the sweep completed but at
 // least one job failed (a failed-job report is printed to stderr); 4 the
 // sweep was interrupted and drained (resume by rerunning with the same
-// -store); 1 other runtime errors (profile files etc.).
+// -store); 1 other runtime errors (an unusable -ledger file or
+// -telemetry-addr).
 package main
 
 import (
@@ -35,9 +35,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"strings"
 	"time"
 
@@ -62,7 +59,8 @@ func main() {
 
 // run parses flags, executes the requested experiments and returns the
 // process exit code. It exists (rather than doing everything in main) so
-// deferred profile/trace finalizers run before os.Exit.
+// the deferred ledger, sweep-trace and telemetry finalizers run before
+// os.Exit.
 func run() int {
 	var (
 		figID     = flag.String("fig", "", "experiment to run (fig1..fig19, or 'all')")
@@ -93,52 +91,8 @@ func run() int {
 		telLinger   = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint serving this long after the sweep finishes (interrupt to stop early)")
 		ledgerPath  = flag.String("ledger", "", "append one NDJSON record per job attempt to this run-ledger file (see zivreport -ledger)")
 		sweepTrace  = flag.String("sweep-trace", "", "write the sweep's per-job lifecycle timeline as Chrome trace JSON to this file")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		traceFile   = flag.String("trace", "", "write a runtime execution trace to this file")
 	)
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zivsim: -cpuprofile: %v\n", err)
-			return exitError
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "zivsim: -cpuprofile: %v\n", err)
-			return exitError
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "zivsim: -trace: %v\n", err)
-			return exitError
-		}
-		defer f.Close()
-		if err := trace.Start(f); err != nil {
-			fmt.Fprintf(os.Stderr, "zivsim: -trace: %v\n", err)
-			return exitError
-		}
-		defer trace.Stop()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "zivsim: -memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "zivsim: -memprofile: %v\n", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, e := range harness.Experiments() {

@@ -48,7 +48,7 @@ var auditedPrefixes = []string{
 }
 
 // documents reports whether a comment group actually documents a symbol.
-// Analyzer directives (//ziv:ignore, //zivlint:ignore) and fixture
+// Analyzer directives (//ziv:ignore, //ziv:mirror, ...) and fixture
 // expectations (// want) are machine-directed, not documentation, so a
 // waiver comment alone never satisfies the check.
 func documents(cg *ast.CommentGroup) bool {
@@ -58,7 +58,7 @@ func documents(cg *ast.CommentGroup) bool {
 	for _, c := range cg.List {
 		t := c.Text
 		switch {
-		case strings.HasPrefix(t, "//ziv:"), strings.HasPrefix(t, "//zivlint:"):
+		case strings.HasPrefix(t, "//ziv:"):
 		case strings.HasPrefix(t, "// want"), strings.HasPrefix(t, "//want"):
 		default:
 			return true

@@ -2,7 +2,7 @@
 // golang.org/x/tools/go/analysis API surface that zivlint's analyzers are
 // written against. The build environment for this repository is offline
 // (no module proxy), so the subset we need — Analyzer, Pass, diagnostics,
-// cross-package facts, a multichecker driver and an analysistest-style
+// cross-package facts, a suite runner and an analysistest-style
 // fixture runner — is implemented here on top of the standard library
 // (go/ast, go/types, and `go list -export` for dependency type
 // information).
@@ -17,11 +17,10 @@
 //
 // Suppression: a diagnostic from analyzer NAME is suppressed when the
 // offending line (or the line directly above it) carries a comment of
-// one of the forms
+// the form
 //
 //	//ziv:ignore(NAME) reason...
 //	//ziv:ignore(NAME1,NAME2) reason...
-//	//zivlint:ignore NAME reason...   (legacy spelling)
 //
 // with the analyzer name "all" suppressing every analyzer. The reason is
 // mandatory by convention but not enforced. Suppressed diagnostics are
@@ -45,7 +44,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in //ziv:ignore
 	// directives. It must be a valid Go identifier.
 	Name string
-	// Doc is the analyzer's documentation, printed by `zivlint help`.
+	// Doc is the analyzer's documentation, printed by `zivlint -help`.
 	Doc string
 	// Run applies the analyzer to one package.
 	Run func(*Pass) (any, error)
@@ -135,24 +134,17 @@ type ignoreKey struct {
 	analyzer string
 }
 
-var (
-	ignoreLegacyRe = regexp.MustCompile(`^//\s*zivlint:ignore\s+([A-Za-z0-9_,]+)`)
-	ignoreRe       = regexp.MustCompile(`^//\s*ziv:ignore\(([A-Za-z0-9_,\s]+)\)`)
-)
+var ignoreRe = regexp.MustCompile(`^//\s*ziv:ignore\(([A-Za-z0-9_,\s]+)\)`)
 
 // ignoredNames extracts the analyzer list from an ignore directive
 // comment, or nil if the comment is not a directive.
 func ignoredNames(text string) []string {
-	var list string
-	if m := ignoreRe.FindStringSubmatch(text); m != nil {
-		list = m[1]
-	} else if m := ignoreLegacyRe.FindStringSubmatch(text); m != nil {
-		list = m[1]
-	} else {
+	m := ignoreRe.FindStringSubmatch(text)
+	if m == nil {
 		return nil
 	}
 	var names []string
-	for _, name := range strings.Split(list, ",") {
+	for _, name := range strings.Split(m[1], ",") {
 		if name = strings.TrimSpace(name); name != "" {
 			names = append(names, name)
 		}

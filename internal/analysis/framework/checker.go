@@ -1,9 +1,6 @@
 package framework
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // SuiteResult aggregates one full run of a set of analyzers over a set
 // of packages.
@@ -13,8 +10,6 @@ type SuiteResult struct {
 	// Suppressed holds every //ziv:ignore-waived finding, sorted by
 	// position.
 	Suppressed []Diagnostic
-	// Packages is the number of packages analyzed.
-	Packages int
 }
 
 // RunSuite loads the packages matching patterns (relative to dir) and
@@ -29,7 +24,6 @@ func RunSuite(dir string, patterns []string, analyzers []*Analyzer) (SuiteResult
 	}
 	facts := NewFacts()
 	var out SuiteResult
-	out.Packages = len(pkgs)
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			res, err := RunAnalyzer(a, pkg, facts)
@@ -106,39 +100,6 @@ func unusedIgnores(pkgs []*Package, analyzers []*Analyzer, suppressed []Diagnost
 		}
 	}
 	return out
-}
-
-// Main is a minimal multichecker driver retained for ad-hoc analyzer
-// binaries: it loads the packages named by the command-line patterns
-// (default ./...), applies every analyzer, prints the diagnostics sorted
-// by position, and exits non-zero when any analyzer fires. The zivlint
-// CLI (cmd/zivlint) supersedes it with output formats and baseline
-// diff-gating.
-//
-// Exit codes: 0 clean, 1 diagnostics reported, 2 usage or load failure.
-func Main(analyzers ...*Analyzer) {
-	patterns := os.Args[1:]
-	if len(patterns) > 0 && patterns[0] == "help" {
-		fmt.Fprintf(os.Stderr, "usage: %s [packages]\n\nAnalyzers:\n", os.Args[0])
-		for _, a := range analyzers {
-			fmt.Fprintf(os.Stderr, "  %-20s %s\n", a.Name, FirstLine(a.Doc))
-		}
-		os.Exit(0)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	res, err := RunSuite(".", patterns, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	for _, d := range res.Diags {
-		fmt.Println(d)
-	}
-	if len(res.Diags) > 0 {
-		os.Exit(1)
-	}
 }
 
 // FirstLine returns the first line of s (analyzer doc summaries).

@@ -43,29 +43,35 @@ var varReporter = &Analyzer{
 	},
 }
 
+// TestIgnoreDirectiveSuppression covers waiver placement (the line
+// above, the same line), a waiver naming another analyzer, and the
+// retired //zivlint:ignore spelling, which is an ordinary comment.
 func TestIgnoreDirectiveSuppression(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
 var flagged = 1
 
-//zivlint:ignore varcheck intentional test waiver
+//ziv:ignore(varcheck) intentional test waiver
 var waivedAbove = 2
 
-var waivedSameLine = 3 //zivlint:ignore varcheck same-line waiver
+var waivedSameLine = 3 //ziv:ignore(varcheck) same-line waiver
 
-//zivlint:ignore otherchck wrong analyzer name
+//ziv:ignore(otherchck) wrong analyzer name
 var stillFlagged = 4
+
+//zivlint:ignore varcheck retired spelling waives nothing
+var legacyFlagged = 5
 `)
 	res, err := RunAnalyzer(varReporter, pkg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	diags := res.Diags
-	if len(diags) != 2 {
-		t.Fatalf("got %d diagnostics %v, want 2 (waived lines suppressed)", len(diags), diags)
+	if len(diags) != 3 {
+		t.Fatalf("got %d diagnostics %v, want 3 (waived lines suppressed)", len(diags), diags)
 	}
-	if diags[0].Pos.Line != 3 || diags[1].Pos.Line != 11 {
-		t.Errorf("diagnostics at lines %d,%d; want 3,11", diags[0].Pos.Line, diags[1].Pos.Line)
+	if diags[0].Pos.Line != 3 || diags[1].Pos.Line != 11 || diags[2].Pos.Line != 14 {
+		t.Errorf("diagnostics at lines %d,%d,%d; want 3,11,14", diags[0].Pos.Line, diags[1].Pos.Line, diags[2].Pos.Line)
 	}
 	if !strings.Contains(diags[0].String(), "(varcheck)") {
 		t.Errorf("diagnostic %q does not name its analyzer", diags[0])
@@ -150,7 +156,7 @@ func TestFactsRoundTrip(t *testing.T) {
 func TestIgnoreAllSuppressesEveryAnalyzer(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
-//zivlint:ignore all blanket waiver
+//ziv:ignore(all) blanket waiver
 var waived = 1
 `)
 	res, err := RunAnalyzer(varReporter, pkg, nil)
@@ -158,7 +164,7 @@ var waived = 1
 		t.Fatal(err)
 	}
 	if len(res.Diags) != 0 {
-		t.Fatalf("got %v, want no diagnostics under //zivlint:ignore all", res.Diags)
+		t.Fatalf("got %v, want no diagnostics under //ziv:ignore(all)", res.Diags)
 	}
 }
 
@@ -203,7 +209,7 @@ var flagged = 3
 func TestUnusedIgnoreAllMustSuppressSomething(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
-//zivlint:ignore all stale blanket waiver
+//ziv:ignore(all) stale blanket waiver
 func f() {}
 `)
 	res, err := RunAnalyzer(varReporter, pkg, nil)

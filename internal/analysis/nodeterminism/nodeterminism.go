@@ -17,7 +17,7 @@
 //     an explicit source instead: rand.New(rand.NewSource(seed)).
 //
 // Test files are never analyzed. A finding can be waived with
-// //zivlint:ignore nodeterminism <reason>.
+// //ziv:ignore(nodeterminism) <reason>.
 package nodeterminism
 
 import (

@@ -35,7 +35,7 @@ func GoodRange(m map[uint64]int) int {
 // not matter for a commutative sum, and the author said so.
 func WaivedRange(m map[uint64]int) int {
 	total := 0
-	//zivlint:ignore nodeterminism commutative sum, order-independent
+	//ziv:ignore(nodeterminism) commutative sum, order-independent
 	for _, v := range m { // want:suppressed `map iteration order`
 		total += v
 	}

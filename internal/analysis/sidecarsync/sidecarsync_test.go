@@ -12,5 +12,6 @@ func TestSidecarsync(t *testing.T) {
 	analysistest.Run(t, "testdata", Analyzer,
 		"zivsim/internal/scs",
 		"zivsim/internal/scst",
+		"zivsim/internal/scb",
 	)
 }

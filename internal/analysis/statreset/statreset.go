@@ -15,7 +15,7 @@
 //   - a method call on the field (s.Sub.Reset()).
 //
 // Structs without a Reset/Snapshot method are not checked. A finding can
-// be waived with //zivlint:ignore statreset <reason>.
+// be waived with //ziv:ignore(statreset) <reason>.
 package statreset
 
 import (

@@ -19,7 +19,7 @@
 //
 // Exported mutating functions that are not gated are flagged. Functions
 // whose own name starts with "Check" are exempt (they are the checkers).
-// A finding can be waived with //zivlint:ignore uncheckedinvariant
+// A finding can be waived with //ziv:ignore(uncheckedinvariant)
 // <reason>.
 package uncheckedinvariant
 

@@ -310,6 +310,7 @@ type bank struct {
 	//
 	//ziv:mirror(tags,masks)
 	//ziv:mirror(masks,updateSet) on NotInPrC,LikelyDead
+	//ziv:mirror(tags,masks) on Valid,Relocated,Addr
 	blocks []Block
 	// tags mirrors blocks for fast probing: the block address when the way
 	// holds a valid non-relocated block, tagNone otherwise. Maintained by
