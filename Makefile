@@ -62,12 +62,13 @@ bench-compare:
 # Tiny instrumented run + trace validation, mirroring CI's obs-smoke job.
 obs-smoke:
 	$(GO) run ./cmd/zivsim -fig fig1 -scale 32 -cores 2 -mixes 1 -homo 0 \
-		-warmup 1000 -refs 4000 -obs-interval 2000 -obs-events 4096 \
-		-obs-out obsout > /dev/null
+		-warmup 1000 -refs 4000 -obs-interval 2000 -obs-out obsout > /dev/null
 	$(GO) run ./cmd/zivreport -checktrace obsout
 
-# End-to-end interrupt/resume check (OPERATIONS.md): a clean tiny sweep,
-# the same sweep drained after 3 jobs via fault injection (must exit 4),
+# End-to-end interrupt/resume check (OPERATIONS.md): a clean tiny sweep
+# whose -progress line must end on "K/K runs" (the one run whose sink has
+# no other output), the same sweep drained after 3 jobs via fault
+# injection (must exit 4),
 # then a rerun over the same -store that must produce byte-identical
 # output. Then a hard kill: a longer sweep (24 jobs, a few seconds) is
 # SIGKILLed once its store holds two results, and the rerun over that
@@ -81,7 +82,11 @@ resume-smoke:
 	rm -rf resume-smoke.tmp && mkdir -p resume-smoke.tmp
 	$(GO) build -o resume-smoke.tmp/zivsim ./cmd/zivsim
 	$(GO) build -o resume-smoke.tmp/zivreport ./cmd/zivreport
-	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) > resume-smoke.tmp/clean.csv
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -progress > resume-smoke.tmp/clean.csv \
+		2> resume-smoke.tmp/progress.log
+	@last=$$(tr '\r' '\n' < resume-smoke.tmp/progress.log | grep 'runs' | tail -1); \
+	echo "$$last" | grep -Eq '^([1-9][0-9]*)/\1 runs' || { \
+		echo "resume-smoke: -progress did not end on a K/K runs line: '$$last'"; exit 1; }
 	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -store resume-smoke.tmp/store \
 		-faultspec 'drain-after:3' > resume-smoke.tmp/drained.csv; \
 		st=$$?; if [ $$st -ne 4 ]; then \
@@ -116,8 +121,10 @@ resume-smoke:
 # full telemetry surface attached — HTTP endpoint on an ephemeral port,
 # run ledger, sweep trace, result store — scrape /healthz and /metrics
 # while the endpoint lingers, stop the linger with a single SIGINT (must
-# still exit 0), then validate every artifact with zivreport. Uses a
-# built binary, not `go run`, because go run collapses exit codes.
+# still exit 0), then validate every artifact with zivreport: the scraped
+# done counter must be nonzero and equal the ledger's done row, since
+# both count the same lifecycle records. Uses a built binary, not
+# `go run`, because go run collapses exit codes.
 TELEMETRY_SMOKE_FLAGS = -fig fig1 -scale 32 -cores 2 -mixes 2 -homo 0 \
 	-warmup 1000 -refs 4000 -parallel 1 -csv
 
@@ -148,11 +155,14 @@ telemetry-smoke:
 	if [ $$st -ne 0 ]; then \
 		echo "telemetry-smoke: zivsim exited $$st after one interrupt, want 0"; exit 1; fi
 	./telemetry-smoke.tmp/zivreport -checkmetrics telemetry-smoke.tmp/metrics.txt
-	grep -q 'zivsim_sweep_jobs_total{outcome="done"}' telemetry-smoke.tmp/metrics.txt
 	./telemetry-smoke.tmp/zivreport -checktrace telemetry-smoke.tmp/sweep.trace.json
 	./telemetry-smoke.tmp/zivreport -ledger telemetry-smoke.tmp/run.ndjson \
 		> telemetry-smoke.tmp/ledger.md
-	grep -q 'done' telemetry-smoke.tmp/ledger.md
+	@n=$$(sed -n 's/^zivsim_sweep_jobs_total{outcome="done"} \([0-9]*\)$$/\1/p' telemetry-smoke.tmp/metrics.txt); \
+	led=$$(awk -F'|' '$$2 ~ /^ done $$/ {print $$3+0}' telemetry-smoke.tmp/ledger.md); \
+	if [ "$${n:-0}" -lt 1 ] || [ "$$led" != "$$n" ]; then \
+		echo "telemetry-smoke: scraped done counter '$$n', ledger done row '$$led'; want equal and > 0"; \
+		cat telemetry-smoke.tmp/ledger.md; exit 1; fi
 	@echo "telemetry-smoke: metrics, trace and ledger all validate"
 	rm -rf telemetry-smoke.tmp
 
@@ -212,7 +222,9 @@ serve-smoke:
 		echo "serve-smoke: zivsimd exited $$st after SIGTERM, want 0"; exit 1; fi
 	./serve-smoke.tmp/zivreport -checkmetrics serve-smoke.tmp/metrics.txt
 	grep -q 'zivsimd_jobs_total{state="done"} 1' serve-smoke.tmp/metrics.txt
-	grep -q 'zivsim_sweep_jobs_total{outcome="done"}' serve-smoke.tmp/metrics.txt
+	@n=$$(sed -n 's/^zivsim_sweep_jobs_total{outcome="done"} \([0-9]*\)$$/\1/p' serve-smoke.tmp/metrics.txt); \
+	[ "$${n:-0}" -ge 1 ] || { \
+		echo "serve-smoke: zivsim_sweep_jobs_total{outcome=\"done\"} is '$$n', want > 0"; exit 1; }
 	grep -q 'drained cleanly' serve-smoke.tmp/stderr.log
 	@echo "serve-smoke: job API round-trip, metrics and clean drain all validate"
 	rm -rf serve-smoke.tmp

@@ -33,15 +33,15 @@ func ledgerReport(path string, w io.Writer) error {
 
 	byOutcome := map[string]int{}
 	errCounts := map[string]int{}
-	var doneWallUS []int64
+	var doneDurUS []int64
 	var attempts, retries int
 	var totalRefs uint64
-	var totalWallUS int64
+	var totalDurUS int64
 	for _, rec := range recs {
 		byOutcome[rec.Outcome]++
 		if rec.Attempt > 0 {
 			attempts++
-			totalWallUS += rec.WallUS
+			totalDurUS += rec.DurUS
 		}
 		switch rec.Outcome {
 		case telemetry.OutcomeRetry:
@@ -50,7 +50,7 @@ func ledgerReport(path string, w io.Writer) error {
 		case telemetry.OutcomeFailed:
 			errCounts[rec.Err]++
 		case telemetry.OutcomeDone:
-			doneWallUS = append(doneWallUS, rec.WallUS)
+			doneDurUS = append(doneDurUS, rec.DurUS)
 			totalRefs += rec.Refs
 		}
 	}
@@ -71,10 +71,10 @@ func ledgerReport(path string, w io.Writer) error {
 		fmt.Fprintf(w, "- cache-hit rate: %.1f%% (%d of %d served without running)\n",
 			100*float64(adopted)/float64(terminal), adopted, terminal)
 	}
-	if totalRefs > 0 && totalWallUS > 0 {
+	if totalRefs > 0 && totalDurUS > 0 {
 		fmt.Fprintf(w, "- simulated: %d refs in %v busy time (%.2fM refs/s aggregate)\n",
-			totalRefs, (time.Duration(totalWallUS) * time.Microsecond).Round(time.Millisecond),
-			float64(totalRefs)/(float64(totalWallUS)/1e6)/1e6)
+			totalRefs, (time.Duration(totalDurUS) * time.Microsecond).Round(time.Millisecond),
+			float64(totalRefs)/(float64(totalDurUS)/1e6)/1e6)
 	}
 
 	fmt.Fprintf(w, "\n| outcome | jobs |\n|---|---|\n")
@@ -85,13 +85,13 @@ func ledgerReport(path string, w io.Writer) error {
 		fmt.Fprintf(w, "| (retry attempts) | %d |\n", retries)
 	}
 
-	if len(doneWallUS) > 0 {
-		sort.Slice(doneWallUS, func(i, j int) bool { return doneWallUS[i] < doneWallUS[j] })
+	if len(doneDurUS) > 0 {
+		sort.Slice(doneDurUS, func(i, j int) bool { return doneDurUS[i] < doneDurUS[j] })
 		fmt.Fprintf(w, "\n| job wall time | |\n|---|---|\n")
 		for _, p := range []int{50, 90, 99} {
-			fmt.Fprintf(w, "| p%d | %v |\n", p, usString(percentileUS(doneWallUS, p)))
+			fmt.Fprintf(w, "| p%d | %v |\n", p, usString(percentileUS(doneDurUS, p)))
 		}
-		fmt.Fprintf(w, "| max | %v |\n", usString(doneWallUS[len(doneWallUS)-1]))
+		fmt.Fprintf(w, "| max | %v |\n", usString(doneDurUS[len(doneDurUS)-1]))
 	}
 
 	if len(errCounts) > 0 {

@@ -1,7 +1,8 @@
 // Command zivreport converts the text output of `zivsim -fig ...` into
 // GitHub-flavoured markdown tables, for pasting into EXPERIMENTS.md or
-// issue reports, and renders/validates the observability artifacts of
-// `zivsim -obs-*`.
+// issue reports, renders/validates the observability artifacts of
+// `zivsim -obs-interval -obs-out`, summarizes a `zivsim -ledger` run
+// ledger and validates a scraped /metrics exposition.
 //
 //	zivsim -fig all > results.txt
 //	zivreport results.txt > results.md
@@ -58,7 +59,7 @@ func main() {
 		fmt.Printf("checktrace: %d trace(s) ok\n", n)
 	default:
 		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: zivreport [-obs intervals.csv | -checktrace path | results.txt]")
+			fmt.Fprintln(os.Stderr, "usage: zivreport [-obs intervals.csv | -checktrace path | -ledger run.ndjson | -checkmetrics metrics.prom | results.txt]")
 			os.Exit(2)
 		}
 		f, err := os.Open(flag.Arg(0))

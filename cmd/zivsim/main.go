@@ -9,7 +9,7 @@
 //	zivsim -fig fig11 -scale 1 -mixes 36 -homo 36   # paper-fidelity run
 //	zivsim -fig all -store .zivcache   # store results; reruns are instant,
 //	                             # and a rerun resumes an interrupted sweep
-//	zivsim -fig fig1 -obs-interval 5000 -obs-events 4096 -obs-out obsout
+//	zivsim -fig fig1 -obs-interval 5000 -obs-out obsout
 //	                             # per-run Perfetto traces, event dumps, interval CSVs
 //	zivsim -fig all -progress    # live run counter + ETA on stderr
 //	zivsim -fig all -telemetry-addr :9464 -ledger run.ndjson -sweep-trace sweep.trace.json
@@ -82,10 +82,8 @@ func run() int {
 		retries     = flag.Int("retries", 2, "attempts per job before it is recorded as failed")
 		jobDeadline = flag.Duration("job-deadline", 0, "after an interrupt, how long to wait for in-flight jobs (0 = until they finish)")
 		faultspec   = flag.String("faultspec", "", "deterministic fault injection for testing, e.g. 'panic:KEY@1;drain-after:3' (see OPERATIONS.md)")
-		obsIval     = flag.Uint64("obs-interval", 0, "sample machine counters every N simulated cycles (0 = off)")
-		obsEvents   = flag.Int("obs-events", 0, "capture the last N simulator events per run (0 = off)")
+		obsIval     = flag.Uint64("obs-interval", 0, "sample machine counters every N simulated cycles and keep each run's last 4096 simulator events (0 = off)")
 		obsOut      = flag.String("obs-out", "obsout", "directory for observability artifacts (trace/NDJSON/CSV)")
-		obsMaxIv    = flag.Int("obs-max-intervals", 4096, "max sampled intervals per run")
 		progress    = flag.Bool("progress", false, "live run progress on stderr")
 		telAddr     = flag.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address for the duration of the run (empty = off)")
 		telLinger   = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint serving this long after the sweep finishes (interrupt to stop early)")
@@ -130,18 +128,8 @@ func run() int {
 	opt.CacheDir = *storeDir
 	opt.MaxAttempts = *retries
 	opt.FaultSpec = *faultspec
-	if *obsIval > 0 || *obsEvents > 0 {
-		opt.Obs = &harness.ObsOptions{
-			IntervalCycles: *obsIval,
-			MaxIntervals:   *obsMaxIv,
-			EventCapacity:  *obsEvents,
-			OutDir:         *obsOut,
-		}
-	}
-	var prog *harness.Progress
-	if *progress {
-		prog = harness.NewProgress(os.Stderr, time.Now)
-		opt.Progress = prog
+	if *obsIval > 0 {
+		opt.Obs = &harness.ObsOptions{IntervalCycles: *obsIval, OutDir: *obsOut}
 	}
 
 	// Graceful drain: the first SIGINT/SIGTERM stops dispatching and arms
@@ -153,12 +141,13 @@ func run() int {
 	sigwatch.Watch("zivsim: interrupt — draining (in-flight jobs finish; interrupt again to exit now)",
 		*jobDeadline, drain.Expire, drain.Request)
 
-	// Telemetry: metrics registry + HTTP endpoint, per-job spans, run
-	// ledger (see OPERATIONS.md). The server goroutine is spawned and
-	// joined here: its defer runs last (defers are LIFO), so the ledger
-	// is closed and the sweep trace written before the endpoint lingers
-	// and shuts down — a final scrape during -telemetry-linger sees the
-	// finished sweep with all artifacts already on disk.
+	// Telemetry: metrics registry + HTTP endpoint, sweep timeline, run
+	// ledger and progress line, all fed by one sink (see OPERATIONS.md).
+	// The server goroutine is spawned and joined here: its defer runs
+	// last (defers are LIFO), so the ledger is closed and the sweep trace
+	// written before the endpoint lingers and shuts down — a final
+	// scrape during -telemetry-linger sees the finished sweep with all
+	// artifacts already on disk.
 	var telReg *telemetry.Registry
 	if *telAddr != "" {
 		telReg = telemetry.NewRegistry()
@@ -188,10 +177,23 @@ func run() int {
 			<-served
 		}()
 	}
-	if telReg != nil || *ledgerPath != "" || *sweepTrace != "" {
-		var telSpans *telemetry.SpanRecorder
+	if telReg != nil || *ledgerPath != "" || *sweepTrace != "" || *progress {
+		out := telemetry.Outputs{Registry: telReg, Timeline: *sweepTrace != ""}
+		if *ledgerPath != "" {
+			led, err := telemetry.CreateLedger(*ledgerPath, opt.IdentityHash())
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "zivsim: -ledger: %v\n", err)
+				return exitError
+			}
+			defer led.Close()
+			out.Ledger = led
+		}
+		if *progress {
+			out.Progress = os.Stderr
+		}
+		sink := telemetry.NewSink(time.Now, out)
+		opt.Telemetry = sink
 		if *sweepTrace != "" {
-			telSpans = telemetry.NewSpanRecorder(time.Now)
 			path, label := *sweepTrace, "zivsim -fig "+*figID
 			defer func() {
 				f, err := os.Create(path)
@@ -200,22 +202,11 @@ func run() int {
 					return
 				}
 				defer f.Close()
-				if err := telSpans.WriteSweepTrace(f, label); err != nil {
+				if err := sink.WriteSweepTrace(f, label); err != nil {
 					fmt.Fprintf(os.Stderr, "zivsim: -sweep-trace: %v\n", err)
 				}
 			}()
 		}
-		var telLedger *telemetry.Ledger
-		if *ledgerPath != "" {
-			var err error
-			telLedger, err = telemetry.CreateLedger(*ledgerPath, opt.IdentityHash())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "zivsim: -ledger: %v\n", err)
-				return exitError
-			}
-			defer telLedger.Close()
-		}
-		opt.Telemetry = telemetry.NewSink(time.Now, telReg, telSpans, telLedger)
 	}
 
 	if _, err := harness.ResolveFigs([]string{*figID}); err != nil {
@@ -227,9 +218,7 @@ func run() int {
 	// front end only streams each finished figure to the terminal.
 	start := time.Now()
 	onFigure := func(fr harness.FigureResult) {
-		if prog != nil {
-			prog.Finish()
-		}
+		opt.Telemetry.Finish()
 		if fr.Err != "" {
 			fmt.Fprintf(os.Stderr, "zivsim: experiment %s panicked: %v\n", fr.ID, fr.Err)
 			start = time.Now()

@@ -64,10 +64,6 @@ type Options struct {
 	// that), so it is excluded from cache keys — but artifact production
 	// needs real runs, so obs runs bypass the result-store read path.
 	Obs *ObsOptions `json:"-"`
-	// Progress, when non-nil, receives live run progress. It reports in
-	// the wall-clock domain and writes only to its configured sink
-	// (stderr), never into results.
-	Progress *Progress `json:"-"`
 	// MaxAttempts bounds how many times a panicking job is attempted
 	// before it is recorded as failed; 0 and 1 both mean a single attempt.
 	// Retries are immediate re-executions of the same pure simulation —
@@ -85,11 +81,12 @@ type Options struct {
 	// drain expires), and every undispatched job is marked skipped. The
 	// CLI wires SIGINT/SIGTERM to it. Excluded from cache keys.
 	Drain *Drain `json:"-"`
-	// Telemetry, when non-nil, receives the sweep's job lifecycle:
-	// metrics, per-job spans and the run ledger (see internal/telemetry).
-	// Like Progress it lives in the wall-clock domain and writes only to
-	// its own outputs, never into results — the telemetry invariance test
-	// pins that — so it is excluded from cache keys.
+	// Telemetry, when non-nil, receives the sweep's job lifecycle, one
+	// record per step, and feeds its outputs: metrics, the sweep
+	// timeline, the run ledger, the progress line and an observer (see
+	// internal/telemetry). It lives in the wall-clock domain and writes
+	// only to its own outputs, never into results — the telemetry
+	// invariance test pins that — so it is excluded from cache keys.
 	Telemetry *telemetry.Sink `json:"-"`
 }
 
@@ -245,7 +242,6 @@ func (o Options) normalized() Options {
 	o.Parallelism = 0
 	o.CacheDir = ""
 	o.Obs = nil
-	o.Progress = nil
 	o.MaxAttempts = 0
 	o.FaultSpec = ""
 	o.Drain = nil
@@ -329,15 +325,8 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		r.markSkipped(todo)
 		return
 	}
-	if p := r.opt.Progress; p != nil {
-		for _, j := range todo {
-			p.AddJob(j.cost())
-		}
-	}
-	if t := r.opt.Telemetry; t != nil {
-		for _, j := range todo {
-			t.JobQueued(r.key(j.cfgLabel, j.mix.Name))
-		}
+	for _, j := range todo {
+		r.report(j, telemetry.SimQueued, 0, "", 0, "")
 	}
 	// Store adoption. Observability artifacts come from real runs, so
 	// obs runs skip the read path (stores still happen: results stay
@@ -411,7 +400,6 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 // bounded immediate retry around recovered panics.
 func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 	k := r.key(j.cfgLabel, j.mix.Name)
-	tel := r.opt.Telemetry
 	attempts := r.opt.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
@@ -419,10 +407,10 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 	refs := uint64(j.cfg.Cores) * uint64(r.opt.Warmup+r.opt.Measure)
 	var last FailedJob
 	for a := 1; a <= attempts; a++ {
-		tel.AttemptStart(k, a)
+		r.report(j, telemetry.SimAttemptStart, a, "", 0, "")
 		res, o, failure := r.attemptJob(j, baseL2, plan, a)
 		if failure == nil {
-			tel.AttemptEnd(k, j.dk, j.cfgLabel, j.mix.Name, a, telemetry.OutcomeDone, refs, "")
+			r.report(j, telemetry.SimAttemptEnd, a, telemetry.OutcomeDone, refs, "")
 			r.mu.Lock()
 			r.results[k] = res
 			delete(r.failed, k)
@@ -437,9 +425,6 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 			if o != nil {
 				r.exportObs(j, o)
 			}
-			if p := r.opt.Progress; p != nil {
-				p.JobDone(j.cost(), refs, false)
-			}
 			if plan != nil && plan.drainAfter > 0 && n == plan.drainAfter && r.opt.Drain != nil {
 				r.opt.Drain.Request()
 			}
@@ -450,7 +435,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 		if a == attempts {
 			outcome = telemetry.OutcomeFailed
 		}
-		tel.AttemptEnd(k, j.dk, j.cfgLabel, j.mix.Name, a, outcome, 0, failure.Err)
+		r.report(j, telemetry.SimAttemptEnd, a, outcome, 0, failure.Err)
 	}
 	last.Attempts = attempts
 	r.mu.Lock()
@@ -458,9 +443,6 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 	r.placeholders[k] = placeholderResult(j)
 	r.mu.Unlock()
 	r.noteObsOutcome(j, "failed", nil)
-	if p := r.opt.Progress; p != nil {
-		p.JobFailed(j.cost())
-	}
 }
 
 // attemptJob performs one recovered attempt of a job. A panic — the
@@ -486,16 +468,16 @@ func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (re
 	if oo := r.opt.Obs; oo != nil {
 		o = obs.New(j.cfg.Cores, j.cfg.LLCBanks, obs.Config{
 			IntervalCycles: oo.IntervalCycles,
-			MaxIntervals:   oo.MaxIntervals,
-			EventCapacity:  oo.EventCapacity,
+			MaxIntervals:   obsMaxIntervals,
+			EventCapacity:  obsEvents,
 		})
 	}
 	res = runOne(j.cfg, gens, r.opt.Warmup, r.opt.Measure, o)
 	return res, o, nil
 }
 
-// adopt installs a store-served Result and advances the hit counter,
-// the progress line and the telemetry sink.
+// adopt installs a store-served Result, advances the hit counter and
+// reports the adoption.
 func (r *runner) adopt(j job, res Result) {
 	k := r.key(j.cfgLabel, j.mix.Name)
 	r.mu.Lock()
@@ -505,18 +487,26 @@ func (r *runner) adopt(j job, res Result) {
 	delete(r.placeholders, k)
 	r.cacheHits++
 	r.mu.Unlock()
-	if p := r.opt.Progress; p != nil {
-		p.JobDone(j.cost(), 0, true)
+	r.report(j, telemetry.SimAdopted, 0, telemetry.OutcomeCacheHit, 0, "")
+}
+
+// report hands one lifecycle step of job j to the telemetry sink as a
+// record.
+func (r *runner) report(j job, typ string, attempt int, outcome string, refs uint64, errMsg string) {
+	if r.opt.Telemetry == nil {
+		return
 	}
-	r.opt.Telemetry.JobAdopted(k, j.dk, j.cfgLabel, j.mix.Name)
+	r.opt.Telemetry.Report(telemetry.Record{Type: typ, Sim: r.key(j.cfgLabel, j.mix.Name),
+		Key: j.dk, Cfg: j.cfgLabel, Mix: j.mix.Name, Attempt: attempt, Outcome: outcome,
+		Refs: refs, Err: errMsg})
 }
 
 // markSkipped records every job of the slice that has neither completed
 // nor failed as skipped by the drain, with a placeholder result so table
-// rendering stays total. The telemetry sink is notified outside the
-// critical section (it takes its own locks).
+// rendering stays total. The skips are reported outside the critical
+// section (the telemetry sink takes its own locks).
 func (r *runner) markSkipped(jobs []job) {
-	var telSkipped []job
+	var skipped []job
 	r.mu.Lock()
 	for _, j := range jobs {
 		k := r.key(j.cfgLabel, j.mix.Name)
@@ -529,13 +519,11 @@ func (r *runner) markSkipped(jobs []job) {
 		r.skipped[k] = true
 		r.placeholders[k] = placeholderResult(j)
 		r.noteObsOutcomeLocked(j, "skipped", nil)
-		telSkipped = append(telSkipped, j)
+		skipped = append(skipped, j)
 	}
 	r.mu.Unlock()
-	if t := r.opt.Telemetry; t != nil {
-		for _, j := range telSkipped {
-			t.JobSkipped(r.key(j.cfgLabel, j.mix.Name), j.dk, j.cfgLabel, j.mix.Name)
-		}
+	for _, j := range skipped {
+		r.report(j, telemetry.SimSkipped, 0, telemetry.OutcomeSkipped, 0, "")
 	}
 }
 

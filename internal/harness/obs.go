@@ -10,17 +10,18 @@ import (
 	"zivsim/internal/obs"
 )
 
+// Every instrumented job keeps at most obsMaxIntervals sampled
+// intervals and the last obsEvents simulator events.
+const (
+	obsMaxIntervals = 4096
+	obsEvents       = 4096
+)
+
 // ObsOptions configures per-job observability artifacts.
 type ObsOptions struct {
 	// IntervalCycles is the sampling period in simulated cycles; 0 disables
 	// the interval sampler (and the intervals CSV).
 	IntervalCycles uint64
-	// MaxIntervals caps the preallocated sample buffers (0 = the obs
-	// package default).
-	MaxIntervals int
-	// EventCapacity sizes the event ring buffer; 0 disables event capture
-	// (and the trace/NDJSON artifacts).
-	EventCapacity int
 	// OutDir receives one artifact set per (config, mix) job:
 	// <label>.trace.json, <label>.events.ndjson, <label>.intervals.csv.
 	OutDir string

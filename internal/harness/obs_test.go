@@ -1,13 +1,11 @@
 package harness
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 // obsOptions is a tiny configuration for observability tests.
@@ -40,7 +38,7 @@ func TestObsInvariance(t *testing.T) {
 
 	ResetMemo()
 	on := obsOptions()
-	on.Obs = &ObsOptions{IntervalCycles: 2_000, EventCapacity: 1 << 12}
+	on.Obs = &ObsOptions{IntervalCycles: 2_000}
 	got := e.Run(on).Format()
 
 	ResetMemo()
@@ -55,11 +53,7 @@ func TestObsInvariance(t *testing.T) {
 func TestObsArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	opt := obsOptions()
-	opt.Obs = &ObsOptions{
-		IntervalCycles: 1_000,
-		EventCapacity:  1 << 12,
-		OutDir:         dir,
-	}
+	opt.Obs = &ObsOptions{IntervalCycles: 1_000, OutDir: dir}
 	e, ok := ByID("fig1")
 	if !ok {
 		t.Fatal("fig1 not registered")
@@ -113,49 +107,5 @@ func TestArtifactStem(t *testing.T) {
 	}
 	if got != "I-LRU_s_8-hetero_0" {
 		t.Fatalf("stem = %q", got)
-	}
-}
-
-// TestProgressReporter drives the reporter with a fake clock and checks
-// the rendered line and its throttling.
-func TestProgressReporter(t *testing.T) {
-	var buf bytes.Buffer
-	clock := time.Unix(1000, 0)
-	p := NewProgress(&buf, func() time.Time { return clock })
-
-	for i := 0; i < 3; i++ {
-		p.AddJob(8)
-	}
-	clock = clock.Add(2 * time.Second)
-	p.JobDone(8, 80_000, false)
-	out := buf.String()
-	if !strings.Contains(out, "1/3 runs") {
-		t.Fatalf("first render = %q", out)
-	}
-	if !strings.Contains(out, "0.04M refs/s") {
-		t.Fatalf("rate missing from %q", out)
-	}
-	if !strings.Contains(out, "ETA 4s") {
-		t.Fatalf("eta missing from %q", out)
-	}
-
-	// Within the throttle window nothing new is printed.
-	n := buf.Len()
-	clock = clock.Add(50 * time.Millisecond)
-	p.JobDone(8, 0, true)
-	if buf.Len() != n {
-		t.Fatalf("throttled render still wrote output: %q", buf.String()[n:])
-	}
-
-	// The final job always renders, and Finish terminates the line.
-	clock = clock.Add(time.Second)
-	p.JobDone(8, 80_000, false)
-	p.Finish()
-	out = buf.String()
-	if !strings.Contains(out, "3/3 runs") || !strings.Contains(out, "1 cached") {
-		t.Fatalf("final render = %q", out)
-	}
-	if !strings.HasSuffix(out, "\n") {
-		t.Fatalf("Finish did not terminate the line: %q", out)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"zivsim/internal/telemetry"
 )
 
 // The resilience suite proves the recovery guarantees end to end: a
@@ -280,7 +282,7 @@ func TestParallelFaultedSweep(t *testing.T) {
 	o.FaultSpec = "panic:" + faultedJob + "@1"
 	o.MaxAttempts = 2
 	o.CacheDir = t.TempDir()
-	o.Progress = NewProgress(&buf, func() time.Time { return time.Unix(1000, 0) })
+	o.Telemetry = telemetry.NewSink(func() time.Time { return time.Unix(1000, 0) }, telemetry.Outputs{Progress: &buf})
 	ResetMemo()
 	got := fig1Table(t, o)
 

@@ -16,7 +16,7 @@ import (
 
 // telClock is an injected wall clock advancing 1ms per reading, so
 // every telemetry timestamp and duration is deterministic and nonzero.
-// Atomic: the sink and recorder read it from worker goroutines.
+// Atomic: the sink reads it from worker goroutines.
 func telClock() func() time.Time {
 	var ticks atomic.Int64
 	return func() time.Time {
@@ -25,23 +25,22 @@ func telClock() func() time.Time {
 	}
 }
 
-// fullSink builds a sink with every output attached, returning the
-// registry, recorder and ledger path for inspection.
-func fullSink(t *testing.T, dir string, opt Options) (*telemetry.Sink, *telemetry.Registry, *telemetry.SpanRecorder, string) {
+// fullSink builds a sink with every file and metrics output attached,
+// returning the registry and ledger path for inspection.
+func fullSink(t *testing.T, dir string, opt Options) (*telemetry.Sink, *telemetry.Registry, string) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
-	spans := telemetry.NewSpanRecorder(telClock())
 	path := filepath.Join(dir, "run.ndjson")
 	led, err := telemetry.CreateLedger(path, opt.IdentityHash())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { led.Close() })
-	return telemetry.NewSink(telClock(), reg, spans, led), reg, spans, path
+	return telemetry.NewSink(telClock(), telemetry.Outputs{Registry: reg, Ledger: led, Timeline: true}), reg, path
 }
 
 // TestTelemetryInvariance proves attaching the full telemetry layer —
-// registry, spans, ledger — does not change a single simulated
+// registry, timeline, ledger — does not change a single simulated
 // decision, even while the sweep retries an injected fault: the figure
 // renders byte-identically with telemetry off and on.
 func TestTelemetryInvariance(t *testing.T) {
@@ -57,7 +56,7 @@ func TestTelemetryInvariance(t *testing.T) {
 	on := obsOptions()
 	on.MaxAttempts = 2
 	on.FaultSpec = "panic:" + faultedJob + "@1"
-	sink, _, _, _ := fullSink(t, t.TempDir(), on)
+	sink, _, _ := fullSink(t, t.TempDir(), on)
 	on.Telemetry = sink
 	got := e.Run(on).Format()
 
@@ -100,7 +99,7 @@ func TestTelemetrySweepLedger(t *testing.T) {
 	opt.MaxAttempts = 2
 	opt.FaultSpec = "panic:" + faultedJob + "@1"
 	opt.CacheDir = filepath.Join(dir, "store")
-	sink, reg, spans, ledgerPath := fullSink(t, dir, opt)
+	sink, reg, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
 	e.Run(opt)
 	st := Status(opt)
@@ -125,8 +124,8 @@ func TestTelemetrySweepLedger(t *testing.T) {
 				t.Fatalf("ledger recorded key %s done twice", rec.Key)
 			}
 			doneKeys[rec.Key] = true
-			if rec.WallUS <= 0 || rec.Refs == 0 {
-				t.Fatalf("done record missing wall/refs: %+v", rec)
+			if rec.DurUS <= 0 || rec.Refs == 0 {
+				t.Fatalf("done record missing duration/refs: %+v", rec)
 			}
 		case telemetry.OutcomeRetry:
 			retries++
@@ -174,7 +173,7 @@ func TestTelemetrySweepLedger(t *testing.T) {
 
 	// Spans: the sweep trace is a valid timeline with one retry span.
 	var trace strings.Builder
-	if err := spans.WriteSweepTrace(&trace, "test"); err != nil {
+	if err := sink.WriteSweepTrace(&trace, "test"); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -213,7 +212,7 @@ func TestTelemetrySweepDrain(t *testing.T) {
 	opt := obsOptions()
 	opt.FaultSpec = "drain-after:2"
 	opt.Drain = NewDrain()
-	sink, _, _, ledgerPath := fullSink(t, dir, opt)
+	sink, _, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
 	e.Run(opt)
 	st := Status(opt)

@@ -10,6 +10,8 @@ package server
 import (
 	"context"
 	"sync"
+
+	"zivsim/internal/telemetry"
 )
 
 // Event is one entry in a job's progress feed, streamed as one NDJSON
@@ -20,34 +22,21 @@ type Event struct {
 	Seq int `json:"seq"`
 	// WallUS is the server wall-clock time of the event, µs since epoch.
 	WallUS int64 `json:"wall_us"`
-	// Type is the event kind: submitted, started, figure, done, failed,
-	// canceled, or a simulation-lifecycle step prefixed "sim-"
-	// (sim-queued, sim-attempt-start, sim-attempt-end, sim-adopted,
-	// sim-skipped).
-	Type string `json:"type"`
+	// Record carries the event's type — submitted, started, figure,
+	// done, failed, canceled, or a simulation-lifecycle step (sim-queued,
+	// sim-attempt-start, sim-attempt-end, sim-adopted, sim-skipped) — and
+	// err when the event has a message. A sim-* event is the telemetry
+	// sink's record verbatim, so its line is a run-ledger line plus seq
+	// and wall_us. The record's fields are flattened into the line.
+	telemetry.Record
 	// Fig is the experiment ID, on figure events.
 	Fig string `json:"fig,omitempty"`
-	// Sim is the in-sweep simulation key ("cfgLabel|mix"), on sim-*
-	// events.
-	Sim string `json:"sim,omitempty"`
-	// Key is the simulation's content-addressed result-store identity,
-	// when the step computed it.
-	Key string `json:"key,omitempty"`
-	// Attempt is the 1-based attempt number, on sim attempt events.
-	Attempt int `json:"attempt,omitempty"`
-	// Outcome is the attempt or adoption outcome (done, retry, failed,
-	// cache-hit, skipped).
-	Outcome string `json:"outcome,omitempty"`
-	// Refs is the number of memory references the attempt simulated.
-	Refs uint64 `json:"refs,omitempty"`
 	// State is the job's final state, on terminal events.
 	State string `json:"state,omitempty"`
-	// Err carries the failure message, when the step has one.
-	Err string `json:"err,omitempty"`
 }
 
-// Job-level event types (sim-* types are derived from the telemetry
-// sink's event names; see Event.Type).
+// Job-level event types (the sim-* types are telemetry's Sim*
+// constants).
 const (
 	// EventSubmitted is the feed's first event, appended at admission.
 	EventSubmitted = "submitted"

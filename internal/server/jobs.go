@@ -351,7 +351,7 @@ func (s *Server) submit(client string, sub Submission) (JobStatus, submitOutcome
 	pos := len(s.queues[client])
 	s.mu.Unlock()
 
-	j.events.append(Event{WallUS: j.SubmittedUS, Type: EventSubmitted})
+	j.events.append(Event{WallUS: j.SubmittedUS, Record: telemetry.Record{Type: EventSubmitted}})
 	s.mSubmitted.Inc()
 	s.mPending.Add(1)
 	s.notifyWork()
@@ -470,20 +470,16 @@ func (s *Server) execute(j *Job) {
 	j.state = StateRunning
 	j.startedUS = s.nowUS()
 	j.mu.Unlock()
-	j.events.append(Event{WallUS: s.nowUS(), Type: EventStarted})
+	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: EventStarted}})
 
 	opt := j.opt
 	opt.MaxAttempts = s.cfg.Retries
 	opt.Drain = j.drain
 	opt.CacheDir = s.cacheDir
-	sink := telemetry.NewSink(s.cfg.Now, s.reg, nil, nil)
-	sink.SetObserver(func(ev telemetry.Event) {
-		j.events.append(Event{
-			WallUS: s.nowUS(), Type: "sim-" + ev.Type, Sim: ev.Track, Key: ev.Key,
-			Attempt: ev.Attempt, Outcome: ev.Outcome, Refs: ev.Refs, Err: ev.Err,
-		})
+	opt.Telemetry = telemetry.NewSink(s.cfg.Now, telemetry.Outputs{
+		Registry: s.reg,
+		Observer: func(rec telemetry.Record) { j.events.append(Event{WallUS: s.nowUS(), Record: rec}) },
 	})
-	opt.Telemetry = sink
 
 	rep, err := harness.RunSweep(harness.Request{
 		Figs:    j.Figs,
@@ -493,7 +489,7 @@ func (s *Server) execute(j *Job) {
 			j.mu.Lock()
 			j.figures = append(j.figures, p)
 			j.mu.Unlock()
-			j.events.append(Event{WallUS: s.nowUS(), Type: EventFigure, Fig: fr.ID, Err: fr.Err})
+			j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: EventFigure, Err: fr.Err}, Fig: fr.ID})
 		},
 	})
 
@@ -527,7 +523,7 @@ func (s *Server) execute(j *Job) {
 
 // terminalEvent appends the job's final event and closes the feed.
 func (s *Server) terminalEvent(j *Job, state JobState, msg string) {
-	j.events.append(Event{WallUS: s.nowUS(), Type: string(state), State: string(state), Err: msg})
+	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: string(state), Err: msg}, State: string(state)})
 	j.events.closeLog()
 }
 
@@ -749,7 +745,7 @@ func (s *Server) loadPersisted(id string) *Job {
 		figures:     p.Job.Figures,
 		status:      p.Job.Status,
 	}
-	j.events.append(Event{WallUS: p.Job.EndedUS, Type: string(StateDone), State: string(StateDone)})
+	j.events.append(Event{WallUS: p.Job.EndedUS, Record: telemetry.Record{Type: string(StateDone)}, State: string(StateDone)})
 	j.events.closeLog()
 	return j
 }

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"zivsim/internal/harness"
+	"zivsim/internal/telemetry"
 )
 
 // fakeClock is an injected, strictly monotonic wall clock so job and
@@ -251,6 +252,7 @@ func TestEventsStream(t *testing.T) {
 		t.Fatalf("events content type = %q", ct)
 	}
 	var events []Event
+	var attemptEnd []byte
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -259,6 +261,9 @@ func TestEventsStream(t *testing.T) {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
 		events = append(events, ev)
+		if ev.Type == telemetry.SimAttemptEnd && attemptEnd == nil {
+			attemptEnd = append([]byte(nil), sc.Bytes()...)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatalf("stream read: %v", err)
@@ -285,6 +290,15 @@ func TestEventsStream(t *testing.T) {
 	}
 	if !sawFigure || !sawSim {
 		t.Fatalf("feed missing figure (%v) or sim (%v) events", sawFigure, sawSim)
+	}
+	// A sim-* line is a telemetry record: it decodes as one, carrying
+	// the job's identity and the attempt's timing.
+	var rec telemetry.Record
+	if err := json.Unmarshal(attemptEnd, &rec); err != nil {
+		t.Fatalf("sim-attempt-end line %q: %v", attemptEnd, err)
+	}
+	if rec.Key == "" || rec.Cfg == "" || rec.Mix == "" || rec.DurUS <= 0 || rec.Refs == 0 {
+		t.Fatalf("sim-attempt-end record missing key/cfg/mix/duration/refs: %s", attemptEnd)
 	}
 
 	// Resume from the tail: only the last event comes back.

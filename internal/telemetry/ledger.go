@@ -1,9 +1,9 @@
 // The run ledger. A ledger file is an append-only NDJSON journal of a
-// sweep's job-level history — one record per job attempt, adoption or
-// skip: a header line naming the format version and the options
-// identity, then one JSON line per record, each appended with a single
-// write so a crash can tear at most the final line, which ReadLedger
-// drops. Results themselves live in the harness result store; the ledger
+// sweep's job-level history — one lifecycle Record per job attempt end,
+// adoption or skip: a header line naming the format version and the
+// options identity, then one JSON line per record, each appended with a
+// single write so a crash can tear at most the final line, which
+// ReadLedger drops. Results themselves live in the harness result store; the ledger
 // stores provenance for reporting: `zivreport -ledger` turns it into
 // wall-time percentiles, cache-hit rates and retry/fault breakdowns.
 package telemetry
@@ -17,9 +17,11 @@ import (
 )
 
 // LedgerVersion stamps the ledger header; bump it when the record
-// schema changes incompatibly. v2 dropped the checkpoint-hit outcome,
-// so a v1 ledger is rejected rather than miscounted.
-const LedgerVersion = "zivsim-ledger-v2"
+// schema changes incompatibly. v3 lines are lifecycle Records, whose
+// attempt duration is dur_us (v2 called it wall_us); v2 dropped the
+// checkpoint-hit outcome. A ledger of any other version is rejected
+// rather than miscounted.
+const LedgerVersion = "zivsim-ledger-v3"
 
 // LedgerHeader is the first line of a ledger file.
 type LedgerHeader struct {
@@ -29,32 +31,6 @@ type LedgerHeader struct {
 	// (harness Options.IdentityHash; empty if the producer did not
 	// supply one).
 	Options string `json:"options,omitempty"`
-}
-
-// Record is one ledger line: a job attempt, adoption, or skip.
-type Record struct {
-	// Key is the job's content-addressed identity — the same SHA-256
-	// key that names its result-store entry.
-	Key string `json:"key"`
-	// Cfg is the configuration label of the job.
-	Cfg string `json:"cfg"`
-	// Mix is the workload mix name of the job.
-	Mix string `json:"mix"`
-	// Attempt is the 1-based attempt number; 0 for records that did not
-	// run (adoptions and skips).
-	Attempt int `json:"attempt"`
-	// Outcome classifies the record: done, retry, failed, cache-hit, or
-	// skipped.
-	Outcome string `json:"outcome"`
-	// WallUS is the attempt's wall time in microseconds (0 when nothing
-	// ran).
-	WallUS int64 `json:"wall_us"`
-	// Refs is the number of memory references the attempt simulated.
-	Refs uint64 `json:"refs"`
-	// RefsPerSec is the attempt's simulation rate (0 when nothing ran).
-	RefsPerSec float64 `json:"refs_per_sec"`
-	// Err carries the recovered panic message for retry/failed records.
-	Err string `json:"err,omitempty"`
 }
 
 // Ledger is an open, append-only run ledger. Writes are best-effort:

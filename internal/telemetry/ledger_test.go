@@ -16,9 +16,9 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 1, Outcome: OutcomeRetry, WallUS: 1500, Err: "boom"},
-		{Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 2, Outcome: OutcomeDone, WallUS: 2500, Refs: 10000, RefsPerSec: 4e6},
-		{Key: "k2", Cfg: "ZIV", Mix: "hetero/1", Outcome: OutcomeCacheHit},
+		{Type: SimAttemptEnd, Sim: "I-LRU|hetero/0", Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 1, Outcome: OutcomeRetry, DurUS: 1500, Err: "boom"},
+		{Type: SimAttemptEnd, Sim: "I-LRU|hetero/0", Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 2, Outcome: OutcomeDone, DurUS: 2500, Refs: 10000, RefsPerSec: 4e6},
+		{Type: SimAdopted, Sim: "ZIV|hetero/1", Key: "k2", Cfg: "ZIV", Mix: "hetero/1", Outcome: OutcomeCacheHit},
 	}
 	for _, rec := range recs {
 		l.WriteRecord(rec)
@@ -103,5 +103,14 @@ func TestLedgerHeaderRequired(t *testing.T) {
 	}
 	if _, _, err := ReadLedger(path); err == nil {
 		t.Fatal("ReadLedger accepted a v1 ledger")
+	}
+	// A v2 ledger times attempts in wall_us, which v3 calls dur_us: it
+	// must be rejected, not read with every duration zero.
+	v2 := `{"version":"zivsim-ledger-v2"}` + "\n" + `{"key":"k1","outcome":"done","wall_us":1500}` + "\n"
+	if err := os.WriteFile(path, []byte(v2), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadLedger(path); err == nil {
+		t.Fatal("ReadLedger accepted a v2 ledger")
 	}
 }

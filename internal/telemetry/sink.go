@@ -1,18 +1,24 @@
-// The harness-facing sink. A Sink bundles the three telemetry outputs —
-// metrics registry, span recorder, run ledger — behind the small set of
-// lifecycle calls the runner makes (queued, attempt start/end, adoption,
-// skip). Every output is optional and every method is nil-receiver
-// safe, so the runner instruments unconditionally and the
-// zero-configuration path stays free. Like Progress, a Sink lives in the
-// wall-clock domain with an injected clock and writes only to its own
-// outputs, never into simulation results; Options.Telemetry is excluded
-// from cache keys for exactly that reason.
+// The harness-facing sink. The runner reports each job-lifecycle step —
+// queued, attempt start, attempt end, adopted, skipped — once, as a
+// Record, through Sink.Report, and the sink hands that same value to
+// every configured output: the metrics registry, the sweep timeline,
+// the run ledger, the live progress line and an observer (zivsimd's
+// event feed). Every output is optional and a nil *Sink is inert, so
+// the runner reports unconditionally. A Sink lives in the wall-clock
+// domain with an injected clock and writes only to its own outputs,
+// never into simulation results; Options.Telemetry is excluded from
+// cache keys for exactly that reason.
 package telemetry
 
 import (
+	"fmt"
+	"io"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
+
+	"zivsim/internal/obs"
 )
 
 // jobWallBuckets are the upper bounds (seconds) of the per-job
@@ -20,72 +26,59 @@ import (
 // multi-minute paper-fidelity runs.
 var jobWallBuckets = []float64{0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 300}
 
-// Event is one job-lifecycle notification delivered to a Sink observer.
-// It is the streaming twin of a ledger Record: zivsimd forwards these to
-// the per-job NDJSON event feed (GET /v1/jobs/{id}/events).
-type Event struct {
-	// Type is the lifecycle step, one of the Event* constants.
-	Type string
-	// Track is the in-sweep job key ("cfgLabel|mix").
-	Track string
-	// Key is the job's content-addressed result-store identity (empty on
-	// steps that don't compute it).
-	Key string
-	// Cfg is the job's machine-configuration label.
-	Cfg string
-	// Mix is the job's workload-mix name.
-	Mix string
-	// Attempt is the 1-based attempt number (attempt events only).
-	Attempt int
-	// Outcome is the attempt or adoption outcome (Outcome* constants).
-	Outcome string
-	// Refs is the number of references the attempt simulated.
-	Refs uint64
-	// Err is the recovered panic message for retry/failed outcomes.
-	Err string
+// Record is one job-lifecycle step. The runner fills in what it knows
+// and the sink adds DurUS and RefsPerSec on an attempt end. The records
+// that carry an Outcome are the run ledger's lines; zivsimd streams
+// every record as a sim-* line of the job's event feed.
+type Record struct {
+	// Type is the step, one of the Sim* constants. zivsimd's job-level
+	// feed events reuse it for their own types.
+	Type string `json:"type"`
+	// Sim is the job's in-sweep key ("cfgLabel|mix"), one timeline
+	// track.
+	Sim string `json:"sim,omitempty"`
+	// Key is the job's content-addressed identity — the same SHA-256
+	// key that names its result-store entry.
+	Key string `json:"key,omitempty"`
+	// Cfg is the configuration label of the job.
+	Cfg string `json:"cfg,omitempty"`
+	// Mix is the workload mix name of the job.
+	Mix string `json:"mix,omitempty"`
+	// Attempt is the 1-based attempt number, on attempt steps.
+	Attempt int `json:"attempt,omitempty"`
+	// Outcome classifies a step that finishes something: done, retry or
+	// failed on an attempt end, cache-hit on an adoption, skipped on a
+	// skip.
+	Outcome string `json:"outcome,omitempty"`
+	// DurUS is the attempt's wall time in microseconds, on attempt ends.
+	DurUS int64 `json:"dur_us,omitempty"`
+	// Refs is the number of memory references the attempt simulated.
+	Refs uint64 `json:"refs,omitempty"`
+	// RefsPerSec is the attempt's simulation rate, on attempt ends.
+	RefsPerSec float64 `json:"refs_per_sec,omitempty"`
+	// Err carries the recovered panic message on retry/failed attempt
+	// ends.
+	Err string `json:"err,omitempty"`
 }
 
-// Event types as delivered to a Sink observer.
+// Lifecycle step types, as they appear in Record.Type.
 const (
-	// EventQueued marks a deduplicated job entering the scheduler.
-	EventQueued = "queued"
-	// EventAttemptStart marks one simulation attempt beginning.
-	EventAttemptStart = "attempt-start"
-	// EventAttemptEnd marks one simulation attempt ending; Outcome is
+	// SimQueued marks a deduplicated job entering the scheduler.
+	SimQueued = "sim-queued"
+	// SimAttemptStart marks one simulation attempt beginning.
+	SimAttemptStart = "sim-attempt-start"
+	// SimAttemptEnd marks one simulation attempt ending; Outcome is
 	// done, retry or failed.
-	EventAttemptEnd = "attempt-end"
-	// EventAdopted marks a job served from the result store without
+	SimAttemptEnd = "sim-attempt-end"
+	// SimAdopted marks a job served from the result store without
 	// running; Outcome is cache-hit.
-	EventAdopted = "adopted"
-	// EventSkipped marks a job a drain prevented from running.
-	EventSkipped = "skipped"
+	SimAdopted = "sim-adopted"
+	// SimSkipped marks a job a drain prevented from running; Outcome is
+	// skipped.
+	SimSkipped = "sim-skipped"
 )
 
-// Sink receives the runner's job lifecycle and fans it out to the
-// configured outputs. Construct with NewSink; the zero value and the
-// nil pointer are inert.
-type Sink struct {
-	now      func() time.Time
-	spans    *SpanRecorder
-	ledger   *Ledger
-	observer func(Event)
-
-	// Instruments, pre-registered so hot-path increments are pointer
-	// chases, not registry lookups. All nil when no Registry is set.
-	jobsQueued  *Counter
-	outcomes    map[string]*Counter // per terminal outcome, fixed key set
-	attempts    *Counter
-	retries     *Counter
-	refsTotal   *Counter
-	inflight    *Gauge
-	jobWallSecs *Histogram
-
-	mu sync.Mutex
-	//ziv:guards(mu)
-	starts map[string]time.Time // per-track current attempt start
-}
-
-// Terminal job outcomes as they appear in ledger records and in the
+// Outcomes as they appear in Record.Outcome and in the
 // zivsim_sweep_jobs_total outcome label.
 const (
 	OutcomeDone     = "done"
@@ -102,189 +95,306 @@ var terminalOutcomes = []string{
 	OutcomeDone, OutcomeFailed, OutcomeCacheHit, OutcomeSkipped,
 }
 
+// Outputs selects what a Sink feeds; every output is optional.
+type Outputs struct {
+	// Registry receives the sweep metrics. With nil the sink counts
+	// into a private registry nobody reads.
+	Registry *Registry
+	// Ledger receives every record that carries an Outcome.
+	Ledger *Ledger
+	// Timeline records one phase track per job for WriteSweepTrace.
+	Timeline bool
+	// Progress receives the live progress line (stderr in the CLI).
+	Progress io.Writer
+	// Observer receives every record, after the other outputs. The
+	// runner reports from its worker goroutines, so it must be safe for
+	// concurrent use.
+	Observer func(Record)
+}
+
+// phase is a job's timeline phase in progress (queued, running or
+// retry N) and the time it began.
+type phase struct {
+	name  string
+	start time.Time
+}
+
+// Sink receives the runner's lifecycle records and fans them out to its
+// Outputs. Construct with NewSink; the nil pointer is inert. Safe for
+// concurrent use by the runner's worker pool.
+type Sink struct {
+	now func() time.Time
+	out Outputs
+
+	// Instruments, pre-registered so hot-path increments are pointer
+	// chases, not registry lookups.
+	jobsQueued  *Counter
+	outcomes    map[string]*Counter // per terminal outcome, fixed key set
+	attempts    *Counter
+	retries     *Counter
+	refsTotal   *Counter
+	inflight    *Gauge
+	jobWallSecs *Histogram
+
+	mu sync.Mutex
+	// epoch is the first clock reading: timeline timestamps and the
+	// progress rate count from it.
+	//ziv:guards(mu)
+	epoch time.Time
+	// open holds each job's phase in progress. Its start times the
+	// attempt an attempt end closes, and its name labels the span.
+	//ziv:guards(mu)
+	open map[string]phase
+	// spans are the finished phases (with Outputs.Timeline).
+	//ziv:guards(mu)
+	spans []obs.TimelineSpan
+	// Progress-line tallies (with Outputs.Progress): jobs queued,
+	// finished (done includes cached), refs simulated, and the throttle
+	// state.
+	//ziv:guards(mu)
+	queued, done, cached, failed int
+	//ziv:guards(mu)
+	refs uint64
+	//ziv:guards(mu)
+	rendered bool
+	//ziv:guards(mu)
+	last time.Time
+}
+
 // NewSink builds a sink reading wall-clock time from now (required;
-// pass time.Now from package main). reg, spans and ledger are each
-// optional (nil disables that output).
-func NewSink(now func() time.Time, reg *Registry, spans *SpanRecorder, ledger *Ledger) *Sink {
+// pass time.Now from package main, tests pass a fake) and feeding out.
+func NewSink(now func() time.Time, out Outputs) *Sink {
 	if now == nil {
 		panic("telemetry: NewSink needs a clock")
 	}
-	s := &Sink{now: now, spans: spans, ledger: ledger,
-		starts: make(map[string]time.Time)}
-	if reg != nil {
-		s.jobsQueued = reg.Counter("zivsim_sweep_jobs_queued_total",
-			"Jobs entering the sweep scheduler (deduplicated, not yet adopted).")
-		s.outcomes = make(map[string]*Counter, len(terminalOutcomes))
-		for _, oc := range terminalOutcomes {
-			s.outcomes[oc] = reg.Counter("zivsim_sweep_jobs_total",
-				"Jobs reaching a terminal outcome.", "outcome", oc)
-		}
-		s.attempts = reg.Counter("zivsim_sweep_attempts_total",
-			"Simulation attempts started (retries included).")
-		s.retries = reg.Counter("zivsim_sweep_retries_total",
-			"Attempts that failed and were retried.")
-		s.refsTotal = reg.Counter("zivsim_sweep_refs_simulated_total",
-			"Memory references simulated by completed attempts.")
-		s.inflight = reg.Gauge("zivsim_sweep_jobs_inflight",
-			"Jobs currently being simulated.")
-		s.jobWallSecs = reg.Histogram("zivsim_sweep_job_wall_seconds",
-			"Wall time of one simulation attempt.", jobWallBuckets)
+	reg := out.Registry
+	if reg == nil {
+		reg = NewRegistry()
 	}
+	s := &Sink{now: now, out: out, open: make(map[string]phase),
+		outcomes: make(map[string]*Counter, len(terminalOutcomes))}
+	s.jobsQueued = reg.Counter("zivsim_sweep_jobs_queued_total",
+		"Jobs entering the sweep scheduler (deduplicated, not yet adopted).")
+	for _, oc := range terminalOutcomes {
+		s.outcomes[oc] = reg.Counter("zivsim_sweep_jobs_total",
+			"Jobs reaching a terminal outcome.", "outcome", oc)
+	}
+	s.attempts = reg.Counter("zivsim_sweep_attempts_total",
+		"Simulation attempts started (retries included).")
+	s.retries = reg.Counter("zivsim_sweep_retries_total",
+		"Attempts that failed and were retried.")
+	s.refsTotal = reg.Counter("zivsim_sweep_refs_simulated_total",
+		"Memory references simulated by completed attempts.")
+	s.inflight = reg.Gauge("zivsim_sweep_jobs_inflight",
+		"Jobs currently being simulated.")
+	s.jobWallSecs = reg.Histogram("zivsim_sweep_job_wall_seconds",
+		"Wall time of one simulation attempt.", jobWallBuckets)
 	return s
 }
 
-// SetObserver attaches fn to the sink: every lifecycle call is mirrored
-// to it as an Event, after the metric/span/ledger outputs. Attach before
-// handing the sink to a runner — the field is not synchronized, and the
-// runner invokes the observer from its worker goroutines (fn must be
-// safe for concurrent use). A nil fn detaches.
-func (s *Sink) SetObserver(fn func(Event)) {
+// Report hands one lifecycle record to every output. On an attempt end
+// the sink first fills in DurUS and RefsPerSec from the attempt's open
+// phase.
+func (s *Sink) Report(rec Record) {
 	if s == nil {
 		return
 	}
-	s.observer = fn
-}
-
-// emit forwards one event to the observer, if attached.
-func (s *Sink) emit(ev Event) {
-	if s.observer != nil {
-		s.observer(ev)
+	s.mu.Lock()
+	t := s.stampLocked()
+	wall := s.advanceLocked(rec, t)
+	if rec.Type == SimAttemptEnd {
+		rec.DurUS = int64(wall / time.Microsecond)
+		if secs := wall.Seconds(); secs > 0 && rec.Refs > 0 {
+			rec.RefsPerSec = float64(rec.Refs) / secs
+		}
 	}
-}
+	s.tallyLocked(rec, t)
+	s.mu.Unlock()
 
-// JobQueued records one deduplicated job entering the scheduler.
-func (s *Sink) JobQueued(track string) {
-	if s == nil {
-		return
-	}
-	if s.jobsQueued != nil {
+	switch rec.Type {
+	case SimQueued:
 		s.jobsQueued.Inc()
-	}
-	if s.spans != nil {
-		s.spans.Begin(track, "queued")
-	}
-	s.emit(Event{Type: EventQueued, Track: track})
-}
-
-// AttemptStart records attempt number `attempt` (1-based) beginning on
-// a job.
-func (s *Sink) AttemptStart(track string, attempt int) {
-	if s == nil {
-		return
-	}
-	t := s.now()
-	s.mu.Lock()
-	s.starts[track] = t
-	s.mu.Unlock()
-	if s.attempts != nil {
+	case SimAttemptStart:
 		s.attempts.Inc()
-	}
-	if s.inflight != nil {
 		s.inflight.Add(1)
-	}
-	if s.spans != nil {
-		phase := "running"
-		if attempt > 1 {
-			phase = "retry " + strconv.Itoa(attempt)
-		}
-		s.spans.Begin(track, phase)
-	}
-	s.emit(Event{Type: EventAttemptStart, Track: track, Attempt: attempt})
-}
-
-// AttemptEnd records the end of an attempt: outcome is OutcomeDone,
-// OutcomeRetry (a failure with attempts remaining) or OutcomeFailed
-// (attempts exhausted). key is the job's content-addressed identity,
-// refs the references the attempt simulated (0 if it died), errMsg the
-// recovered panic for retry/failed.
-func (s *Sink) AttemptEnd(track, key, cfg, mix string, attempt int, outcome string, refs uint64, errMsg string) {
-	if s == nil {
-		return
-	}
-	t := s.now()
-	s.mu.Lock()
-	start, ok := s.starts[track]
-	delete(s.starts, track)
-	s.mu.Unlock()
-	wall := time.Duration(0)
-	if ok && t.After(start) {
-		wall = t.Sub(start)
-	}
-	if s.inflight != nil {
+	case SimAttemptEnd:
 		s.inflight.Add(-1)
-	}
-	if s.jobWallSecs != nil {
 		s.jobWallSecs.Observe(wall.Seconds())
+		s.refsTotal.Add(rec.Refs)
 	}
-	switch outcome {
-	case OutcomeRetry:
-		if s.retries != nil {
-			s.retries.Inc()
+	if rec.Outcome == OutcomeRetry {
+		s.retries.Inc()
+	} else if c := s.outcomes[rec.Outcome]; c != nil {
+		c.Inc()
+	}
+	if rec.Outcome != "" {
+		s.out.Ledger.WriteRecord(rec)
+	}
+	if s.out.Observer != nil {
+		s.out.Observer(rec)
+	}
+}
+
+// stampLocked reads the clock, establishing the epoch on first use.
+// Callers hold s.mu.
+func (s *Sink) stampLocked() time.Time {
+	t := s.now()
+	if s.epoch.IsZero() {
+		s.epoch = t
+	}
+	return t
+}
+
+// advanceLocked moves rec's job along its timeline at t: a queued or
+// attempt-start record opens a phase, ending the one before (phases on
+// one track never overlap); any other record ends the open phase with
+// its outcome. It returns how long the ended phase ran. Callers hold
+// s.mu.
+func (s *Sink) advanceLocked(rec Record, t time.Time) time.Duration {
+	next := ""
+	switch rec.Type {
+	case SimQueued:
+		next = "queued"
+	case SimAttemptStart:
+		next = "running"
+		if rec.Attempt > 1 {
+			next = "retry " + strconv.Itoa(rec.Attempt)
 		}
-	default:
-		if c := s.outcomes[outcome]; c != nil {
-			c.Inc()
+	}
+	var wall time.Duration
+	if p, ok := s.open[rec.Sim]; ok {
+		delete(s.open, rec.Sim)
+		if t.After(p.start) {
+			wall = t.Sub(p.start)
+		}
+		if s.out.Timeline {
+			var args map[string]any
+			if next == "" {
+				args = map[string]any{"outcome": rec.Outcome}
+				if rec.Attempt > 0 {
+					args["attempt"] = rec.Attempt
+				}
+				if rec.Err != "" {
+					args["err"] = rec.Err
+				}
+			}
+			s.spans = append(s.spans, s.spanLocked(rec.Sim, p, t, args))
 		}
 	}
-	if s.refsTotal != nil && refs > 0 {
-		s.refsTotal.Add(refs)
+	if next != "" {
+		s.open[rec.Sim] = phase{name: next, start: t}
 	}
-	if s.spans != nil {
-		args := map[string]any{"outcome": outcome, "attempt": attempt}
-		if errMsg != "" {
-			args["err"] = errMsg
+	return wall
+}
+
+// spanLocked renders phase p of track sim, ended at end, as a timeline
+// span. Callers hold s.mu.
+func (s *Sink) spanLocked(sim string, p phase, end time.Time, args map[string]any) obs.TimelineSpan {
+	from, to := s.sinceEpochLocked(p.start), s.sinceEpochLocked(end)
+	dur := uint64(0)
+	if to > from {
+		dur = to - from
+	}
+	return obs.TimelineSpan{Track: sim, Name: p.name, StartUS: from, DurUS: dur, Args: args}
+}
+
+// sinceEpochLocked converts t to microseconds since the epoch. Callers
+// hold s.mu.
+func (s *Sink) sinceEpochLocked(t time.Time) uint64 {
+	d := t.Sub(s.epoch)
+	if d < 0 {
+		return 0
+	}
+	return uint64(d / time.Microsecond)
+}
+
+// tallyLocked counts rec into the progress line and, when it finishes a
+// job, rewrites the line. Callers hold s.mu.
+func (s *Sink) tallyLocked(rec Record, t time.Time) {
+	if s.out.Progress == nil {
+		return
+	}
+	switch rec.Outcome {
+	case "":
+		if rec.Type == SimQueued {
+			s.queued++
 		}
-		s.spans.End(track, args)
+		return
+	case OutcomeDone:
+		s.done++
+		s.refs += rec.Refs
+	case OutcomeCacheHit:
+		s.done++
+		s.cached++
+	case OutcomeFailed:
+		s.failed++
+	default: // a retry or a skip finishes no job
+		return
 	}
+	s.renderLocked(t, s.done+s.failed == s.queued)
+}
+
+// renderLocked rewrites the progress line, throttled to ~5 Hz unless
+// force. A failed job counts toward the ETA like a finished one, so the
+// estimate keeps converging. Callers hold s.mu.
+func (s *Sink) renderLocked(t time.Time, force bool) {
+	if s.rendered && !force && t.Sub(s.last) < 200*time.Millisecond {
+		return
+	}
+	s.rendered, s.last = true, t
+	elapsed := t.Sub(s.epoch)
 	rate := 0.0
-	if secs := wall.Seconds(); secs > 0 && refs > 0 {
-		rate = float64(refs) / secs
+	if secs := elapsed.Seconds(); secs > 0 {
+		rate = float64(s.refs) / secs
 	}
-	s.ledger.WriteRecord(Record{
-		Key: key, Cfg: cfg, Mix: mix, Attempt: attempt, Outcome: outcome,
-		WallUS: int64(wall / time.Microsecond), Refs: refs, RefsPerSec: rate,
-		Err: errMsg,
-	})
-	s.emit(Event{Type: EventAttemptEnd, Track: track, Key: key, Cfg: cfg, Mix: mix,
-		Attempt: attempt, Outcome: outcome, Refs: refs, Err: errMsg})
+	finished := s.done + s.failed
+	eta := "?"
+	if finished > 0 && s.queued > finished {
+		rem := time.Duration(float64(elapsed) / float64(finished) * float64(s.queued-finished))
+		eta = rem.Round(time.Second).String()
+	} else if s.queued == finished {
+		eta = "0s"
+	}
+	failed := ""
+	if s.failed > 0 {
+		failed = fmt.Sprintf(" | %d failed", s.failed)
+	}
+	fmt.Fprintf(s.out.Progress, "\r%d/%d runs | %d cached%s | %.2fM refs/s | ETA %s   ",
+		s.done, s.queued, s.cached, failed, rate/1e6, eta)
 }
 
-// JobAdopted records a job served from the result store without
-// running (outcome OutcomeCacheHit).
-func (s *Sink) JobAdopted(track, key, cfg, mix string) {
-	if s == nil {
+// Finish force-renders the progress line and terminates it with a
+// newline. A no-op without Outputs.Progress.
+func (s *Sink) Finish() {
+	if s == nil || s.out.Progress == nil {
 		return
 	}
-	if c := s.outcomes[OutcomeCacheHit]; c != nil {
-		c.Inc()
-	}
-	if s.spans != nil {
-		s.spans.End(track, map[string]any{"outcome": OutcomeCacheHit})
-	}
-	s.ledger.WriteRecord(Record{Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeCacheHit})
-	s.emit(Event{Type: EventAdopted, Track: track, Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeCacheHit})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.renderLocked(s.stampLocked(), true)
+	fmt.Fprintln(s.out.Progress)
 }
 
-// JobSkipped records a job a drain prevented from running.
-func (s *Sink) JobSkipped(track, key, cfg, mix string) {
-	if s == nil {
-		return
+// WriteSweepTrace renders the timeline as Chrome trace_event JSON via
+// the obs timeline writer, one track per job; label names the sweep in
+// the trace metadata. Phases still open are emitted as spans ending now,
+// flagged outcome=open, so a drained sweep still exports a complete
+// timeline. Without Outputs.Timeline the trace holds no spans.
+func (s *Sink) WriteSweepTrace(w io.Writer, label string) error {
+	var spans []obs.TimelineSpan
+	if s != nil && s.out.Timeline {
+		s.mu.Lock()
+		t := s.stampLocked()
+		spans = append(spans, s.spans...)
+		sims := make([]string, 0, len(s.open))
+		for sim := range s.open {
+			sims = append(sims, sim)
+		}
+		sort.Strings(sims)
+		for _, sim := range sims {
+			spans = append(spans, s.spanLocked(sim, s.open[sim], t, map[string]any{"outcome": "open"}))
+		}
+		s.mu.Unlock()
 	}
-	if c := s.outcomes[OutcomeSkipped]; c != nil {
-		c.Inc()
-	}
-	if s.spans != nil {
-		s.spans.End(track, map[string]any{"outcome": OutcomeSkipped})
-	}
-	s.ledger.WriteRecord(Record{Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeSkipped})
-	s.emit(Event{Type: EventSkipped, Track: track, Key: key, Cfg: cfg, Mix: mix, Outcome: OutcomeSkipped})
-}
-
-// Spans exposes the sink's span recorder (nil if spans are disabled),
-// for writing the sweep trace after the run.
-func (s *Sink) Spans() *SpanRecorder {
-	if s == nil {
-		return nil
-	}
-	return s.spans
+	return obs.WriteTimeline(w, label, spans)
 }
