@@ -70,13 +70,16 @@ obs-smoke:
 # no other output), the same sweep drained after 3 jobs via fault
 # injection (must exit 4),
 # then a rerun over the same -store that must produce byte-identical
-# output. Then a hard kill: a longer sweep (24 jobs, a few seconds) is
+# output. The multi-threaded fig16 repeats the clean, drained and resumed
+# runs on its own store. Then a hard kill: a longer sweep (24 jobs, a few seconds) is
 # SIGKILLed once its store holds two results, and the rerun over that
 # store must match a clean run byte for byte while its ledger shows at
 # least two results adopted from the store and at least one simulated.
 # Uses built binaries, not `go run`, because go run collapses exit codes.
 RESUME_SMOKE_FLAGS = -fig fig1 -scale 32 -cores 2 -mixes 2 -homo 0 \
 	-warmup 1000 -refs 4000 -parallel 1 -csv
+RESUME_SMOKE_MT_FLAGS = -fig fig16 -scale 32 -cores 2 -mixes 2 -homo 0 \
+	-warmup 1000 -refs 4000 -tpce-cores 4 -parallel 1 -csv
 
 resume-smoke:
 	rm -rf resume-smoke.tmp && mkdir -p resume-smoke.tmp
@@ -95,6 +98,15 @@ resume-smoke:
 		> resume-smoke.tmp/resumed.csv
 	cmp resume-smoke.tmp/clean.csv resume-smoke.tmp/resumed.csv
 	@echo "resume-smoke: resumed sweep is byte-identical to the clean run"
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_MT_FLAGS) > resume-smoke.tmp/mt-clean.csv
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_MT_FLAGS) -store resume-smoke.tmp/mt-store \
+		-faultspec 'drain-after:3' > resume-smoke.tmp/mt-drained.csv; \
+		st=$$?; if [ $$st -ne 4 ]; then \
+			echo "resume-smoke: drained fig16 run: want exit 4 (interrupted), got $$st"; exit 1; fi
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_MT_FLAGS) -store resume-smoke.tmp/mt-store \
+		> resume-smoke.tmp/mt-resumed.csv
+	cmp resume-smoke.tmp/mt-clean.csv resume-smoke.tmp/mt-resumed.csv
+	@echo "resume-smoke: resumed fig16 sweep is byte-identical to the clean run"
 	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -refs 100000 > resume-smoke.tmp/clean-long.csv
 	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -refs 100000 -store resume-smoke.tmp/killed \
 		> /dev/null 2>&1 & \

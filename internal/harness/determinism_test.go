@@ -47,30 +47,35 @@ func TestParallelismDoesNotAffectResults(t *testing.T) {
 
 // TestDiskCacheHitMatchesColdRun populates the disk cache with a cold run,
 // clears the in-process memo, and requires the cache-served rerun to render
-// byte-identical output.
+// byte-identical output, for a multi-programmed and a multi-threaded
+// figure.
 func TestDiskCacheHitMatchesColdRun(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
-	o := smallOptions()
-	o.CacheDir = t.TempDir()
+	for _, id := range []string{"fig1", "fig17"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s not registered", id)
+			}
+			o := smallOptions()
+			o.CacheDir = t.TempDir()
 
-	ResetMemo()
-	refsBefore := SimulatedRefs()
-	cold := e.Run(o).Format()
-	if SimulatedRefs() == refsBefore {
-		t.Fatal("cold run simulated nothing")
-	}
+			ResetMemo()
+			refsBefore := SimulatedRefs()
+			cold := e.Run(o).Format()
+			if SimulatedRefs() == refsBefore {
+				t.Fatal("cold run simulated nothing")
+			}
 
-	ResetMemo()
-	refsBefore = SimulatedRefs()
-	warm := e.Run(o).Format()
-	if warm != cold {
-		t.Errorf("cache-served run differs from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
-	}
-	if simulated := SimulatedRefs() - refsBefore; simulated != 0 {
-		t.Errorf("warm run simulated %d refs; expected every job to come from the disk cache", simulated)
+			ResetMemo()
+			refsBefore = SimulatedRefs()
+			warm := e.Run(o).Format()
+			if warm != cold {
+				t.Errorf("cache-served run differs from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
+			}
+			if simulated := SimulatedRefs() - refsBefore; simulated != 0 {
+				t.Errorf("warm run simulated %d refs; expected every job to come from the disk cache", simulated)
+			}
+		})
 	}
 }
 
@@ -82,29 +87,31 @@ func TestDiskCacheKeyDistinguishesOptions(t *testing.T) {
 	r := newRunner(o)
 	j := jobForTest(o)
 
-	base := r.diskKey(j, 256<<10)
+	base := r.diskKey(j)
 
 	seeded := o
 	seeded.Seed++
-	if k := (&runner{opt: seeded}).diskKey(j, 256<<10); k == base {
+	if k := (&runner{opt: seeded}).diskKey(j); k == base {
 		t.Error("changing Seed did not change the cache key")
 	}
 	longer := o
 	longer.Measure *= 2
-	if k := (&runner{opt: longer}).diskKey(j, 256<<10); k == base {
+	if k := (&runner{opt: longer}).diskKey(j); k == base {
 		t.Error("changing Measure did not change the cache key")
 	}
 	par := o
 	par.Parallelism = 7
-	if k := (&runner{opt: par}).diskKey(j, 256<<10); k != base {
+	if k := (&runner{opt: par}).diskKey(j); k != base {
 		t.Error("Parallelism changed the cache key; it cannot affect results")
 	}
 	elsewhere := o
 	elsewhere.CacheDir = "/somewhere/else"
-	if k := (&runner{opt: elsewhere}).diskKey(j, 256<<10); k != base {
+	if k := (&runner{opt: elsewhere}).diskKey(j); k != base {
 		t.Error("CacheDir changed the cache key; it cannot affect results")
 	}
-	if k := r.diskKey(job{cfgLabel: j.cfgLabel + "x", cfg: j.cfg, mix: j.mix}, 256<<10); k == base {
+	relabeled := j
+	relabeled.cfgLabel += "x"
+	if k := r.diskKey(relabeled); k == base {
 		t.Error("changing the config label did not change the cache key")
 	}
 }
@@ -112,5 +119,5 @@ func TestDiskCacheKeyDistinguishesOptions(t *testing.T) {
 // jobForTest builds a representative job from an options value.
 func jobForTest(o Options) job {
 	mixes := o.mixes()
-	return job{cfgLabel: "test-cfg", cfg: hierarchy.DefaultConfig(o.Cores, 256<<10, o.Scale), mix: mixes[0]}
+	return job{cfgLabel: "test-cfg", cfg: hierarchy.DefaultConfig(o.Cores, 256<<10, o.Scale), mix: mixes[0], baseL2: 256 << 10}
 }

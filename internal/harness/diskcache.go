@@ -42,14 +42,14 @@ type cacheKeyInput struct {
 }
 
 // diskKey returns the content-derived store key for a job.
-func (r *runner) diskKey(j job, baseL2 int) string {
+func (r *runner) diskKey(j job) string {
 	data, err := json.Marshal(cacheKeyInput{
 		Version:  cacheVersion,
 		Options:  r.opt.normalized(),
 		CfgLabel: j.cfgLabel,
 		Config:   j.cfg,
 		Mix:      j.mix,
-		BaseL2:   baseL2,
+		BaseL2:   j.baseL2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("harness: cache key marshal: %v", err))

@@ -33,13 +33,11 @@ func isolatedRunner(opt Options) *runner {
 }
 
 // cacheTestJob returns the single test job, its store key filled in as
-// runAll fills it, and its baseline L2 size.
-func cacheTestJob(o Options) (job, int) {
-	s := baselineSpec()
-	j := job{cfgLabel: s.label, cfg: s.config(o), mix: o.mixes()[0]}
-	baseL2 := kb256 / o.Scale
-	j.dk = isolatedRunner(o).diskKey(j, baseL2)
-	return j, baseL2
+// runAll fills it.
+func cacheTestJob(o Options) job {
+	j := mixJob(o, baselineSpec(), o.mixes()[0])
+	j.dk = isolatedRunner(o).diskKey(j)
+	return j
 }
 
 // runCacheJob executes the single test job on a fresh runner and returns
@@ -47,15 +45,15 @@ func cacheTestJob(o Options) (job, int) {
 func runCacheJob(t *testing.T, opt Options) Result {
 	t.Helper()
 	r := isolatedRunner(opt)
-	j, baseL2 := cacheTestJob(opt)
-	r.runAll([]job{j}, baseL2)
+	j := cacheTestJob(opt)
+	r.runAll([]job{j})
 	return r.get(j.cfgLabel, j.mix.Name)
 }
 
 // cacheFile returns the single entry the test job stores.
 func cacheFile(t *testing.T, opt Options) string {
 	t.Helper()
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 	return filepath.Join(opt.CacheDir, j.dk+".json")
 }
 
@@ -68,7 +66,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 		t.Fatalf("no cache entry written: %v", err)
 	}
 
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 	got, ok := isolatedRunner(opt).diskLoad(j.dk)
 	if !ok {
 		t.Fatal("diskLoad missed a freshly stored entry")
@@ -93,7 +91,7 @@ func TestDiskCacheTruncatedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a truncated entry")
 	}
@@ -130,7 +128,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a version-mismatched entry")
 	}
@@ -157,7 +155,7 @@ func TestDiskCacheBadKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad found an entry despite the wrong key")
 	}
@@ -211,7 +209,7 @@ func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	opt := cacheTestOptions(t.TempDir())
 	want := runCacheJob(t, opt)
 	r := isolatedRunner(opt)
-	j, _ := cacheTestJob(opt)
+	j := cacheTestJob(opt)
 
 	stop := make(chan struct{})
 	errc := make(chan error, 1)

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Request describes one sweep submission: the experiments to run and the
@@ -167,37 +166,12 @@ func (o Options) IdentityHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-var (
-	sweepLocksMu sync.Mutex
-	// sweepLocks serializes concurrent RunSweep calls that share a
-	// normalized Options value. Such sweeps share a runner (and its
-	// memo), so running them back to back both keeps the runner's
-	// options stable while jobs are in flight and lets the second sweep
-	// adopt everything the first computed.
-	//
-	//ziv:guards(sweepLocksMu)
-	sweepLocks = map[Options]*sync.Mutex{}
-)
-
-// sweepLock returns the serialization lock for an option set.
-func sweepLock(opt Options) *sync.Mutex {
-	key := opt.normalized()
-	sweepLocksMu.Lock()
-	defer sweepLocksMu.Unlock()
-	lk := sweepLocks[key]
-	if lk == nil {
-		lk = &sync.Mutex{}
-		sweepLocks[key] = lk
-	}
-	return lk
-}
-
 // RunSweep executes a sweep request: every selected experiment in ID
 // order, each behind a panic barrier (an experiment that dies outside
 // the per-job recovery is reported in its FigureResult and the rest
 // still run), stopping early when the request's Drain is triggered.
-// Concurrent sweeps under the same normalized Options serialize on a
-// shared lock because they share a runner. The returned error is
+// Concurrent sweeps under the same normalized Options serialize on
+// their shared runner's sweep lock. The returned error is
 // reserved for invalid requests (unknown figure IDs); execution-level
 // failures land in the Report.
 func RunSweep(q Request) (*Report, error) {
@@ -205,9 +179,13 @@ func RunSweep(q Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lk := sweepLock(q.Options)
-	lk.Lock()
-	defer lk.Unlock()
+	// Like Status, the lookup leaves the runner's options alone: a job
+	// a previous sweep's expired drain abandoned may still read them.
+	runnersMu.Lock()
+	r := runnerLocked(q.Options)
+	runnersMu.Unlock()
+	r.sweep.Lock()
+	defer r.sweep.Unlock()
 	rep := &Report{}
 	for _, e := range exps {
 		fr := runFigure(e, q.Options)

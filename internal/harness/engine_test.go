@@ -100,7 +100,7 @@ func TestContentIdentitiesPinned(t *testing.T) {
 	if got, want := DefaultOptions().IdentityHash(), "5d459f97c21cdfd79883ea1859fd6d16f751bc98c8244d979d18665bb28274cb"; got != want {
 		t.Errorf("IdentityHash = %s, want %s", got, want)
 	}
-	j, _ := cacheTestJob(cacheTestOptions(""))
+	j := cacheTestJob(cacheTestOptions(""))
 	if want := "ca7439d5023d2709b579b6084a448e53a50148c38417dbb48dfb0dd816af92da"; j.dk != want {
 		t.Errorf("diskKey = %s, want %s", j.dk, want)
 	}

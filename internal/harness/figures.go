@@ -10,14 +10,13 @@ import (
 	"zivsim/internal/workload"
 )
 
-// spec identifies one machine configuration of an experiment matrix.
+// spec identifies one machine configuration of an experiment matrix: a
+// family's design on one machine geometry.
 type spec struct {
+	family
 	label        string
-	l2           int // bytes, unscaled
-	mode         hierarchy.InclusionMode
-	pol          hierarchy.PolicyKind
-	scheme       core.Scheme
-	prop         core.Property
+	l2           int     // bytes, unscaled
+	cores        int     // 0 = Options.Cores
 	llcBytes     int     // 0 = default
 	dirFactor    float64 // 0 = 2.0
 	zeroDEV      bool
@@ -25,7 +24,11 @@ type spec struct {
 }
 
 func (s spec) config(o Options) hierarchy.Config {
-	cfg := hierarchy.DefaultConfig(o.Cores, s.l2, o.Scale)
+	cores := o.Cores
+	if s.cores > 0 {
+		cores = s.cores
+	}
+	cfg := hierarchy.DefaultConfig(cores, s.l2, o.Scale)
 	if s.llcBytes > 0 {
 		cfg.LLCBytes = s.llcBytes / o.Scale
 	}
@@ -55,27 +58,29 @@ func l2Label(b int) string { return fmt.Sprintf("%dKB", b>>10) }
 // baselineSpec is the normalization anchor of Figs. 1-14: inclusive LLC,
 // LRU, 256 KB L2.
 func baselineSpec() spec {
-	return spec{label: "I-LRU-256KB", l2: kb256, mode: hierarchy.Inclusive, pol: hierarchy.PolicyLRU, scheme: core.SchemeBaseline}
+	return spec{family: famILRU, label: "I-LRU-256KB", l2: kb256}
+}
+
+// mixJob is the job that runs spec s on a multi-programmed mix, whose
+// footprints anchor to the 256 KB L2 of the study.
+func mixJob(o Options, s spec, mix workload.Mix) job {
+	return job{cfgLabel: s.label, cfg: s.config(o), mix: mix, baseL2: kb256 / o.Scale,
+		gens: func(p workload.Params, seed uint64) []trace.Generator { return workload.BuildMix(mix, p, seed) }}
 }
 
 // sweepMatrix runs a set of (config family x L2 size) specs over the
 // options' mixes, plus the baseline, and returns the runner and mixes.
-func sweepMatrix(o Options, families []spec) (*runner, []workload.Mix, []job) {
+func sweepMatrix(o Options, specs []spec) (*runner, []workload.Mix) {
 	r := newRunner(o)
 	mixes := o.mixes()
 	var jobs []job
-	add := func(s spec) {
-		cfg := s.config(o)
+	for _, s := range append([]spec{baselineSpec()}, specs...) {
 		for _, mix := range mixes {
-			jobs = append(jobs, job{cfgLabel: s.label, cfg: cfg, mix: mix})
+			jobs = append(jobs, mixJob(o, s, mix))
 		}
 	}
-	add(baselineSpec())
-	for _, f := range families {
-		add(f)
-	}
-	r.runAll(jobs, kb256/o.Scale)
-	return r, mixes, jobs
+	r.runAll(jobs)
+	return r, mixes
 }
 
 // speedupRow computes geomean weighted speedup vs the baseline config across
@@ -114,14 +119,7 @@ type family struct {
 func (f family) specs() []spec {
 	out := make([]spec, 0, len(l2Sweep))
 	for _, l2 := range l2Sweep {
-		out = append(out, spec{
-			label:  f.name + "-" + l2Label(l2),
-			l2:     l2,
-			mode:   f.mode,
-			pol:    f.pol,
-			scheme: f.scheme,
-			prop:   f.prop,
-		})
+		out = append(out, spec{family: f, label: f.name + "-" + l2Label(l2), l2: l2})
 	}
 	return out
 }
@@ -136,7 +134,7 @@ func flatten(fams []family) []spec {
 
 // speedupTable renders a family x L2 sweep as geomean speedups with ranges.
 func speedupTable(o Options, title string, fams []family) *Table {
-	r, mixes, _ := sweepMatrix(o, flatten(fams))
+	r, mixes := sweepMatrix(o, flatten(fams))
 	t := &Table{Title: title, Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, f := range fams {
 		row := Row{Label: f.name}
@@ -152,7 +150,7 @@ func speedupTable(o Options, title string, fams []family) *Table {
 
 // countTable renders normalized event counts for a family sweep.
 func countTable(o Options, title string, fams []family, pick func(Result) uint64) *Table {
-	r, mixes, _ := sweepMatrix(o, flatten(fams))
+	r, mixes := sweepMatrix(o, flatten(fams))
 	t := &Table{Title: title, Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, f := range fams {
 		row := Row{Label: f.name}
@@ -296,8 +294,8 @@ func hawkFamilyByName(name string) family {
 // perMixTable renders Fig. 9 / Fig. 12: one row per mix at the 512 KB L2
 // point, weighted speedup vs the baseline config.
 func perMixTable(o Options, name string, f family) *Table {
-	s := spec{label: name + "-512KB", l2: kb512, mode: f.mode, pol: f.pol, scheme: f.scheme, prop: f.prop}
-	r, mixes, _ := sweepMatrix(o, []spec{s})
+	s := spec{family: f, label: name + "-512KB", l2: kb512}
+	r, mixes := sweepMatrix(o, []spec{s})
 	t := &Table{
 		Title:   fmt.Sprintf("%s per-mix speedup at 512KB L2 (vs I-LRU-256KB)", name),
 		Columns: []string{"speedup"},
@@ -331,7 +329,7 @@ func perMixTable(o Options, name string, f family) *Table {
 // missTable renders the two-panel miss figures (Figs. 10, 13): normalized
 // LLC misses and L2 misses per family and L2 size.
 func missTable(o Options, title string, fams []family) *Table {
-	r, mixes, _ := sweepMatrix(o, flatten(fams))
+	r, mixes := sweepMatrix(o, flatten(fams))
 	t := &Table{Title: title, Columns: []string{
 		"LLC-256KB", "LLC-512KB", "LLC-768KB",
 		"L2-256KB", "L2-512KB", "L2-768KB",
@@ -351,11 +349,6 @@ func missTable(o Options, title string, fams []family) *Table {
 
 // fig14 runs the 16 MB LLC + 1 MB L2 sensitivity study.
 func fig14(o Options) *Table {
-	llc16 := 16 << 20
-	mk := func(f family) spec {
-		return spec{label: f.name + "-1MB", l2: mb1, llcBytes: llc16,
-			mode: f.mode, pol: f.pol, scheme: f.scheme, prop: f.prop}
-	}
 	fams := []family{
 		famILRU, famNILRU,
 		lruFamilyByName("QBS-LRU"), lruFamilyByName("SHARP-LRU"),
@@ -366,9 +359,9 @@ func fig14(o Options) *Table {
 	}
 	specs := make([]spec, len(fams))
 	for i, f := range fams {
-		specs[i] = mk(f)
+		specs[i] = spec{family: f, label: f.name + "-1MB", l2: mb1, llcBytes: 16 << 20}
 	}
-	r, mixes, _ := sweepMatrix(o, specs)
+	r, mixes := sweepMatrix(o, specs)
 	t := &Table{Title: "Fig. 14 — 16MB LLC, 1MB L2 (normalized to 8MB I-LRU-256KB)", Columns: []string{"speedup"}}
 	for i, f := range fams {
 		gm, lo, hi := speedupRow(r, mixes, specs[i].label)
@@ -391,15 +384,12 @@ func fig15(o Options) *Table {
 				if zd {
 					proto = "ZeroDEV"
 				}
-				specs = append(specs, spec{
-					label: fmt.Sprintf("%s-%s-%s", f.name, proto, factorLabel[i]),
-					l2:    kb256, mode: f.mode, pol: f.pol, scheme: f.scheme, prop: f.prop,
-					dirFactor: fac, zeroDEV: zd,
-				})
+				specs = append(specs, spec{family: f, label: fmt.Sprintf("%s-%s-%s", f.name, proto, factorLabel[i]),
+					l2: kb256, dirFactor: fac, zeroDEV: zd})
 			}
 		}
 	}
-	r, mixes, _ := sweepMatrix(o, specs)
+	r, mixes := sweepMatrix(o, specs)
 	t := &Table{Title: "Fig. 15 — directory size sensitivity (Hawkeye, 256KB L2, vs I-LRU-256KB)", Columns: factorLabel}
 	for _, zd := range []string{"MESI", "ZeroDEV"} {
 		for _, f := range fams {
@@ -414,71 +404,55 @@ func fig15(o Options) *Table {
 	return t
 }
 
-// mtConfig builds the machine for one multi-threaded workload.
-func mtConfig(o Options, name string, pol hierarchy.PolicyKind, f family) (hierarchy.Config, []trace.Generator) {
-	cores := o.Cores
-	l2 := kb512
-	llc := 0
+// mtSpec is family f's machine for multi-threaded workload name: 512 KB
+// L2s on Options.Cores, except TPC-E, which runs on TPCECores with
+// 128 KB L2s and a 256 KB per-core LLC share (paper: 32 MB over 128
+// cores).
+func mtSpec(o Options, f family, name string) spec {
+	s := spec{family: f, label: "mt." + f.name, l2: kb512}
 	if name == "tpce" {
-		cores = o.TPCECores
-		l2 = 128 << 10
-		llc = cores * (256 << 10) // per-core LLC share of 256KB (paper: 32MB/128 cores)
+		s.cores, s.l2, s.llcBytes = o.TPCECores, 128<<10, o.TPCECores*(256<<10)
 	}
-	cfg := hierarchy.DefaultConfig(cores, l2, o.Scale)
-	if llc > 0 {
-		cfg.LLCBytes = llc / o.Scale
-	}
-	cfg.Mode = f.mode
-	cfg.Policy = pol
-	cfg.Scheme = f.scheme
-	cfg.Property = f.prop
-	w, ok := workload.MTByName(name)
-	if !ok {
-		panic("harness: unknown MT workload " + name)
-	}
-	p := workload.Params{
-		L2Bytes:       uint64(cfg.L2Bytes),
-		LLCShareBytes: uint64(cfg.LLCBytes / cfg.Cores),
-		BaseL2Bytes:   uint64(cfg.L2Bytes),
-	}
-	return cfg, w.Build(cores, p, o.Seed)
+	return s
 }
 
 // mtTable renders Figs. 16/17: multi-threaded throughput normalized to the
-// same-configuration I-LRU baseline.
+// I-LRU anchor on the same machine geometry. Jobs are keyed (mt.<family>,
+// <workload>), so both figures share one anchor job per workload.
 func mtTable(o Options, pol hierarchy.PolicyKind) *Table {
-	var fams []family
-	if pol == hierarchy.PolicyLRU {
-		fams = []family{
-			famILRU, famNILRU,
-			lruFamilyByName("QBS-LRU"), lruFamilyByName("SHARP-LRU"),
-			lruFamilyByName("ZIV-NotInPrC"), lruFamilyByName("ZIV-LikelyDead"),
-		}
-	} else {
+	fams := []family{
+		famILRU, famNILRU,
+		lruFamilyByName("QBS-LRU"), lruFamilyByName("SHARP-LRU"),
+		lruFamilyByName("ZIV-NotInPrC"), lruFamilyByName("ZIV-LikelyDead"),
+	}
+	if pol == hierarchy.PolicyHawkeye {
 		fams = []family{
 			famIHawk, famNIHwk,
 			hawkFamilyByName("QBS-Hawkeye"), hawkFamilyByName("SHARP-Hawkeye"),
 			hawkFamilyByName("ZIV-MRNotInPrC"), hawkFamilyByName("ZIV-MRLikelyDead"),
 		}
 	}
-	polName := pol.String()
-	t := &Table{Title: fmt.Sprintf("Fig. 16/17 — multi-threaded workloads (%s baseline, normalized to I-LRU)", polName)}
+	r := newRunner(o)
+	var jobs []job
+	for _, w := range workload.MTWorkloads() {
+		for _, f := range append([]family{famILRU}, fams...) {
+			s := mtSpec(o, f, w.Name)
+			cfg := s.config(o)
+			// The workload anchors its footprints to the job's own L2.
+			jobs = append(jobs, job{cfgLabel: s.label, cfg: cfg, mix: workload.Mix{Name: w.Name}, baseL2: cfg.L2Bytes,
+				gens: func(p workload.Params, seed uint64) []trace.Generator { return w.Build(cfg.Cores, p, seed) }})
+		}
+	}
+	r.runAll(jobs)
+	t := &Table{Title: fmt.Sprintf("Fig. 16/17 — multi-threaded workloads (%s baseline, normalized to I-LRU)", pol)}
 	for _, f := range fams {
 		t.Columns = append(t.Columns, f.name)
 	}
-	type res struct {
-		tp float64
-	}
 	for _, name := range workload.MTNames() {
-		// Baseline: I-LRU on the same machine geometry.
-		baseCfg, baseGens := mtConfig(o, name, hierarchy.PolicyLRU, famILRU)
-		base := runOne(baseCfg, baseGens, o.Warmup, o.Measure, nil)
-		baseTP := metrics.Throughput(base.Cores)
+		baseTP := metrics.Throughput(r.get("mt."+famILRU.name, name).Cores)
 		row := Row{Label: name}
 		for _, f := range fams {
-			cfg, gens := mtConfig(o, name, pol, f)
-			r := runOne(cfg, gens, o.Warmup, o.Measure, nil)
-			row.Values = append(row.Values, metrics.Ratio(metrics.Throughput(r.Cores), baseTP))
+			row.Values = append(row.Values, metrics.Ratio(metrics.Throughput(r.get("mt."+f.name, name).Cores), baseTP))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -498,10 +472,9 @@ func fig18(o Options) *Table {
 	}
 	var specs []spec
 	for _, d := range designs {
-		specs = append(specs, spec{label: d.name, l2: kb512,
-			mode: d.f.mode, pol: d.f.pol, scheme: d.f.scheme, prop: d.f.prop})
+		specs = append(specs, spec{family: d.f, label: d.name, l2: kb512})
 	}
-	r, mixes, _ := sweepMatrix(o, specs)
+	r, mixes := sweepMatrix(o, specs)
 	t := &Table{Title: "Fig. 18 — CDF of relocation intervals (cycles, log2 buckets; 512KB L2)"}
 	for _, d := range designs {
 		t.Columns = append(t.Columns, d.name)
@@ -559,11 +532,10 @@ func fig19(o Options) *Table {
 	var specs []spec
 	for _, d := range designs {
 		for _, l2 := range l2Sweep {
-			specs = append(specs, spec{label: d.name + "-" + l2Label(l2), l2: l2,
-				mode: d.f.mode, pol: d.f.pol, scheme: d.f.scheme, prop: d.f.prop})
+			specs = append(specs, spec{family: d.f, label: d.name + "-" + l2Label(l2), l2: l2})
 		}
 	}
-	r, mixes, _ := sweepMatrix(o, specs)
+	r, mixes := sweepMatrix(o, specs)
 	t := &Table{Title: "Fig. 19 — relocation EPI contribution (pJ/instruction)", Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, d := range designs {
 		row := Row{Label: d.name}
@@ -632,12 +604,12 @@ func ext3(o Options) *Table {
 // ext2 ablates the round-robin nextRS selection (Algorithm 1) against
 // lowest-index selection: performance and relocation-target skew.
 func ext2(o Options) *Table {
-	mk := func(name string, lowest bool) spec {
-		return spec{label: name, l2: kb512, mode: hierarchy.Inclusive, pol: hierarchy.PolicyLRU,
-			scheme: core.SchemeZIV, prop: core.PropLikelyDead, selectLowest: lowest}
+	f := lruFamilyByName("ZIV-LikelyDead")
+	specs := []spec{
+		{family: f, label: "ZIV-RoundRobin", l2: kb512},
+		{family: f, label: "ZIV-LowestIndex", l2: kb512, selectLowest: true},
 	}
-	specs := []spec{mk("ZIV-RoundRobin", false), mk("ZIV-LowestIndex", true)}
-	r, mixes, _ := sweepMatrix(o, specs)
+	r, mixes := sweepMatrix(o, specs)
 	t := &Table{
 		Title:   "Ext. 2 - nextRS selection ablation (ZIV-LikelyDead, 512KB L2)",
 		Columns: []string{"speedup", "target-skew", "fifo-max"},

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"zivsim/internal/workload"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from the current simulator output")
@@ -88,6 +90,44 @@ func TestGoldenDeterminism(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("simulator output diverged from golden run.\nFigures: %v\nThis means an 'optimization' changed simulated behaviour.\n%s",
 			ids, firstDiff(string(want), got))
+	}
+}
+
+// TestGoldenMultiThreaded pins the multi-threaded Figs. 16-17 in the
+// default suite: each table, rendered at goldenOptions, must appear
+// verbatim in testdata/golden_all.txt (which otherwise only the
+// ZIVSIM_GOLDEN=all run compares). The pair must also run as runner
+// jobs: per workload, the I-LRU anchor (also a fig16 column) and six
+// designs per figure, 60 simulations in all, each in the sweep status.
+func TestGoldenMultiThreaded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden gate skipped in -short mode")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "golden_all.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetMemo()
+	refsBefore := SimulatedRefs()
+	for _, id := range []string{"fig16", "fig17"} {
+		if got := renderGolden([]string{id}); !strings.Contains(string(want), got) {
+			t.Errorf("%s diverged from testdata/golden_all.txt; got:\n%s", id, got)
+		}
+	}
+	o := goldenOptions()
+	if got := Status(o).Completed; got != 60 {
+		t.Errorf("Completed = %d, want 60 runner jobs", got)
+	}
+	var refs uint64
+	for _, name := range workload.MTNames() {
+		cores := o.Cores
+		if name == "tpce" {
+			cores = o.TPCECores
+		}
+		refs += 12 * uint64(cores) * uint64(o.Warmup+o.Measure)
+	}
+	if got := SimulatedRefs() - refsBefore; got != refs {
+		t.Errorf("simulated %d refs, want %d (60 jobs)", got, refs)
 	}
 }
 

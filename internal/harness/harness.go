@@ -164,11 +164,19 @@ func runOne(cfg hierarchy.Config, gens []trace.Generator, warmup, measure int, o
 	return r
 }
 
-// job identifies one simulation in a figure's matrix.
+// job identifies one simulation in a figure's matrix. Every figure's
+// jobs share this shape: a multi-programmed job runs a mix, a
+// multi-threaded one a workload (its mix then names the workload).
 type job struct {
 	cfgLabel string
 	cfg      hierarchy.Config
 	mix      workload.Mix
+	// baseL2 is the L2 size (bytes, scaled) the workload anchors its
+	// footprints to (workload.Params.BaseL2Bytes); part of the store key.
+	baseL2 int
+	// gens builds the job's per-core generators from its workload
+	// parameters and the seed.
+	gens func(workload.Params, uint64) []trace.Generator
 	// dk is the job's content-addressed store key (diskKey), computed
 	// once by runAll when the store or telemetry needs it; empty
 	// otherwise.
@@ -206,6 +214,11 @@ type runner struct {
 	// manifest (obs.go); keyed by artifact stem.
 	//ziv:guards(mu)
 	manifest map[string]manifestRecord
+	// sweep serializes RunSweep calls under this runner's options: they
+	// share its memo, so running them back to back both keeps r.opt
+	// stable while jobs are in flight and lets the second sweep adopt
+	// everything the first computed.
+	sweep sync.Mutex
 }
 
 var (
@@ -216,12 +229,22 @@ var (
 	runners = map[Options]*runner{}
 )
 
+// newRunner returns the runner memoized for opt and points it at opt's
+// result-neutral fields (store, telemetry, drain) for the sweep ahead.
 func newRunner(opt Options) *runner {
-	key := opt.normalized()
 	runnersMu.Lock()
 	defer runnersMu.Unlock()
+	r := runnerLocked(opt)
+	r.opt = opt
+	return r
+}
+
+// runnerLocked returns the runner memoized for opt's normalized value,
+// creating it when there is none; an existing runner keeps its options.
+// Callers hold runnersMu.
+func runnerLocked(opt Options) *runner {
+	key := opt.normalized()
 	if r := runners[key]; r != nil {
-		r.opt = opt
 		return r
 	}
 	r := &runner{
@@ -276,9 +299,12 @@ func paramsFor(cfg hierarchy.Config, baseL2 int) workload.Params {
 	}
 }
 
-// cost estimates a job's simulation work: references simulated scale with
-// the core count (warmup/measure are per core and shared across a runner).
-func (j job) cost() int { return j.cfg.Cores }
+// nominalRefs is the references job j simulates: warmup plus
+// measurement on each of its cores. It sizes the job for the
+// longest-first schedule and weights the progress ETA.
+func (r *runner) nominalRefs(j job) uint64 {
+	return uint64(j.cfg.Cores) * uint64(r.opt.Warmup+r.opt.Measure)
+}
 
 // runAll executes every job (cached by (config label, mix)) in parallel.
 // Jobs are sorted longest-first so the schedule's tail holds the short
@@ -293,7 +319,7 @@ func (j job) cost() int { return j.cfg.Cores }
 // stored (when CacheDir is set) as they finish, and a requested Drain
 // stops dispatch, waits for in-flight jobs until the drain expires, and
 // marks everything left as skipped.
-func (r *runner) runAll(jobs []job, baseL2 int) {
+func (r *runner) runAll(jobs []job) {
 	plan, err := compileFaultSpec(r.opt.FaultSpec)
 	if err != nil {
 		panic(fmt.Sprintf("harness: %v (validate with ParseFaultSpec before running)", err))
@@ -316,7 +342,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 	}
 	if r.opt.CacheDir != "" || r.opt.Telemetry != nil {
 		for i := range todo {
-			todo[i].dk = r.diskKey(todo[i], baseL2)
+			todo[i].dk = r.diskKey(todo[i])
 		}
 	}
 	// A sweep that is already draining runs nothing further: later
@@ -326,7 +352,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		return
 	}
 	for _, j := range todo {
-		r.report(j, telemetry.SimQueued, 0, "", 0, "")
+		r.report(j, telemetry.SimQueued, 0, "", r.nominalRefs(j), "")
 	}
 	// Store adoption. Observability artifacts come from real runs, so
 	// obs runs skip the read path (stores still happen: results stay
@@ -343,7 +369,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 		todo = rest
 	}
 	sort.SliceStable(todo, func(i, k int) bool {
-		ci, ck := todo[i].cost(), todo[k].cost()
+		ci, ck := r.nominalRefs(todo[i]), r.nominalRefs(todo[k])
 		if ci != ck {
 			return ci > ck
 		}
@@ -370,7 +396,7 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 				if i >= len(todo) {
 					return
 				}
-				r.runJob(todo[i], baseL2, plan)
+				r.runJob(todo[i], plan)
 			}
 		}()
 	}
@@ -398,17 +424,17 @@ func (r *runner) runAll(jobs []job, baseL2 int) {
 
 // runJob runs one job to completion, failure, or abandonment, with
 // bounded immediate retry around recovered panics.
-func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
+func (r *runner) runJob(j job, plan *faultPlan) {
 	k := r.key(j.cfgLabel, j.mix.Name)
 	attempts := r.opt.MaxAttempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	refs := uint64(j.cfg.Cores) * uint64(r.opt.Warmup+r.opt.Measure)
+	refs := r.nominalRefs(j)
 	var last FailedJob
 	for a := 1; a <= attempts; a++ {
 		r.report(j, telemetry.SimAttemptStart, a, "", 0, "")
-		res, o, failure := r.attemptJob(j, baseL2, plan, a)
+		res, o, failure := r.attemptJob(j, plan, a)
 		if failure == nil {
 			r.report(j, telemetry.SimAttemptEnd, a, telemetry.OutcomeDone, refs, "")
 			r.mu.Lock()
@@ -448,7 +474,7 @@ func (r *runner) runJob(j job, baseL2 int, plan *faultPlan) {
 // attemptJob performs one recovered attempt of a job. A panic — the
 // simulator's invariant checks panic by design, and FaultSpec injects
 // panics on the same path — becomes a FailedJob carrying the stack.
-func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
+func (r *runner) attemptJob(j job, plan *faultPlan, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			failure = &FailedJob{
@@ -463,8 +489,7 @@ func (r *runner) attemptJob(j job, baseL2 int, plan *faultPlan, attempt int) (re
 		}
 	}()
 	plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name), attempt)
-	p := paramsFor(j.cfg, baseL2)
-	gens := workload.BuildMix(j.mix, p, r.opt.Seed)
+	gens := j.gens(paramsFor(j.cfg, j.baseL2), r.opt.Seed)
 	if oo := r.opt.Obs; oo != nil {
 		o = obs.New(j.cfg.Cores, j.cfg.LLCBanks, obs.Config{
 			IntervalCycles: oo.IntervalCycles,

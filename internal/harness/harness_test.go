@@ -68,8 +68,8 @@ func TestFig2ZIVFreeInclusionVictims(t *testing.T) {
 	// Not fig2 itself, but the core claim: ZIV rows in fig8's matrix must
 	// have zero inclusion victims. Run the ZIV spec directly.
 	o := tinyOptions()
-	s := spec{label: "ziv", l2: kb256, mode: 0, pol: 0, scheme: 4 /* SchemeZIV */, prop: 1 /* NotInPrC */}
-	r, mixes, _ := sweepMatrix(o, []spec{s})
+	s := spec{family: lruFamilyByName("ZIV-NotInPrC"), label: "ziv", l2: kb256}
+	r, mixes := sweepMatrix(o, []spec{s})
 	for _, mix := range mixes {
 		res := r.get("ziv", mix.Name)
 		if res.TotalIncl != 0 {
@@ -207,10 +207,12 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
+// TestFig16And17Shape runs at goldenOptions, so in the full suite it
+// renders from the simulations TestGoldenMultiThreaded left in the memo.
 func TestFig16And17Shape(t *testing.T) {
 	for _, id := range []string{"fig16", "fig17"} {
 		e, _ := ByID(id)
-		tab := e.Run(tinyOptions())
+		tab := e.Run(goldenOptions())
 		if len(tab.Rows) != 5 {
 			t.Fatalf("%s rows = %d, want 5 MT workloads", id, len(tab.Rows))
 		}

@@ -47,56 +47,62 @@ func TestObsInvariance(t *testing.T) {
 	}
 }
 
-// TestObsArtifacts runs a small figure with artifact output and checks
-// every job produced a loadable Chrome trace, NDJSON events and an
-// interval CSV with the expected header.
+// TestObsArtifacts runs a multi-programmed and a multi-threaded figure
+// with artifact output and checks every job produced a loadable Chrome
+// trace, NDJSON events and an interval CSV with the expected header: one
+// artifact set per job, named after its configuration label.
 func TestObsArtifacts(t *testing.T) {
-	dir := t.TempDir()
-	opt := obsOptions()
-	opt.Obs = &ObsOptions{IntervalCycles: 1_000, OutDir: dir}
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
-	ResetMemo()
-	e.Run(opt)
-	ResetMemo()
+	for _, tc := range []struct{ id, labelPrefix string }{{"fig1", ""}, {"fig16", "mt."}} {
+		t.Run(tc.id, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := obsOptions()
+			opt.Obs = &ObsOptions{IntervalCycles: 1_000, OutDir: dir}
+			e, ok := ByID(tc.id)
+			if !ok {
+				t.Fatalf("%s not registered", tc.id)
+			}
+			ResetMemo()
+			e.Run(opt)
+			jobs := Status(opt).Completed
+			ResetMemo()
 
-	traces, err := filepath.Glob(filepath.Join(dir, "*.trace.json"))
-	if err != nil || len(traces) == 0 {
-		t.Fatalf("no trace artifacts in %s (err %v)", dir, err)
-	}
-	for _, path := range traces {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var f struct {
-			TraceEvents []map[string]any `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(data, &f); err != nil {
-			t.Fatalf("%s: invalid JSON: %v", path, err)
-		}
-		if len(f.TraceEvents) == 0 {
-			t.Fatalf("%s: empty traceEvents", path)
-		}
-	}
+			traces, err := filepath.Glob(filepath.Join(dir, tc.labelPrefix+"*.trace.json"))
+			if err != nil || len(traces) == 0 || len(traces) != jobs {
+				t.Fatalf("%d trace artifacts in %s for %d jobs (err %v)", len(traces), dir, jobs, err)
+			}
+			for _, path := range traces {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var f struct {
+					TraceEvents []map[string]any `json:"traceEvents"`
+				}
+				if err := json.Unmarshal(data, &f); err != nil {
+					t.Fatalf("%s: invalid JSON: %v", path, err)
+				}
+				if len(f.TraceEvents) == 0 {
+					t.Fatalf("%s: empty traceEvents", path)
+				}
+			}
 
-	csvs, err := filepath.Glob(filepath.Join(dir, "*.intervals.csv"))
-	if err != nil || len(csvs) != len(traces) {
-		t.Fatalf("got %d interval CSVs for %d traces (err %v)", len(csvs), len(traces), err)
-	}
-	data, err := os.ReadFile(csvs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(string(data), "scope,interval,id,") {
-		t.Fatalf("unexpected CSV header: %q", strings.SplitN(string(data), "\n", 2)[0])
-	}
+			csvs, err := filepath.Glob(filepath.Join(dir, tc.labelPrefix+"*.intervals.csv"))
+			if err != nil || len(csvs) != len(traces) {
+				t.Fatalf("got %d interval CSVs for %d traces (err %v)", len(csvs), len(traces), err)
+			}
+			data, err := os.ReadFile(csvs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(data), "scope,interval,id,") {
+				t.Fatalf("unexpected CSV header: %q", strings.SplitN(string(data), "\n", 2)[0])
+			}
 
-	nds, _ := filepath.Glob(filepath.Join(dir, "*.events.ndjson"))
-	if len(nds) != len(traces) {
-		t.Fatalf("got %d NDJSON dumps for %d traces", len(nds), len(traces))
+			nds, _ := filepath.Glob(filepath.Join(dir, tc.labelPrefix+"*.events.ndjson"))
+			if len(nds) != len(traces) {
+				t.Fatalf("got %d NDJSON dumps for %d traces", len(nds), len(traces))
+			}
+		})
 	}
 }
 

@@ -35,48 +35,53 @@ func resilienceOptions() Options {
 	return o
 }
 
-// fig1Table runs fig1 under o and renders it.
-func fig1Table(t *testing.T, o Options) string {
+// figTable runs experiment id under o and renders it.
+func figTable(t *testing.T, id string, o Options) string {
 	t.Helper()
-	e, ok := ByID("fig1")
+	e, ok := ByID(id)
 	if !ok {
-		t.Fatal("fig1 not registered")
+		t.Fatalf("%s not registered", id)
 	}
 	return e.Run(o).Format()
 }
 
-// cleanFig1 memoizes one uninterrupted fig1 run — the byte-identity
-// reference every resilience test compares against.
-var cleanFig1 struct {
-	once  sync.Once
-	table string
-	jobs  int
+// cleanRuns memoizes one uninterrupted run per experiment — the
+// byte-identity reference the resilience tests compare against.
+var cleanRuns struct {
+	sync.Mutex
+	tables map[string]string
+	jobs   map[string]int
 }
 
-func cleanFig1Run(t *testing.T) (table string, jobs int) {
+func cleanRun(t *testing.T, id string) (table string, jobs int) {
 	t.Helper()
-	cleanFig1.once.Do(func() {
+	cleanRuns.Lock()
+	defer cleanRuns.Unlock()
+	if cleanRuns.tables == nil {
+		cleanRuns.tables, cleanRuns.jobs = map[string]string{}, map[string]int{}
+	}
+	if _, ok := cleanRuns.tables[id]; !ok {
 		o := resilienceOptions()
 		ResetMemo()
-		cleanFig1.table = fig1Table(t, o)
-		cleanFig1.jobs = Status(o).Completed
-	})
-	if cleanFig1.jobs == 0 {
-		t.Fatal("clean fig1 run completed no jobs")
+		cleanRuns.tables[id] = figTable(t, id, o)
+		cleanRuns.jobs[id] = Status(o).Completed
 	}
-	return cleanFig1.table, cleanFig1.jobs
+	if cleanRuns.jobs[id] == 0 {
+		t.Fatalf("clean %s run completed no jobs", id)
+	}
+	return cleanRuns.tables[id], cleanRuns.jobs[id]
 }
 
 // TestPanicFailsOnlyThatJob: a panic inside one simulation must be
 // recovered, recorded as a FailedJob with its stack, and leave every
 // other job's result intact.
 func TestPanicFailsOnlyThatJob(t *testing.T) {
-	_, total := cleanFig1Run(t)
+	_, total := cleanRun(t, "fig1")
 
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob
 	ResetMemo()
-	fig1Table(t, o) // must not panic: the failed cell renders as zeros
+	figTable(t, "fig1", o) // must not panic: the failed cell renders as zeros
 
 	st := Status(o)
 	if len(st.Failed) != 1 {
@@ -107,13 +112,13 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 // invisible under MaxAttempts 2 — same table bytes as a clean run, no
 // FailedJob.
 func TestRetryRecoversTransientFault(t *testing.T) {
-	clean, total := cleanFig1Run(t)
+	clean, total := cleanRun(t, "fig1")
 
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob + "@1"
 	o.MaxAttempts = 2
 	ResetMemo()
-	got := fig1Table(t, o)
+	got := figTable(t, "fig1", o)
 
 	if got != clean {
 		t.Errorf("retried run differs from clean run:\nclean:\n%s\nretried:\n%s", clean, got)
@@ -131,44 +136,49 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 // results with the drain-after fault (the deterministic stand-in for
 // SIGINT), then rerun it over the same store in a fresh runner — the
 // resumed figure must be byte-identical to an uninterrupted run, with
-// the finished jobs adopted from the store.
+// the finished jobs adopted from the store. It runs a multi-programmed
+// and a multi-threaded figure.
 func TestDrainResumeByteIdentical(t *testing.T) {
-	clean, total := cleanFig1Run(t)
-	dir := t.TempDir()
+	for _, id := range []string{"fig1", "fig17"} {
+		t.Run(id, func(t *testing.T) {
+			clean, total := cleanRun(t, id)
+			dir := t.TempDir()
 
-	o := resilienceOptions()
-	o.CacheDir = dir
-	o.FaultSpec = "drain-after:3"
-	o.Drain = NewDrain()
-	ResetMemo()
-	fig1Table(t, o) // partial: the drain parks the rest of the matrix
+			o := resilienceOptions()
+			o.CacheDir = dir
+			o.FaultSpec = "drain-after:3"
+			o.Drain = NewDrain()
+			ResetMemo()
+			figTable(t, id, o) // partial: the drain parks the rest of the matrix
 
-	if !o.Drain.Requested() {
-		t.Fatal("drain-after fault did not request a drain")
-	}
-	st := Status(o)
-	if st.Completed != 3 {
-		t.Fatalf("interrupted run completed %d jobs, want 3 (Parallelism 1)", st.Completed)
-	}
-	if len(st.Skipped) != total-3 {
-		t.Fatalf("interrupted run skipped %d jobs, want %d", len(st.Skipped), total-3)
-	}
+			if !o.Drain.Requested() {
+				t.Fatal("drain-after fault did not request a drain")
+			}
+			st := Status(o)
+			if st.Completed != 3 {
+				t.Fatalf("interrupted run completed %d jobs, want 3 (Parallelism 1)", st.Completed)
+			}
+			if len(st.Skipped) != total-3 {
+				t.Fatalf("interrupted run skipped %d jobs, want %d", len(st.Skipped), total-3)
+			}
 
-	r := resilienceOptions()
-	r.CacheDir = dir
-	ResetMemo()
-	got := fig1Table(t, r)
+			r := resilienceOptions()
+			r.CacheDir = dir
+			ResetMemo()
+			got := figTable(t, id, r)
 
-	if got != clean {
-		t.Errorf("resumed run differs from uninterrupted run:\nclean:\n%s\nresumed:\n%s", clean, got)
-	}
-	rst := Status(r)
-	if rst.CacheHits != 3 {
-		t.Errorf("CacheHits = %d, want 3 (the jobs finished before the drain)", rst.CacheHits)
-	}
-	if rst.Completed != total || len(rst.Skipped) != 0 || len(rst.Failed) != 0 {
-		t.Errorf("resumed status = %d completed, %d skipped, %d failed; want %d/0/0",
-			rst.Completed, len(rst.Skipped), len(rst.Failed), total)
+			if got != clean {
+				t.Errorf("resumed run differs from uninterrupted run:\nclean:\n%s\nresumed:\n%s", clean, got)
+			}
+			rst := Status(r)
+			if rst.CacheHits != 3 {
+				t.Errorf("CacheHits = %d, want 3 (the jobs finished before the drain)", rst.CacheHits)
+			}
+			if rst.Completed != total || len(rst.Skipped) != 0 || len(rst.Failed) != 0 {
+				t.Errorf("resumed status = %d completed, %d skipped, %d failed; want %d/0/0",
+					rst.Completed, len(rst.Skipped), len(rst.Failed), total)
+			}
+		})
 	}
 }
 
@@ -176,14 +186,14 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 // over the same store re-attempts exactly it — and only it — then
 // matches the clean run byte for byte.
 func TestResumeRetriesFailedJob(t *testing.T) {
-	clean, total := cleanFig1Run(t)
+	clean, total := cleanRun(t, "fig1")
 	dir := t.TempDir()
 
 	o := resilienceOptions()
 	o.CacheDir = dir
 	o.FaultSpec = "panic:" + faultedJob
 	ResetMemo()
-	fig1Table(t, o)
+	figTable(t, "fig1", o)
 	if st := Status(o); len(st.Failed) != 1 || st.Completed != total-1 {
 		t.Fatalf("faulted run: %d completed, %d failed; want %d completed, 1 failed",
 			st.Completed, len(st.Failed), total-1)
@@ -193,7 +203,7 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 	r.CacheDir = dir
 	ResetMemo()
 	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
+	got := figTable(t, "fig1", r)
 
 	if got != clean {
 		t.Errorf("resumed run differs from clean run:\nclean:\n%s\nresumed:\n%s", clean, got)
@@ -214,13 +224,13 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 // stored (the corrupt: fault) must read as a miss on the next run, and
 // the recompute must restore byte-identical output.
 func TestCorruptCacheEntryRecomputed(t *testing.T) {
-	clean, total := cleanFig1Run(t)
+	clean, total := cleanRun(t, "fig1")
 
 	o := resilienceOptions()
 	o.CacheDir = t.TempDir()
 	o.FaultSpec = "corrupt:" + faultedJob
 	ResetMemo()
-	if got := fig1Table(t, o); got != clean {
+	if got := figTable(t, "fig1", o); got != clean {
 		t.Errorf("corruption happens after the result is recorded; table must match clean run:\n%s", got)
 	}
 
@@ -228,7 +238,7 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	r.FaultSpec = ""
 	ResetMemo()
 	refsBefore := SimulatedRefs()
-	got := fig1Table(t, r)
+	got := figTable(t, "fig1", r)
 
 	if got != clean {
 		t.Errorf("rerun over corrupted cache differs from clean run:\nclean:\n%s\nrerun:\n%s", clean, got)
@@ -247,7 +257,7 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 // hold no entries — every read misses and every write fails — and the
 // sweep must neither panic nor change a byte: it simply runs every job.
 func TestUnusableStoreRunsClean(t *testing.T) {
-	clean, total := cleanFig1Run(t)
+	clean, total := cleanRun(t, "fig1")
 	file := filepath.Join(t.TempDir(), "not-a-dir")
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
@@ -256,7 +266,7 @@ func TestUnusableStoreRunsClean(t *testing.T) {
 	o := resilienceOptions()
 	o.CacheDir = file
 	ResetMemo()
-	if got := fig1Table(t, o); got != clean {
+	if got := figTable(t, "fig1", o); got != clean {
 		t.Errorf("run over an unusable store differs from clean run:\nclean:\n%s\ngot:\n%s", clean, got)
 	}
 	st := Status(o)
@@ -274,7 +284,7 @@ func TestUnusableStoreRunsClean(t *testing.T) {
 // concurrently must still produce the same table bytes as a clean
 // serial run.
 func TestParallelFaultedSweep(t *testing.T) {
-	clean, total := cleanFig1Run(t)
+	clean, total := cleanRun(t, "fig1")
 
 	var buf bytes.Buffer
 	o := resilienceOptions()
@@ -284,7 +294,7 @@ func TestParallelFaultedSweep(t *testing.T) {
 	o.CacheDir = t.TempDir()
 	o.Telemetry = telemetry.NewSink(func() time.Time { return time.Unix(1000, 0) }, telemetry.Outputs{Progress: &buf})
 	ResetMemo()
-	got := fig1Table(t, o)
+	got := figTable(t, "fig1", o)
 
 	if got != clean {
 		t.Errorf("parallel faulted run differs from clean serial run:\nclean:\n%s\nparallel:\n%s", clean, got)

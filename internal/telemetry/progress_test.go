@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,21 +14,22 @@ func progressSink(buf *bytes.Buffer, clock *time.Time) *Sink {
 	return NewSink(func() time.Time { return *clock }, Outputs{Progress: buf})
 }
 
-// queue reports n jobs entering the scheduler.
-func queue(s *Sink, n int) {
+// queue reports n jobs, job.0 to job.<n-1>, entering the scheduler,
+// each weighing refs nominal references.
+func queue(s *Sink, n int, refs uint64) {
 	for i := 0; i < n; i++ {
-		s.Report(Record{Type: SimQueued, Sim: "job"})
+		s.Report(Record{Type: SimQueued, Sim: "job." + strconv.Itoa(i), Refs: refs})
 	}
 }
 
-// finish reports one job finishing with outcome (done, failed or
+// finish reports job.<i> finishing with outcome (done, failed or
 // cache-hit) after simulating refs references.
-func finish(s *Sink, outcome string, refs uint64) {
+func finish(s *Sink, i int, outcome string, refs uint64) {
 	typ := SimAttemptEnd
 	if outcome == OutcomeCacheHit {
 		typ = SimAdopted
 	}
-	s.Report(Record{Type: typ, Sim: "job", Outcome: outcome, Refs: refs})
+	s.Report(Record{Type: typ, Sim: "job." + strconv.Itoa(i), Outcome: outcome, Refs: refs})
 }
 
 // TestProgressThrottleBoundary pins the line's 5 Hz throttle at its
@@ -37,23 +39,23 @@ func TestProgressThrottleBoundary(t *testing.T) {
 	var buf bytes.Buffer
 	clock := time.Unix(1000, 0)
 	s := progressSink(&buf, &clock)
-	queue(s, 10)
+	queue(s, 10, 1000)
 
 	clock = clock.Add(time.Second)
-	finish(s, OutcomeDone, 1000) // first render always prints
+	finish(s, 0, OutcomeDone, 1000) // first render always prints
 	n := buf.Len()
 	if n == 0 {
 		t.Fatal("first finished job rendered nothing")
 	}
 
 	clock = clock.Add(199 * time.Millisecond)
-	finish(s, OutcomeDone, 1000)
+	finish(s, 1, OutcomeDone, 1000)
 	if buf.Len() != n {
 		t.Fatalf("render 199ms after last was not throttled: %q", buf.String()[n:])
 	}
 
 	clock = clock.Add(time.Millisecond) // exactly 200ms since last render
-	finish(s, OutcomeDone, 1000)
+	finish(s, 2, OutcomeDone, 1000)
 	if buf.Len() == n {
 		t.Fatal("render 200ms after last was throttled; want ~5 Hz updates")
 	}
@@ -69,12 +71,12 @@ func TestProgressJobFailed(t *testing.T) {
 	var buf bytes.Buffer
 	clock := time.Unix(1000, 0)
 	s := progressSink(&buf, &clock)
-	queue(s, 4)
+	queue(s, 4, 50_000)
 
 	clock = clock.Add(2 * time.Second)
-	finish(s, OutcomeDone, 50_000)
+	finish(s, 0, OutcomeDone, 50_000)
 	clock = clock.Add(2 * time.Second)
-	finish(s, OutcomeFailed, 0)
+	finish(s, 1, OutcomeFailed, 0)
 	out := buf.String()
 	if !strings.Contains(out, "1/4 runs") {
 		t.Fatalf("failed job counted as done: %q", out)
@@ -90,9 +92,9 @@ func TestProgressJobFailed(t *testing.T) {
 
 	// done+failed == queued forces the final render through the throttle.
 	clock = clock.Add(time.Millisecond)
-	finish(s, OutcomeDone, 50_000)
+	finish(s, 2, OutcomeDone, 50_000)
 	clock = clock.Add(time.Millisecond)
-	finish(s, OutcomeFailed, 0)
+	finish(s, 3, OutcomeFailed, 0)
 	out = buf.String()
 	if !strings.Contains(out, "2/4 runs") || !strings.Contains(out, "| 2 failed") {
 		t.Fatalf("terminal render not forced past throttle: %q", out)
@@ -109,9 +111,9 @@ func TestProgressFinish(t *testing.T) {
 	var buf bytes.Buffer
 	clock := time.Unix(1000, 0)
 	s := progressSink(&buf, &clock)
-	queue(s, 1)
+	queue(s, 1, 2_000_000)
 	clock = clock.Add(time.Second)
-	finish(s, OutcomeDone, 2_000_000)
+	finish(s, 0, OutcomeDone, 2_000_000)
 	n := buf.Len()
 	clock = clock.Add(10 * time.Millisecond)
 	s.Finish()
@@ -142,9 +144,9 @@ func TestProgressReporter(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	s := progressSink(&buf, &clock)
 
-	queue(s, 3)
+	queue(s, 3, 80_000)
 	clock = clock.Add(2 * time.Second)
-	finish(s, OutcomeDone, 80_000)
+	finish(s, 0, OutcomeDone, 80_000)
 	out := buf.String()
 	if !strings.Contains(out, "1/3 runs") {
 		t.Fatalf("first render = %q", out)
@@ -159,14 +161,14 @@ func TestProgressReporter(t *testing.T) {
 	// Within the throttle window nothing new is printed.
 	n := buf.Len()
 	clock = clock.Add(50 * time.Millisecond)
-	finish(s, OutcomeCacheHit, 0)
+	finish(s, 1, OutcomeCacheHit, 0)
 	if buf.Len() != n {
 		t.Fatalf("throttled render still wrote output: %q", buf.String()[n:])
 	}
 
 	// The final job always renders, and Finish terminates the line.
 	clock = clock.Add(time.Second)
-	finish(s, OutcomeDone, 80_000)
+	finish(s, 2, OutcomeDone, 80_000)
 	s.Finish()
 	out = buf.String()
 	if !strings.Contains(out, "3/3 runs") || !strings.Contains(out, "1 cached") {
@@ -174,5 +176,30 @@ func TestProgressReporter(t *testing.T) {
 	}
 	if !strings.HasSuffix(out, "\n") {
 		t.Fatalf("Finish did not terminate the line: %q", out)
+	}
+}
+
+// TestProgressETAWeightsByRefs pins the ETA's weighting: one 32-core job
+// and four 8-core jobs, the big one finishing first. It is a fifth of
+// the jobs but half the references, so half the work is left.
+func TestProgressETAWeightsByRefs(t *testing.T) {
+	var buf bytes.Buffer
+	clock := time.Unix(1000, 0)
+	s := progressSink(&buf, &clock)
+	s.Report(Record{Type: SimQueued, Sim: "tpce", Refs: 32 * 1000})
+	queue(s, 4, 8*1000)
+
+	clock = clock.Add(4 * time.Second)
+	s.Report(Record{Type: SimAttemptEnd, Sim: "tpce", Outcome: OutcomeDone, Refs: 32 * 1000})
+	// Counting jobs would read 16s.
+	if out := buf.String(); !strings.Contains(out, "1/5 runs") || !strings.Contains(out, "ETA 4s") {
+		t.Fatalf("after the 32-core job: %q, want 1/5 runs and ETA 4s", out)
+	}
+
+	clock = clock.Add(time.Second)
+	finish(s, 0, OutcomeDone, 8*1000)
+	// 40k of 64k references in 5s: 24k left, 3s.
+	if out := buf.String(); !strings.Contains(out, "2/5 runs") || !strings.Contains(out, "ETA 3s") {
+		t.Fatalf("after an 8-core job: %q, want 2/5 runs and ETA 3s", out)
 	}
 }

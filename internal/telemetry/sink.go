@@ -52,7 +52,9 @@ type Record struct {
 	Outcome string `json:"outcome,omitempty"`
 	// DurUS is the attempt's wall time in microseconds, on attempt ends.
 	DurUS int64 `json:"dur_us,omitempty"`
-	// Refs is the number of memory references the attempt simulated.
+	// Refs is, on an attempt end, the number of memory references the
+	// attempt simulated; on a queued step, the job's nominal references
+	// (cores x (warmup + measure)), which weight the progress ETA.
 	Refs uint64 `json:"refs,omitempty"`
 	// RefsPerSec is the attempt's simulation rate, on attempt ends.
 	RefsPerSec float64 `json:"refs_per_sec,omitempty"`
@@ -149,12 +151,15 @@ type Sink struct {
 	//ziv:guards(mu)
 	spans []obs.TimelineSpan
 	// Progress-line tallies (with Outputs.Progress): jobs queued,
-	// finished (done includes cached), refs simulated, and the throttle
-	// state.
+	// finished (done includes cached), refs simulated, the nominal refs
+	// of the jobs queued and finished, each unfinished job's nominal
+	// refs, and the throttle state.
 	//ziv:guards(mu)
 	queued, done, cached, failed int
 	//ziv:guards(mu)
-	refs uint64
+	refs, queuedRefs, finishedRefs uint64
+	//ziv:guards(mu)
+	weights map[string]uint64
 	//ziv:guards(mu)
 	rendered bool
 	//ziv:guards(mu)
@@ -172,7 +177,8 @@ func NewSink(now func() time.Time, out Outputs) *Sink {
 		reg = NewRegistry()
 	}
 	s := &Sink{now: now, out: out, open: make(map[string]phase),
-		outcomes: make(map[string]*Counter, len(terminalOutcomes))}
+		outcomes: make(map[string]*Counter, len(terminalOutcomes)),
+		weights:  make(map[string]uint64)}
 	s.jobsQueued = reg.Counter("zivsim_sweep_jobs_queued_total",
 		"Jobs entering the sweep scheduler (deduplicated, not yet adopted).")
 	for _, oc := range terminalOutcomes {
@@ -318,6 +324,8 @@ func (s *Sink) tallyLocked(rec Record, t time.Time) {
 	case "":
 		if rec.Type == SimQueued {
 			s.queued++
+			s.queuedRefs += rec.Refs
+			s.weights[rec.Sim] = rec.Refs
 		}
 		return
 	case OutcomeDone:
@@ -331,12 +339,15 @@ func (s *Sink) tallyLocked(rec Record, t time.Time) {
 	default: // a retry or a skip finishes no job
 		return
 	}
+	s.finishedRefs += s.weights[rec.Sim]
+	delete(s.weights, rec.Sim)
 	s.renderLocked(t, s.done+s.failed == s.queued)
 }
 
 // renderLocked rewrites the progress line, throttled to ~5 Hz unless
-// force. A failed job counts toward the ETA like a finished one, so the
-// estimate keeps converging. Callers hold s.mu.
+// force. The ETA weights each job by its nominal refs, since the jobs of
+// one sweep can differ in core count; a failed job counts toward it like
+// a finished one, so the estimate keeps converging. Callers hold s.mu.
 func (s *Sink) renderLocked(t time.Time, force bool) {
 	if s.rendered && !force && t.Sub(s.last) < 200*time.Millisecond {
 		return
@@ -347,12 +358,11 @@ func (s *Sink) renderLocked(t time.Time, force bool) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		rate = float64(s.refs) / secs
 	}
-	finished := s.done + s.failed
 	eta := "?"
-	if finished > 0 && s.queued > finished {
-		rem := time.Duration(float64(elapsed) / float64(finished) * float64(s.queued-finished))
+	if s.finishedRefs > 0 && s.queuedRefs > s.finishedRefs {
+		rem := time.Duration(float64(elapsed) / float64(s.finishedRefs) * float64(s.queuedRefs-s.finishedRefs))
 		eta = rem.Round(time.Second).String()
-	} else if s.queued == finished {
+	} else if s.queued == s.done+s.failed {
 		eta = "0s"
 	}
 	failed := ""
