@@ -59,13 +59,18 @@ bench-compare:
 	$(GO) run ./cmd/zivbench -o BENCH_new.json
 	$(GO) run ./cmd/zivbench -compare BENCH_figs.json BENCH_new.json
 
-# Tiny instrumented run + trace validation, mirroring CI's obs-smoke job.
+# Tiny instrumented run, trace validation and the interval report of one
+# run (CI's obs-smoke job runs this target and uploads obsout/ and
+# obs-intervals.md).
 obs-smoke:
 	$(GO) run ./cmd/zivsim -fig fig1 -scale 32 -cores 2 -mixes 1 -homo 0 \
 		-warmup 1000 -refs 4000 -obs-interval 2000 -obs-out obsout > /dev/null
 	$(GO) run ./cmd/zivreport -checktrace obsout
+	$(GO) run ./cmd/zivreport -obs "$$(ls obsout/*.intervals.csv | head -1)" > obs-intervals.md
+	head -20 obs-intervals.md
 
-# End-to-end interrupt/resume check (OPERATIONS.md): a clean tiny sweep
+# End-to-end interrupt/resume check (OPERATIONS.md): options that cannot
+# build a machine (-scale 3) must exit 2 before simulating; a clean tiny sweep
 # whose -progress line must end on "K/K runs" (the one run whose sink has
 # no other output), the same sweep drained after 3 jobs via fault
 # injection (must exit 4),
@@ -85,6 +90,9 @@ resume-smoke:
 	rm -rf resume-smoke.tmp && mkdir -p resume-smoke.tmp
 	$(GO) build -o resume-smoke.tmp/zivsim ./cmd/zivsim
 	$(GO) build -o resume-smoke.tmp/zivreport ./cmd/zivreport
+	./resume-smoke.tmp/zivsim -fig fig1 -scale 3 > /dev/null 2>&1; \
+		st=$$?; if [ $$st -ne 2 ]; then \
+			echo "resume-smoke: -scale 3: want exit 2 (invalid options), got $$st"; exit 1; fi
 	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_FLAGS) -progress > resume-smoke.tmp/clean.csv \
 		2> resume-smoke.tmp/progress.log
 	@last=$$(tr '\r' '\n' < resume-smoke.tmp/progress.log | grep 'runs' | tail -1); \

@@ -23,7 +23,8 @@
 // -store directory and observability artifacts — and a second signal
 // exits immediately. See OPERATIONS.md for the runbook.
 //
-// Exit codes: 0 success; 2 usage error; 3 the sweep completed but at
+// Exit codes: 0 success; 2 usage error or options that cannot build a
+// machine (see harness.Options.Validate); 3 the sweep completed but at
 // least one job failed (a failed-job report is printed to stderr); 4 the
 // sweep was interrupted and drained (resume by rerunning with the same
 // -store); 1 other runtime errors (an unusable -ledger file or
@@ -62,21 +63,13 @@ func main() {
 // the deferred ledger, sweep-trace and telemetry finalizers run before
 // os.Exit.
 func run() int {
+	options := modelFlags(flag.CommandLine)
 	var (
-		figID     = flag.String("fig", "", "experiment to run (fig1..fig19, or 'all')")
-		list      = flag.Bool("list", false, "list available experiments")
-		showCfg   = flag.Bool("config", false, "print the simulated machine configuration (Table I)")
-		scale     = flag.Int("scale", 8, "capacity divisor for every cache (1 = paper's full-size machine)")
-		cores     = flag.Int("cores", 8, "core count for multi-programmed experiments")
-		hetero    = flag.Int("mixes", 4, "number of heterogeneous mixes (paper: 36)")
-		homo      = flag.Int("homo", 4, "number of homogeneous mixes (paper: 36)")
-		warmup    = flag.Int("warmup", 30000, "warm-up references per core")
-		refs      = flag.Int("refs", 120000, "measured references per core")
-		tpceCores = flag.Int("tpce-cores", 32, "core count for the TPC-E experiment (paper: 128)")
-		seed      = flag.Uint64("seed", 20210614, "deterministic seed")
-		par       = flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		paper     = flag.Bool("paper", false, "paper-fidelity options (slow; overrides scale/mixes/refs)")
+		figID   = flag.String("fig", "", "experiment to run (fig1..fig19, or 'all')")
+		list    = flag.Bool("list", false, "list available experiments")
+		showCfg = flag.Bool("config", false, "print the simulated machine configuration (Table I)")
+		par     = flag.Int("parallel", 0, "max concurrent simulations (0 = NumCPU)")
+		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 
 		storeDir    = flag.String("store", "", "result store directory: every finished simulation is stored there and reused, so rerunning with the same -store resumes a sweep (empty = off)")
 		retries     = flag.Int("retries", 2, "attempts per job before it is recorded as failed")
@@ -98,8 +91,20 @@ func run() int {
 		}
 		return exitOK
 	}
+	opt := options()
+	opt.Parallelism = *par
+	opt.CacheDir = *storeDir
+	opt.MaxAttempts = *retries
+	opt.FaultSpec = *faultspec
+	if *obsIval > 0 {
+		opt.Obs = &harness.ObsOptions{IntervalCycles: *obsIval, OutDir: *obsOut}
+	}
+	if err := opt.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "zivsim: invalid options: %v\n", err)
+		return exitUsage
+	}
 	if *showCfg {
-		printConfig(*cores, *scale)
+		printConfig(opt.Cores, opt.Scale)
 		return exitOK
 	}
 	if *figID == "" {
@@ -109,27 +114,6 @@ func run() int {
 	if err := harness.ParseFaultSpec(*faultspec); err != nil {
 		fmt.Fprintf(os.Stderr, "zivsim: -faultspec: %v\n", err)
 		return exitUsage
-	}
-
-	opt := harness.DefaultOptions()
-	if *paper {
-		opt = harness.PaperOptions()
-	} else {
-		opt.Scale = *scale
-		opt.Cores = *cores
-		opt.HeteroMixes = *hetero
-		opt.HomoMixes = *homo
-		opt.Warmup = *warmup
-		opt.Measure = *refs
-		opt.TPCECores = *tpceCores
-		opt.Seed = *seed
-	}
-	opt.Parallelism = *par
-	opt.CacheDir = *storeDir
-	opt.MaxAttempts = *retries
-	opt.FaultSpec = *faultspec
-	if *obsIval > 0 {
-		opt.Obs = &harness.ObsOptions{IntervalCycles: *obsIval, OutDir: *obsOut}
 	}
 
 	// Graceful drain: the first SIGINT/SIGTERM stops dispatching and arms
@@ -258,6 +242,36 @@ func run() int {
 		return exitFailedJobs
 	}
 	return exitOK
+}
+
+// modelFlags registers the flags that describe the simulated model on
+// fs, writing into options that start from harness.DefaultOptions, so
+// -help shows those defaults. The returned function, called after
+// fs.Parse, yields the options: rebased onto harness.PaperOptions under
+// -paper, with every flag the user set applied again on top.
+func modelFlags(fs *flag.FlagSet) func() harness.Options {
+	opt := harness.DefaultOptions()
+	fs.IntVar(&opt.Scale, "scale", opt.Scale, "capacity divisor for every cache (1 = paper's full-size machine)")
+	fs.IntVar(&opt.Cores, "cores", opt.Cores, "core count for multi-programmed experiments")
+	fs.IntVar(&opt.HeteroMixes, "mixes", opt.HeteroMixes, "number of heterogeneous mixes (paper: 36)")
+	fs.IntVar(&opt.HomoMixes, "homo", opt.HomoMixes, "number of homogeneous mixes (paper: 36)")
+	fs.IntVar(&opt.Warmup, "warmup", opt.Warmup, "warm-up references per core")
+	fs.IntVar(&opt.Measure, "refs", opt.Measure, "measured references per core")
+	fs.IntVar(&opt.TPCECores, "tpce-cores", opt.TPCECores, "core count for the TPC-E experiment (paper: 128)")
+	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "deterministic seed")
+	paper := fs.Bool("paper", false, "paper-fidelity base options (slow); flags you set still apply")
+	return func() harness.Options {
+		if *paper {
+			set := map[string]string{}
+			fs.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
+			opt = harness.PaperOptions()
+			for name, value := range set {
+				// Every value is one the flag itself printed, so it parses.
+				_ = fs.Set(name, value)
+			}
+		}
+		return opt
+	}
 }
 
 // reportFailures prints the failed-job report: one summary line per job

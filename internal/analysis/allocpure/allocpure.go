@@ -133,21 +133,15 @@ func run(pass *framework.Pass) (any, error) {
 	// verdict only flips false→true, so this terminates fast).
 	for {
 		changed := false
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, _ := a.info.Defs[fd.Name].(*types.Func)
-				if fn == nil {
-					continue
-				}
-				got := a.analyzeFunc(fd, fn, false)
-				if got && !a.allocs[fn.FullName()] {
-					a.allocs[fn.FullName()] = true
-					changed = true
-				}
+		for _, fd := range pass.FuncDecls() {
+			fn, _ := a.info.Defs[fd.Name].(*types.Func)
+			if fn == nil {
+				continue
+			}
+			got := a.analyzeFunc(fd, fn, false)
+			if got && !a.allocs[fn.FullName()] {
+				a.allocs[fn.FullName()] = true
+				changed = true
 			}
 		}
 		if !changed {
@@ -156,18 +150,12 @@ func run(pass *framework.Pass) (any, error) {
 	}
 
 	// Report pass over the annotated functions only.
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isNoalloc(fd) {
-				continue
-			}
-			fn, _ := a.info.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			a.analyzeFunc(fd, fn, true)
+	for _, fd := range pass.FuncDecls() {
+		fn, _ := a.info.Defs[fd.Name].(*types.Func)
+		if fn == nil || !isNoalloc(fd) {
+			continue
 		}
+		a.analyzeFunc(fd, fn, true)
 	}
 
 	a.enforceContracts()
@@ -507,18 +495,16 @@ func (w *walker) call(call *ast.CallExpr) {
 	fun := ast.Unparen(call.Fun)
 
 	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
-		if _, isBuiltin := w.a.info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				w.found(call.Pos(), "make allocates in //ziv:noalloc function")
-			case "new":
-				w.found(call.Pos(), "new allocates in //ziv:noalloc function")
-			case "append":
-				w.found(call.Pos(), "append may reallocate in //ziv:noalloc function")
-			}
-			return
+	if name := framework.BuiltinName(w.a.info, call); name != "" {
+		switch name {
+		case "make":
+			w.found(call.Pos(), "make allocates in //ziv:noalloc function")
+		case "new":
+			w.found(call.Pos(), "new allocates in //ziv:noalloc function")
+		case "append":
+			w.found(call.Pos(), "append may reallocate in //ziv:noalloc function")
 		}
+		return
 	}
 
 	// Explicit conversion T(x).
@@ -547,7 +533,7 @@ func (w *walker) call(call *ast.CallExpr) {
 	}
 
 	// Known-allocating callees.
-	fn := calledFunc(w.a.info, call)
+	fn := framework.CalledFunc(w.a.info, call)
 	if fn == nil {
 		return
 	}
@@ -555,20 +541,7 @@ func (w *walker) call(call *ast.CallExpr) {
 		w.ifaceCall(call, fn)
 		return
 	}
-	full := fullName(fn)
-	allocates := stdlibAllocs[full]
-	if !allocates {
-		if v, ok := w.a.allocs[fn.FullName()]; ok {
-			allocates = v
-		} else if fn.Pkg() != nil && fn.Pkg().Path() != w.a.pass.PkgPath {
-			if f, ok := w.a.pass.ImportFact(fn.Pkg().Path(), allocsKey); ok {
-				if m, isMap := f.(map[string]bool); isMap {
-					allocates = m[fn.FullName()]
-				}
-			}
-		}
-	}
-	if allocates {
+	if stdlibAllocs[fullName(fn)] || w.a.allocates(fn) {
 		w.found(call.Pos(), "call to %s allocates in //ziv:noalloc function", fn.Name())
 	}
 }
@@ -619,7 +592,7 @@ func (w *walker) ifaceCall(call *ast.CallExpr, fn *types.Func) {
 		return
 	}
 	for _, impl := range impls {
-		if w.a.methodAllocates(impl) {
+		if w.a.allocates(impl) {
 			w.found(call.Pos(), "dynamic call to %s may allocate in //ziv:noalloc function (%s allocates)", fn.Name(), impl.FullName())
 			return
 		}
@@ -697,41 +670,18 @@ func (a *analyzer) implementations(fn *types.Func) []*types.Func {
 	return impls
 }
 
-// methodAllocates looks up a concrete method's verdict: the local
-// summary map for this package, the allocs fact for imports.
-func (a *analyzer) methodAllocates(m *types.Func) bool {
-	if m.Pkg() == nil {
-		return false
-	}
-	if m.Pkg().Path() == a.pass.PkgPath {
-		return a.allocs[m.FullName()]
-	}
-	if f, ok := a.pass.ImportFact(m.Pkg().Path(), allocsKey); ok {
-		if mm, ok := f.(map[string]bool); ok {
-			return mm[m.FullName()]
-		}
-	}
-	return false
+// allocates looks up a function's verdict: the local summary map for
+// this package, the allocs fact for imports.
+func (a *analyzer) allocates(fn *types.Func) bool {
+	v, _ := framework.Fact(a.pass, a.allocs, allocsKey, fn, (*types.Func).FullName)
+	return v
 }
 
 // noallocMethod reports whether the interface method fn carries a
 // //ziv:noalloc annotation, locally or in the declaring package's fact.
 func (a *analyzer) noallocMethod(fn *types.Func) bool {
-	key := ifaceKey(fn)
-	if key == "" {
-		return false
-	}
-	if a.noallocIface[key] {
-		return true
-	}
-	if fn.Pkg() != nil && fn.Pkg().Path() != a.pass.PkgPath {
-		if f, ok := a.pass.ImportFact(fn.Pkg().Path(), noallocIfaceKey); ok {
-			if m, ok := f.(map[string]bool); ok {
-				return m[key]
-			}
-		}
-	}
-	return false
+	v, _ := framework.Fact(a.pass, a.noallocIface, noallocIfaceKey, fn, ifaceKey)
+	return v
 }
 
 // ifaceKey renders an interface method as "pkgpath.Iface.Method",
@@ -799,20 +749,6 @@ func (w *walker) captures(lit *ast.FuncLit) bool {
 		return true
 	})
 	return capt
-}
-
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // fullName renders package functions as pkg.Name (matching the stdlib

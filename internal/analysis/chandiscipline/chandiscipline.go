@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"zivsim/internal/analysis/cfg"
 	"zivsim/internal/analysis/dataflow"
@@ -68,40 +69,7 @@ func (id chanID) name() string {
 
 // maySet is the forward fact: channels that may be closed on some path
 // to this point.
-type maySet map[chanID]bool
-
-type mayLattice struct{}
-
-func (mayLattice) Bottom() maySet { return maySet{} }
-
-func (mayLattice) Join(x, y maySet) maySet {
-	if len(x) == 0 {
-		return y
-	}
-	if len(y) == 0 {
-		return x
-	}
-	m := make(maySet, len(x)+len(y))
-	for k := range x {
-		m[k] = true
-	}
-	for k := range y {
-		m[k] = true
-	}
-	return m
-}
-
-func (mayLattice) Equal(x, y maySet) bool {
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if !y[k] {
-			return false
-		}
-	}
-	return true
-}
+type maySet = dataflow.MaySet[chanID]
 
 // eventKind classifies one flow event.
 type eventKind int8
@@ -138,21 +106,12 @@ func run(pass *framework.Pass) (any, error) {
 	// Two rounds so a closer that delegates to a later-declared closer
 	// in the same package still picks up the fact.
 	for round := 0; round < 2; round++ {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-					a.collectCloser(fd)
-				}
-			}
+		for _, fd := range pass.FuncDecls() {
+			a.collectCloser(fd)
 		}
 	}
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				a.analyzeFunc(fd)
-			}
-		}
+	for _, fd := range pass.FuncDecls() {
+		a.analyzeFunc(fd)
 	}
 
 	pass.ExportFact(closersKey, a.closers)
@@ -163,20 +122,12 @@ func run(pass *framework.Pass) (any, error) {
 // positional indices.
 func (a *analyzer) chanParams(fd *ast.FuncDecl) map[*types.Var]int {
 	params := map[*types.Var]int{}
-	idx := 0
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					if _, isChan := v.Type().Underlying().(*types.Chan); isChan {
-						params[v] = idx
-					}
-				}
-				idx++
-			}
-			if len(f.Names) == 0 {
-				idx++
-			}
+	for i, v := range framework.Params(a.info, fd.Type.Params) {
+		if v == nil {
+			continue
+		}
+		if _, isChan := v.Type().Underlying().(*types.Chan); isChan {
+			params[v] = i
 		}
 	}
 	return params
@@ -216,34 +167,24 @@ func (a *analyzer) collectCloser(fd *ast.FuncDecl) {
 	for i := range seen {
 		idxs = append(idxs, i)
 	}
-	sortInts(idxs)
+	sort.Ints(idxs)
 	a.closers[fn.FullName()] = idxs
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
-	}
 }
 
 // closeTargets resolves the channels a call closes: the argument of the
 // close builtin, or the closed parameters of a known closer function.
 func (a *analyzer) closeTargets(call *ast.CallExpr) []chanID {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if _, isBuiltin := a.info.Uses[id].(*types.Builtin); isBuiltin {
-			if cid, ok := a.chainOf(call.Args[0]); ok {
-				return []chanID{cid}
-			}
-			return nil
+	if framework.BuiltinName(a.info, call) == "close" && len(call.Args) == 1 {
+		if cid, ok := a.chainOf(call.Args[0]); ok {
+			return []chanID{cid}
 		}
+		return nil
 	}
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		return nil
 	}
-	idxs, ok := a.closerIndices(fn)
+	idxs, ok := framework.Fact(a.pass, a.closers, closersKey, fn, (*types.Func).FullName)
 	if !ok {
 		return nil
 	}
@@ -256,25 +197,6 @@ func (a *analyzer) closeTargets(call *ast.CallExpr) []chanID {
 		}
 	}
 	return ids
-}
-
-func (a *analyzer) closerIndices(fn *types.Func) ([]int, bool) {
-	if idxs, ok := a.closers[fn.FullName()]; ok {
-		return idxs, true
-	}
-	if fn.Pkg() == nil || fn.Pkg().Path() == a.pass.PkgPath {
-		return nil, false
-	}
-	f, ok := a.pass.ImportFact(fn.Pkg().Path(), closersKey)
-	if !ok {
-		return nil, false
-	}
-	m, ok := f.(map[string][]int)
-	if !ok {
-		return nil, false
-	}
-	idxs, ok := m[fn.FullName()]
-	return idxs, ok
 }
 
 // analyzeFunc runs the three discipline checks over one declaration.
@@ -307,14 +229,7 @@ func (a *analyzer) checkOwnership(fd *ast.FuncDecl) {
 	exported := fd.Name.IsExported()
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-		if !ok || id.Name != "close" || len(call.Args) != 1 {
-			return true
-		}
-		if _, isBuiltin := a.info.Uses[id].(*types.Builtin); !isBuiltin {
+		if !ok || framework.BuiltinName(a.info, call) != "close" || len(call.Args) != 1 {
 			return true
 		}
 		cid, ok := a.chainOf(call.Args[0])
@@ -323,7 +238,7 @@ func (a *analyzer) checkOwnership(fd *ast.FuncDecl) {
 			return true
 		}
 		switch {
-		case isPkgLevel(cid.base):
+		case framework.IsPkgLevel(cid.base):
 		case hasMade(a.made, cid.base):
 		case hasParam(a.params, cid.base):
 			if exported {
@@ -373,7 +288,7 @@ func (a *analyzer) flowScope(body *ast.BlockStmt) {
 	if !any {
 		return
 	}
-	ins := dataflow.Forward[maySet](g, mayLattice{}, maySet{}, func(b *cfg.Block, in maySet) maySet {
+	ins := dataflow.Forward[maySet](g, dataflow.MayLattice[chanID]{}, maySet{}, func(b *cfg.Block, in maySet) maySet {
 		return a.applyEvents(b, in, false)
 	})
 	for _, b := range g.Blocks {
@@ -575,12 +490,9 @@ func collectMade(info *types.Info, body *ast.BlockStmt) map[*types.Var]bool {
 	made := map[*types.Var]bool{}
 	poisoned := map[*types.Var]bool{}
 	record := func(nameIdent *ast.Ident, rhs ast.Expr) {
-		v, ok := info.Defs[nameIdent].(*types.Var)
-		if !ok {
-			v, ok = info.Uses[nameIdent].(*types.Var)
-			if !ok {
-				return
-			}
+		v := framework.VarOf(info, nameIdent)
+		if v == nil {
+			return
 		}
 		if _, isChan := v.Type().Underlying().(*types.Chan); !isChan {
 			return
@@ -624,11 +536,7 @@ func makeChan(info *types.Info, e ast.Expr) (buffered, ok bool) {
 	if !isCall {
 		return false, false
 	}
-	id, isIdent := ast.Unparen(call.Fun).(*ast.Ident)
-	if !isIdent || id.Name != "make" || len(call.Args) == 0 {
-		return false, false
-	}
-	if _, isBuiltin := info.Uses[id].(*types.Builtin); !isBuiltin {
+	if framework.BuiltinName(info, call) != "make" || len(call.Args) == 0 {
 		return false, false
 	}
 	if tv, okT := info.Types[call.Args[0]]; !okT || tv.Type == nil {
@@ -667,7 +575,8 @@ func constantInt(s string) (int64, bool) {
 }
 
 // chainOf resolves a channel expression to its root variable and
-// dotted field path.
+// dotted field path. Unlike framework.Chain it does not look through
+// &x: no channel operand is an address.
 func (a *analyzer) chainOf(e ast.Expr) (chanID, bool) {
 	switch x := e.(type) {
 	case *ast.ParenExpr:
@@ -694,44 +603,21 @@ func (a *analyzer) chainOf(e ast.Expr) (chanID, bool) {
 		if !ok {
 			return chanID{}, false
 		}
-		if cid.path == "" {
-			cid.path = x.Sel.Name
-		} else {
-			cid.path += "." + x.Sel.Name
-		}
+		cid.path = framework.JoinPath(cid.path, x.Sel.Name)
 		return cid, true
 	case *ast.Ident:
-		if v, ok := a.info.Defs[x].(*types.Var); ok {
-			return chanID{base: v}, true
-		}
-		if v, ok := a.info.Uses[x].(*types.Var); ok {
+		if v := framework.VarOf(a.info, x); v != nil {
 			return chanID{base: v}, true
 		}
 	}
 	return chanID{}, false
 }
 
+// exprType is e's type, or the invalid type (never nil), so Underlying
+// is always safe to call on the result.
 func exprType(info *types.Info, e ast.Expr) types.Type {
 	if tv, ok := info.Types[e]; ok && tv.Type != nil {
 		return tv.Type
 	}
 	return types.Typ[types.Invalid]
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v.Parent() != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

@@ -81,14 +81,8 @@ func run(pass *framework.Pass) (any, error) {
 		blockers: map[string]bool{},
 	}
 
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.collect(fd)
-		}
+	for _, fd := range pass.FuncDecls() {
+		a.collect(fd)
 	}
 
 	// Blocker fixpoint: annotation and unguarded ops seed the set,
@@ -210,7 +204,7 @@ func (a *analyzer) scanBody(body *ast.BlockStmt, fi *fnInfo) {
 			}
 			return true
 		case *ast.RangeStmt:
-			if t := a.exprType(n.X); t != nil {
+			if t := a.info.Types[n.X].Type; t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
 					fi.ops = append(fi.ops, op{pos: n.For, desc: "blocking range over " + types.ExprString(n.X)})
 				}
@@ -242,7 +236,7 @@ func (a *analyzer) scanCallsOnly(n ast.Node, fi *fnInfo) {
 // classifyCall records a call as a known blocking primitive (when ops
 // is true) or as an outgoing call for the blocker fixpoint.
 func (a *analyzer) classifyCall(call *ast.CallExpr, fi *fnInfo, wantOps bool) {
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		return
 	}
@@ -252,7 +246,7 @@ func (a *analyzer) classifyCall(call *ast.CallExpr, fi *fnInfo, wantOps bool) {
 			return
 		}
 		if fn.Name() == "Wait" && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && isWaitGroup(a.exprType(sel.X)) {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && framework.IsNamed(a.info.Types[sel.X].Type, "sync", "WaitGroup") {
 				fi.ops = append(fi.ops, op{pos: call.Pos(), desc: "WaitGroup.Wait"})
 				return
 			}
@@ -298,29 +292,12 @@ func (a *analyzer) isCtxDone(e ast.Expr) bool {
 	if !ok || sel.Sel.Name != "Done" {
 		return false
 	}
-	return isContext(a.exprType(sel.X))
+	return isContext(a.info.Types[sel.X].Type)
 }
 
 func (a *analyzer) isBlocker(fn *types.Func) bool {
-	if a.blockers[fn.FullName()] {
-		return true
-	}
-	if fn.Pkg() == nil || fn.Pkg().Path() == a.pass.PkgPath {
-		return false
-	}
-	f, ok := a.pass.ImportFact(fn.Pkg().Path(), blockersKey)
-	if !ok {
-		return false
-	}
-	m, ok := f.(map[string]bool)
-	return ok && m[fn.FullName()]
-}
-
-func (a *analyzer) exprType(e ast.Expr) types.Type {
-	if tv, ok := a.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
+	blocks, _ := framework.Fact(a.pass, a.blockers, blockersKey, fn, (*types.Func).FullName)
+	return blocks
 }
 
 // takesCtx reports whether the function signature has a
@@ -338,7 +315,9 @@ func takesCtx(fn *types.Func) bool {
 	return false
 }
 
-// isContext reports whether t is context.Context.
+// isContext reports whether t is context.Context. Unlike
+// framework.IsNamed it does not look through pointers: a function
+// taking a *context.Context does not promise cancellation.
 func isContext(t types.Type) bool {
 	if t == nil {
 		return false
@@ -349,34 +328,4 @@ func isContext(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// isWaitGroup reports whether t (or *t) is sync.WaitGroup.
-func isWaitGroup(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "WaitGroup"
-}
-
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

@@ -124,57 +124,15 @@ func TestBackwardPanicBlockStaysBottom(t *testing.T) {
 	}
 }
 
-// strSet is a must-analysis fact: the set of names assigned on every
-// path from a point to the exit. Bottom is the universe (top=true), so
-// unexplored and panicking paths constrain nothing — the same vacuity
-// postdominance gives panic paths.
-type strSet struct {
-	top bool
-	m   map[string]bool
-}
-
-type mustLat struct{}
-
-func (mustLat) Bottom() strSet { return strSet{top: true} }
-
-func (mustLat) Join(a, b strSet) strSet {
-	if a.top {
-		return b
-	}
-	if b.top {
-		return a
-	}
-	out := map[string]bool{}
-	for k := range a.m {
-		if b.m[k] {
-			out[k] = true
-		}
-	}
-	return strSet{m: out}
-}
-
-func (mustLat) Equal(a, b strSet) bool {
-	if a.top != b.top || len(a.m) != len(b.m) {
-		return false
-	}
-	for k := range a.m {
-		if !b.m[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // mustAssignTransfer adds every assigned identifier name to the fact
-// ("on every path from here, these names get written").
-func mustAssignTransfer(b *cfg.Block, out strSet) strSet {
-	if out.top {
+// ("on every path from here, these names get written"). Top is the
+// universe, so unexplored and panicking paths constrain nothing — the
+// same vacuity postdominance gives panic paths.
+func mustAssignTransfer(b *cfg.Block, out MustSet[string]) MustSet[string] {
+	if out.Top {
 		return out // everything is already in the set
 	}
-	env := map[string]bool{}
-	for k := range out.m {
-		env[k] = true
-	}
+	var names []string
 	for _, n := range b.Nodes {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -182,11 +140,11 @@ func mustAssignTransfer(b *cfg.Block, out strSet) strSet {
 		}
 		for _, lhs := range as.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
-				env[id.Name] = true
+				names = append(names, id.Name)
 			}
 		}
 	}
-	return strSet{m: env}
+	return out.With(names...)
 }
 
 const mustSrc = `package p
@@ -219,18 +177,18 @@ func mustGuard(c bool) {
 }
 `
 
-func mustOutAtEntry(t *testing.T, fn string) strSet {
+func mustOutAtEntry(t *testing.T, fn string) MustSet[string] {
 	t.Helper()
 	g, _, _ := buildFunc(t, mustSrc, fn)
-	_, outs := Backward[strSet](g, mustLat{}, strSet{m: map[string]bool{}}, mustAssignTransfer)
+	_, outs := Backward[MustSet[string]](g, MustLattice[string]{}, MustSet[string]{M: map[string]bool{}}, mustAssignTransfer)
 	return outs[g.Entry.Index]
 }
 
 func TestBackwardMustIntersectsBranches(t *testing.T) {
-	if out := mustOutAtEntry(t, "mustBoth"); out.top || !out.m["x"] {
+	if out := mustOutAtEntry(t, "mustBoth"); out.Top || !out.M["x"] {
 		t.Errorf("mustBoth: x assigned on both branches, want in must-set; got %v", out)
 	}
-	if out := mustOutAtEntry(t, "mustOne"); out.top || out.m["y"] {
+	if out := mustOutAtEntry(t, "mustOne"); out.Top || out.M["y"] {
 		t.Errorf("mustOne: y assigned on one branch only, must not be in must-set; got %v", out)
 	}
 }
@@ -239,7 +197,7 @@ func TestBackwardMustPanicVacuity(t *testing.T) {
 	// The panic arm's fact stays Bottom (= universe), so the
 	// intersection at the guard is decided by the surviving path alone:
 	// z is still must-assigned even though the panic arm never writes it.
-	if out := mustOutAtEntry(t, "mustGuard"); out.top || !out.m["z"] {
+	if out := mustOutAtEntry(t, "mustGuard"); out.Top || !out.M["z"] {
 		t.Errorf("mustGuard: z must-assigned on the non-panicking path, want in must-set; got %v", out)
 	}
 }

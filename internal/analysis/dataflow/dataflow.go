@@ -1,12 +1,15 @@
 // Package dataflow provides a small forward dataflow engine over the CFGs
-// built by zivsim/internal/analysis/cfg, plus the taint domain shared by
-// the interprocedural analyzers (detflow in particular).
+// built by zivsim/internal/analysis/cfg, plus the fact domains the
+// analyzers share: the taint domain of the interprocedural analyzers
+// (detflow in particular) and the must- and may-set lattices of the
+// held-lock, join-signal, sidecar-mention and closed-channel analyses.
 //
 // The solver is the textbook worklist algorithm: each basic block has an
 // input fact joined from its predecessors' outputs, a transfer function
 // maps input to output, and blocks requeue until a fixpoint. Lattices
-// here are finite-height (bitmasks and small maps keyed by *types.Var),
-// so termination is immediate from monotone transfer functions.
+// here are finite-height (bitmasks and small maps over the variables
+// and names of one function), so termination is immediate from
+// monotone transfer functions.
 package dataflow
 
 import (

@@ -118,14 +118,8 @@ func run(pass *framework.Pass) (any, error) {
 		info:  pass.TypesInfo,
 		local: map[string]dataflow.FnSummary{},
 	}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.analyzeFunc(fd)
-		}
+	for _, fd := range pass.FuncDecls() {
+		a.analyzeFunc(fd)
 	}
 	pass.ExportFact(summariesKey, a.local)
 	return nil, nil
@@ -145,26 +139,12 @@ func (a *analyzer) analyzeFunc(fd *ast.FuncDecl) {
 	a.reported = map[token.Pos]bool{}
 
 	entry := dataflow.Taint{}
-	idx := 0
-	addParam := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					a.params[v] = idx
-					entry[dataflow.TaintKey{Var: v}] = dataflow.ParamBit(idx)
-					idx++
-				}
-			}
-			if len(f.Names) == 0 {
-				idx++ // unnamed parameter still occupies an index
-			}
+	for i, v := range append(framework.Params(a.info, fd.Recv), framework.Params(a.info, fd.Type.Params)...) {
+		if v != nil {
+			a.params[v] = i
+			entry[dataflow.TaintKey{Var: v}] = dataflow.ParamBit(i)
 		}
 	}
-	addParam(fd.Recv)
-	addParam(fd.Type.Params)
 
 	g := cfg.New(fd.Body)
 	ins := dataflow.Forward[dataflow.Taint](g, dataflow.TaintLattice{}, entry,
@@ -312,7 +292,7 @@ func (a *analyzer) store(lhs ast.Expr, m dataflow.Mask, env dataflow.Taint, repo
 		a.setVar(env, lhs, m)
 	case *ast.SelectorExpr:
 		if id, ok := ast.Unparen(lhs.X).(*ast.Ident); ok {
-			if v := a.varOf(id); v != nil {
+			if v := framework.VarOf(a.info, id); v != nil {
 				k := dataflow.TaintKey{Var: v, Field: lhs.Sel.Name}
 				if m == 0 {
 					delete(env, k)
@@ -343,7 +323,7 @@ func (a *analyzer) storeFieldwise(lhs, rhs ast.Expr, env dataflow.Taint) bool {
 	if !ok {
 		return false
 	}
-	v := a.varOf(id)
+	v := framework.VarOf(a.info, id)
 	if v == nil {
 		return false
 	}
@@ -355,7 +335,7 @@ func (a *analyzer) storeFieldwise(lhs, rhs ast.Expr, env dataflow.Taint) bool {
 	case *ast.CallExpr:
 		whole, fields, ok = a.callFieldTaints(rhs, env)
 	case *ast.Ident:
-		rv := a.varOf(rhs)
+		rv := framework.VarOf(a.info, rhs)
 		if rv == nil {
 			return false
 		}
@@ -424,7 +404,7 @@ func (a *analyzer) litFields(lit *ast.CompositeLit, env dataflow.Taint) (dataflo
 func (a *analyzer) resultFields(res ast.Expr, env dataflow.Taint) (dataflow.Mask, map[string]dataflow.Mask, bool) {
 	switch res := ast.Unparen(res).(type) {
 	case *ast.Ident:
-		v := a.varOf(res)
+		v := framework.VarOf(a.info, res)
 		if v == nil {
 			return 0, nil, false
 		}
@@ -448,11 +428,11 @@ func (a *analyzer) resultFields(res ast.Expr, env dataflow.Taint) (dataflow.Mask
 // taints at a call site; ok is false when the callee has no
 // field-granular summary.
 func (a *analyzer) callFieldTaints(call *ast.CallExpr, env dataflow.Taint) (dataflow.Mask, map[string]dataflow.Mask, bool) {
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		return 0, nil, false
 	}
-	sum, ok := a.lookupSummary(fn)
+	sum, ok := framework.Fact(a.pass, a.local, summariesKey, fn, (*types.Func).FullName)
 	if !ok || sum.ReturnFields == nil {
 		return 0, nil, false
 	}
@@ -484,12 +464,12 @@ func substitute(m dataflow.Mask, argT []dataflow.Mask) dataflow.Mask {
 func (a *analyzer) taintOf(e ast.Expr, env dataflow.Taint) dataflow.Mask {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if v := a.varOf(e); v != nil {
+		if v := framework.VarOf(a.info, e); v != nil {
 			return env.Of(v)
 		}
 	case *ast.SelectorExpr:
 		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-			if v := a.varOf(id); v != nil {
+			if v := framework.VarOf(a.info, id); v != nil {
 				return env.OfField(v, e.Sel.Name)
 			}
 		}
@@ -497,18 +477,8 @@ func (a *analyzer) taintOf(e ast.Expr, env dataflow.Taint) dataflow.Mask {
 	return 0
 }
 
-func (a *analyzer) varOf(id *ast.Ident) *types.Var {
-	if v, ok := a.info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := a.info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
-}
-
 func (a *analyzer) setVar(env dataflow.Taint, id *ast.Ident, m dataflow.Mask) {
-	v := a.varOf(id)
+	v := framework.VarOf(a.info, id)
 	if v == nil {
 		return
 	}
@@ -523,7 +493,7 @@ func (a *analyzer) setVar(env dataflow.Taint, id *ast.Ident, m dataflow.Mask) {
 func (a *analyzer) exprTaint(e ast.Expr, env dataflow.Taint, report bool) dataflow.Mask {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if v := a.varOf(e); v != nil {
+		if v := framework.VarOf(a.info, e); v != nil {
 			return env.Of(v)
 		}
 	case *ast.BasicLit, *ast.FuncLit:
@@ -539,7 +509,7 @@ func (a *analyzer) exprTaint(e ast.Expr, env dataflow.Taint, report bool) datafl
 		// cell. Method values and deeper chains fall back to the base's
 		// full taint; package selectors have no base var and yield 0.
 		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-			if v := a.varOf(id); v != nil {
+			if v := framework.VarOf(a.info, id); v != nil {
 				if s, ok := a.info.Selections[e]; ok && s.Kind() == types.FieldVal {
 					return env.OfField(v, e.Sel.Name)
 				}
@@ -598,7 +568,7 @@ func (a *analyzer) callTaint(call *ast.CallExpr, env dataflow.Taint, report bool
 		}
 	}
 
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		// Builtin, conversion, or dynamic call: propagate arguments.
 		return allArgs()
@@ -660,7 +630,7 @@ func (a *analyzer) callTaint(call *ast.CallExpr, env dataflow.Taint, report bool
 		return 0
 	}
 
-	if sum, ok := a.lookupSummary(fn); ok {
+	if sum, ok := framework.Fact(a.pass, a.local, summariesKey, fn, (*types.Func).FullName); ok {
 		argT := make([]dataflow.Mask, len(effArgs))
 		for i, arg := range effArgs {
 			argT[i] = a.exprTaint(arg, env, false)
@@ -723,7 +693,7 @@ func (a *analyzer) killOrder(call *ast.CallExpr, argIdx int, env dataflow.Taint)
 		if !ok {
 			return
 		}
-		v := a.varOf(id)
+		v := framework.VarOf(a.info, id)
 		if v == nil {
 			return
 		}
@@ -739,7 +709,7 @@ func (a *analyzer) killOrder(call *ast.CallExpr, argIdx int, env dataflow.Taint)
 	if !ok {
 		return
 	}
-	v := a.varOf(id)
+	v := framework.VarOf(a.info, id)
 	if v == nil {
 		return
 	}
@@ -755,29 +725,6 @@ func (a *analyzer) killOrder(call *ast.CallExpr, argIdx int, env dataflow.Taint)
 	}
 }
 
-// lookupSummary finds a callee's summary: same-package functions from
-// the in-progress map, imported packages from the shared fact store.
-func (a *analyzer) lookupSummary(fn *types.Func) (dataflow.FnSummary, bool) {
-	if fn.Pkg() == nil {
-		return dataflow.FnSummary{}, false
-	}
-	full := fn.FullName()
-	if fn.Pkg().Path() == a.pass.PkgPath {
-		sum, ok := a.local[full]
-		return sum, ok
-	}
-	v, ok := a.pass.ImportFact(fn.Pkg().Path(), summariesKey)
-	if !ok {
-		return dataflow.FnSummary{}, false
-	}
-	sums, ok := v.(map[string]dataflow.FnSummary)
-	if !ok {
-		return dataflow.FnSummary{}, false
-	}
-	sum, ok := sums[full]
-	return sum, ok
-}
-
 // callArgs returns the call's effective argument list with the receiver
 // prepended for method calls, matching summary parameter indexing.
 func callArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
@@ -787,22 +734,6 @@ func callArgs(info *types.Info, call *ast.CallExpr) []ast.Expr {
 		}
 	}
 	return call.Args
-}
-
-// calledFunc resolves the *types.Func a call targets, or nil for
-// builtins, conversions and dynamic calls.
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // fullName is a stable spelling for matching stdlib functions:

@@ -15,6 +15,11 @@
 // interprocedural analyses compose bottom-up across the package graph.
 // Migrating to the real framework later is a mechanical import swap.
 //
+// The package also holds what the analyzers would otherwise each copy:
+// AST and type helpers (callee resolution, selector chains, a named-type
+// predicate), the one local-or-imported fact lookup (Fact) and the
+// bounded caller-obligation fixpoint (SolveObligations).
+//
 // Suppression: a diagnostic from analyzer NAME is suppressed when the
 // offending line (or the line directly above it) carries a comment of
 // the form

@@ -30,6 +30,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 
 	"zivsim/internal/analysis/cfg"
 	"zivsim/internal/analysis/dataflow"
@@ -91,42 +92,7 @@ type signals struct {
 
 // mustSet is the backward dataflow fact: signals firing on every path
 // from a point to the exit.
-type mustSet struct {
-	top bool
-	m   map[sigKey]bool
-}
-
-type mustLattice struct{}
-
-func (mustLattice) Bottom() mustSet { return mustSet{top: true} }
-
-func (mustLattice) Join(x, y mustSet) mustSet {
-	if x.top {
-		return y
-	}
-	if y.top {
-		return x
-	}
-	m := map[sigKey]bool{}
-	for k := range x.m {
-		if y.m[k] {
-			m[k] = true
-		}
-	}
-	return mustSet{m: m}
-}
-
-func (mustLattice) Equal(x, y mustSet) bool {
-	if x.top != y.top || len(x.m) != len(y.m) {
-		return false
-	}
-	for k := range x.m {
-		if !y.m[k] {
-			return false
-		}
-	}
-	return true
-}
+type mustSet = dataflow.MustSet[sigKey]
 
 type analyzer struct {
 	pass      *framework.Pass
@@ -147,25 +113,12 @@ func run(pass *framework.Pass) (any, error) {
 	// Two rounds: summaries may reference same-package helpers declared
 	// later in the file order (helper calls count as signal events).
 	for round := 0; round < 2; round++ {
-		for _, file := range pass.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				a.summarize(fd)
-			}
+		for _, fd := range pass.FuncDecls() {
+			a.summarize(fd)
 		}
 	}
-
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.walkScope(fd.Body)
-		}
+	for _, fd := range pass.FuncDecls() {
+		a.walkScope(fd.Body)
 	}
 
 	pass.ExportFact(summariesKey, a.summaries)
@@ -181,28 +134,15 @@ func (a *analyzer) summarize(fd *ast.FuncDecl) {
 	sig := a.bodySignals(fd.Body)
 
 	params := map[*types.Var]int{}
-	idx := 0
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					params[v] = idx
-				}
-				idx++
-			}
-			if len(f.Names) == 0 {
-				idx++
-			}
+	for i, v := range framework.Params(a.info, fd.Type.Params) {
+		if v != nil {
+			params[v] = i
 		}
 	}
 	var recv *types.Var
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					recv = v
-				}
-			}
+	for _, v := range framework.Params(a.info, fd.Recv) {
+		if v != nil {
+			recv = v
 		}
 	}
 
@@ -322,11 +262,11 @@ func sigName(k sigKey) string {
 
 // callSignals translates a named callee's summary to spawn-site roots.
 func (a *analyzer) callSignals(call *ast.CallExpr) signals {
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		return signals{}
 	}
-	s, ok := a.summaryOf(fn)
+	s, ok := framework.Fact(a.pass, a.summaries, summariesKey, fn, (*types.Func).FullName)
 	if !ok {
 		return signals{}
 	}
@@ -335,7 +275,7 @@ func (a *analyzer) callSignals(call *ast.CallExpr) signals {
 		if i >= len(call.Args) {
 			return
 		}
-		if base, path, ok := chainOf(a, call.Args[i]); ok && base != nil {
+		if base, path, ok := framework.Chain(a.info, call.Args[i]); ok {
 			sig.keys = append(sig.keys, sigKey{kind: kind, base: base, path: path})
 		}
 	}
@@ -347,36 +287,17 @@ func (a *analyzer) callSignals(call *ast.CallExpr) signals {
 	}
 	if len(s.DoneFields) > 0 || len(s.SignalFields) > 0 {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if base, prefix, ok := chainOf(a, sel.X); ok && base != nil {
+			if base, prefix, ok := framework.Chain(a.info, sel.X); ok {
 				for _, f := range s.DoneFields {
-					sig.keys = append(sig.keys, sigKey{kind: sigDone, base: base, path: joinPath(prefix, f)})
+					sig.keys = append(sig.keys, sigKey{kind: sigDone, base: base, path: framework.JoinPath(prefix, f)})
 				}
 				for _, f := range s.SignalFields {
-					sig.keys = append(sig.keys, sigKey{kind: sigChan, base: base, path: joinPath(prefix, f)})
+					sig.keys = append(sig.keys, sigKey{kind: sigChan, base: base, path: framework.JoinPath(prefix, f)})
 				}
 			}
 		}
 	}
 	return sig
-}
-
-func (a *analyzer) summaryOf(fn *types.Func) (Summary, bool) {
-	if s, ok := a.summaries[fn.FullName()]; ok {
-		return s, true
-	}
-	if fn.Pkg() == nil || fn.Pkg().Path() == a.pass.PkgPath {
-		return Summary{}, false
-	}
-	f, ok := a.pass.ImportFact(fn.Pkg().Path(), summariesKey)
-	if !ok {
-		return Summary{}, false
-	}
-	m, ok := f.(map[string]Summary)
-	if !ok {
-		return Summary{}, false
-	}
-	s, ok := m[fn.FullName()]
-	return s, ok
 }
 
 // bodySignals extracts the join signals of one body: the must-fire
@@ -398,33 +319,24 @@ func (a *analyzer) bodySignals(body *ast.BlockStmt) signals {
 		a.events[b] = evs
 	}
 
-	ins, _ := dataflow.Backward[mustSet](g, mustLattice{},
-		mustSet{m: map[sigKey]bool{}}, a.signalTransfer)
+	ins, _ := dataflow.Backward[mustSet](g, dataflow.MustLattice[sigKey]{},
+		mustSet{M: map[sigKey]bool{}}, a.signalTransfer)
 	entry := ins[g.Entry.Index]
 
 	var sig signals
 	for k := range candidates {
-		if entry.top || entry.m[k] {
+		if entry.Top || entry.M[k] {
 			sig.keys = append(sig.keys, k)
 		}
 	}
 	// Deterministic order for reporting.
-	sortSigKeys(sig.keys)
+	sort.SliceStable(sig.keys, func(i, j int) bool {
+		x, y := sig.keys[i], sig.keys[j]
+		return sigName(x) < sigName(y) || (sigName(x) == sigName(y) && x.kind < y.kind)
+	})
 
 	sig.ctx, sig.bad = loopShape(a, body)
 	return sig
-}
-
-func sortSigKeys(keys []sigKey) {
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			x, y := keys[j-1], keys[j]
-			if sigName(x) < sigName(y) || (sigName(x) == sigName(y) && x.kind <= y.kind) {
-				break
-			}
-			keys[j-1], keys[j] = y, x
-		}
-	}
 }
 
 func (a *analyzer) signalTransfer(b *cfg.Block, out mustSet) mustSet {
@@ -436,21 +348,7 @@ func (a *analyzer) signalTransfer(b *cfg.Block, out mustSet) mustSet {
 	if len(all) == 0 {
 		return out
 	}
-	if out.top {
-		m := map[sigKey]bool{}
-		for _, k := range all {
-			m[k] = true
-		}
-		return mustSet{m: m}
-	}
-	m := make(map[sigKey]bool, len(out.m)+len(all))
-	for k := range out.m {
-		m[k] = true
-	}
-	for _, k := range all {
-		m[k] = true
-	}
-	return mustSet{m: m}
+	return out.With(all...)
 }
 
 // scanSignals collects the Done/send/close events of one node subtree,
@@ -469,7 +367,7 @@ func (a *analyzer) scanSignals(root ast.Node) []sigKey {
 			// A nested goroutine's work does not join this one.
 			return false
 		case *ast.SendStmt:
-			if base, path, ok := chainOf(a, n.Chan); ok && base != nil {
+			if base, path, ok := framework.Chain(a.info, n.Chan); ok {
 				keys = append(keys, sigKey{kind: sigChan, base: base, path: path})
 			}
 			return true
@@ -486,55 +384,21 @@ func (a *analyzer) scanSignals(root ast.Node) []sigKey {
 // callEvents classifies one call: close(ch), wg.Done(), or a call to a
 // summarized signaling function.
 func (a *analyzer) callEvents(call *ast.CallExpr) []sigKey {
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "close" && len(call.Args) == 1 {
-		if _, isBuiltin := a.info.Uses[id].(*types.Builtin); isBuiltin {
-			if base, path, ok := chainOf(a, call.Args[0]); ok && base != nil {
-				return []sigKey{{kind: sigChan, base: base, path: path}}
-			}
-			return nil
+	if framework.BuiltinName(a.info, call) == "close" && len(call.Args) == 1 {
+		if base, path, ok := framework.Chain(a.info, call.Args[0]); ok {
+			return []sigKey{{kind: sigChan, base: base, path: path}}
 		}
+		return nil
 	}
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Done" {
-		if isWaitGroup(a.exprType(sel.X)) {
-			if base, path, ok := chainOf(a, sel.X); ok && base != nil {
+		if framework.IsNamed(a.info.Types[sel.X].Type, "sync", "WaitGroup") {
+			if base, path, ok := framework.Chain(a.info, sel.X); ok {
 				return []sigKey{{kind: sigDone, base: base, path: path}}
 			}
 			return nil
 		}
 	}
-	if fn := calledFunc(a.info, call); fn != nil {
-		if s, ok := a.summaryOf(fn); ok {
-			sig := signals{}
-			addArg := func(i int, kind sigKind) {
-				if i >= len(call.Args) {
-					return
-				}
-				if base, path, ok := chainOf(a, call.Args[i]); ok && base != nil {
-					sig.keys = append(sig.keys, sigKey{kind: kind, base: base, path: path})
-				}
-			}
-			for _, i := range s.DoneParams {
-				addArg(i, sigDone)
-			}
-			for _, i := range s.SignalParams {
-				addArg(i, sigChan)
-			}
-			if len(s.DoneFields) > 0 || len(s.SignalFields) > 0 {
-				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-					if base, prefix, ok := chainOf(a, sel.X); ok && base != nil {
-						for _, f := range s.DoneFields {
-							sig.keys = append(sig.keys, sigKey{kind: sigDone, base: base, path: joinPath(prefix, f)})
-						}
-						for _, f := range s.SignalFields {
-							sig.keys = append(sig.keys, sigKey{kind: sigChan, base: base, path: joinPath(prefix, f)})
-						}
-					}
-				}
-			}
-			return sig.keys
-		}
-	}
-	return nil
+	return a.callSignals(call).keys
 }
 
 // loopShape inspects a body's loops: ctx is true when at least one
@@ -594,7 +458,7 @@ func loopObservesCtxDone(a *analyzer, body *ast.BlockStmt) bool {
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Done" || !isContext(a.exprType(sel.X)) {
+		if !ok || sel.Sel.Name != "Done" || !framework.IsNamed(a.info.Types[sel.X].Type, "context", "Context") {
 			return true
 		}
 		if clauseExits(cc) {
@@ -655,10 +519,10 @@ func hasWaitGroupCall(a *analyzer, scope *ast.BlockStmt, k sigKey, method string
 			return true
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != method || !isWaitGroup(a.exprType(sel.X)) {
+		if !ok || sel.Sel.Name != method || !framework.IsNamed(a.info.Types[sel.X].Type, "sync", "WaitGroup") {
 			return true
 		}
-		if base, path, ok := chainOf(a, sel.X); ok && base == k.base && path == k.path {
+		if base, path, ok := framework.Chain(a.info, sel.X); ok && base == k.base && path == k.path {
 			found = true
 		}
 		return true
@@ -671,7 +535,7 @@ func hasWaitGroupCall(a *analyzer, scope *ast.BlockStmt, k sigKey, method string
 func hasReceive(a *analyzer, scope *ast.BlockStmt, k sigKey) bool {
 	found := false
 	match := func(e ast.Expr) bool {
-		base, path, ok := chainOf(a, e)
+		base, path, ok := framework.Chain(a.info, e)
 		return ok && base == k.base && path == k.path
 	}
 	ast.Inspect(scope, func(n ast.Node) bool {
@@ -681,110 +545,11 @@ func hasReceive(a *analyzer, scope *ast.BlockStmt, k sigKey) bool {
 				found = true
 			}
 		case *ast.RangeStmt:
-			if _, isChan := a.exprType(n.X).Underlying().(*types.Chan); isChan && match(n.X) {
+			if _, isChan := a.info.Types[n.X].Type.Underlying().(*types.Chan); isChan && match(n.X) {
 				found = true
 			}
 		}
 		return true
 	})
 	return found
-}
-
-func (a *analyzer) exprType(e ast.Expr) types.Type {
-	if tv, ok := a.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// chainOf resolves a selector chain to its root variable and dotted
-// field path, unwrapping parens, derefs, address-of, and indexing
-// (collapsed to a "[]" marker).
-func chainOf(a *analyzer, e ast.Expr) (root *types.Var, path string, ok bool) {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return chainOf(a, x.X)
-	case *ast.StarExpr:
-		return chainOf(a, x.X)
-	case *ast.UnaryExpr:
-		if x.Op != token.AND {
-			return nil, "", false
-		}
-		return chainOf(a, x.X)
-	case *ast.IndexExpr:
-		root, path, ok = chainOf(a, x.X)
-		if !ok {
-			return nil, "", false
-		}
-		return root, path + "[]", true
-	case *ast.SelectorExpr:
-		if id, isIdent := ast.Unparen(x.X).(*ast.Ident); isIdent {
-			if _, isPkg := a.info.Uses[id].(*types.PkgName); isPkg {
-				if v, isVar := a.info.Uses[x.Sel].(*types.Var); isVar {
-					return v, "", true
-				}
-				return nil, "", false
-			}
-		}
-		root, path, ok = chainOf(a, x.X)
-		if !ok {
-			return nil, "", false
-		}
-		return root, joinPath(path, x.Sel.Name), true
-	case *ast.Ident:
-		if v, ok := a.info.Defs[x].(*types.Var); ok {
-			return v, "", true
-		}
-		if v, ok := a.info.Uses[x].(*types.Var); ok {
-			return v, "", true
-		}
-		return nil, "", false
-	}
-	return nil, "", false
-}
-
-func joinPath(prefix, name string) string {
-	if prefix == "" {
-		return name
-	}
-	return prefix + "." + name
-}
-
-// isWaitGroup reports whether t (or *t) is sync.WaitGroup.
-func isWaitGroup(t types.Type) bool {
-	return isNamed(t, "sync", "WaitGroup")
-}
-
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	return isNamed(t, "context", "Context")
-}
-
-func isNamed(t types.Type, pkg, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == pkg && obj.Name() == name
-}
-
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

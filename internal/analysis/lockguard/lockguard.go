@@ -107,54 +107,9 @@ type lockID struct {
 
 // heldSet is the forward dataflow fact: the locks held on every path
 // to a point. The mapped value records whether the hold is exclusive
-// (Lock) or shared (RLock). top is the lattice bottom used for
-// unexplored paths.
-type heldSet struct {
-	top bool
-	m   map[lockID]bool // value: exclusive
-}
-
-func (h heldSet) clone() heldSet {
-	m := make(map[lockID]bool, len(h.m))
-	for k, v := range h.m {
-		m[k] = v
-	}
-	return heldSet{m: m}
-}
-
-type heldLattice struct{}
-
-func (heldLattice) Bottom() heldSet { return heldSet{top: true} }
-
-// Join intersects two held sets; a lock held shared on either path is
-// only shared at the join.
-func (heldLattice) Join(x, y heldSet) heldSet {
-	if x.top {
-		return y
-	}
-	if y.top {
-		return x
-	}
-	m := map[lockID]bool{}
-	for k, xe := range x.m {
-		if ye, ok := y.m[k]; ok {
-			m[k] = xe && ye
-		}
-	}
-	return heldSet{m: m}
-}
-
-func (heldLattice) Equal(x, y heldSet) bool {
-	if x.top != y.top || len(x.m) != len(y.m) {
-		return false
-	}
-	for k, v := range x.m {
-		if yv, ok := y.m[k]; !ok || yv != v {
-			return false
-		}
-	}
-	return true
-}
+// (Lock) or shared (RLock), so a lock held shared on either path is
+// only shared at a join.
+type heldSet = dataflow.MustSet[lockID]
 
 // oblig is one caller obligation: the lock that must be held at every
 // call site, named relative to the callee's receiver (ParamIndex -1)
@@ -260,46 +215,18 @@ func run(pass *framework.Pass) (any, error) {
 	}
 	a.collectSpecs()
 
-	// Obligations feed call-site checks of other functions in the same
-	// package, so iterate to a fixpoint before the reporting pass.
-	for round := 0; round < 10; round++ {
-		before := a.obligationFingerprint()
-		a.sweep(false)
-		if a.obligationFingerprint() == before {
-			break
-		}
-	}
-	a.sweep(true)
+	framework.SolveObligations(pass, a.obligations, a.analyzeFunc)
 	a.reportInference()
 
 	guards := map[string]string{}
 	for v, mu := range a.specs {
-		if tn := ownerTypeName(v); tn != "" {
-			guards[pass.PkgPath+"."+tn+"."+v.Name()] = mu
+		if k := framework.FieldKey(v); k != "" {
+			guards[k] = mu
 		}
 	}
 	pass.ExportFact(guardsKey, guards)
 	pass.ExportFact(obligationsKey, a.obligations)
 	return nil, nil
-}
-
-func (a *analyzer) obligationFingerprint() string {
-	keys := make([]string, 0, len(a.obligations))
-	for k := range a.obligations {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		for _, o := range a.obligations[k] {
-			sb.WriteString(o.key())
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(';')
-	}
-	return sb.String()
 }
 
 // collectSpecs gathers //ziv:guards directives on struct fields and
@@ -334,7 +261,7 @@ func (a *analyzer) structSpecs(st *ast.StructType) {
 	mutexSibs := map[string]bool{}
 	for _, f := range st.Fields.List {
 		for _, name := range f.Names {
-			if v, ok := a.info.Defs[name].(*types.Var); ok && isMutex(v.Type()) {
+			if v, ok := a.info.Defs[name].(*types.Var); ok && framework.IsNamed(v.Type(), "sync", "Mutex", "RWMutex") {
 				mutexSibs[name.Name] = true
 			}
 		}
@@ -366,7 +293,7 @@ func (a *analyzer) structSpecs(st *ast.StructType) {
 					continue
 				}
 				a.specs[v] = mu
-			case len(sibNames) > 0 && !isMutex(v.Type()) && !isSyncType(v.Type()):
+			case len(sibNames) > 0 && !framework.IsNamed(v.Type(), "sync"):
 				a.inferCands[v] = sibNames
 			}
 		}
@@ -438,7 +365,7 @@ func (a *analyzer) varSpec(gd *ast.GenDecl, vs *ast.ValueSpec) {
 	}
 	obj := a.pass.Pkg.Scope().Lookup(mu)
 	muVar, _ := obj.(*types.Var)
-	if muVar == nil || !isMutex(muVar.Type()) {
+	if muVar == nil || !framework.IsNamed(muVar.Type(), "sync", "Mutex", "RWMutex") {
 		a.pass.Reportf(vs.Pos(), "ziv:guards(%s): no package-level sync.Mutex or sync.RWMutex named %q", mu, mu)
 		return
 	}
@@ -449,20 +376,8 @@ func (a *analyzer) varSpec(gd *ast.GenDecl, vs *ast.ValueSpec) {
 	}
 }
 
-// sweep analyzes every function; with report set it emits diagnostics,
-// otherwise it only accumulates obligations.
-func (a *analyzer) sweep(report bool) {
-	for _, file := range a.pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.analyzeFunc(fd, report)
-		}
-	}
-}
-
+// analyzeFunc analyzes one function; with report set it emits
+// diagnostics, otherwise it only accumulates obligations.
 func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, report bool) {
 	fn, _ := a.info.Defs[fd.Name].(*types.Func)
 	if fn == nil {
@@ -472,27 +387,14 @@ func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, report bool) {
 	a.exported = fd.Name.IsExported()
 	a.report = report
 	a.params = map[*types.Var]int{}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					a.params[v] = -1
-				}
-			}
+	for _, v := range framework.Params(a.info, fd.Recv) {
+		if v != nil {
+			a.params[v] = -1
 		}
 	}
-	idx := 0
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					a.params[v] = idx
-				}
-				idx++
-			}
-			if len(f.Names) == 0 {
-				idx++
-			}
+	for i, v := range framework.Params(a.info, fd.Type.Params) {
+		if v != nil {
+			a.params[v] = i
 		}
 	}
 
@@ -509,15 +411,15 @@ func (a *analyzer) analyzeBody(body *ast.BlockStmt, isLit bool) {
 	a.lits = nil
 	a.indexEvents()
 
-	a.held = dataflow.Forward[heldSet](a.g, heldLattice{},
-		heldSet{m: map[lockID]bool{}}, a.transfer)
+	a.held = dataflow.Forward[heldSet](a.g, dataflow.MustLattice[lockID]{},
+		heldSet{M: map[lockID]bool{}}, a.transfer)
 
 	for _, b := range a.g.Blocks {
 		cur := a.held[b.Index]
-		if cur.top {
+		if cur.Top {
 			continue // unreachable block
 		}
-		cur = cur.clone()
+		cur = cur.With()
 		for i := range b.Nodes {
 			for _, ev := range a.events[b.Index][i] {
 				a.apply(&cur, ev)
@@ -618,7 +520,7 @@ func (a *analyzer) identVar(e ast.Expr) *types.Var {
 	if !ok {
 		return nil
 	}
-	return a.objOf(id)
+	return framework.VarOf(a.info, id)
 }
 
 // indexEvents walks every block node and records its lock operations,
@@ -686,7 +588,7 @@ func (a *analyzer) scanEvents(root ast.Node) []event {
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
-					if fv := a.fieldVarOf(sel); fv != nil {
+					if fv := framework.FieldVarOf(a.info, sel); fv != nil {
 						if ev, ok := a.specAccess(sel, fv, false); ok {
 							ev.addr = true
 							evs = append(evs, ev)
@@ -698,7 +600,7 @@ func (a *analyzer) scanEvents(root ast.Node) []event {
 			}
 			return true
 		case *ast.SelectorExpr:
-			if fv := a.fieldVarOf(n); fv != nil {
+			if fv := framework.FieldVarOf(a.info, n); fv != nil {
 				if ev, ok := a.specAccess(n, fv, writes[n]); ok {
 					evs = append(evs, ev)
 				} else if ev, ok := a.inferAccess(n, fv, writes[n]); ok {
@@ -709,7 +611,7 @@ func (a *analyzer) scanEvents(root ast.Node) []event {
 			}
 			return true
 		case *ast.Ident:
-			if v := a.objOf(n); v != nil {
+			if v := framework.VarOf(a.info, n); v != nil {
 				if mu, ok := a.pkgVarSpecs[v]; ok {
 					if _, isDef := a.info.Defs[n]; !isDef {
 						evs = append(evs, event{
@@ -778,11 +680,11 @@ func (a *analyzer) specAccess(sel *ast.SelectorExpr, fv *types.Var, write bool) 
 	if mu == "" {
 		return event{}, false
 	}
-	base, prefix, ok := chainOf(a, sel.X)
-	if !ok || base == nil {
+	base, prefix, ok := framework.Chain(a.info, sel.X)
+	if !ok {
 		return event{}, false // unverifiable base: stay silent
 	}
-	need := lockID{base: base, path: joinPath(prefix, mu)}
+	need := lockID{base: base, path: framework.JoinPath(prefix, mu)}
 	return event{pos: sel.Sel.Pos(), field: fv, need: need, write: write}, true
 }
 
@@ -793,13 +695,13 @@ func (a *analyzer) inferAccess(sel *ast.SelectorExpr, fv *types.Var, write bool)
 	if !ok {
 		return event{}, false
 	}
-	base, prefix, ok := chainOf(a, sel.X)
-	if !ok || base == nil {
+	base, prefix, ok := framework.Chain(a.info, sel.X)
+	if !ok {
 		return event{}, false
 	}
 	ev := event{pos: sel.Sel.Pos(), inferField: fv, inferBase: base, inferMus: mus, write: write}
 	for _, mu := range mus {
-		ev.inferNeeds = append(ev.inferNeeds, lockID{base: base, path: joinPath(prefix, mu)})
+		ev.inferNeeds = append(ev.inferNeeds, lockID{base: base, path: framework.JoinPath(prefix, mu)})
 	}
 	return ev, true
 }
@@ -810,38 +712,24 @@ func (a *analyzer) guardOf(v *types.Var) string {
 	if mu, ok := a.specs[v]; ok {
 		return mu
 	}
-	if v.Pkg() == nil || v.Pkg().Path() == a.pass.PkgPath {
-		return ""
-	}
-	f, ok := a.pass.ImportFact(v.Pkg().Path(), guardsKey)
-	if !ok {
-		return ""
-	}
-	m, ok := f.(map[string]string)
-	if !ok {
-		return ""
-	}
-	tn := ownerTypeName(v)
-	if tn == "" {
-		return ""
-	}
-	return m[v.Pkg().Path()+"."+tn+"."+v.Name()]
+	mu, _ := framework.Fact[*types.Var, string](a.pass, nil, guardsKey, v, framework.FieldKey)
+	return mu
 }
 
 // transfer applies a block's lock and unlock events to the incoming
 // held set.
 func (a *analyzer) transfer(b *cfg.Block, in heldSet) heldSet {
-	if in.top {
+	if in.Top {
 		return in
 	}
-	out := in.clone()
+	out := in.With()
 	for i := range b.Nodes {
 		for _, ev := range a.events[b.Index][i] {
 			switch {
 			case ev.lock:
-				out.m[ev.id] = ev.exclusive
+				out.M[ev.id] = ev.exclusive
 			case ev.unlock:
-				delete(out.m, ev.id)
+				delete(out.M, ev.id)
 			}
 		}
 	}
@@ -853,9 +741,9 @@ func (a *analyzer) transfer(b *cfg.Block, in heldSet) heldSet {
 func (a *analyzer) apply(cur *heldSet, ev event) {
 	switch {
 	case ev.lock:
-		cur.m[ev.id] = ev.exclusive
+		cur.M[ev.id] = ev.exclusive
 	case ev.unlock:
-		delete(cur.m, ev.id)
+		delete(cur.M, ev.id)
 	case ev.addr:
 		if a.report {
 			a.pass.Reportf(ev.pos, "address of guarded field %s escapes the %s critical-section discipline; pass values or refactor",
@@ -874,7 +762,7 @@ func (a *analyzer) checkAccess(cur *heldSet, ev event) {
 	if a.fresh[ev.need.base] {
 		return
 	}
-	if excl, held := cur.m[ev.need]; held {
+	if excl, held := cur.M[ev.need]; held {
 		if ev.write && !excl {
 			if a.report {
 				a.pass.Reportf(ev.pos, "write to guarded field %s holding only the read lock %s", ev.field.Name(), ev.need.path)
@@ -898,7 +786,7 @@ func (a *analyzer) checkAccess(cur *heldSet, ev event) {
 // receiver/parameter base (or a package-level root) bubble the
 // requirement to their callers; everything else reports.
 func (a *analyzer) unheld(pos token.Pos, ob oblig, need lockID, msg string) {
-	if isPkgLevel(need.base) {
+	if framework.IsPkgLevel(need.base) {
 		ob = oblig{Mu: need.path, PkgMu: fullName(need.base), ParamIndex: -2}
 	}
 	if !a.exported && (ob.PkgMu != "" || a.paramIndexOf(need.base) != -2) {
@@ -944,7 +832,7 @@ func (a *analyzer) tallyInference(cur *heldSet, ev event) {
 	}
 	for i, mu := range ev.inferMus {
 		k := inferKey{field: ev.inferField, mu: mu}
-		if _, held := cur.m[ev.inferNeeds[i]]; held {
+		if _, held := cur.M[ev.inferNeeds[i]]; held {
 			a.inferHeld[k]++
 			continue
 		}
@@ -974,7 +862,7 @@ func (a *analyzer) reportInference() {
 		if held < 3 || held < 3*len(unheld) {
 			continue
 		}
-		tn := ownerTypeName(k.field)
+		tn := framework.OwnerTypeName(k.field)
 		for _, site := range unheld {
 			a.pass.Reportf(site.pos,
 				"field %s of %s is accessed under %s in %d other place(s) but not here (annotate //ziv:guards(%s) to enforce)",
@@ -986,45 +874,27 @@ func (a *analyzer) reportInference() {
 // checkCall enforces the callee's caller-must-hold obligations at one
 // call site.
 func (a *analyzer) checkCall(cur *heldSet, ev event) {
-	fn := calledFunc(a.info, ev.call)
+	fn := framework.CalledFunc(a.info, ev.call)
 	if fn == nil {
 		return
 	}
-	obs := a.obligationsOf(fn)
+	obs, _ := framework.Fact(a.pass, a.obligations, obligationsKey, fn, (*types.Func).FullName)
 	if len(obs) == 0 {
 		return
 	}
 	held := cur
 	if ev.goes {
-		held = &heldSet{m: map[lockID]bool{}}
+		held = &heldSet{M: map[lockID]bool{}}
 	}
 	for _, ob := range obs {
 		a.checkObligation(held, ev, fn, ob)
 	}
 }
 
-func (a *analyzer) obligationsOf(fn *types.Func) []oblig {
-	if obs, ok := a.obligations[fn.FullName()]; ok {
-		return obs
-	}
-	if fn.Pkg() == nil || fn.Pkg().Path() == a.pass.PkgPath {
-		return nil
-	}
-	f, ok := a.pass.ImportFact(fn.Pkg().Path(), obligationsKey)
-	if !ok {
-		return nil
-	}
-	m, ok := f.(map[string][]oblig)
-	if !ok {
-		return nil
-	}
-	return m[fn.FullName()]
-}
-
 func (a *analyzer) checkObligation(cur *heldSet, ev event, fn *types.Func, ob oblig) {
 	if ob.PkgMu != "" {
-		for id := range cur.m {
-			if isPkgLevel(id.base) && fullName(id.base) == ob.PkgMu && id.path == ob.Mu {
+		for id := range cur.M {
+			if framework.IsPkgLevel(id.base) && fullName(id.base) == ob.PkgMu && id.path == ob.Mu {
 				return
 			}
 		}
@@ -1046,15 +916,15 @@ func (a *analyzer) checkObligation(cur *heldSet, ev event, fn *types.Func, ob ob
 		}
 		baseExpr = ev.call.Args[ob.ParamIndex]
 	}
-	base, prefix, ok := chainOf(a, baseExpr)
-	if !ok || base == nil {
+	base, prefix, ok := framework.Chain(a.info, baseExpr)
+	if !ok {
 		return
 	}
 	if a.fresh[base] {
 		return
 	}
-	need := lockID{base: base, path: joinPath(prefix, ob.Mu)}
-	if _, held := cur.m[need]; held {
+	need := lockID{base: base, path: framework.JoinPath(prefix, ob.Mu)}
+	if _, held := cur.M[need]; held {
 		return
 	}
 	a.unheldCall(ev, fn, oblig{Mu: need.path, ParamIndex: a.paramIndexOf(base)}, need)
@@ -1107,11 +977,11 @@ func (a *analyzer) lockOp(call *ast.CallExpr) (id lockID, exclusive, lock, ok bo
 	default:
 		return lockID{}, false, false, false
 	}
-	if !isMutex(a.exprType(sel.X)) {
+	if !framework.IsNamed(a.info.Types[sel.X].Type, "sync", "Mutex", "RWMutex") {
 		return lockID{}, false, false, false
 	}
-	base, path, chainOK := chainOf(a, sel.X)
-	if !chainOK || base == nil {
+	base, path, chainOK := framework.Chain(a.info, sel.X)
+	if !chainOK {
 		return lockID{}, false, false, false
 	}
 	if path == "" {
@@ -1120,165 +990,6 @@ func (a *analyzer) lockOp(call *ast.CallExpr) (id lockID, exclusive, lock, ok bo
 	return lockID{base: base, path: path}, exclusive, lock, true
 }
 
-func (a *analyzer) exprType(e ast.Expr) types.Type {
-	if tv, ok := a.info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-// chainOf resolves a selector chain to its root variable and the
-// dotted field path from that root ("" for the root itself). Indexing
-// collapses to a "[]" marker: two different elements of the same
-// collection share a lock identity, a deliberate coarsening. Chains
-// through calls or other opaque expressions fail.
-func chainOf(a *analyzer, e ast.Expr) (root *types.Var, path string, ok bool) {
-	switch x := e.(type) {
-	case *ast.ParenExpr:
-		return chainOf(a, x.X)
-	case *ast.StarExpr:
-		return chainOf(a, x.X)
-	case *ast.UnaryExpr:
-		if x.Op != token.AND {
-			return nil, "", false
-		}
-		return chainOf(a, x.X)
-	case *ast.IndexExpr:
-		root, path, ok = chainOf(a, x.X)
-		if !ok {
-			return nil, "", false
-		}
-		return root, path + "[]", true
-	case *ast.SelectorExpr:
-		// Qualified identifier pkg.Var: the var is its own root.
-		if id, isIdent := ast.Unparen(x.X).(*ast.Ident); isIdent {
-			if _, isPkg := a.info.Uses[id].(*types.PkgName); isPkg {
-				if v, isVar := a.info.Uses[x.Sel].(*types.Var); isVar {
-					return v, "", true
-				}
-				return nil, "", false
-			}
-		}
-		root, path, ok = chainOf(a, x.X)
-		if !ok {
-			return nil, "", false
-		}
-		return root, joinPath(path, x.Sel.Name), true
-	case *ast.Ident:
-		v := a.objOf(x)
-		if v == nil {
-			return nil, "", false
-		}
-		return v, "", true
-	}
-	return nil, "", false
-}
-
-func joinPath(prefix, name string) string {
-	if prefix == "" {
-		return name
-	}
-	return prefix + "." + name
-}
-
-func (a *analyzer) fieldVarOf(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := a.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-func (a *analyzer) objOf(id *ast.Ident) *types.Var {
-	if v, ok := a.info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := a.info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
-}
-
-func isPkgLevel(v *types.Var) bool {
-	return v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
 func fullName(v *types.Var) string {
 	return v.Pkg().Path() + "." + v.Name()
-}
-
-// isMutex reports whether t (or *t) is sync.Mutex or sync.RWMutex.
-func isMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
-// isSyncType reports whether t is any sync package type (WaitGroup,
-// Once, ...), which never wants a guard annotation of its own.
-func isSyncType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync"
-}
-
-// ownerTypeName finds the package-level named struct type declaring
-// field v, for stable cross-package fact keys.
-func ownerTypeName(v *types.Var) string {
-	if v.Pkg() == nil {
-		return ""
-	}
-	scope := v.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return name
-			}
-		}
-	}
-	return ""
-}
-
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

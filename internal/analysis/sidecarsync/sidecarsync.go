@@ -145,45 +145,8 @@ type mention struct {
 }
 
 // mustSet is the backward dataflow fact: the mentions occurring on
-// every path from a point to the exit. top is the lattice bottom (the
-// universe) used for unexplored and panicking paths.
-type mustSet struct {
-	top bool
-	m   map[mention]bool
-}
-
-type mustLattice struct{}
-
-func (mustLattice) Bottom() mustSet { return mustSet{top: true} }
-
-// Join intersects two must-sets; top is the identity.
-func (mustLattice) Join(x, y mustSet) mustSet {
-	if x.top {
-		return y
-	}
-	if y.top {
-		return x
-	}
-	m := map[mention]bool{}
-	for k := range x.m {
-		if y.m[k] {
-			m[k] = true
-		}
-	}
-	return mustSet{m: m}
-}
-
-func (mustLattice) Equal(x, y mustSet) bool {
-	if x.top != y.top || len(x.m) != len(y.m) {
-		return false
-	}
-	for k := range x.m {
-		if !y.m[k] {
-			return false
-		}
-	}
-	return true
-}
+// every path from a point to the exit.
+type mustSet = dataflow.MustSet[mention]
 
 func run(pass *framework.Pass) (any, error) {
 	a := &analyzer{
@@ -196,44 +159,18 @@ func run(pass *framework.Pass) (any, error) {
 	a.collectSpecs()
 	a.collectAliases()
 
-	// Obligations feed call-site checks of other functions in the same
-	// package, so iterate to a fixpoint before the reporting pass. The
-	// call graph is shallow; a handful of rounds always suffices.
-	for round := 0; round < 10; round++ {
-		before := obligationFingerprint(a.obligations)
-		a.sweep(false)
-		if obligationFingerprint(a.obligations) == before {
-			break
-		}
-	}
-	a.sweep(true)
+	framework.SolveObligations(pass, a.obligations, a.analyzeFunc)
 
 	fieldSpecs := map[string][]Rule{}
 	for v, rules := range a.specs {
-		if tn := ownerTypeName(v); tn != "" {
-			fieldSpecs[pass.PkgPath+"."+tn+"."+v.Name()] = rules
+		if k := framework.FieldKey(v); k != "" {
+			fieldSpecs[k] = rules
 		}
 	}
 	pass.ExportFact(aliasesKey, a.aliasFuncs)
 	pass.ExportFact(obligationsKey, a.obligations)
 	pass.ExportFact(fieldSpecsKey, fieldSpecs)
 	return nil, nil
-}
-
-func obligationFingerprint(ob map[string][]string) string {
-	keys := make([]string, 0, len(ob))
-	for k := range ob {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(strings.Join(ob[k], ","))
-		sb.WriteByte(';')
-	}
-	return sb.String()
 }
 
 func splitNames(s string) []string {
@@ -350,72 +287,18 @@ func (a *analyzer) fieldByName(fn *types.Func, name string) *types.Var {
 	return found
 }
 
-// ownerTypeName finds the package-level named struct type declaring
-// field v by scanning v's package scope. Both the exporting and the
-// importing pass resolve their own field object against their own view
-// of the package, so the resulting "pkgpath.Type.Field" key is stable
-// across the export-data boundary where object pointers are not.
-func ownerTypeName(v *types.Var) string {
-	if v.Pkg() == nil {
-		return ""
-	}
-	scope := v.Pkg().Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == v {
-				return name
-			}
-		}
-	}
-	return ""
-}
-
 // rulesOf resolves a field's mirror rules: local specs directly,
 // imported fields through the exported fieldspecs fact.
 func (a *analyzer) rulesOf(v *types.Var) []Rule {
 	if rules, ok := a.specs[v]; ok {
 		return rules
 	}
-	if v.Pkg() == nil || v.Pkg().Path() == a.pass.PkgPath {
-		return nil
-	}
-	f, ok := a.pass.ImportFact(v.Pkg().Path(), fieldSpecsKey)
-	if !ok {
-		return nil
-	}
-	m, ok := f.(map[string][]Rule)
-	if !ok {
-		return nil
-	}
-	tn := ownerTypeName(v)
-	if tn == "" {
-		return nil
-	}
-	return m[v.Pkg().Path()+"."+tn+"."+v.Name()]
+	rules, _ := framework.Fact[*types.Var, []Rule](a.pass, nil, fieldSpecsKey, v, framework.FieldKey)
+	return rules
 }
 
-// sweep analyzes every function; with report set it emits diagnostics,
-// otherwise it only accumulates obligations.
-func (a *analyzer) sweep(report bool) {
-	for _, file := range a.pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			a.analyzeFunc(fd, report)
-		}
-	}
-}
-
+// analyzeFunc analyzes one function; with report set it emits
+// diagnostics, otherwise it only accumulates obligations.
 func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, report bool) {
 	fn, _ := a.info.Defs[fd.Name].(*types.Func)
 	if fn == nil {
@@ -423,16 +306,9 @@ func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, report bool) {
 	}
 	a.fn = fn
 	a.params = map[*types.Var]bool{}
-	for _, fl := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
-		if fl == nil {
-			continue
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if v, ok := a.info.Defs[name].(*types.Var); ok {
-					a.params[v] = true
-				}
-			}
+	for _, v := range append(framework.Params(a.info, fd.Recv), framework.Params(a.info, fd.Type.Params)...) {
+		if v != nil {
+			a.params[v] = true
 		}
 	}
 	a.collectAliasVars(fd.Body)
@@ -440,8 +316,8 @@ func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, report bool) {
 
 	a.g = cfg.New(fd.Body)
 	a.indexMentions()
-	_, a.outs = dataflow.Backward[mustSet](a.g, mustLattice{},
-		mustSet{m: map[mention]bool{}}, a.mentionTransfer)
+	_, a.outs = dataflow.Backward[mustSet](a.g, dataflow.MustLattice[mention]{},
+		mustSet{M: map[mention]bool{}}, a.mentionTransfer)
 
 	for _, b := range a.g.Blocks {
 		for i, n := range b.Nodes {
@@ -465,7 +341,7 @@ func (a *analyzer) collectAliasVars(body *ast.BlockStmt) {
 			if !ok {
 				continue
 			}
-			v := a.objOf(id)
+			v := framework.VarOf(a.info, id)
 			if v == nil {
 				continue
 			}
@@ -491,7 +367,7 @@ func (a *analyzer) collectDerived(body *ast.BlockStmt) {
 			if !ok {
 				continue
 			}
-			v := a.objOf(id)
+			v := framework.VarOf(a.info, id)
 			if v == nil {
 				continue
 			}
@@ -530,7 +406,7 @@ func (a *analyzer) derivationRoot(e ast.Expr) *types.Var {
 			}
 			return nil
 		case *ast.Ident:
-			return a.objOf(x)
+			return framework.VarOf(a.info, x)
 		default:
 			return nil
 		}
@@ -576,17 +452,7 @@ func (a *analyzer) aliasCall(call *ast.CallExpr) (aliasInfo, bool) {
 	if fn == nil {
 		return aliasInfo{}, false
 	}
-	full := fn.FullName()
-	var rules []Rule
-	if r, found := a.aliasFuncs[full]; found {
-		rules = r
-	} else if fn.Pkg() != nil && fn.Pkg().Path() != a.pass.PkgPath {
-		if v, found := a.pass.ImportFact(fn.Pkg().Path(), aliasesKey); found {
-			if m, isMap := v.(map[string][]Rule); isMap {
-				rules = m[full]
-			}
-		}
-	}
+	rules, _ := framework.Fact(a.pass, a.aliasFuncs, aliasesKey, fn, (*types.Func).FullName)
 	if rules == nil {
 		return aliasInfo{}, false
 	}
@@ -607,7 +473,7 @@ func (a *analyzer) fieldSpec(e ast.Expr) ([]Rule, *types.Var) {
 	if !ok {
 		return nil, nil
 	}
-	v := a.fieldVarOf(sel)
+	v := framework.FieldVarOf(a.info, sel)
 	if v == nil {
 		return nil, nil
 	}
@@ -616,25 +482,6 @@ func (a *analyzer) fieldSpec(e ast.Expr) ([]Rule, *types.Var) {
 		return nil, nil
 	}
 	return rules, a.rootVar(sel.X)
-}
-
-func (a *analyzer) fieldVarOf(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := a.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		if v, ok := s.Obj().(*types.Var); ok {
-			return v
-		}
-	}
-	return nil
-}
-
-func (a *analyzer) objOf(id *ast.Ident) *types.Var {
-	if v, ok := a.info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := a.info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 // rootVar unwraps selector/index/star/paren/address chains and returns
@@ -658,7 +505,7 @@ func (a *analyzer) rootVar(e ast.Expr) *types.Var {
 		case *ast.CallExpr:
 			e = x.Fun
 		case *ast.Ident:
-			return a.objOf(x)
+			return framework.VarOf(a.info, x)
 		default:
 			return nil
 		}
@@ -719,27 +566,17 @@ func (a *analyzer) mentionsIn(root ast.Node) []mention {
 // the block is irrelevant — the same-block suffix is handled separately
 // by satisfied.
 func (a *analyzer) mentionTransfer(b *cfg.Block, out mustSet) mustSet {
-	if out.top {
+	if out.Top {
 		return out
 	}
-	nm := a.nodeMentions[b.Index]
-	total := 0
-	for _, ms := range nm {
-		total += len(ms)
+	var add []mention
+	for _, ms := range a.nodeMentions[b.Index] {
+		add = append(add, ms...)
 	}
-	if total == 0 {
+	if len(add) == 0 {
 		return out
 	}
-	m := make(map[mention]bool, len(out.m)+total)
-	for k := range out.m {
-		m[k] = true
-	}
-	for _, ms := range nm {
-		for _, mn := range ms {
-			m[mn] = true
-		}
-	}
-	return mustSet{m: m}
+	return out.With(add...)
 }
 
 // canonBase follows the derivation chain to the variable a handle was
@@ -777,10 +614,10 @@ func (a *analyzer) satisfied(b *cfg.Block, idx int, mirror string, base *types.V
 		}
 	}
 	out := a.outs[b.Index]
-	if out.top {
+	if out.Top {
 		return true // only panicking paths follow: vacuously discharged
 	}
-	for mn := range out.m {
+	for mn := range out.M {
 		if mn.name == mirror && a.baseCompat(mn.base, base) {
 			return true
 		}
@@ -828,7 +665,7 @@ func (a *analyzer) classify(lhs ast.Expr) (writeTarget, bool) {
 	case *ast.SelectorExpr:
 		// Direct field write: base.field = ... (scalar mirror, or
 		// reassigning the primary slice itself).
-		if v := a.fieldVarOf(lhs); v != nil {
+		if v := framework.FieldVarOf(a.info, lhs); v != nil {
 			if rules := a.rulesOf(v); rules != nil {
 				root := a.rootVar(lhs.X)
 				return writeTarget{rules: rules, fieldName: v.Name(), base: root, baseParam: a.isParam(root)}, true
@@ -863,7 +700,7 @@ func (a *analyzer) classify(lhs ast.Expr) (writeTarget, bool) {
 func (a *analyzer) elementBase(e ast.Expr) (aliasInfo, string, bool) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if v := a.objOf(e); v != nil {
+		if v := framework.VarOf(a.info, e); v != nil {
 			if info, ok := a.aliasVar[v]; ok {
 				return info, e.Name, true
 			}
@@ -932,21 +769,11 @@ func (a *analyzer) checkWrite(b *cfg.Block, idx int, lhs ast.Expr, report bool) 
 // callee left stale. The requirement's base is the call's receiver
 // chain root, so dst.step() is not discharged by src's mirror update.
 func (a *analyzer) checkCall(b *cfg.Block, idx int, call *ast.CallExpr, report bool) {
-	fn := calledFunc(a.info, call)
+	fn := framework.CalledFunc(a.info, call)
 	if fn == nil {
 		return
 	}
-	full := fn.FullName()
-	var mirrors []string
-	if m, ok := a.obligations[full]; ok {
-		mirrors = m
-	} else if fn.Pkg() != nil && fn.Pkg().Path() != a.pass.PkgPath {
-		if v, ok := a.pass.ImportFact(fn.Pkg().Path(), obligationsKey); ok {
-			if om, isMap := v.(map[string][]string); isMap {
-				mirrors = om[full]
-			}
-		}
-	}
+	mirrors, _ := framework.Fact(a.pass, a.obligations, obligationsKey, fn, (*types.Func).FullName)
 	if len(mirrors) == 0 {
 		return
 	}
@@ -994,19 +821,4 @@ func (a *analyzer) violation(pos token.Pos, desc string, missing []string, param
 		a.pass.Reportf(pos, "%s leaves sidecar %s stale: no update on every subsequent path",
 			desc, strings.Join(missing, ", "))
 	}
-}
-
-// calledFunc resolves a call's static target.
-func calledFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }

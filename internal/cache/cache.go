@@ -64,7 +64,6 @@ type Cache struct {
 	// steady-state case after warmup) without scanning.
 	validCnt []uint16
 	pol      policy.Policy
-	vic      policy.Victimer // non-nil when pol exposes the fast victim path
 
 	// Stats accumulates the event counters for this cache instance.
 	Stats Stats
@@ -112,7 +111,7 @@ func New(name string, sets, ways, extraShift int, pol policy.Policy) *Cache {
 	for i := range tags {
 		tags[i] = tagNone
 	}
-	c := &Cache{
+	return &Cache{
 		name:     name,
 		sets:     sets,
 		ways:     ways,
@@ -124,8 +123,6 @@ func New(name string, sets, ways, extraShift int, pol policy.Policy) *Cache {
 		validCnt: make([]uint16, sets),
 		pol:      pol,
 	}
-	c.vic, _ = pol.(policy.Victimer)
-	return c
 }
 
 // Name returns the cache's configured name.
@@ -247,12 +244,9 @@ func (c *Cache) VictimRank(set int) []int {
 }
 
 // Victim returns the policy's top victim way for set — VictimRank(set)[0]
-// without building the full order when the policy supports the fast path.
+// without building the full order.
 func (c *Cache) Victim(set int) int {
-	if c.vic != nil {
-		return c.vic.Victim(set)
-	}
-	return c.pol.Rank(set)[0]
+	return c.pol.Victim(set)
 }
 
 // Fill inserts blockAddr into its set, evicting if necessary, and returns the

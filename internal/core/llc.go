@@ -321,7 +321,6 @@ type bank struct {
 	// Validated by CheckInvariants.
 	masks  []wayMasks
 	pol    policy.Policy
-	vic    policy.Victimer      // nil unless the policy exposes the fast victim path
 	rrip   policy.RRPVer        // nil unless the policy exposes RRPVs
 	lru    policy.LRUPositioner // nil unless the policy exposes LRU position
 	pvs    [numLevels]*PV       // only the configured levels are non-nil
@@ -406,7 +405,6 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		b.relocTargets = make([]uint32, cfg.SetsPerBank)
 		b.pol = cfg.NewPolicy()
 		b.pol.Init(cfg.SetsPerBank, cfg.Ways)
-		b.vic, _ = b.pol.(policy.Victimer)
 		b.rrip, _ = b.pol.(policy.RRPVer)
 		b.lru, _ = b.pol.(policy.LRUPositioner)
 		for _, lev := range l.levels {
@@ -509,15 +507,11 @@ func (l *LLC) Probe(addr uint64) (loc directory.Location, hit bool) {
 }
 
 // worstWay returns the baseline policy's top victim via the single-victim
-// fast path when the policy provides one (every built-in policy does),
-// avoiding the full rank-order sort.
+// fast path, avoiding the full rank-order sort.
 //
 //ziv:noalloc
 func (l *LLC) worstWay(bk *bank, set int) int {
-	if bk.vic != nil {
-		return bk.vic.Victim(set)
-	}
-	return bk.pol.Rank(set)[0]
+	return bk.pol.Victim(set)
 }
 
 // Access performs a lookup for a private-cache miss: on a hit the

@@ -43,7 +43,7 @@ type cacheKeyInput struct {
 
 // diskKey returns the content-derived store key for a job.
 func (r *runner) diskKey(j job) string {
-	data, err := json.Marshal(cacheKeyInput{
+	return contentHash(cacheKeyInput{
 		Version:  cacheVersion,
 		Options:  r.opt.normalized(),
 		CfgLabel: j.cfgLabel,
@@ -51,8 +51,16 @@ func (r *runner) diskKey(j job) string {
 		Mix:      j.mix,
 		BaseL2:   j.baseL2,
 	})
+}
+
+// contentHash returns the SHA-256 (hex) of v's JSON encoding: the
+// content address of every identity the harness hands out (store keys,
+// job IDs, ledger stamps). The identities are plain data, so an encoding
+// failure is a bug.
+func contentHash(v any) string {
+	data, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("harness: cache key marshal: %v", err))
+		panic(fmt.Sprintf("harness: content hash marshal: %v", err))
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

@@ -10,9 +10,6 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -138,16 +135,11 @@ func (q Request) IdentityKey() (string, error) {
 	for i, e := range exps {
 		ids[i] = e.ID
 	}
-	data, err := json.Marshal(requestIdentity{
+	return contentHash(requestIdentity{
 		Version: cacheVersion,
 		Figs:    ids,
 		Options: q.Options.normalized(),
-	})
-	if err != nil {
-		return "", fmt.Errorf("harness: identity marshal: %v", err)
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	}), nil
 }
 
 // IdentityHash fingerprints the result-affecting option set: the SHA-256
@@ -155,15 +147,10 @@ func (q Request) IdentityKey() (string, error) {
 // cmd/zivsim stamps it into the telemetry run ledger's header so a ledger
 // can be matched to the store entries of the sweep that produced it.
 func (o Options) IdentityHash() string {
-	data, err := json.Marshal(struct {
+	return contentHash(struct {
 		Version string
 		Options Options
 	}{cacheVersion, o.normalized()})
-	if err != nil {
-		panic(fmt.Sprintf("harness: identity hash marshal: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
 }
 
 // RunSweep executes a sweep request: every selected experiment in ID
@@ -172,11 +159,14 @@ func (o Options) IdentityHash() string {
 // still run), stopping early when the request's Drain is triggered.
 // Concurrent sweeps under the same normalized Options serialize on
 // their shared runner's sweep lock. The returned error is
-// reserved for invalid requests (unknown figure IDs); execution-level
-// failures land in the Report.
+// reserved for invalid requests (unknown figure IDs, options Validate
+// rejects); execution-level failures land in the Report.
 func RunSweep(q Request) (*Report, error) {
 	exps, err := ResolveFigs(q.Figs)
 	if err != nil {
+		return nil, err
+	}
+	if err := q.Options.Validate(); err != nil {
 		return nil, err
 	}
 	// Like Status, the lookup leaves the runner's options alone: a job

@@ -117,6 +117,39 @@ func PaperOptions() Options {
 	return o
 }
 
+// Validate reports the first option value that cannot build a machine
+// or run a sweep. Every cache needs a power-of-two set count: the LLC
+// has Cores×128/Scale sets per bank (TPCECores×32/Scale for TPC-E's
+// 256 KB per core), and the L1 holds less than one set below 1/64
+// scale.
+func (o Options) Validate() error {
+	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
+	switch {
+	case !pow2(o.Scale) || o.Scale > 64:
+		return fmt.Errorf("scale must be a power of two in [1, 64], got %d", o.Scale)
+	case !pow2(o.Cores):
+		return fmt.Errorf("cores must be a power of two, got %d", o.Cores)
+	case !pow2(o.TPCECores) || o.TPCECores*32 < o.Scale:
+		return fmt.Errorf("TPC-E cores must be a power of two of at least scale/32, got %d at scale %d",
+			o.TPCECores, o.Scale)
+	}
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"measured references", o.Measure, 1},
+		{"heterogeneous mixes", o.HeteroMixes, 0},
+		{"homogeneous mixes", o.HomoMixes, 0},
+		{"warm-up references", o.Warmup, 0},
+		{"parallelism", o.Parallelism, 0},
+	} {
+		if f.v < f.min {
+			return fmt.Errorf("%s must be >= %d, got %d", f.name, f.min, f.v)
+		}
+	}
+	return nil
+}
+
 // Result is everything one simulation produced.
 type Result struct {
 	Config hierarchy.Config    // the simulated machine configuration

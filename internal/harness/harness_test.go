@@ -114,6 +114,42 @@ func TestPaperOptions(t *testing.T) {
 	}
 }
 
+// TestOptionsValidate pins the machine-geometry boundaries, probed on
+// the simulator: every LLC bank needs Cores×128/Scale (TPC-E:
+// TPCECores×32/Scale) sets, a positive power of two, and the L1 needs
+// Scale <= 64.
+func TestOptionsValidate(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		edit  func(*Options)
+		valid bool
+	}{
+		{"defaults", func(*Options) {}, true},
+		{"paper", func(o *Options) { *o = PaperOptions() }, true},
+		{"scale 64, cores 1", func(o *Options) { o.Scale, o.Cores = 64, 1 }, true},
+		{"scale 64, cores 4, tpce 32", func(o *Options) { o.Scale, o.Cores, o.TPCECores = 64, 4, 32 }, true},
+		{"scale 128", func(o *Options) { o.Scale = 128 }, false},
+		{"scale 3", func(o *Options) { o.Scale = 3 }, false},
+		{"scale 0", func(o *Options) { o.Scale = 0 }, false},
+		{"cores 6", func(o *Options) { o.Cores = 6 }, false},
+		{"tpce cores 12", func(o *Options) { o.TPCECores = 12 }, false},
+		{"tpce cores 1 at scale 64", func(o *Options) { o.Scale, o.TPCECores = 64, 1 }, false},
+		{"tpce cores 1 at scale 32", func(o *Options) { o.Scale, o.TPCECores = 32, 1 }, true},
+		{"measure 0", func(o *Options) { o.Measure = 0 }, false},
+		{"warmup -1", func(o *Options) { o.Warmup = -1 }, false},
+		{"parallelism -1", func(o *Options) { o.Parallelism = -1 }, false},
+	} {
+		o := DefaultOptions()
+		c.edit(&o)
+		if err := o.Validate(); (err == nil) != c.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%v", c.name, err, c.valid)
+		}
+	}
+	if _, err := RunSweep(Request{Figs: []string{"fig1"}, Options: Options{Scale: 3}}); err == nil {
+		t.Error("RunSweep accepted scale 3")
+	}
+}
+
 func TestExt1OracleRuns(t *testing.T) {
 	e, ok := ByID("ext1")
 	if !ok {

@@ -53,10 +53,11 @@ func lockstepState(t *testing.T, p Policy) any {
 }
 
 // TestFirstInMatchesRank drives two identical instances of each policy with
-// the same random hooks. At every query one instance answers FirstIn and the
-// other Rank: the FirstIn answer must be the first Rank way in the mask, and
-// the two instances' replacement state must stay equal afterwards, so
-// FirstIn has exactly Rank's side effects (SRRIP's aging, Random's draw).
+// the same random hooks. At every query one instance answers FirstIn or
+// Victim and the other Rank: the FirstIn answer must be the first Rank way
+// in the mask, the Victim answer Rank's first way, and the two instances'
+// replacement state must stay equal afterwards, so both queries have
+// exactly Rank's side effects (SRRIP's aging, Random's draw).
 func TestFirstInMatchesRank(t *testing.T) {
 	const sets, ways, steps = 4, 8, 3000
 	rng := rand.New(rand.NewSource(42))
@@ -70,11 +71,11 @@ func TestFirstInMatchesRank(t *testing.T) {
 			a.Init(sets, ways)
 			b.Init(sets, ways)
 			rng := rand.New(rand.NewSource(1))
-			queries := 0
+			queries, victims := 0, 0
 			for i := 0; i < steps; i++ {
 				s, w := rng.Intn(sets), rng.Intn(ways)
 				m := Meta{PC: uint64(rng.Intn(16)) * 4, Addr: stream[i], Pos: uint64(i)}
-				switch rng.Intn(7) {
+				switch rng.Intn(8) {
 				case 0:
 					a.OnHit(s, w, m)
 					b.OnHit(s, w, m)
@@ -90,6 +91,11 @@ func TestFirstInMatchesRank(t *testing.T) {
 				case 5:
 					a.Promote(s, w)
 					b.Promote(s, w)
+				case 6:
+					if got, want := a.Victim(s), b.Rank(s)[0]; got != want {
+						t.Fatalf("step %d: Victim(%d) = %d, Rank(%d)[0] = %d", i, s, got, s, want)
+					}
+					victims++
 				default:
 					// Random masks, including bits above the associativity
 					// (Rank never returns those ways), the empty mask and
@@ -113,8 +119,8 @@ func TestFirstInMatchesRank(t *testing.T) {
 					t.Fatalf("step %d: the FirstIn and Rank instances diverged", i)
 				}
 			}
-			if queries == 0 {
-				t.Fatal("no FirstIn query was issued")
+			if queries == 0 || victims == 0 {
+				t.Fatalf("%d FirstIn and %d Victim queries issued, want both", queries, victims)
 			}
 		})
 	}

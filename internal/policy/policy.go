@@ -40,6 +40,12 @@ type Policy interface {
 	// (filled) ways need a meaningful order; the cache consults invalid ways
 	// before ranking. The returned slice is reused across calls.
 	Rank(set int) []int
+	// Victim returns Rank(set)[0], with exactly Rank's side effects
+	// (SRRIP ages the set, Random draws), without materializing or sorting
+	// the order. The caches ask it on every replacement, which makes it
+	// the hottest policy entry point; the full Rank order is only needed
+	// by QBS, which promotes ways mid-walk, and SHARP's directory stage.
+	Victim(set int) int
 	// FirstIn returns the first way of Rank(set) whose bit is set in ways
 	// (bit w stands for way w), or -1 when there is none. It has exactly
 	// Rank's side effects (SRRIP ages the set, Random draws) but builds no

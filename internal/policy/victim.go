@@ -1,18 +1,6 @@
 package policy
 
-// Victimer is the single-victim fast path: Victim(set) returns exactly
-// Rank(set)[0] — including any side effects Rank performs (SRRIP ages the
-// set) — without materializing or sorting the full preference order. The
-// cache substrates consult it on every replacement, which makes it the
-// hottest policy entry point. The LLC searches that want the first way of
-// the order with some property ask FirstIn; the full Rank order is only
-// needed by QBS, which promotes ways mid-walk, and SHARP's directory stage.
-type Victimer interface {
-	// Victim returns the way Rank(set)[0] would return.
-	Victim(set int) int
-}
-
-// Victim implements Victimer: the way with the smallest timestamp, ties
+// Victim implements Policy: the way with the smallest timestamp, ties
 // broken by lowest way index — identical to Rank's stable ascending sort.
 func (p *LRU) Victim(set int) int {
 	stamp := p.stamp[set*p.ways : (set+1)*p.ways]
@@ -25,7 +13,7 @@ func (p *LRU) Victim(set int) int {
 	return best
 }
 
-// Victim implements Victimer: the first unreferenced way, or way 0 when
+// Victim implements Policy: the first unreferenced way, or way 0 when
 // every way is referenced — identical to Rank's two-class order.
 func (p *NRU) Victim(set int) int {
 	base := set * p.ways
@@ -37,7 +25,7 @@ func (p *NRU) Victim(set int) int {
 	return 0
 }
 
-// Victim implements Victimer. The canonical SRRIP aging step is applied
+// Victim implements Policy. The canonical SRRIP aging step is applied
 // exactly as Rank does (the side effect must happen regardless of which
 // entry point picks the victim); afterwards the first way at the
 // distant-future RRPV is the victim, matching Rank's stable descending
@@ -51,7 +39,7 @@ func (p *SRRIP) Victim(set int) int {
 	return 0 // unreachable: aging guarantees a max-RRPV way
 }
 
-// Victim implements Victimer: the first way holding the set's maximum
+// Victim implements Policy: the first way holding the set's maximum
 // RRPV — identical to Rank's stable descending sort.
 func (p *Hawkeye) Victim(set int) int {
 	rrpv := p.rrpv[set*p.ways : (set+1)*p.ways]
@@ -64,7 +52,7 @@ func (p *Hawkeye) Victim(set int) int {
 	return best
 }
 
-// Victim implements Victimer: the valid way whose next use is furthest in
+// Victim implements Policy: the valid way whose next use is furthest in
 // the future (invalid ways query as most-imminent, exactly like Rank).
 func (p *MIN) Victim(set int) int {
 	base := set * p.ways
@@ -83,10 +71,5 @@ func (p *MIN) Victim(set int) int {
 	return best
 }
 
-var (
-	_ Victimer = (*LRU)(nil)
-	_ Victimer = (*NRU)(nil)
-	_ Victimer = (*SRRIP)(nil)
-	_ Victimer = (*Hawkeye)(nil)
-	_ Victimer = (*MIN)(nil)
-)
+// Victim implements Policy: the rotation start Rank draws.
+func (p *Random) Victim(int) int { return int(p.next() % uint64(p.ways)) }

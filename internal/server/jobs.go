@@ -115,33 +115,6 @@ func (p OptionsPayload) Options() harness.Options {
 	return o
 }
 
-// validate rejects option values the simulator cannot run.
-func (p OptionsPayload) validate() error {
-	pos := func(name string, v *int) error {
-		if v != nil && *v < 1 {
-			return fmt.Errorf("options.%s must be >= 1", name)
-		}
-		return nil
-	}
-	nonneg := func(name string, v *int) error {
-		if v != nil && *v < 0 {
-			return fmt.Errorf("options.%s must be >= 0", name)
-		}
-		return nil
-	}
-	for _, err := range []error{
-		pos("scale", p.Scale), pos("cores", p.Cores), pos("measure", p.Measure),
-		pos("tpce_cores", p.TPCECores),
-		nonneg("hetero_mixes", p.HeteroMixes), nonneg("homo_mixes", p.HomoMixes),
-		nonneg("warmup", p.Warmup), nonneg("parallelism", p.Parallelism),
-	} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Submission is the POST /v1/jobs request body: which figures to sweep
 // ("all", or any subset of experiment IDs) under which options.
 type Submission struct {
@@ -288,14 +261,14 @@ func (s *Server) submit(client string, sub Submission) (JobStatus, submitOutcome
 	if err != nil {
 		return JobStatus{}, submitBad, err
 	}
-	if err := sub.Options.validate(); err != nil {
-		return JobStatus{}, submitBad, err
+	opt := sub.Options.Options()
+	if err := opt.Validate(); err != nil {
+		return JobStatus{}, submitBad, fmt.Errorf("options: %w", err)
 	}
 	figIDs := make([]string, len(exps))
 	for i, e := range exps {
 		figIDs[i] = e.ID
 	}
-	opt := sub.Options.Options()
 	if s.cfg.Parallelism > 0 && (opt.Parallelism == 0 || opt.Parallelism > s.cfg.Parallelism) {
 		opt.Parallelism = s.cfg.Parallelism
 	}

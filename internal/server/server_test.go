@@ -544,6 +544,9 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", `{"figz":["fig8"]}`},
 		{"unknown fig", `{"figs":["fig99"]}`},
 		{"bad option", `{"figs":["fig8"],"options":{"scale":0}}`},
+		{"scale 3", `{"figs":["fig8"],"options":{"scale":3}}`},
+		{"cores 6", `{"figs":["fig8"],"options":{"cores":6}}`},
+		{"tpce_cores 12", `{"figs":["fig8"],"options":{"tpce_cores":12}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
