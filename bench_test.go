@@ -33,27 +33,25 @@ func benchOptions() harness.Options {
 	return o
 }
 
-// benchFigure runs one harness experiment per iteration and reports the
-// first row's values as metrics. The process-wide result memo is cleared
-// before every iteration: without that, iteration 2 onward replays cached
-// results and the bench reports the memo's speed, not the simulator's.
-// Simulated references per wall-clock second is the headline metric.
+// benchFigure runs one harness experiment per iteration, each as its
+// own sweep, so every iteration simulates the figure's whole matrix, and
+// reports the first row's values as metrics. Simulated references per
+// wall-clock second is the headline metric.
 func benchFigure(b *testing.B, id string) {
-	e, ok := harness.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	o := benchOptions()
+	q := harness.Request{Figs: []string{id}, Options: benchOptions()}
 	refsBefore := harness.SimulatedRefs()
-	var tab *harness.Table
+	var rep *harness.Report
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		harness.ResetMemo()
-		tab = e.Run(o)
+		var err error
+		if rep, err = harness.RunSweep(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	refs := harness.SimulatedRefs() - refsBefore
 	b.ReportMetric(float64(refs)/b.Elapsed().Seconds(), "refs/s")
+	tab := rep.Figures[0].Table
 	if tab == nil || len(tab.Rows) == 0 {
 		b.Fatal("experiment produced no rows")
 	}

@@ -1,8 +1,8 @@
 // Command zivbench measures end-to-end figure-regeneration throughput and
-// writes a machine-readable report. Each listed experiment runs exactly once
-// with a cold in-process memo and serial execution (Parallelism=1), so the
-// numbers are comparable across commits: same job set, same schedule, no
-// cache reuse. `make bench` invokes it to produce BENCH_figs.json.
+// writes a machine-readable report. Each listed experiment runs exactly once,
+// as its own sweep with serial execution (Parallelism=1) and no result
+// store, so the numbers are comparable across commits: same job set, same
+// schedule, no reuse. `make bench` invokes it to produce BENCH_figs.json.
 //
 // The headline metric is simulated memory references per wall-clock second
 // (refs/s): it normalizes for how much work each figure's configuration
@@ -114,18 +114,19 @@ func main() {
 		Options:   fmt.Sprintf("%+v", opt),
 	}
 	for _, id := range ids {
-		e, ok := harness.ByID(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "zivbench: unknown experiment %q\n", id)
-			os.Exit(2)
-		}
-		harness.ResetMemo()
 		before := harness.SimulatedRefs()
 		start := time.Now()
-		tab := e.Run(opt)
+		sweep, err := harness.RunSweep(harness.Request{Figs: []string{id}, Options: opt})
 		dt := time.Since(start).Seconds()
 		refs := harness.SimulatedRefs() - before
-		if tab == nil || len(tab.Rows) == 0 {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "zivbench: %v\n", err)
+			os.Exit(2)
+		}
+		if fr := sweep.Figures[0]; fr.Err != "" {
+			fmt.Fprintf(os.Stderr, "zivbench: %s panicked: %s\n", id, fr.Err)
+			os.Exit(1)
+		} else if len(fr.Table.Rows) == 0 {
 			fmt.Fprintf(os.Stderr, "zivbench: %s produced no rows\n", id)
 			os.Exit(1)
 		}
@@ -163,8 +164,8 @@ func main() {
 }
 
 // benchOptions mirrors the figure benches in bench_test.go: fixed reduced
-// scale, serial, cold. Keep the two in sync so `go test -bench=Fig` and
-// zivbench measure the same work.
+// scale, serial, one sweep per figure. Keep the two in sync so
+// `go test -bench=Fig` and zivbench measure the same work.
 func benchOptions() harness.Options {
 	o := harness.DefaultOptions()
 	o.Scale = 32

@@ -111,10 +111,6 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "usage: zivsim -fig <id>|all  (see -list)")
 		return exitUsage
 	}
-	if err := harness.ParseFaultSpec(*faultspec); err != nil {
-		fmt.Fprintf(os.Stderr, "zivsim: -faultspec: %v\n", err)
-		return exitUsage
-	}
 
 	// Graceful drain: the first SIGINT/SIGTERM stops dispatching and arms
 	// the -job-deadline timer; in-flight simulations finish (or are

@@ -339,7 +339,14 @@ func (a *analyzer) bodySignals(body *ast.BlockStmt) signals {
 	return sig
 }
 
+// signalTransfer is the backward transfer function: a block adds its
+// own events to the must-set flowing in from its end. A Top out-fact
+// (every path from the block's end panics) stays Top, so a signal on a
+// panicking branch never displaces one the other paths reach.
 func (a *analyzer) signalTransfer(b *cfg.Block, out mustSet) mustSet {
+	if out.Top {
+		return out
+	}
 	evs := a.events[b]
 	var all []sigKey
 	for _, nodeEvs := range evs {

@@ -56,6 +56,36 @@ func WGOnePath(b bool) {
 	wg.Wait()
 }
 
+// PanicBranchSignals closes a channel on its panicking branch and
+// Dones on the other: a panicking path does not count against the
+// must-reach requirement, whatever it signals first: clean.
+func PanicBranchSignals(bad bool) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		if bad {
+			close(done)
+			panic("bad")
+		}
+		wg.Done()
+	}()
+	wg.Wait()
+}
+
+// PanicBranch is PanicBranchSignals without the close: clean.
+func PanicBranch(bad bool) {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		if bad {
+			panic("bad")
+		}
+		wg.Done()
+	}()
+	wg.Wait()
+}
+
 // ChanClose closes a done channel the spawner receives: clean.
 func ChanClose() {
 	done := make(chan struct{})

@@ -24,20 +24,13 @@ func smallOptions() Options {
 // independent, so worker count and completion order must never leak into
 // results.
 func TestParallelismDoesNotAffectResults(t *testing.T) {
-	e, ok := ByID("fig8")
-	if !ok {
-		t.Fatal("fig8 not registered")
-	}
-
 	serial := smallOptions()
 	serial.Parallelism = 1
-	ResetMemo()
-	tabSerial := e.Run(serial)
+	tabSerial, _ := runFig(t, "fig8", serial)
 
 	parallel := smallOptions()
 	parallel.Parallelism = 8
-	ResetMemo()
-	tabParallel := e.Run(parallel)
+	tabParallel, _ := runFig(t, "fig8", parallel)
 
 	if !reflect.DeepEqual(tabSerial, tabParallel) {
 		t.Errorf("tables differ between Parallelism=1 and Parallelism=8:\nserial:\n%s\nparallel:\n%s",
@@ -45,30 +38,24 @@ func TestParallelismDoesNotAffectResults(t *testing.T) {
 	}
 }
 
-// TestDiskCacheHitMatchesColdRun populates the disk cache with a cold run,
-// clears the in-process memo, and requires the cache-served rerun to render
+// TestDiskCacheHitMatchesColdRun populates the disk cache with a cold
+// sweep and requires a second sweep, served from the cache, to render
 // byte-identical output, for a multi-programmed and a multi-threaded
 // figure.
 func TestDiskCacheHitMatchesColdRun(t *testing.T) {
 	for _, id := range []string{"fig1", "fig17"} {
 		t.Run(id, func(t *testing.T) {
-			e, ok := ByID(id)
-			if !ok {
-				t.Fatalf("%s not registered", id)
-			}
 			o := smallOptions()
 			o.CacheDir = t.TempDir()
 
-			ResetMemo()
 			refsBefore := SimulatedRefs()
-			cold := e.Run(o).Format()
+			cold, _ := figTable(t, id, o)
 			if SimulatedRefs() == refsBefore {
 				t.Fatal("cold run simulated nothing")
 			}
 
-			ResetMemo()
 			refsBefore = SimulatedRefs()
-			warm := e.Run(o).Format()
+			warm, _ := figTable(t, id, o)
 			if warm != cold {
 				t.Errorf("cache-served run differs from cold run:\ncold:\n%s\nwarm:\n%s", cold, warm)
 			}

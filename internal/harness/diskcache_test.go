@@ -26,17 +26,11 @@ func cacheTestOptions(dir string) Options {
 	return o
 }
 
-// isolatedRunner bypasses the process-global runner memo so each test
-// run exercises the disk path, not the in-memory one.
-func isolatedRunner(opt Options) *runner {
-	return &runner{opt: opt, results: map[string]Result{}}
-}
-
 // cacheTestJob returns the single test job, its store key filled in as
 // runAll fills it.
 func cacheTestJob(o Options) job {
 	j := mixJob(o, baselineSpec(), o.mixes()[0])
-	j.dk = isolatedRunner(o).diskKey(j)
+	j.dk = newRunner(o).diskKey(j)
 	return j
 }
 
@@ -44,7 +38,7 @@ func cacheTestJob(o Options) job {
 // its result.
 func runCacheJob(t *testing.T, opt Options) Result {
 	t.Helper()
-	r := isolatedRunner(opt)
+	r := newRunner(opt)
 	j := cacheTestJob(opt)
 	r.runAll([]job{j})
 	return r.get(j.cfgLabel, j.mix.Name)
@@ -67,7 +61,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 
 	j := cacheTestJob(opt)
-	got, ok := isolatedRunner(opt).diskLoad(j.dk)
+	got, ok := newRunner(opt).diskLoad(j.dk)
 	if !ok {
 		t.Fatal("diskLoad missed a freshly stored entry")
 	}
@@ -92,7 +86,7 @@ func TestDiskCacheTruncatedEntry(t *testing.T) {
 	}
 
 	j := cacheTestJob(opt)
-	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
+	if _, ok := newRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a truncated entry")
 	}
 	got := runCacheJob(t, opt) // recompute + re-store
@@ -129,7 +123,7 @@ func TestDiskCacheVersionMismatch(t *testing.T) {
 	}
 
 	j := cacheTestJob(opt)
-	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
+	if _, ok := newRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad accepted a version-mismatched entry")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -156,7 +150,7 @@ func TestDiskCacheBadKey(t *testing.T) {
 	}
 
 	j := cacheTestJob(opt)
-	if _, ok := isolatedRunner(opt).diskLoad(j.dk); ok {
+	if _, ok := newRunner(opt).diskLoad(j.dk); ok {
 		t.Fatal("diskLoad found an entry despite the wrong key")
 	}
 	if got := runCacheJob(t, opt); !reflect.DeepEqual(got, want) {
@@ -208,7 +202,7 @@ func TestDiskStoreAtomicNoTempResidue(t *testing.T) {
 func TestDiskStoreConcurrentWritersNeverTear(t *testing.T) {
 	opt := cacheTestOptions(t.TempDir())
 	want := runCacheJob(t, opt)
-	r := isolatedRunner(opt)
+	r := newRunner(opt)
 	j := cacheTestJob(opt)
 
 	stop := make(chan struct{})

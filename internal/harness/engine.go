@@ -55,8 +55,8 @@ type Report struct {
 	// run order. A sweep cut short by a drain omits the interrupted
 	// figure: its table would hold placeholder zeros for skipped jobs.
 	Figures []FigureResult `json:"figures"`
-	// Status is the job-level outcome summary (completed counts, cache
-	// hits, failed and skipped jobs).
+	// Status is the job-level outcome summary of this sweep's jobs
+	// (completed counts, cache hits, failed and skipped jobs).
 	Status SweepStatus `json:"status"`
 	// Drained reports that a graceful drain interrupted the sweep before
 	// every experiment finished; completed work is stored when CacheDir
@@ -157,10 +157,12 @@ func (o Options) IdentityHash() string {
 // order, each behind a panic barrier (an experiment that dies outside
 // the per-job recovery is reported in its FigureResult and the rest
 // still run), stopping early when the request's Drain is triggered.
-// Concurrent sweeps under the same normalized Options serialize on
-// their shared runner's sweep lock. The returned error is
-// reserved for invalid requests (unknown figure IDs, options Validate
-// rejects); execution-level failures land in the Report.
+// The experiments share one runner, built for this sweep alone, so the
+// Report counts exactly the sweep's own jobs; an earlier sweep's work
+// is reused only through the result store (Options.CacheDir). The
+// returned error is reserved for invalid requests (unknown figure IDs,
+// options Validate rejects); execution-level failures land in the
+// Report.
 func RunSweep(q Request) (*Report, error) {
 	exps, err := ResolveFigs(q.Figs)
 	if err != nil {
@@ -169,16 +171,10 @@ func RunSweep(q Request) (*Report, error) {
 	if err := q.Options.Validate(); err != nil {
 		return nil, err
 	}
-	// Like Status, the lookup leaves the runner's options alone: a job
-	// a previous sweep's expired drain abandoned may still read them.
-	runnersMu.Lock()
-	r := runnerLocked(q.Options)
-	runnersMu.Unlock()
-	r.sweep.Lock()
-	defer r.sweep.Unlock()
+	r := newRunner(q.Options)
 	rep := &Report{}
 	for _, e := range exps {
-		fr := runFigure(e, q.Options)
+		fr := runFigure(e, r)
 		if d := q.Options.Drain; d != nil && d.Requested() {
 			// The interrupted figure's table may hold placeholder zeros
 			// for skipped jobs; don't report partial figures as results.
@@ -190,14 +186,14 @@ func RunSweep(q Request) (*Report, error) {
 			q.OnFigure(fr)
 		}
 	}
-	rep.Status = Status(q.Options)
+	rep.Status = r.status()
 	return rep, nil
 }
 
 // runFigure runs one experiment behind a panic barrier: a failure
 // outside the per-job recovery (e.g. in table assembly) becomes the
 // FigureResult's Err instead of killing the sweep.
-func runFigure(e Experiment, opt Options) (fr FigureResult) {
+func runFigure(e Experiment, r *runner) (fr FigureResult) {
 	fr = FigureResult{ID: e.ID, Title: e.Title}
 	defer func() {
 		if p := recover(); p != nil {
@@ -205,6 +201,6 @@ func runFigure(e Experiment, opt Options) (fr FigureResult) {
 			fr.Err = fmt.Sprint(p)
 		}
 	}()
-	fr.Table = e.Run(opt)
+	fr.Table = e.run(r)
 	return fr
 }

@@ -129,8 +129,6 @@ func TestIdentityHashNormalizesOptions(t *testing.T) {
 // OnFigure fires once per experiment in ID order, with the same tables
 // the Report carries.
 func TestRunSweepStreamsFigures(t *testing.T) {
-	ResetMemo()
-	t.Cleanup(ResetMemo)
 	var streamed []string
 	rep, err := RunSweep(Request{
 		Figs:    []string{"fig9", "fig8"},
@@ -166,8 +164,6 @@ func TestRunSweepStreamsFigures(t *testing.T) {
 // TestRunSweepDrainStopsEarly checks that a pre-requested drain yields a
 // drained report with no figures: partial tables are never emitted.
 func TestRunSweepDrainStopsEarly(t *testing.T) {
-	ResetMemo()
-	t.Cleanup(ResetMemo)
 	opt := tinyOptions()
 	opt.Drain = NewDrain()
 	opt.Drain.Request()
@@ -180,5 +176,31 @@ func TestRunSweepDrainStopsEarly(t *testing.T) {
 	}
 	if len(rep.Figures) != 0 {
 		t.Fatalf("drained sweep emitted %d figures, want 0", len(rep.Figures))
+	}
+}
+
+// TestSweepReportCountsOwnJobs: a sweep's report covers its own jobs
+// only. A faulted fig1 sweep fails its three NI-LRU jobs; a clean fig2
+// sweep under the same options afterwards must report none of them and
+// exactly fig2's nine jobs.
+func TestSweepReportCountsOwnJobs(t *testing.T) {
+	o := DefaultOptions()
+	o.Scale = 64
+	o.HeteroMixes = 1
+	o.HomoMixes = 0
+	o.Warmup = 200
+	o.Measure = 800
+	o.Parallelism = 1
+	o.MaxAttempts = 1
+
+	faulted := o
+	faulted.FaultSpec = "panic:NI-LRU"
+	if _, st := runFig(t, "fig1", faulted); len(st.Failed) != 3 {
+		t.Fatalf("faulted fig1 sweep failed %d jobs, want 3", len(st.Failed))
+	}
+	_, st := runFig(t, "fig2", o)
+	if len(st.Failed) != 0 || st.Completed != 9 {
+		t.Fatalf("fig2 sweep after a faulted fig1: %d completed, failed %v; want 9 completed, none failed",
+			st.Completed, st.Failed)
 	}
 }

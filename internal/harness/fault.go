@@ -11,7 +11,7 @@
 // Faults are injected deterministically through Options.FaultSpec so the
 // recovery, retry, store and drain paths are testable end to end
 // (see resilience_test.go and the CI resume-smoke job). The spec grammar
-// is documented on ParseFaultSpec.
+// is documented on Options.FaultSpec.
 package harness
 
 import (
@@ -120,27 +120,6 @@ var faultHangGate *hangGate
 type hangGate struct {
 	arrived chan struct{}
 	release chan struct{}
-}
-
-// ParseFaultSpec validates a deterministic fault-injection spec. The
-// grammar is semicolon-separated directives:
-//
-//	panic:SUBSTR       panic every attempt of jobs whose "cfgLabel|mix"
-//	                   key contains SUBSTR
-//	panic:SUBSTR@N     panic only on attempts 1..N (the job succeeds on
-//	                   attempt N+1 if retries allow)
-//	corrupt:SUBSTR     store only the first half of the matching job's
-//	                   result-store entry (exercises the corruption-
-//	                   tolerant read path)
-//	hang:SUBSTR        block the matching job on an internal test gate
-//	                   (inert outside the test suite)
-//	drain-after:N      request a graceful drain once N jobs have
-//	                   completed (a deterministic, simulated SIGINT)
-//
-// The zero spec ("") is valid and injects nothing.
-func ParseFaultSpec(spec string) error {
-	_, err := compileFaultSpec(spec)
-	return err
 }
 
 // compileFaultSpec parses spec into an executable plan (nil for "").

@@ -69,18 +69,18 @@ func mixJob(o Options, s spec, mix workload.Mix) job {
 }
 
 // sweepMatrix runs a set of (config family x L2 size) specs over the
-// options' mixes, plus the baseline, and returns the runner and mixes.
-func sweepMatrix(o Options, specs []spec) (*runner, []workload.Mix) {
-	r := newRunner(o)
-	mixes := o.mixes()
+// options' mixes, plus the baseline, on the sweep's runner and returns
+// the mixes.
+func sweepMatrix(r *runner, specs []spec) []workload.Mix {
+	mixes := r.opt.mixes()
 	var jobs []job
 	for _, s := range append([]spec{baselineSpec()}, specs...) {
 		for _, mix := range mixes {
-			jobs = append(jobs, mixJob(o, s, mix))
+			jobs = append(jobs, mixJob(r.opt, s, mix))
 		}
 	}
 	r.runAll(jobs)
-	return r, mixes
+	return mixes
 }
 
 // speedupRow computes geomean weighted speedup vs the baseline config across
@@ -133,8 +133,8 @@ func flatten(fams []family) []spec {
 }
 
 // speedupTable renders a family x L2 sweep as geomean speedups with ranges.
-func speedupTable(o Options, title string, fams []family) *Table {
-	r, mixes := sweepMatrix(o, flatten(fams))
+func speedupTable(r *runner, title string, fams []family) *Table {
+	mixes := sweepMatrix(r, flatten(fams))
 	t := &Table{Title: title, Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, f := range fams {
 		row := Row{Label: f.name}
@@ -149,8 +149,8 @@ func speedupTable(o Options, title string, fams []family) *Table {
 }
 
 // countTable renders normalized event counts for a family sweep.
-func countTable(o Options, title string, fams []family, pick func(Result) uint64) *Table {
-	r, mixes := sweepMatrix(o, flatten(fams))
+func countTable(r *runner, title string, fams []family, pick func(Result) uint64) *Table {
+	mixes := sweepMatrix(r, flatten(fams))
 	t := &Table{Title: title, Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, f := range fams {
 		row := Row{Label: f.name}
@@ -193,16 +193,16 @@ func init() {
 	register(Experiment{
 		ID:    "fig1",
 		Title: "Fig. 1: inclusive vs non-inclusive speedup (LRU, Hawkeye) across L2 sizes",
-		Run: func(o Options) *Table {
-			return speedupTable(o, "Fig. 1 — normalized speedup vs I-LRU-256KB",
+		run: func(r *runner) *Table {
+			return speedupTable(r, "Fig. 1 — normalized speedup vs I-LRU-256KB",
 				[]family{famILRU, famNILRU, famIHawk, famNIHwk})
 		},
 	})
 	register(Experiment{
 		ID:    "fig2",
 		Title: "Fig. 2: normalized inclusion-victim counts (LRU, Hawkeye, MIN)",
-		Run: func(o Options) *Table {
-			return countTable(o, "Fig. 2 — inclusion victims normalized to I-LRU-256KB",
+		run: func(r *runner) *Table {
+			return countTable(r, "Fig. 2 — inclusion victims normalized to I-LRU-256KB",
 				[]family{famILRU, famIHawk, famIMIN},
 				func(r Result) uint64 { return r.TotalIncl })
 		},
@@ -210,8 +210,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig3",
 		Title: "Fig. 3: normalized LLC miss counts",
-		Run: func(o Options) *Table {
-			return countTable(o, "Fig. 3 — LLC misses normalized to I-LRU-256KB",
+		run: func(r *runner) *Table {
+			return countTable(r, "Fig. 3 — LLC misses normalized to I-LRU-256KB",
 				[]family{famILRU, famNILRU, famIHawk, famNIHwk, famIMIN},
 				func(r Result) uint64 { return r.TotalLLCMiss })
 		},
@@ -219,8 +219,8 @@ func init() {
 	register(Experiment{
 		ID:    "fig4",
 		Title: "Fig. 4: normalized L2 miss counts",
-		Run: func(o Options) *Table {
-			return countTable(o, "Fig. 4 — L2 misses normalized to I-LRU-256KB",
+		run: func(r *runner) *Table {
+			return countTable(r, "Fig. 4 — L2 misses normalized to I-LRU-256KB",
 				[]family{famILRU, famNILRU, famIHawk, famNIHwk, famIMIN},
 				func(r Result) uint64 { return r.TotalL2Miss })
 		},
@@ -228,49 +228,49 @@ func init() {
 	register(Experiment{
 		ID:    "fig8",
 		Title: "Fig. 8: multi-programmed speedups, LRU baseline (I, NI, QBS, SHARP, CHARonBase, ZIV variants)",
-		Run: func(o Options) *Table {
-			return speedupTable(o, "Fig. 8 — normalized speedup vs I-LRU-256KB (LRU baseline)", lruSchemes)
+		run: func(r *runner) *Table {
+			return speedupTable(r, "Fig. 8 — normalized speedup vs I-LRU-256KB (LRU baseline)", lruSchemes)
 		},
 	})
 	register(Experiment{
 		ID:    "fig9",
 		Title: "Fig. 9: per-mix speedup of ZIV-LikelyDead (512KB L2, LRU baseline)",
-		Run:   func(o Options) *Table { return perMixTable(o, "ZIV-LikelyDead", lruFamilyByName("ZIV-LikelyDead")) },
+		run:   func(r *runner) *Table { return perMixTable(r, "ZIV-LikelyDead", lruFamilyByName("ZIV-LikelyDead")) },
 	})
 	register(Experiment{
 		ID:    "fig10",
 		Title: "Fig. 10: normalized LLC and L2 misses (LRU baseline schemes)",
-		Run: func(o Options) *Table {
-			return missTable(o, "Fig. 10 — normalized misses (LRU baseline)", lruSchemes)
+		run: func(r *runner) *Table {
+			return missTable(r, "Fig. 10 — normalized misses (LRU baseline)", lruSchemes)
 		},
 	})
 	register(Experiment{
 		ID:    "fig11",
 		Title: "Fig. 11: multi-programmed speedups, Hawkeye baseline",
-		Run: func(o Options) *Table {
-			return speedupTable(o, "Fig. 11 — normalized speedup vs I-LRU-256KB (Hawkeye baseline)", hawkSchemes)
+		run: func(r *runner) *Table {
+			return speedupTable(r, "Fig. 11 — normalized speedup vs I-LRU-256KB (Hawkeye baseline)", hawkSchemes)
 		},
 	})
 	register(Experiment{
 		ID:    "fig12",
 		Title: "Fig. 12: per-mix speedup of ZIV-MRLikelyDead (512KB L2, Hawkeye baseline)",
-		Run: func(o Options) *Table {
-			return perMixTable(o, "ZIV-MRLikelyDead", hawkFamilyByName("ZIV-MRLikelyDead"))
+		run: func(r *runner) *Table {
+			return perMixTable(r, "ZIV-MRLikelyDead", hawkFamilyByName("ZIV-MRLikelyDead"))
 		},
 	})
 	register(Experiment{
 		ID:    "fig13",
 		Title: "Fig. 13: normalized LLC and L2 misses (Hawkeye baseline schemes)",
-		Run: func(o Options) *Table {
-			return missTable(o, "Fig. 13 — normalized misses (Hawkeye baseline)", hawkSchemes)
+		run: func(r *runner) *Table {
+			return missTable(r, "Fig. 13 — normalized misses (Hawkeye baseline)", hawkSchemes)
 		},
 	})
-	register(Experiment{ID: "fig14", Title: "Fig. 14: 16MB LLC with 1MB L2 sensitivity", Run: fig14})
-	register(Experiment{ID: "fig15", Title: "Fig. 15: sparse-directory size sensitivity (MESI vs ZeroDEV)", Run: fig15})
-	register(Experiment{ID: "fig16", Title: "Fig. 16: multi-threaded workloads, LRU baseline", Run: func(o Options) *Table { return mtTable(o, hierarchy.PolicyLRU) }})
-	register(Experiment{ID: "fig17", Title: "Fig. 17: multi-threaded workloads, Hawkeye baseline", Run: func(o Options) *Table { return mtTable(o, hierarchy.PolicyHawkeye) }})
-	register(Experiment{ID: "fig18", Title: "Fig. 18: CDF of relocation intervals", Run: fig18})
-	register(Experiment{ID: "fig19", Title: "Fig. 19: relocation EPI contribution", Run: fig19})
+	register(Experiment{ID: "fig14", Title: "Fig. 14: 16MB LLC with 1MB L2 sensitivity", run: fig14})
+	register(Experiment{ID: "fig15", Title: "Fig. 15: sparse-directory size sensitivity (MESI vs ZeroDEV)", run: fig15})
+	register(Experiment{ID: "fig16", Title: "Fig. 16: multi-threaded workloads, LRU baseline", run: func(r *runner) *Table { return mtTable(r, hierarchy.PolicyLRU) }})
+	register(Experiment{ID: "fig17", Title: "Fig. 17: multi-threaded workloads, Hawkeye baseline", run: func(r *runner) *Table { return mtTable(r, hierarchy.PolicyHawkeye) }})
+	register(Experiment{ID: "fig18", Title: "Fig. 18: CDF of relocation intervals", run: fig18})
+	register(Experiment{ID: "fig19", Title: "Fig. 19: relocation EPI contribution", run: fig19})
 }
 
 func lruFamilyByName(name string) family {
@@ -293,9 +293,9 @@ func hawkFamilyByName(name string) family {
 
 // perMixTable renders Fig. 9 / Fig. 12: one row per mix at the 512 KB L2
 // point, weighted speedup vs the baseline config.
-func perMixTable(o Options, name string, f family) *Table {
+func perMixTable(r *runner, name string, f family) *Table {
 	s := spec{family: f, label: name + "-512KB", l2: kb512}
-	r, mixes := sweepMatrix(o, []spec{s})
+	mixes := sweepMatrix(r, []spec{s})
 	t := &Table{
 		Title:   fmt.Sprintf("%s per-mix speedup at 512KB L2 (vs I-LRU-256KB)", name),
 		Columns: []string{"speedup"},
@@ -328,8 +328,8 @@ func perMixTable(o Options, name string, f family) *Table {
 
 // missTable renders the two-panel miss figures (Figs. 10, 13): normalized
 // LLC misses and L2 misses per family and L2 size.
-func missTable(o Options, title string, fams []family) *Table {
-	r, mixes := sweepMatrix(o, flatten(fams))
+func missTable(r *runner, title string, fams []family) *Table {
+	mixes := sweepMatrix(r, flatten(fams))
 	t := &Table{Title: title, Columns: []string{
 		"LLC-256KB", "LLC-512KB", "LLC-768KB",
 		"L2-256KB", "L2-512KB", "L2-768KB",
@@ -348,7 +348,7 @@ func missTable(o Options, title string, fams []family) *Table {
 }
 
 // fig14 runs the 16 MB LLC + 1 MB L2 sensitivity study.
-func fig14(o Options) *Table {
+func fig14(r *runner) *Table {
 	fams := []family{
 		famILRU, famNILRU,
 		lruFamilyByName("QBS-LRU"), lruFamilyByName("SHARP-LRU"),
@@ -361,7 +361,7 @@ func fig14(o Options) *Table {
 	for i, f := range fams {
 		specs[i] = spec{family: f, label: f.name + "-1MB", l2: mb1, llcBytes: 16 << 20}
 	}
-	r, mixes := sweepMatrix(o, specs)
+	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 14 — 16MB LLC, 1MB L2 (normalized to 8MB I-LRU-256KB)", Columns: []string{"speedup"}}
 	for i, f := range fams {
 		gm, lo, hi := speedupRow(r, mixes, specs[i].label)
@@ -372,7 +372,7 @@ func fig14(o Options) *Table {
 }
 
 // fig15 sweeps the sparse directory from 2x to 1/4x under MESI and ZeroDEV.
-func fig15(o Options) *Table {
+func fig15(r *runner) *Table {
 	factors := []float64{2.0, 1.0, 0.5, 0.25}
 	factorLabel := []string{"2x", "1x", "0.5x", "0.25x"}
 	fams := []family{famIHawk, famNIHwk, hawkFamilyByName("ZIV-MRLikelyDead")}
@@ -389,7 +389,7 @@ func fig15(o Options) *Table {
 			}
 		}
 	}
-	r, mixes := sweepMatrix(o, specs)
+	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 15 — directory size sensitivity (Hawkeye, 256KB L2, vs I-LRU-256KB)", Columns: factorLabel}
 	for _, zd := range []string{"MESI", "ZeroDEV"} {
 		for _, f := range fams {
@@ -419,7 +419,7 @@ func mtSpec(o Options, f family, name string) spec {
 // mtTable renders Figs. 16/17: multi-threaded throughput normalized to the
 // I-LRU anchor on the same machine geometry. Jobs are keyed (mt.<family>,
 // <workload>), so both figures share one anchor job per workload.
-func mtTable(o Options, pol hierarchy.PolicyKind) *Table {
+func mtTable(r *runner, pol hierarchy.PolicyKind) *Table {
 	fams := []family{
 		famILRU, famNILRU,
 		lruFamilyByName("QBS-LRU"), lruFamilyByName("SHARP-LRU"),
@@ -432,7 +432,7 @@ func mtTable(o Options, pol hierarchy.PolicyKind) *Table {
 			hawkFamilyByName("ZIV-MRNotInPrC"), hawkFamilyByName("ZIV-MRLikelyDead"),
 		}
 	}
-	r := newRunner(o)
+	o := r.opt
 	var jobs []job
 	for _, w := range workload.MTWorkloads() {
 		for _, f := range append([]family{famILRU}, fams...) {
@@ -461,7 +461,7 @@ func mtTable(o Options, pol hierarchy.PolicyKind) *Table {
 }
 
 // fig18 renders the relocation-interval CDFs of the three ZIV designs.
-func fig18(o Options) *Table {
+func fig18(r *runner) *Table {
 	designs := []struct {
 		name string
 		f    family
@@ -474,7 +474,7 @@ func fig18(o Options) *Table {
 	for _, d := range designs {
 		specs = append(specs, spec{family: d.f, label: d.name, l2: kb512})
 	}
-	r, mixes := sweepMatrix(o, specs)
+	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 18 — CDF of relocation intervals (cycles, log2 buckets; 512KB L2)"}
 	for _, d := range designs {
 		t.Columns = append(t.Columns, d.name)
@@ -519,7 +519,7 @@ func fig18(o Options) *Table {
 }
 
 // fig19 renders the relocation EPI contribution across L2 sizes.
-func fig19(o Options) *Table {
+func fig19(r *runner) *Table {
 	designs := []struct {
 		name string
 		f    family
@@ -535,7 +535,7 @@ func fig19(o Options) *Table {
 			specs = append(specs, spec{family: d.f, label: d.name + "-" + l2Label(l2), l2: l2})
 		}
 	}
-	r, mixes := sweepMatrix(o, specs)
+	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 19 — relocation EPI contribution (pJ/instruction)", Columns: []string{"256KB", "512KB", "768KB"}}
 	for _, d := range designs {
 		row := Row{Label: d.name}
@@ -556,17 +556,17 @@ func init() {
 	register(Experiment{
 		ID:    "ext1",
 		Title: "Ext. 1: oracle-assisted relocation victims (paper §VI future work) vs LikelyDead and NI",
-		Run:   ext1,
+		run:   ext1,
 	})
 	register(Experiment{
 		ID:    "ext3",
 		Title: "Ext. 3: ZIV MaxRRPV property on SRRIP (paper §III-D5 generality)",
-		Run:   ext3,
+		run:   ext3,
 	})
 	register(Experiment{
 		ID:    "ext2",
 		Title: "Ext. 2: Algorithm-1 round-robin nextRS vs lowest-index selection (fairness ablation)",
-		Run:   ext2,
+		run:   ext2,
 	})
 }
 
@@ -574,14 +574,14 @@ func init() {
 // the best practical property (LikelyDead) and the non-inclusive LLC across
 // the L2 sweep — the paper's §VI question: how close can practical
 // relocation properties come to oracle selection?
-func ext1(o Options) *Table {
+func ext1(r *runner) *Table {
 	fams := []family{
 		famNILRU,
 		lruFamilyByName("ZIV-NotInPrC"),
 		lruFamilyByName("ZIV-LikelyDead"),
 		{name: "ZIV-Oracle", mode: hierarchy.Inclusive, pol: hierarchy.PolicyLRU, scheme: core.SchemeZIV, prop: core.PropOracleNotInPrC},
 	}
-	t := speedupTable(o, "Ext. 1 - oracle relocation victims (normalized to I-LRU-256KB)", fams)
+	t := speedupTable(r, "Ext. 1 - oracle relocation victims (normalized to I-LRU-256KB)", fams)
 	t.Notes = append(t.Notes, "ZIV-Oracle uses the offline MIN oracle to pick relocation victims; the comparison to ZIV-LikelyDead shows where the remaining headroom lives")
 	return t
 }
@@ -589,27 +589,27 @@ func ext1(o Options) *Table {
 // ext3 exercises the MaxRRPV relocation properties on SRRIP instead of
 // Hawkeye (the paper's §III-D5 notes they apply to any RRIP-graded
 // policy): SRRIP baselines vs ZIV-MRNotInPrC-on-SRRIP vs NI-SRRIP.
-func ext3(o Options) *Table {
+func ext3(r *runner) *Table {
 	fams := []family{
 		{name: "I-SRRIP", mode: hierarchy.Inclusive, pol: hierarchy.PolicySRRIP, scheme: core.SchemeBaseline},
 		{name: "NI-SRRIP", mode: hierarchy.NonInclusive, pol: hierarchy.PolicySRRIP, scheme: core.SchemeBaseline},
 		{name: "QBS-SRRIP", mode: hierarchy.Inclusive, pol: hierarchy.PolicySRRIP, scheme: core.SchemeQBS},
 		{name: "ZIV-MRNotInPrC-SRRIP", mode: hierarchy.Inclusive, pol: hierarchy.PolicySRRIP, scheme: core.SchemeZIV, prop: core.PropMaxRRPVNotInPrC},
 	}
-	t := speedupTable(o, "Ext. 3 - ZIV on SRRIP (normalized to I-LRU-256KB)", fams)
+	t := speedupTable(r, "Ext. 3 - ZIV on SRRIP (normalized to I-LRU-256KB)", fams)
 	t.Notes = append(t.Notes, "the MaxRRPV relocation property composes with any RRIP-family policy (paper §III-D5); ZIV keeps its zero-victim guarantee under SRRIP")
 	return t
 }
 
 // ext2 ablates the round-robin nextRS selection (Algorithm 1) against
 // lowest-index selection: performance and relocation-target skew.
-func ext2(o Options) *Table {
+func ext2(r *runner) *Table {
 	f := lruFamilyByName("ZIV-LikelyDead")
 	specs := []spec{
 		{family: f, label: "ZIV-RoundRobin", l2: kb512},
 		{family: f, label: "ZIV-LowestIndex", l2: kb512, selectLowest: true},
 	}
-	r, mixes := sweepMatrix(o, specs)
+	mixes := sweepMatrix(r, specs)
 	t := &Table{
 		Title:   "Ext. 2 - nextRS selection ablation (ZIV-LikelyDead, 512KB L2)",
 		Columns: []string{"speedup", "target-skew", "fifo-max"},

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"zivsim/internal/workload"
@@ -47,19 +48,31 @@ func goldenFigures() (ids []string, file string) {
 }
 
 // renderGolden produces the canonical text the golden file stores: each
-// experiment's formatted table, in run order, separated by blank lines.
-func renderGolden(ids []string) string {
+// experiment's formatted table, in the order ids lists them, separated by
+// blank lines. The experiments run as one sweep.
+func renderGolden(t *testing.T, ids []string) string {
+	t.Helper()
+	tabs, _ := runFigs(t, goldenOptions(), ids...)
 	var b strings.Builder
 	for _, id := range ids {
-		e, ok := ByID(id)
-		if !ok {
-			panic("golden: unknown experiment " + id)
-		}
-		b.WriteString(e.Run(goldenOptions()).Format())
+		b.WriteString(tabs[id].Format())
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
+
+// mtGoldenSweep runs Figs. 16 and 17 at goldenOptions as one sweep, once
+// per test binary, and returns its report and the references it
+// simulated. TestGoldenMultiThreaded pins it; TestFig16And17Shape checks
+// its shape.
+var mtGoldenSweep = sync.OnceValues(func() (*Report, uint64) {
+	refsBefore := SimulatedRefs()
+	rep, err := RunSweep(Request{Figs: []string{"fig16", "fig17"}, Options: goldenOptions()})
+	if err != nil {
+		panic(err) // both IDs are registered and goldenOptions is valid
+	}
+	return rep, SimulatedRefs() - refsBefore
+})
 
 // TestGoldenDeterminism proves the simulator is bit-identical to the run
 // recorded in testdata/golden_small.txt (generated before the optimization
@@ -71,7 +84,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Skip("golden gate skipped in -short mode")
 	}
 	ids, file := goldenFigures()
-	got := renderGolden(ids)
+	got := renderGolden(t, ids)
 	path := filepath.Join("testdata", file)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -107,15 +120,15 @@ func TestGoldenMultiThreaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetMemo()
-	refsBefore := SimulatedRefs()
+	rep, simulated := mtGoldenSweep()
+	tabs := tablesOf(t, rep)
 	for _, id := range []string{"fig16", "fig17"} {
-		if got := renderGolden([]string{id}); !strings.Contains(string(want), got) {
+		if got := tabs[id].Format() + "\n"; !strings.Contains(string(want), got) {
 			t.Errorf("%s diverged from testdata/golden_all.txt; got:\n%s", id, got)
 		}
 	}
 	o := goldenOptions()
-	if got := Status(o).Completed; got != 60 {
+	if got := rep.Status.Completed; got != 60 {
 		t.Errorf("Completed = %d, want 60 runner jobs", got)
 	}
 	var refs uint64
@@ -126,8 +139,8 @@ func TestGoldenMultiThreaded(t *testing.T) {
 		}
 		refs += 12 * uint64(cores) * uint64(o.Warmup+o.Measure)
 	}
-	if got := SimulatedRefs() - refsBefore; got != refs {
-		t.Errorf("simulated %d refs, want %d (60 jobs)", got, refs)
+	if simulated != refs {
+		t.Errorf("simulated %d refs, want %d (60 jobs)", simulated, refs)
 	}
 }
 
@@ -144,10 +157,16 @@ func TestGoldenResultsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := stripTimings(string(raw))
-	o := DefaultOptions()
+	rep, err := RunSweep(Request{Options: DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	for _, e := range Experiments() {
-		b.WriteString(e.Run(o).Format())
+	for _, fr := range rep.Figures {
+		if fr.Err != "" {
+			t.Fatalf("%s panicked: %s", fr.ID, fr.Err)
+		}
+		b.WriteString(fr.Table.Format())
 		b.WriteByte('\n')
 	}
 	got := stripTimings(b.String())

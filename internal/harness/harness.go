@@ -73,8 +73,23 @@ type Options struct {
 	// results, so it is excluded from cache keys.
 	MaxAttempts int `json:"-"`
 	// FaultSpec injects deterministic faults for testing the recovery,
-	// retry, store and drain machinery; see ParseFaultSpec for the
-	// grammar. Empty injects nothing. Excluded from cache keys.
+	// retry, store and drain machinery. Empty injects nothing; Validate
+	// rejects a spec outside the grammar of semicolon-separated
+	// directives:
+	//
+	//	panic:SUBSTR       panic every attempt of jobs whose "cfgLabel|mix"
+	//	                   key contains SUBSTR
+	//	panic:SUBSTR@N     panic only on attempts 1..N (the job succeeds on
+	//	                   attempt N+1 if retries allow)
+	//	corrupt:SUBSTR     store only the first half of the matching job's
+	//	                   result-store entry (exercises the corruption-
+	//	                   tolerant read path)
+	//	hang:SUBSTR        block the matching job on an internal test gate
+	//	                   (inert outside the test suite)
+	//	drain-after:N      request a graceful drain once N jobs have
+	//	                   completed (a deterministic, simulated SIGINT)
+	//
+	// Excluded from cache keys.
 	FaultSpec string `json:"-"`
 	// Drain, when non-nil, lets the caller request a graceful shutdown:
 	// dispatching stops, in-flight jobs finish (or are abandoned once the
@@ -118,10 +133,10 @@ func PaperOptions() Options {
 }
 
 // Validate reports the first option value that cannot build a machine
-// or run a sweep. Every cache needs a power-of-two set count: the LLC
-// has Cores×128/Scale sets per bank (TPCECores×32/Scale for TPC-E's
-// 256 KB per core), and the L1 holds less than one set below 1/64
-// scale.
+// or run a sweep, or a FaultSpec outside its grammar. Every cache needs
+// a power-of-two set count: the LLC has Cores×128/Scale sets per bank
+// (TPCECores×32/Scale for TPC-E's 256 KB per core), and the L1 holds
+// less than one set below 1/64 scale.
 func (o Options) Validate() error {
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	switch {
@@ -147,7 +162,8 @@ func (o Options) Validate() error {
 			return fmt.Errorf("%s must be >= %d, got %d", f.name, f.min, f.v)
 		}
 	}
-	return nil
+	_, err := compileFaultSpec(o.FaultSpec)
+	return err
 }
 
 // Result is everything one simulation produced.
@@ -216,84 +232,52 @@ type job struct {
 	dk string
 }
 
-// runner executes jobs with caching and bounded parallelism. Runners are
-// shared process-wide per Options value, so experiments that overlap in
-// their configuration matrices (e.g. Figs. 3/4, Figs. 8/9/10) reuse each
-// other's simulations.
+// runner executes one sweep's jobs with bounded parallelism. RunSweep
+// builds one per request and runs every selected experiment against
+// it, so experiments that overlap in their configuration matrices (e.g.
+// Figs. 3/4, Figs. 8/9/10) share simulations; reuse across sweeps comes
+// only from the result store.
 type runner struct {
-	opt Options
-	mu  sync.Mutex
-	// results holds genuinely computed (or store-adopted) Results.
-	// Failed and skipped jobs never enter it, so a later runAll over the
-	// same matrix re-attempts them.
+	opt  Options
+	plan *faultPlan // opt.FaultSpec compiled; nil injects nothing
+	mu   sync.Mutex
+	// jobs records every job the sweep has settled, by key. Only done
+	// and adopted jobs are final: a later runAll over the same matrix
+	// re-attempts a failed or skipped one.
 	//ziv:guards(mu)
-	results map[string]Result
-	// failed records jobs that exhausted their attempts, skipped the jobs
-	// a drain prevented, and placeholders the zero-shaped Results that
-	// keep table rendering total for both. get consults them in order.
-	//ziv:guards(mu)
-	failed map[string]FailedJob
-	//ziv:guards(mu)
-	skipped map[string]bool
-	//ziv:guards(mu)
-	placeholders map[string]Result
-	// completedRuns counts real simulations finished this process (cache
-	// hits excluded); the drain-after fault keys off it.
+	jobs map[string]jobRecord
+	// completedRuns counts the sweep's real simulations (adoptions
+	// excluded); the drain-after fault keys off it.
 	//ziv:guards(mu)
 	completedRuns int
-	//ziv:guards(mu)
-	cacheHits int
-	// manifest accumulates per-job observability outcomes for the sweep
-	// manifest (obs.go); keyed by artifact stem.
-	//ziv:guards(mu)
-	manifest map[string]manifestRecord
-	// sweep serializes RunSweep calls under this runner's options: they
-	// share its memo, so running them back to back both keeps r.opt
-	// stable while jobs are in flight and lets the second sweep adopt
-	// everything the first computed.
-	sweep sync.Mutex
 }
 
-var (
-	runnersMu sync.Mutex
-	// runners memoizes one runner per normalized Options value.
-	//
-	//ziv:guards(runnersMu)
-	runners = map[Options]*runner{}
-)
+// jobRecord is one job's outcome within a sweep.
+type jobRecord struct {
+	j job
+	// outcome is telemetry.OutcomeDone (simulated), OutcomeCacheHit
+	// (adopted from the store), OutcomeFailed or OutcomeSkipped (a drain
+	// prevented it).
+	outcome string
+	// res is the job's Result; for a failed or skipped job, the
+	// zero-shaped placeholder that keeps table rendering total.
+	res Result
+	// failure is the diagnostic of a failed job.
+	failure FailedJob
+	// artifacts lists the observability artifacts written for the job.
+	artifacts []string
+}
 
-// newRunner returns the runner memoized for opt and points it at opt's
-// result-neutral fields (store, telemetry, drain) for the sweep ahead.
+// newRunner returns an empty runner for one sweep under opt.
 func newRunner(opt Options) *runner {
-	runnersMu.Lock()
-	defer runnersMu.Unlock()
-	r := runnerLocked(opt)
-	r.opt = opt
-	return r
-}
-
-// runnerLocked returns the runner memoized for opt's normalized value,
-// creating it when there is none; an existing runner keeps its options.
-// Callers hold runnersMu.
-func runnerLocked(opt Options) *runner {
-	key := opt.normalized()
-	if r := runners[key]; r != nil {
-		return r
-	}
-	r := &runner{
-		opt:          opt,
-		results:      make(map[string]Result),
-		failed:       make(map[string]FailedJob),
-		skipped:      make(map[string]bool),
-		placeholders: make(map[string]Result),
-		manifest:     make(map[string]manifestRecord),
-	}
-	runners[key] = r
-	return r
+	// RunSweep validated opt, so the spec compiles.
+	plan, _ := compileFaultSpec(opt.FaultSpec)
+	return &runner{opt: opt, plan: plan, jobs: make(map[string]jobRecord)}
 }
 
 // normalized zeroes the Options fields that do not affect simulation
-// results; the remainder keys both the in-process memo and the disk cache.
+// results; the remainder is the content identity of store entries and
+// sweep requests.
 func (o Options) normalized() Options {
 	o.Parallelism = 0
 	o.CacheDir = ""
@@ -303,14 +287,6 @@ func (o Options) normalized() Options {
 	o.Drain = nil
 	o.Telemetry = nil
 	return o
-}
-
-// ResetMemo drops every in-process cached result. Benchmarks use it to make
-// each iteration pay the full simulation cost instead of a memo hit.
-func ResetMemo() {
-	runnersMu.Lock()
-	defer runnersMu.Unlock()
-	runners = map[Options]*runner{}
 }
 
 // simulatedRefs counts memory references simulated by runOne across the
@@ -353,10 +329,6 @@ func (r *runner) nominalRefs(j job) uint64 {
 // stops dispatch, waits for in-flight jobs until the drain expires, and
 // marks everything left as skipped.
 func (r *runner) runAll(jobs []job) {
-	plan, err := compileFaultSpec(r.opt.FaultSpec)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v (validate with ParseFaultSpec before running)", err))
-	}
 	drain := r.opt.Drain
 	todo := make([]job, 0, len(jobs))
 	seen := map[string]bool{}
@@ -367,9 +339,9 @@ func (r *runner) runAll(jobs []job) {
 		}
 		seen[k] = true
 		r.mu.Lock()
-		_, done := r.results[k]
+		outcome := r.jobs[k].outcome
 		r.mu.Unlock()
-		if !done {
+		if outcome != telemetry.OutcomeDone && outcome != telemetry.OutcomeCacheHit {
 			todo = append(todo, j)
 		}
 	}
@@ -429,7 +401,7 @@ func (r *runner) runAll(jobs []job) {
 				if i >= len(todo) {
 					return
 				}
-				r.runJob(todo[i], plan)
+				r.runJob(todo[i])
 			}
 		}()
 	}
@@ -457,7 +429,7 @@ func (r *runner) runAll(jobs []job) {
 
 // runJob runs one job to completion, failure, or abandonment, with
 // bounded immediate retry around recovered panics.
-func (r *runner) runJob(j job, plan *faultPlan) {
+func (r *runner) runJob(j job) {
 	k := r.key(j.cfgLabel, j.mix.Name)
 	attempts := r.opt.MaxAttempts
 	if attempts < 1 {
@@ -467,24 +439,22 @@ func (r *runner) runJob(j job, plan *faultPlan) {
 	var last FailedJob
 	for a := 1; a <= attempts; a++ {
 		r.report(j, telemetry.SimAttemptStart, a, "", 0, "")
-		res, o, failure := r.attemptJob(j, plan, a)
+		res, o, failure := r.attemptJob(j, a)
 		if failure == nil {
 			r.report(j, telemetry.SimAttemptEnd, a, telemetry.OutcomeDone, refs, "")
+			var artifacts []string
+			if o != nil {
+				artifacts = r.exportObs(j, o)
+			}
 			r.mu.Lock()
-			r.results[k] = res
-			delete(r.failed, k)
-			delete(r.skipped, k)
-			delete(r.placeholders, k)
+			r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeDone, res: res, artifacts: artifacts}
 			r.completedRuns++
 			n := r.completedRuns
 			r.mu.Unlock()
 			if r.opt.CacheDir != "" {
-				r.diskStore(j, res, plan.wantsCorrupt(k))
+				r.diskStore(j, res, r.plan.wantsCorrupt(k))
 			}
-			if o != nil {
-				r.exportObs(j, o)
-			}
-			if plan != nil && plan.drainAfter > 0 && n == plan.drainAfter && r.opt.Drain != nil {
+			if p := r.plan; p != nil && p.drainAfter > 0 && n == p.drainAfter && r.opt.Drain != nil {
 				r.opt.Drain.Request()
 			}
 			return
@@ -498,16 +468,14 @@ func (r *runner) runJob(j job, plan *faultPlan) {
 	}
 	last.Attempts = attempts
 	r.mu.Lock()
-	r.failed[k] = last
-	r.placeholders[k] = placeholderResult(j)
+	r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeFailed, res: placeholderResult(j), failure: last}
 	r.mu.Unlock()
-	r.noteObsOutcome(j, "failed", nil)
 }
 
 // attemptJob performs one recovered attempt of a job. A panic — the
 // simulator's invariant checks panic by design, and FaultSpec injects
 // panics on the same path — becomes a FailedJob carrying the stack.
-func (r *runner) attemptJob(j job, plan *faultPlan, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
+func (r *runner) attemptJob(j job, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			failure = &FailedJob{
@@ -521,7 +489,7 @@ func (r *runner) attemptJob(j job, plan *faultPlan, attempt int) (res Result, o 
 			o = nil
 		}
 	}()
-	plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name), attempt)
+	r.plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name), attempt)
 	gens := j.gens(paramsFor(j.cfg, j.baseL2), r.opt.Seed)
 	if oo := r.opt.Obs; oo != nil {
 		o = obs.New(j.cfg.Cores, j.cfg.LLCBanks, obs.Config{
@@ -534,16 +502,10 @@ func (r *runner) attemptJob(j job, plan *faultPlan, attempt int) (res Result, o 
 	return res, o, nil
 }
 
-// adopt installs a store-served Result, advances the hit counter and
-// reports the adoption.
+// adopt installs a store-served Result and reports the adoption.
 func (r *runner) adopt(j job, res Result) {
-	k := r.key(j.cfgLabel, j.mix.Name)
 	r.mu.Lock()
-	r.results[k] = res
-	delete(r.failed, k)
-	delete(r.skipped, k)
-	delete(r.placeholders, k)
-	r.cacheHits++
+	r.jobs[r.key(j.cfgLabel, j.mix.Name)] = jobRecord{j: j, outcome: telemetry.OutcomeCacheHit, res: res}
 	r.mu.Unlock()
 	r.report(j, telemetry.SimAdopted, 0, telemetry.OutcomeCacheHit, 0, "")
 }
@@ -568,15 +530,10 @@ func (r *runner) markSkipped(jobs []job) {
 	r.mu.Lock()
 	for _, j := range jobs {
 		k := r.key(j.cfgLabel, j.mix.Name)
-		if _, done := r.results[k]; done {
-			continue
+		if rec, ok := r.jobs[k]; ok && rec.outcome != telemetry.OutcomeSkipped {
+			continue // completed or failed
 		}
-		if _, failed := r.failed[k]; failed {
-			continue
-		}
-		r.skipped[k] = true
-		r.placeholders[k] = placeholderResult(j)
-		r.noteObsOutcomeLocked(j, "skipped", nil)
+		r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeSkipped, res: placeholderResult(j)}
 		skipped = append(skipped, j)
 	}
 	r.mu.Unlock()
@@ -593,27 +550,23 @@ func placeholderResult(j job) Result {
 }
 
 // get returns a completed result, or the zero-shaped placeholder for a
-// job that failed or was skipped by a drain (Status reports which).
+// job that failed or was skipped by a drain (the status reports which).
 // A key the sweep never scheduled is still a programming error.
 func (r *runner) get(cfgLabel, mixName string) Result {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	res, ok := r.results[r.key(cfgLabel, mixName)]
-	if ok {
-		return res
+	rec, ok := r.jobs[r.key(cfgLabel, mixName)]
+	if !ok {
+		panic(fmt.Sprintf("harness: missing result for %s on %s", cfgLabel, mixName))
 	}
-	if ph, ok := r.placeholders[r.key(cfgLabel, mixName)]; ok {
-		return ph
-	}
-	panic(fmt.Sprintf("harness: missing result for %s on %s", cfgLabel, mixName))
+	return rec.res
 }
 
-// SweepStatus summarizes the job-level outcomes of the sweeps run so far
-// under one Options value (all experiments share a runner, so this is the
-// whole `-fig all` picture).
+// SweepStatus summarizes the job-level outcomes of one sweep (all its
+// experiments share a runner, so this is the whole `-fig all` picture).
 type SweepStatus struct {
-	// Completed counts jobs with a real Result, whether simulated this
-	// process or adopted from the result store.
+	// Completed counts jobs with a real Result, whether simulated by the
+	// sweep or adopted from the result store.
 	Completed int `json:"completed"`
 	// CacheHits counts jobs adopted from the result store (CacheDir).
 	CacheHits int `json:"cache_hits"`
@@ -625,36 +578,29 @@ type SweepStatus struct {
 	Skipped []string `json:"skipped,omitempty"`
 }
 
-// Status reports the sweep status for an Options value; the zero status
-// if no sweep has run under it. The exit-code and failed-job reporting in
-// cmd/zivsim is built on it. Unlike newRunner, the lookup never updates
-// the runner's options: Status may be called while an expired drain has
-// left an abandoned job in flight, and that job still reads them.
-func Status(opt Options) SweepStatus {
-	runnersMu.Lock()
-	r := runners[opt.normalized()]
-	runnersMu.Unlock()
-	if r == nil {
-		return SweepStatus{}
-	}
+// status summarizes the jobs the sweep has settled so far.
+func (r *runner) status() SweepStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := SweepStatus{
-		Completed: len(r.results),
-		CacheHits: r.cacheHits,
+	keys := make([]string, 0, len(r.jobs))
+	for k := range r.jobs {
+		keys = append(keys, k)
 	}
-	var failedKeys []string
-	for k := range r.failed {
-		failedKeys = append(failedKeys, k)
+	sort.Strings(keys)
+	var st SweepStatus
+	for _, k := range keys {
+		switch rec := r.jobs[k]; rec.outcome {
+		case telemetry.OutcomeCacheHit:
+			st.CacheHits++
+			st.Completed++
+		case telemetry.OutcomeDone:
+			st.Completed++
+		case telemetry.OutcomeFailed:
+			st.Failed = append(st.Failed, rec.failure)
+		case telemetry.OutcomeSkipped:
+			st.Skipped = append(st.Skipped, k)
+		}
 	}
-	sort.Strings(failedKeys)
-	for _, k := range failedKeys {
-		st.Failed = append(st.Failed, r.failed[k])
-	}
-	for k := range r.skipped {
-		st.Skipped = append(st.Skipped, k)
-	}
-	sort.Strings(st.Skipped)
 	return st
 }
 
@@ -742,11 +688,11 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Experiment is one reproducible figure.
+// Experiment is one reproducible figure. RunSweep runs it.
 type Experiment struct {
 	ID    string               // stable identifier ("fig8"), the -fig selector
 	Title string               // human-readable figure title
-	Run   func(Options) *Table // computes the figure under the given options
+	run   func(*runner) *Table // computes the figure on the sweep's runner
 }
 
 var experiments []Experiment

@@ -18,6 +18,40 @@ func tinyOptions() Options {
 	return o
 }
 
+// runFigs runs the experiments ids as one sweep under o and returns
+// each figure's table by ID (a figure a drain cut short has none) and
+// the sweep's status.
+func runFigs(t testing.TB, o Options, ids ...string) (map[string]*Table, SweepStatus) {
+	t.Helper()
+	rep, err := RunSweep(Request{Figs: ids, Options: o})
+	if err != nil {
+		t.Fatalf("RunSweep(%v): %v", ids, err)
+	}
+	return tablesOf(t, rep), rep.Status
+}
+
+// tablesOf maps each figure of a sweep report to its table, failing the
+// test on an experiment that panicked.
+func tablesOf(t testing.TB, rep *Report) map[string]*Table {
+	t.Helper()
+	tabs := map[string]*Table{}
+	for _, fr := range rep.Figures {
+		if fr.Err != "" {
+			t.Fatalf("%s panicked: %s", fr.ID, fr.Err)
+		}
+		tabs[fr.ID] = fr.Table
+	}
+	return tabs
+}
+
+// runFig runs experiment id alone as one sweep under o and returns its
+// table (nil when a drain cut it short) and the sweep's status.
+func runFig(t testing.TB, id string, o Options) (*Table, SweepStatus) {
+	t.Helper()
+	tabs, st := runFigs(t, o, id)
+	return tabs[id], st
+}
+
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{"ext1", "ext2", "ext3", "fig1", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig2", "fig3", "fig4", "fig8", "fig9"}
 	got := Experiments()
@@ -28,7 +62,7 @@ func TestExperimentRegistry(t *testing.T) {
 		if e.ID != want[i] {
 			t.Errorf("experiment %d = %s, want %s", i, e.ID, want[i])
 		}
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
 		}
 	}
@@ -41,8 +75,7 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	e, _ := ByID("fig1")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig1", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig1 rows = %d, want 4", len(tab.Rows))
 	}
@@ -67,9 +100,9 @@ func TestFig1Shape(t *testing.T) {
 func TestFig2ZIVFreeInclusionVictims(t *testing.T) {
 	// Not fig2 itself, but the core claim: ZIV rows in fig8's matrix must
 	// have zero inclusion victims. Run the ZIV spec directly.
-	o := tinyOptions()
+	r := newRunner(tinyOptions())
 	s := spec{family: lruFamilyByName("ZIV-NotInPrC"), label: "ziv", l2: kb256}
-	r, mixes := sweepMatrix(o, []spec{s})
+	mixes := sweepMatrix(r, []spec{s})
 	for _, mix := range mixes {
 		res := r.get("ziv", mix.Name)
 		if res.TotalIncl != 0 {
@@ -151,11 +184,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestExt1OracleRuns(t *testing.T) {
-	e, ok := ByID("ext1")
-	if !ok {
-		t.Fatal("ext1 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext1", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("ext1 rows = %d, want 4", len(tab.Rows))
 	}
@@ -169,11 +198,7 @@ func TestExt1OracleRuns(t *testing.T) {
 }
 
 func TestExt3SRRIPZeroVictims(t *testing.T) {
-	e, ok := ByID("ext3")
-	if !ok {
-		t.Fatal("ext3 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext3", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("ext3 rows = %d, want 4", len(tab.Rows))
 	}
@@ -187,11 +212,7 @@ func TestExt3SRRIPZeroVictims(t *testing.T) {
 }
 
 func TestExt2AblationSkew(t *testing.T) {
-	e, ok := ByID("ext2")
-	if !ok {
-		t.Fatal("ext2 not registered")
-	}
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "ext2", tinyOptions())
 	if len(tab.Rows) != 2 {
 		t.Fatalf("ext2 rows = %d, want 2", len(tab.Rows))
 	}
@@ -213,8 +234,7 @@ func TestExt2AblationSkew(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	e, _ := ByID("fig14")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig14", tinyOptions())
 	if len(tab.Rows) != 13 {
 		t.Fatalf("fig14 rows = %d, want 13", len(tab.Rows))
 	}
@@ -226,8 +246,7 @@ func TestFig14Shape(t *testing.T) {
 }
 
 func TestFig15Shape(t *testing.T) {
-	e, _ := ByID("fig15")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig15", tinyOptions())
 	if len(tab.Rows) != 6 { // 3 families x {MESI, ZeroDEV}
 		t.Fatalf("fig15 rows = %d, want 6", len(tab.Rows))
 	}
@@ -243,12 +262,12 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
-// TestFig16And17Shape runs at goldenOptions, so in the full suite it
-// renders from the simulations TestGoldenMultiThreaded left in the memo.
+// TestFig16And17Shape checks the sweep TestGoldenMultiThreaded pins.
 func TestFig16And17Shape(t *testing.T) {
+	rep, _ := mtGoldenSweep()
+	tabs := tablesOf(t, rep)
 	for _, id := range []string{"fig16", "fig17"} {
-		e, _ := ByID(id)
-		tab := e.Run(goldenOptions())
+		tab := tabs[id]
 		if len(tab.Rows) != 5 {
 			t.Fatalf("%s rows = %d, want 5 MT workloads", id, len(tab.Rows))
 		}
@@ -266,8 +285,7 @@ func TestFig16And17Shape(t *testing.T) {
 }
 
 func TestFig18CDF(t *testing.T) {
-	e, _ := ByID("fig18")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig18", tinyOptions())
 	if len(tab.Columns) != 3 {
 		t.Fatalf("fig18 columns = %d, want 3 designs", len(tab.Columns))
 	}
@@ -291,8 +309,7 @@ func TestFig18CDF(t *testing.T) {
 }
 
 func TestFig19EPIGrowsWithL2(t *testing.T) {
-	e, _ := ByID("fig19")
-	tab := e.Run(tinyOptions())
+	tab, _ := runFig(t, "fig19", tinyOptions())
 	if len(tab.Rows) != 4 {
 		t.Fatalf("fig19 rows = %d, want 4 designs", len(tab.Rows))
 	}
@@ -306,9 +323,8 @@ func TestFig19EPIGrowsWithL2(t *testing.T) {
 }
 
 func TestFig9PerMix(t *testing.T) {
-	e, _ := ByID("fig9")
 	o := tinyOptions()
-	tab := e.Run(o)
+	tab, _ := runFig(t, "fig9", o)
 	// One row per mix plus the geomean row.
 	if len(tab.Rows) != o.HomoMixes+o.HeteroMixes+1 {
 		t.Fatalf("fig9 rows = %d, want %d", len(tab.Rows), o.HomoMixes+o.HeteroMixes+1)
@@ -318,17 +334,18 @@ func TestFig9PerMix(t *testing.T) {
 	}
 }
 
+// TestRunnerCacheSharing: experiments of one sweep share its runner,
+// so Figs. 8, 9 and 10, whose matrices overlap, simulate each (config,
+// mix) job once: Fig. 8's 24 configurations on one mix.
 func TestRunnerCacheSharing(t *testing.T) {
-	o := tinyOptions()
-	o.Seed++ // private option set for this test
-	r1 := newRunner(o)
-	r2 := newRunner(o)
-	if r1 != r2 {
-		t.Fatal("same options did not share a runner")
+	o := cacheTestOptions("")
+	refsBefore := SimulatedRefs()
+	_, st := runFigs(t, o, "fig8", "fig9", "fig10")
+	if st.Completed != 24 {
+		t.Fatalf("sweep completed %d jobs, want 24", st.Completed)
 	}
-	o2 := o
-	o2.Measure++
-	if newRunner(o2) == r1 {
-		t.Fatal("different options shared a runner")
+	oneJob := uint64(o.Cores) * uint64(o.Warmup+o.Measure)
+	if got := SimulatedRefs() - refsBefore; got != 24*oneJob {
+		t.Errorf("sweep simulated %d refs, want %d (each of the 24 jobs once)", got, 24*oneJob)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"zivsim/internal/obs"
+	"zivsim/internal/telemetry"
 )
 
 // Every instrumented job keeps at most obsMaxIntervals sampled
@@ -44,17 +45,17 @@ func artifactStem(cfgLabel, mixName string) string {
 }
 
 // exportObs writes one job's observability artifacts under Obs.OutDir
-// and records the outcome for the sweep manifest. Export errors never
-// fail the run: they are reported to stderr and the simulation result
-// stands.
-func (r *runner) exportObs(j job, o *obs.Observer) {
+// and returns the names of those it wrote, for the sweep manifest.
+// Export errors never fail the run: they are reported to stderr and the
+// simulation result stands.
+func (r *runner) exportObs(j job, o *obs.Observer) []string {
 	oo := r.opt.Obs
 	if oo == nil || oo.OutDir == "" {
-		return
+		return nil
 	}
 	if err := os.MkdirAll(oo.OutDir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "obs: creating %s: %v\n", oo.OutDir, err)
-		return
+		return nil
 	}
 	stem := filepath.Join(oo.OutDir, artifactStem(j.cfgLabel, j.mix.Name))
 	label := j.cfgLabel + " / " + j.mix.Name
@@ -78,43 +79,14 @@ func (r *runner) exportObs(j job, o *obs.Observer) {
 			written = append(written, artifactStem(j.cfgLabel, j.mix.Name)+".intervals.csv")
 		}
 	}
-	r.noteObsOutcome(j, "completed", written)
+	return written
 }
 
-// manifestRecord is the runner-internal accumulation of one job's
-// manifest entry.
-type manifestRecord struct {
-	label     string
-	status    string
-	artifacts []string
-}
-
-// noteObsOutcome records a job's observability outcome ("completed",
-// "failed", "skipped") for the sweep manifest. No-op when the sweep has
-// no artifact directory.
-func (r *runner) noteObsOutcome(j job, status string, artifacts []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.noteObsOutcomeLocked(j, status, artifacts)
-}
-
-// noteObsOutcomeLocked is noteObsOutcome for callers holding r.mu.
-func (r *runner) noteObsOutcomeLocked(j job, status string, artifacts []string) {
-	oo := r.opt.Obs
-	if oo == nil || oo.OutDir == "" {
-		return
-	}
-	r.manifest[artifactStem(j.cfgLabel, j.mix.Name)] = manifestRecord{
-		label:     j.cfgLabel + " / " + j.mix.Name,
-		status:    status,
-		artifacts: artifacts,
-	}
-}
-
-// flushObsManifest rewrites <OutDir>/manifest.json from the outcomes
-// recorded so far. It runs at the end of every runAll — a drained sweep
-// included — so partial artifact directories always carry an index of
-// what was and was not produced.
+// flushObsManifest rewrites <OutDir>/manifest.json from the sweep's job
+// records, sorted by artifact stem. It runs at the end of every runAll —
+// a drained sweep included — so partial artifact directories always
+// carry an index of what was and was not produced. Obs sweeps never
+// adopt from the store, so every job is done, failed or skipped.
 func (r *runner) flushObsManifest() {
 	oo := r.opt.Obs
 	if oo == nil || oo.OutDir == "" {
@@ -122,20 +94,17 @@ func (r *runner) flushObsManifest() {
 	}
 	r.mu.Lock()
 	m := obs.Manifest{Status: "complete"}
-	stems := make([]string, 0, len(r.manifest))
-	for stem := range r.manifest {
-		stems = append(stems, stem)
-	}
-	sort.Strings(stems)
-	for _, stem := range stems {
-		rec := r.manifest[stem]
-		if rec.status != "completed" {
+	for _, rec := range r.jobs {
+		status := rec.outcome
+		if status == telemetry.OutcomeDone {
+			status = "completed"
+		} else {
 			m.Status = "partial"
 		}
 		m.Entries = append(m.Entries, obs.ManifestEntry{
-			Label:     rec.label,
-			Stem:      stem,
-			Status:    rec.status,
+			Label:     rec.j.cfgLabel + " / " + rec.j.mix.Name,
+			Stem:      artifactStem(rec.j.cfgLabel, rec.j.mix.Name),
+			Status:    status,
 			Artifacts: rec.artifacts,
 		})
 	}
@@ -143,6 +112,10 @@ func (r *runner) flushObsManifest() {
 		m.Status = "partial"
 	}
 	r.mu.Unlock()
+	sort.Slice(m.Entries, func(a, b int) bool {
+		ea, eb := m.Entries[a], m.Entries[b]
+		return ea.Stem < eb.Stem || ea.Stem == eb.Stem && ea.Label < eb.Label
+	})
 	if err := os.MkdirAll(oo.OutDir, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "obs: creating %s: %v\n", oo.OutDir, err)
 		return

@@ -28,20 +28,12 @@ func obsOptions() Options {
 // byte-identically with obs off and obs fully on (sampler + events, no
 // artifact output).
 func TestObsInvariance(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
+	off, _ := figTable(t, "fig1", obsOptions())
 
-	ResetMemo()
-	off := e.Run(obsOptions()).Format()
-
-	ResetMemo()
 	on := obsOptions()
 	on.Obs = &ObsOptions{IntervalCycles: 2_000}
-	got := e.Run(on).Format()
+	got, _ := figTable(t, "fig1", on)
 
-	ResetMemo()
 	if got != off {
 		t.Fatalf("observability changed simulator output:\n--- obs off ---\n%s\n--- obs on ---\n%s", off, got)
 	}
@@ -57,14 +49,8 @@ func TestObsArtifacts(t *testing.T) {
 			dir := t.TempDir()
 			opt := obsOptions()
 			opt.Obs = &ObsOptions{IntervalCycles: 1_000, OutDir: dir}
-			e, ok := ByID(tc.id)
-			if !ok {
-				t.Fatalf("%s not registered", tc.id)
-			}
-			ResetMemo()
-			e.Run(opt)
-			jobs := Status(opt).Completed
-			ResetMemo()
+			_, st := runFig(t, tc.id, opt)
+			jobs := st.Completed
 
 			traces, err := filepath.Glob(filepath.Join(dir, tc.labelPrefix+"*.trace.json"))
 			if err != nil || len(traces) == 0 || len(traces) != jobs {

@@ -35,14 +35,16 @@ func resilienceOptions() Options {
 	return o
 }
 
-// figTable runs experiment id under o and renders it.
-func figTable(t *testing.T, id string, o Options) string {
+// figTable runs experiment id alone as one sweep under o and returns
+// its rendered table ("" when a drain cut it short) and the sweep's
+// status.
+func figTable(t *testing.T, id string, o Options) (string, SweepStatus) {
 	t.Helper()
-	e, ok := ByID(id)
-	if !ok {
-		t.Fatalf("%s not registered", id)
+	tab, st := runFig(t, id, o)
+	if tab == nil {
+		return "", st
 	}
-	return e.Run(o).Format()
+	return tab.Format(), st
 }
 
 // cleanRuns memoizes one uninterrupted run per experiment — the
@@ -61,10 +63,8 @@ func cleanRun(t *testing.T, id string) (table string, jobs int) {
 		cleanRuns.tables, cleanRuns.jobs = map[string]string{}, map[string]int{}
 	}
 	if _, ok := cleanRuns.tables[id]; !ok {
-		o := resilienceOptions()
-		ResetMemo()
-		cleanRuns.tables[id] = figTable(t, id, o)
-		cleanRuns.jobs[id] = Status(o).Completed
+		tab, st := figTable(t, id, resilienceOptions())
+		cleanRuns.tables[id], cleanRuns.jobs[id] = tab, st.Completed
 	}
 	if cleanRuns.jobs[id] == 0 {
 		t.Fatalf("clean %s run completed no jobs", id)
@@ -80,10 +80,8 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob
-	ResetMemo()
-	figTable(t, "fig1", o) // must not panic: the failed cell renders as zeros
+	_, st := figTable(t, "fig1", o) // must not panic: the failed cell renders as zeros
 
-	st := Status(o)
 	if len(st.Failed) != 1 {
 		t.Fatalf("got %d failed jobs, want exactly 1: %v", len(st.Failed), st.Failed)
 	}
@@ -117,13 +115,11 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	o := resilienceOptions()
 	o.FaultSpec = "panic:" + faultedJob + "@1"
 	o.MaxAttempts = 2
-	ResetMemo()
-	got := figTable(t, "fig1", o)
+	got, st := figTable(t, "fig1", o)
 
 	if got != clean {
 		t.Errorf("retried run differs from clean run:\nclean:\n%s\nretried:\n%s", clean, got)
 	}
-	st := Status(o)
 	if len(st.Failed) != 0 {
 		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
 	}
@@ -148,13 +144,11 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 			o.CacheDir = dir
 			o.FaultSpec = "drain-after:3"
 			o.Drain = NewDrain()
-			ResetMemo()
-			figTable(t, id, o) // partial: the drain parks the rest of the matrix
+			_, st := figTable(t, id, o) // partial: the drain parks the rest of the matrix
 
 			if !o.Drain.Requested() {
 				t.Fatal("drain-after fault did not request a drain")
 			}
-			st := Status(o)
 			if st.Completed != 3 {
 				t.Fatalf("interrupted run completed %d jobs, want 3 (Parallelism 1)", st.Completed)
 			}
@@ -164,13 +158,11 @@ func TestDrainResumeByteIdentical(t *testing.T) {
 
 			r := resilienceOptions()
 			r.CacheDir = dir
-			ResetMemo()
-			got := figTable(t, id, r)
+			got, rst := figTable(t, id, r)
 
 			if got != clean {
 				t.Errorf("resumed run differs from uninterrupted run:\nclean:\n%s\nresumed:\n%s", clean, got)
 			}
-			rst := Status(r)
 			if rst.CacheHits != 3 {
 				t.Errorf("CacheHits = %d, want 3 (the jobs finished before the drain)", rst.CacheHits)
 			}
@@ -192,18 +184,15 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 	o := resilienceOptions()
 	o.CacheDir = dir
 	o.FaultSpec = "panic:" + faultedJob
-	ResetMemo()
-	figTable(t, "fig1", o)
-	if st := Status(o); len(st.Failed) != 1 || st.Completed != total-1 {
+	if _, st := figTable(t, "fig1", o); len(st.Failed) != 1 || st.Completed != total-1 {
 		t.Fatalf("faulted run: %d completed, %d failed; want %d completed, 1 failed",
 			st.Completed, len(st.Failed), total-1)
 	}
 
 	r := resilienceOptions()
 	r.CacheDir = dir
-	ResetMemo()
 	refsBefore := SimulatedRefs()
-	got := figTable(t, "fig1", r)
+	got, rst := figTable(t, "fig1", r)
 
 	if got != clean {
 		t.Errorf("resumed run differs from clean run:\nclean:\n%s\nresumed:\n%s", clean, got)
@@ -213,7 +202,6 @@ func TestResumeRetriesFailedJob(t *testing.T) {
 	if simulated := SimulatedRefs() - refsBefore; simulated != oneJob {
 		t.Errorf("resume simulated %d refs, want %d (one job)", simulated, oneJob)
 	}
-	rst := Status(r)
 	if rst.CacheHits != total-1 || len(rst.Failed) != 0 {
 		t.Errorf("resumed status: %d cache hits, %d failed; want %d hits, 0 failed",
 			rst.CacheHits, len(rst.Failed), total-1)
@@ -229,21 +217,18 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	o := resilienceOptions()
 	o.CacheDir = t.TempDir()
 	o.FaultSpec = "corrupt:" + faultedJob
-	ResetMemo()
-	if got := figTable(t, "fig1", o); got != clean {
+	if got, _ := figTable(t, "fig1", o); got != clean {
 		t.Errorf("corruption happens after the result is recorded; table must match clean run:\n%s", got)
 	}
 
 	r := o
 	r.FaultSpec = ""
-	ResetMemo()
 	refsBefore := SimulatedRefs()
-	got := figTable(t, "fig1", r)
+	got, st := figTable(t, "fig1", r)
 
 	if got != clean {
 		t.Errorf("rerun over corrupted cache differs from clean run:\nclean:\n%s\nrerun:\n%s", clean, got)
 	}
-	st := Status(r)
 	if st.CacheHits != total-1 {
 		t.Errorf("CacheHits = %d, want %d (every entry but the corrupted one)", st.CacheHits, total-1)
 	}
@@ -265,11 +250,10 @@ func TestUnusableStoreRunsClean(t *testing.T) {
 
 	o := resilienceOptions()
 	o.CacheDir = file
-	ResetMemo()
-	if got := figTable(t, "fig1", o); got != clean {
+	got, st := figTable(t, "fig1", o)
+	if got != clean {
 		t.Errorf("run over an unusable store differs from clean run:\nclean:\n%s\ngot:\n%s", clean, got)
 	}
-	st := Status(o)
 	if st.CacheHits != 0 || st.Completed != total || len(st.Failed) != 0 {
 		t.Errorf("status = %d hits, %d completed, %d failed; want 0/%d/0",
 			st.CacheHits, st.Completed, len(st.Failed), total)
@@ -293,13 +277,11 @@ func TestParallelFaultedSweep(t *testing.T) {
 	o.MaxAttempts = 2
 	o.CacheDir = t.TempDir()
 	o.Telemetry = telemetry.NewSink(func() time.Time { return time.Unix(1000, 0) }, telemetry.Outputs{Progress: &buf})
-	ResetMemo()
-	got := figTable(t, "fig1", o)
+	got, st := figTable(t, "fig1", o)
 
 	if got != clean {
 		t.Errorf("parallel faulted run differs from clean serial run:\nclean:\n%s\nparallel:\n%s", clean, got)
 	}
-	st := Status(o)
 	if len(st.Failed) != 0 {
 		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
 	}
@@ -321,25 +303,29 @@ func TestDrainExpireAbandonsInFlightJob(t *testing.T) {
 	gate := &hangGate{arrived: make(chan struct{}), release: make(chan struct{})}
 	faultHangGate = gate
 
-	ResetMemo()
+	var rep *Report
+	var err error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e, _ := ByID("fig1")
-		e.Run(o)
+		rep, err = RunSweep(Request{Figs: []string{"fig1"}, Options: o})
 	}()
 
 	<-gate.arrived // the faulted job is now wedged in flight
 	o.Drain.Request()
 	o.Drain.Expire()
 	<-done // the sweep returned without waiting for the wedged job
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rep.Status
 
-	st := Status(o)
-	// Release the abandoned goroutine and wait for it to finish, so its
-	// late simulation cannot leak SimulatedRefs into any later test.
+	// Release the abandoned goroutine and wait for its simulation to
+	// finish, so it cannot leak SimulatedRefs into any later test.
 	faultHangGate = nil
+	refsBefore := SimulatedRefs()
 	close(gate.release)
-	for Status(o).Completed == st.Completed {
+	for SimulatedRefs() == refsBefore {
 		runtime.Gosched()
 	}
 
@@ -354,8 +340,14 @@ func TestDrainExpireAbandonsInFlightJob(t *testing.T) {
 	}
 }
 
-// TestParseFaultSpec pins the grammar's accept/reject behavior.
+// TestParseFaultSpec pins the grammar's accept/reject behavior, as
+// Options.Validate applies it.
 func TestParseFaultSpec(t *testing.T) {
+	validate := func(spec string) error {
+		o := DefaultOptions()
+		o.FaultSpec = spec
+		return o.Validate()
+	}
 	valid := []string{
 		"",
 		"panic:I-LRU",
@@ -365,8 +357,8 @@ func TestParseFaultSpec(t *testing.T) {
 		"panic:a@1;corrupt:b;drain-after:1",
 	}
 	for _, s := range valid {
-		if err := ParseFaultSpec(s); err != nil {
-			t.Errorf("ParseFaultSpec(%q) = %v, want nil", s, err)
+		if err := validate(s); err != nil {
+			t.Errorf("FaultSpec %q: Validate() = %v, want nil", s, err)
 		}
 	}
 	invalid := []string{
@@ -381,8 +373,8 @@ func TestParseFaultSpec(t *testing.T) {
 		"panic:x;explode:y", // one bad directive rejects the spec
 	}
 	for _, s := range invalid {
-		if err := ParseFaultSpec(s); err == nil {
-			t.Errorf("ParseFaultSpec(%q) = nil, want an error", s)
+		if err := validate(s); err == nil {
+			t.Errorf("FaultSpec %q: Validate() = nil, want an error", s)
 		}
 	}
 }

@@ -44,23 +44,15 @@ func fullSink(t *testing.T, dir string, opt Options) (*telemetry.Sink, *telemetr
 // decision, even while the sweep retries an injected fault: the figure
 // renders byte-identically with telemetry off and on.
 func TestTelemetryInvariance(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
+	off, _ := figTable(t, "fig1", obsOptions())
 
-	ResetMemo()
-	off := e.Run(obsOptions()).Format()
-
-	ResetMemo()
 	on := obsOptions()
 	on.MaxAttempts = 2
 	on.FaultSpec = "panic:" + faultedJob + "@1"
 	sink, _, _ := fullSink(t, t.TempDir(), on)
 	on.Telemetry = sink
-	got := e.Run(on).Format()
+	got, _ := figTable(t, "fig1", on)
 
-	ResetMemo()
 	if got != off {
 		t.Fatalf("telemetry changed simulator output:\n--- off ---\n%s\n--- on ---\n%s", off, got)
 	}
@@ -88,22 +80,15 @@ func storeKeys(t *testing.T, dir string) map[string]bool {
 // exactly, the retry must be visible, the metrics must tally, and the
 // sweep trace must be a valid span timeline.
 func TestTelemetrySweepLedger(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
 	dir := t.TempDir()
 
-	ResetMemo()
 	opt := obsOptions()
 	opt.MaxAttempts = 2
 	opt.FaultSpec = "panic:" + faultedJob + "@1"
 	opt.CacheDir = filepath.Join(dir, "store")
 	sink, reg, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
-	e.Run(opt)
-	st := Status(opt)
-	ResetMemo()
+	_, st := runFig(t, "fig1", opt)
 
 	if len(st.Failed) != 0 || len(st.Skipped) != 0 {
 		t.Fatalf("faulted sweep did not recover: %+v", st)
@@ -202,21 +187,14 @@ func TestTelemetrySweepLedger(t *testing.T) {
 // TestTelemetrySweepDrain pins that a drained sweep records its
 // undispatched jobs as skipped in the ledger.
 func TestTelemetrySweepDrain(t *testing.T) {
-	e, ok := ByID("fig1")
-	if !ok {
-		t.Fatal("fig1 not registered")
-	}
 	dir := t.TempDir()
 
-	ResetMemo()
 	opt := obsOptions()
 	opt.FaultSpec = "drain-after:2"
 	opt.Drain = NewDrain()
 	sink, _, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
-	e.Run(opt)
-	st := Status(opt)
-	ResetMemo()
+	_, st := runFig(t, "fig1", opt)
 
 	if len(st.Skipped) == 0 {
 		t.Fatal("drain-after:2 skipped nothing")

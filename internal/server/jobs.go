@@ -396,13 +396,31 @@ func (s *Server) claim() *Job {
 	return nil
 }
 
-// finish retires an executed job from the running set and records its
-// terminal state in the metrics.
-func (s *Server) finish(j *Job, state JobState) {
+// finish retires an executed job from the running set.
+func (s *Server) finish(j *Job) {
 	s.mu.Lock()
 	delete(s.runningJobs, j.ID)
 	s.pendingCount[j.Client]--
 	s.mu.Unlock()
+}
+
+// settle moves j to a terminal state: it records the state, the end
+// time, the sweep status (nil when no sweep ran) and the message,
+// persists a done job, appends the terminal event, closes the feed and
+// moves the job from the pending gauge to its terminal counter. Callers
+// keep their own s.mu bookkeeping (pendingCount, runningJobs).
+func (s *Server) settle(j *Job, state JobState, status *harness.SweepStatus, msg string) {
+	j.mu.Lock()
+	j.state = state
+	j.endedUS = s.nowUS()
+	j.status = status
+	j.errMsg = msg
+	j.mu.Unlock()
+	if state == StateDone {
+		s.persist(j)
+	}
+	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: string(state), Err: msg}, State: string(state)})
+	j.events.closeLog()
 	s.mPending.Add(-1)
 	if c := s.mTerminal[state]; c != nil {
 		c.Inc()
@@ -431,18 +449,17 @@ func (s *Server) executor(stop <-chan struct{}) {
 // event feed into it, then records the terminal state.
 func (s *Server) execute(j *Job) {
 	j.mu.Lock()
-	if j.cancelRequested {
-		j.state = StateCanceled
-		j.endedUS = s.nowUS()
-		j.errMsg = "canceled before start"
-		j.mu.Unlock()
-		s.terminalEvent(j, StateCanceled, "canceled before start")
-		s.finish(j, StateCanceled)
+	canceled := j.cancelRequested
+	if !canceled {
+		j.state = StateRunning
+		j.startedUS = s.nowUS()
+	}
+	j.mu.Unlock()
+	if canceled {
+		s.settle(j, StateCanceled, nil, "canceled before start")
+		s.finish(j)
 		return
 	}
-	j.state = StateRunning
-	j.startedUS = s.nowUS()
-	j.mu.Unlock()
 	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: EventStarted}})
 
 	opt := j.opt
@@ -478,26 +495,12 @@ func (s *Server) execute(j *Job) {
 		state, msg = StateFailed,
 			fmt.Sprintf("%d simulation job(s) failed, %d experiment(s) panicked", len(rep.Status.Failed), rep.Panics())
 	}
-	j.mu.Lock()
-	j.state = state
-	j.endedUS = s.nowUS()
+	var status *harness.SweepStatus
 	if rep != nil {
-		cp := rep.Status
-		j.status = &cp
+		status = &rep.Status
 	}
-	j.errMsg = msg
-	j.mu.Unlock()
-	if state == StateDone {
-		s.persist(j)
-	}
-	s.terminalEvent(j, state, msg)
-	s.finish(j, state)
-}
-
-// terminalEvent appends the job's final event and closes the feed.
-func (s *Server) terminalEvent(j *Job, state JobState, msg string) {
-	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: string(state), Err: msg}, State: string(state)})
-	j.events.closeLog()
+	s.settle(j, state, status, msg)
+	s.finish(j)
 }
 
 // canceled reports whether the client requested cancellation.
@@ -535,21 +538,15 @@ func (s *Server) cancel(id string) (JobStatus, cancelOutcome) {
 		return s.snapshot(j, false), cancelTerminal
 	}
 	j.cancelRequested = true
+	j.mu.Unlock()
 	if removed := s.dequeueLocked(j); removed {
-		j.state = StateCanceled
-		j.endedUS = s.nowUS()
-		j.errMsg = "canceled before start"
 		s.pendingCount[j.Client]--
-		j.mu.Unlock()
+		// Still under s.mu, so no submit sees the job between its
+		// dequeue and its terminal state.
+		s.settle(j, StateCanceled, nil, "canceled before start")
 		s.mu.Unlock()
-		s.terminalEvent(j, StateCanceled, "canceled before start")
-		s.mPending.Add(-1)
-		if c := s.mTerminal[StateCanceled]; c != nil {
-			c.Inc()
-		}
 		return s.snapshot(j, false), cancelQueued
 	}
-	j.mu.Unlock()
 	s.mu.Unlock()
 	// Claimed by an executor: drain the sweep. The executor marks the
 	// job canceled when RunSweep returns.
@@ -593,16 +590,7 @@ func (s *Server) BeginDrain() {
 	running := s.runningLocked()
 	s.mu.Unlock()
 	for _, j := range queued {
-		j.mu.Lock()
-		j.state = StateCanceled
-		j.endedUS = s.nowUS()
-		j.errMsg = "server draining"
-		j.mu.Unlock()
-		s.terminalEvent(j, StateCanceled, "server draining")
-		s.mPending.Add(-1)
-		if c := s.mTerminal[StateCanceled]; c != nil {
-			c.Inc()
-		}
+		s.settle(j, StateCanceled, nil, "server draining")
 	}
 	for _, j := range running {
 		j.drain.Request()

@@ -143,16 +143,13 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	figs := []string{"fig8"}
 
 	// Baseline: the engine directly, as cmd/zivsim drives it.
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	rep, err := harness.RunSweep(harness.Request{Figs: figs, Options: payload.Options()})
 	if err != nil {
 		t.Fatalf("direct RunSweep: %v", err)
 	}
 	want := rep.Figures[0].Table.Format()
 
-	// Server computes from scratch (memo cleared), persisting as it goes.
-	harness.ResetMemo()
+	// Server computes from scratch, persisting as it goes.
 	stateDir := t.TempDir()
 	s := newTestServer(t, Config{StateDir: stateDir})
 	startExecutors(t, s)
@@ -185,7 +182,6 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 
 	// A fresh server over the same state dir serves the persisted job
 	// instantly — no executors are even running.
-	harness.ResetMemo()
 	s2 := newTestServer(t, Config{StateDir: stateDir})
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
@@ -203,7 +199,6 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	if err := removeJobRecord(stateDir, st.ID); err != nil {
 		t.Fatalf("remove job record: %v", err)
 	}
-	harness.ResetMemo()
 	s3 := newTestServer(t, Config{StateDir: stateDir})
 	startExecutors(t, s3)
 	ts3 := httptest.NewServer(s3.Handler())
@@ -223,6 +218,31 @@ func TestRoundTripMatchesDirectRun(t *testing.T) {
 	}
 }
 
+// TestJobStatusCountsOwnSweep: a job's status covers its own sweep
+// only. On one server without a state dir, a fig2 job run after a fig1
+// job under the same options must report what a fresh server's fig2 job
+// does: fig2's nine configurations on two mixes, none of fig1's jobs.
+func TestJobStatusCountsOwnSweep(t *testing.T) {
+	s := newTestServer(t, Config{})
+	startExecutors(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	var fin JobStatus
+	for _, fig := range []string{"fig1", "fig2"} {
+		st, code := post(t, ts, Submission{Figs: []string{fig}, Options: tinyPayload()})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %s = %d, want 202", fig, code)
+		}
+		if fin = waitTerminal(t, ts, st.ID); fin.State != StateDone {
+			t.Fatalf("%s job state = %s (%s), want done", fig, fin.State, fin.Error)
+		}
+	}
+	if fin.Status == nil || fin.Status.Completed != 18 {
+		t.Fatalf("fig2 job status = %+v, want 18 completed", fin.Status)
+	}
+}
+
 // removeJobRecord deletes one persisted job record, leaving the result
 // store intact.
 func removeJobRecord(stateDir, id string) error {
@@ -233,8 +253,6 @@ func removeJobRecord(stateDir, id string) error {
 // the full dense-sequence history ending in a terminal event, and
 // ?from= resumes mid-feed.
 func TestEventsStream(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{})
 	startExecutors(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -333,8 +351,6 @@ func readAllEvents(t *testing.T, resp *http.Response) ([]Event, error) {
 // once it is running, and expects a canceled terminal state long before
 // the sweep could have finished, with the skipped work recorded.
 func TestCancelMidRun(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{Parallelism: 1})
 	startExecutors(t, s)
 	ts := httptest.NewServer(s.Handler())
@@ -427,8 +443,6 @@ func TestCancelQueued(t *testing.T) {
 // running: the sweep must come back canceled with a resumable message,
 // /healthz must flip to 503, and new submissions must be refused.
 func TestDrainWithInflight(t *testing.T) {
-	harness.ResetMemo()
-	t.Cleanup(harness.ResetMemo)
 	s := newTestServer(t, Config{Parallelism: 1, StateDir: t.TempDir()})
 	stop := make(chan struct{})
 	done := make(chan struct{})
