@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check perfbench-test vet lint lint-stats-baseline test race fuzz bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
+.PHONY: all build fmt-check perfbench-test vet lint lint-stats-baseline test race fuzz microbench bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
 
 all: ci
 
@@ -43,6 +43,11 @@ race:
 
 fuzz:
 	$(GO) test -fuzz=FuzzScheme -fuzztime=20s ./internal/core
+
+# Every micro-benchmark for one iteration, plus the alloc guards
+# (CI's bench-smoke job runs this target).
+microbench:
+	$(GO) test -run 'NoAllocs' -bench . -benchtime 1x ./internal/...
 
 # Full figure benchmark: cold, serial, fixed workload. Writes BENCH_figs.json
 # with refs/sec and the speedup over the recorded seed baselines.

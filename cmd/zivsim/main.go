@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -136,10 +137,12 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "zivsim: -telemetry-addr: %v\n", err)
 			return exitError
 		}
-		tsrv := telemetry.NewServer(telReg)
+		mux := http.NewServeMux()
+		telemetry.RegisterRoutes(mux, telReg, nil)
+		tsrv := &http.Server{Handler: mux}
 		served := make(chan struct{})
 		go func() {
-			if err := tsrv.Serve(ln); err != nil {
+			if err := tsrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "zivsim: telemetry server: %v\n", err)
 			}
 			close(served)
@@ -153,7 +156,7 @@ func run() int {
 					time.Sleep(50 * time.Millisecond)
 				}
 			}
-			tsrv.Close()
+			tsrv.Close() // immediate: a hanging pprof stream must not keep the process alive
 			<-served
 		}()
 	}

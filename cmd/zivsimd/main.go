@@ -38,7 +38,6 @@ import (
 
 	"zivsim/internal/server"
 	"zivsim/internal/sigwatch"
-	"zivsim/internal/telemetry"
 )
 
 // Exit codes; documented in OPERATIONS.md and docs/cli.md.
@@ -80,7 +79,6 @@ func run() int {
 		Parallelism:    *par,
 		Retries:        *retries,
 		RequestTimeout: *reqTimeout,
-		Registry:       telemetry.NewRegistry(),
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "zivsimd: %v\n", err)

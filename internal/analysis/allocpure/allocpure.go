@@ -32,11 +32,12 @@
 //     library or from outside a partial-scope run are trusted, since
 //     an empty join there means "not visible", not "does not exist"
 //
-// Panic paths are exempt: an allocation inside a guard whose block
-// never reaches the function exit (it ends in panic or os.Exit) is
-// error-construction on the failure path, not steady-state cost. The
-// check rides the same CFG the sidecar analysis uses, so "never reaches
-// the exit" is decided structurally, not by pattern-matching if bodies.
+// Blocks that end in a panic are exempt: an allocation inside a CFG
+// block that ends in panic or os.Exit (a block with no successor) is
+// error construction on the failure path, not steady-state cost. The
+// exemption covers that block only — a block whose successors all panic
+// is still checked — and rides the same CFG the sidecar analysis uses,
+// so it is decided structurally, not by pattern-matching if bodies.
 package allocpure
 
 import (
@@ -290,33 +291,20 @@ func isNoalloc(fd *ast.FuncDecl) bool {
 	return false
 }
 
-// analyzeFunc walks fd's non-panic CFG blocks for allocation sites.
-// With report set it emits diagnostics; either way it returns whether
-// any site was found (the function's summary verdict).
+// analyzeFunc walks fd's CFG for allocation sites. With report set it
+// emits diagnostics; either way it returns whether any site was found
+// (the function's summary verdict).
 func (a *analyzer) analyzeFunc(fd *ast.FuncDecl, fn *types.Func, report bool) bool {
-	g := cfg.New(fd.Body)
-	pd := g.PostDominators()
-	clean := a.cleanClosures(fd.Body)
-
 	found := false
 	w := &walker{
 		a:      a,
 		fd:     fd,
 		sig:    fn.Type().(*types.Signature),
-		clean:  clean,
+		clean:  a.cleanClosures(fd.Body),
 		report: report,
 		hit:    func() { found = true },
 	}
-	for _, b := range g.Blocks {
-		if !pd.Reaches(b) {
-			continue // panic path: error construction is exempt
-		}
-		for _, n := range b.Nodes {
-			for _, root := range cfg.ScanRoots(n) {
-				w.walk(root)
-			}
-		}
-	}
+	w.walkBody(fd.Body)
 	return found
 }
 
@@ -465,7 +453,7 @@ func (w *walker) walk(n ast.Node) {
 				// function that merely builds an allocating closure
 				// does not itself allocate per call of the closure, so
 				// the summary verdict stays body-blind.
-				sub.walkEscaping(c.Body)
+				sub.walkBody(c.Body)
 			}
 			return false // statements handled by the sub-walker above
 		case *ast.CallExpr:
@@ -546,15 +534,16 @@ func (w *walker) call(call *ast.CallExpr) {
 	}
 }
 
-// walkEscaping scans an escaping closure's body for allocation sites.
-// The body gets its own CFG so panic paths inside the closure keep the
-// same exemption the enclosing function enjoys.
-func (w *walker) walkEscaping(body *ast.BlockStmt) {
+// walkBody scans a function or escaping closure body for allocation
+// sites over its own CFG, skipping every block that ends in a panic (no
+// successor): error construction there is exempt. Each closure body gets
+// its own CFG, so panic paths inside it keep the same exemption the
+// enclosing function enjoys.
+func (w *walker) walkBody(body *ast.BlockStmt) {
 	g := cfg.New(body)
-	pd := g.PostDominators()
 	for _, b := range g.Blocks {
-		if !pd.Reaches(b) {
-			continue // panic path inside the closure: exempt
+		if b != g.Exit && len(b.Succs) == 0 {
+			continue // ends in a panic: error construction is exempt
 		}
 		for _, n := range b.Nodes {
 			for _, root := range cfg.ScanRoots(n) {

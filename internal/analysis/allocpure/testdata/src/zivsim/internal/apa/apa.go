@@ -305,3 +305,19 @@ func OKStdlibIface(r io.Reader, buf []byte) int {
 	n, _ := r.Read(buf)
 	return n
 }
+
+// GuardedBothArms builds its message in a block whose two successors
+// both panic. Only a block that itself ends in a panic is exempt, so the
+// Sprintf is reported even though every path from it panics.
+//
+//ziv:noalloc
+func GuardedBothArms(bad bool, v int) int {
+	if v < 0 {
+		msg := fmt.Sprintf("negative %d", v) // want `call to Sprintf allocates` `interface conversion boxes int`
+		if bad {
+			panic(msg)
+		}
+		panic(msg)
+	}
+	return v
+}

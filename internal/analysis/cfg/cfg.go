@@ -2,9 +2,9 @@
 // function bodies. It is the foundation of zivlint's flow-sensitive
 // analyzers (detflow, sidecarsync, allocpure): a Graph decomposes a
 // function into basic blocks whose Nodes hold the statements and control
-// expressions in source order, and the companion postdominator pass
-// (postdom.go) answers "does this statement run on every non-panicking
-// path to the function exit?".
+// expressions in source order. The backward must-analyses of package
+// dataflow answer "does this run on every non-panicking path to the
+// function exit?" over it.
 //
 // The builder covers the full statement grammar the simulator uses:
 // if/else, for (all three clauses), range, switch, type switch, select,
@@ -12,7 +12,7 @@
 // fallthrough, return, and defer/go. Calls that provably terminate the
 // function abnormally — panic, os.Exit, log.Fatal* and runtime.Goexit —
 // end their block with no successor edge. Such blocks are deliberately
-// NOT wired to the virtual exit: the postdominance relation then ignores
+// NOT wired to the virtual exit: every-path analyses then ignore
 // assertion-failure paths, which is exactly the semantics the sidecar
 // invariant checks need (a //ziv:mirror update does not have to run when
 // the simulator is already panicking).

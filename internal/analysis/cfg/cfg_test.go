@@ -100,9 +100,6 @@ func f(c bool) int {
 	if len(panicBlk.Succs) != 0 {
 		t.Errorf("panic block has %d successors, want 0", len(panicBlk.Succs))
 	}
-	if pd.Reaches(panicBlk) {
-		t.Error("panic block must not reach the exit")
-	}
 	_ = fset
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 func benchCache() *Cache {
-	c := New("bench", 64, 16, 0, policy.NewLRU())
+	c := New("bench", 64, 16, policy.NewLRU())
 	for s := 0; s < 64; s++ {
 		for w := 0; w < 16; w++ {
-			c.Fill(uint64(s+w*64), false, false, policy.Meta{})
+			fill(c, uint64(s+w*64), false, false, policy.Meta{})
 		}
 	}
 	return c
@@ -58,7 +58,7 @@ func BenchmarkFillEvictChurn(b *testing.B) {
 	c := benchCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Fill(uint64(i)<<6, false, false, policy.Meta{})
+		fill(c, uint64(i)<<6, false, false, policy.Meta{})
 	}
 }
 
@@ -83,9 +83,9 @@ func TestFillPathNoAllocs(t *testing.T) {
 	c := benchCache()
 	addr := uint64(1 << 20)
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Fill(addr, false, false, policy.Meta{})
+		fill(c, addr, false, false, policy.Meta{})
 		addr += 64 << 6
 	}); n != 0 {
-		t.Errorf("Fill allocates %v per op; want 0", n)
+		t.Errorf("fill allocates %v per op; want 0", n)
 	}
 }

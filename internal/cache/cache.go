@@ -1,7 +1,7 @@
-// Package cache provides the set-associative cache substrate used by every
-// level of the simulated hierarchy: address mapping, tag storage, and the
-// low-level way operations (lookup, fill, evict, invalidate) on top of which
-// the private caches and the shared LLC are built.
+// Package cache provides the set-associative tag store of the private L1
+// and L2 caches: address mapping, tag storage, and the low-level way
+// operations (lookup, fill, evict, invalidate) the hierarchy drives. The
+// shared LLC keeps its own banks in internal/core.
 //
 // The package deliberately stores only tag-array state. Data payloads are not
 // simulated; the simulator tracks dirtiness and block identity, which is all
@@ -41,10 +41,9 @@ type Block struct {
 
 // Cache is a set-associative tag store with a pluggable replacement policy.
 type Cache struct {
-	name    string
+	name    string // for panic messages
 	sets    int
 	ways    int
-	shift   uint // address bits consumed before the set index (block offset, bank bits)
 	setMask uint64
 	// blocks is the primary tag store. sidecarsync enforces that every
 	// whole-element write also refreshes the tag sidecar and the valid
@@ -55,7 +54,7 @@ type Cache struct {
 	// tags mirrors blocks for the hot lookup path: the block address of a
 	// valid way, tagNone otherwise. Scanning a contiguous []uint64 touches
 	// one cache line per 8 ways instead of striding over Block structs.
-	// Maintained by FillWay/evictWay/Invalidate.
+	// Maintained by FillWay/EvictWay/Invalidate.
 	tags []uint64
 	// mru holds the last way hit or filled per set: the first probe of
 	// Lookup. A stale hint is harmless (the tag comparison decides).
@@ -84,27 +83,14 @@ type Stats struct {
 	Invals      uint64 // externally forced invalidations (back-invals, coherence)
 }
 
-// MissRate returns misses/accesses, or 0 when no accesses were recorded.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // New builds a cache with the given geometry. sets must be a power of two and
-// ways positive. extraShift gives the number of address bits consumed below
-// the set index in addition to the block offset (e.g. bank-select bits for a
-// banked LLC); pass 0 for private caches.
-func New(name string, sets, ways, extraShift int, pol policy.Policy) *Cache {
+// ways positive.
+func New(name string, sets, ways int, pol policy.Policy) *Cache {
 	if sets <= 0 || bits.OnesCount(uint(sets)) != 1 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", name, sets))
 	}
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", name, ways))
-	}
-	if extraShift < 0 {
-		panic(fmt.Sprintf("cache %s: extraShift must be non-negative, got %d", name, extraShift))
 	}
 	pol.Init(sets, ways)
 	tags := make([]uint64, sets*ways)
@@ -115,7 +101,6 @@ func New(name string, sets, ways, extraShift int, pol policy.Policy) *Cache {
 		name:     name,
 		sets:     sets,
 		ways:     ways,
-		shift:    uint(extraShift),
 		setMask:  uint64(sets - 1),
 		blocks:   make([]Block, sets*ways),
 		tags:     tags,
@@ -125,24 +110,12 @@ func New(name string, sets, ways, extraShift int, pol policy.Policy) *Cache {
 	}
 }
 
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-// Policy returns the replacement policy instance.
-func (c *Cache) Policy() policy.Policy { return c.pol }
-
-// SizeBytes returns the capacity of the cache in bytes.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * BlockBytes }
-
 // SetIndex maps a block address to its set index.
 func (c *Cache) SetIndex(blockAddr uint64) int {
-	return int((blockAddr >> c.shift) & c.setMask)
+	return int(blockAddr & c.setMask)
 }
 
 // Block returns a pointer to the tag entry at (set, way). The pointer is
@@ -203,21 +176,6 @@ func (c *Cache) Access(blockAddr uint64, write bool, m policy.Meta) (way int, hi
 	return way, true
 }
 
-// Touch updates replacement state for a known-resident block without counting
-// an access (used when coherence actions promote a block).
-//
-//ziv:noalloc
-func (c *Cache) Touch(blockAddr uint64, m policy.Meta) bool {
-	way, hit := c.Lookup(blockAddr)
-	if !hit {
-		return false
-	}
-	set := c.SetIndex(blockAddr)
-	c.pol.OnHit(set, way, m)
-	c.mru[set] = int32(way)
-	return true
-}
-
 // InvalidWay returns an invalid way in set, or -1 when the set is full.
 // Full sets (the steady state) answer from the per-set valid count.
 //
@@ -235,34 +193,9 @@ func (c *Cache) InvalidWay(set int) int {
 	return -1
 }
 
-// VictimRank returns the ways of set ordered best-victim-first according to
-// the replacement policy. The returned slice is owned by the policy and must
-// not be retained across calls. Callers that only need the top victim should
-// use Victim, which skips materializing the order.
-func (c *Cache) VictimRank(set int) []int {
-	return c.pol.Rank(set)
-}
-
-// Victim returns the policy's top victim way for set — VictimRank(set)[0]
-// without building the full order.
+// Victim returns the policy's top victim way for set.
 func (c *Cache) Victim(set int) int {
 	return c.pol.Victim(set)
-}
-
-// Fill inserts blockAddr into its set, evicting if necessary, and returns the
-// evicted block (Valid=false when an invalid way absorbed the fill). The
-// policy's OnEvict runs for replaced valid blocks and OnFill for the
-// insertion.
-func (c *Cache) Fill(blockAddr uint64, dirty, writable bool, m policy.Meta) (victim Block) {
-	set := c.SetIndex(blockAddr)
-	way := c.InvalidWay(set)
-	if way < 0 {
-		way = c.Victim(set)
-		victim = *c.Block(set, way)
-		c.evictWay(set, way)
-	}
-	c.FillWay(set, way, blockAddr, dirty, writable, m)
-	return victim
 }
 
 // FillWay inserts blockAddr at an exact (set, way), which must be invalid.
@@ -286,18 +219,14 @@ func (c *Cache) FillWay(set, way int, blockAddr uint64, dirty, writable bool, m 
 
 // EvictWay removes the valid block at (set, way) as a replacement decision
 // and returns it. The policy's OnEvict hook runs (e.g. Hawkeye detraining).
+//
+//ziv:noalloc
 func (c *Cache) EvictWay(set, way int) Block {
-	b := *c.Block(set, way)
+	b := c.Block(set, way)
 	if !b.Valid {
 		panic(fmt.Sprintf("cache %s: EvictWay on invalid way (set %d way %d)", c.name, set, way))
 	}
-	c.evictWay(set, way)
-	return b
-}
-
-//ziv:noalloc
-func (c *Cache) evictWay(set, way int) {
-	b := c.Block(set, way)
+	evicted := *b
 	c.Stats.Evictions++
 	if b.Dirty {
 		c.Stats.DirtyEvicts++
@@ -306,6 +235,7 @@ func (c *Cache) evictWay(set, way int) {
 	*b = Block{}
 	c.tags[set*c.ways+way] = tagNone
 	c.validCnt[set]--
+	return evicted
 }
 
 // Invalidate removes blockAddr if present (an externally forced removal, not
@@ -325,17 +255,6 @@ func (c *Cache) Invalidate(blockAddr uint64) (removed Block, ok bool) {
 	c.tags[set*c.ways+way] = tagNone
 	c.validCnt[set]--
 	return removed, true
-}
-
-// ValidCount returns the number of valid blocks in the whole cache.
-func (c *Cache) ValidCount() int {
-	n := 0
-	for i := range c.blocks {
-		if c.blocks[i].Valid {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEachValid calls fn for every valid block.

@@ -10,7 +10,32 @@ import (
 
 func mkCache(t *testing.T, sets, ways int) *Cache {
 	t.Helper()
-	return New("test", sets, ways, 0, policy.NewLRU())
+	return New("test", sets, ways, policy.NewLRU())
+}
+
+// fill inserts blockAddr the way the hierarchy's fill paths do — an
+// invalid way if the set has one, else the policy's victim — and returns
+// the evicted block (Valid=false when an invalid way absorbed the fill).
+func fill(c *Cache, blockAddr uint64, dirty, writable bool, m policy.Meta) (victim Block) {
+	set := c.SetIndex(blockAddr)
+	way := c.InvalidWay(set)
+	if way < 0 {
+		way = c.Victim(set)
+		victim = c.EvictWay(set, way)
+	}
+	c.FillWay(set, way, blockAddr, dirty, writable, m)
+	return victim
+}
+
+// validCount counts the valid blocks of the whole cache.
+func validCount(c *Cache) int {
+	n := 0
+	for i := range c.blocks {
+		if c.blocks[i].Valid {
+			n++
+		}
+	}
+	return n
 }
 
 func TestBlockAddr(t *testing.T) {
@@ -29,38 +54,35 @@ func TestBlockAddr(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	for _, tc := range []struct{ sets, ways, extra int }{
-		{0, 4, 0}, {3, 4, 0}, {-8, 4, 0}, {8, 0, 0}, {8, -1, 0}, {8, 4, -1},
+	for _, tc := range []struct{ sets, ways int }{
+		{0, 4}, {3, 4}, {-8, 4}, {8, 0}, {8, -1},
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d,%d) did not panic", tc.sets, tc.ways, tc.extra)
+					t.Errorf("New(%d,%d) did not panic", tc.sets, tc.ways)
 				}
 			}()
-			New("bad", tc.sets, tc.ways, tc.extra, policy.NewLRU())
+			New("bad", tc.sets, tc.ways, policy.NewLRU())
 		}()
 	}
 }
 
+// TestSizeBytes pins the capacity a geometry gives: a 64-set, 8-way
+// cache holds exactly 64*8 blocks (32 KB) — every block of a full
+// sweep fits without an eviction, and one more block evicts.
 func TestSizeBytes(t *testing.T) {
 	c := mkCache(t, 64, 8)
-	if got, want := c.SizeBytes(), 64*8*64; got != want {
-		t.Errorf("SizeBytes = %d, want %d", got, want)
+	for a := uint64(0); a < 64*8; a++ {
+		if v := fill(c, a, false, false, policy.Meta{Addr: a}); v.Valid {
+			t.Fatalf("fill %d evicted %+v below capacity", a, v)
+		}
 	}
-}
-
-func TestSetIndexWithExtraShift(t *testing.T) {
-	// 8 banks -> 3 extra shift bits below the set index.
-	c := New("llc", 16, 4, 3, policy.NewLRU())
-	// Blocks differing only in bank bits map to the same set.
-	a := uint64(0b101_0110)
-	b := uint64(0b101_0001)
-	if c.SetIndex(a) != c.SetIndex(b) {
-		t.Errorf("bank bits leaked into set index: %d vs %d", c.SetIndex(a), c.SetIndex(b))
+	if got, want := validCount(c)*BlockBytes, 64*8*64; got != want {
+		t.Errorf("resident bytes = %d, want %d", got, want)
 	}
-	if got, want := c.SetIndex(uint64(0b0101<<3)), 0b0101; got != want {
-		t.Errorf("SetIndex = %d, want %d", got, want)
+	if v := fill(c, 64*8, false, false, policy.Meta{Addr: 64 * 8}); !v.Valid {
+		t.Error("fill beyond capacity evicted nothing")
 	}
 }
 
@@ -69,7 +91,7 @@ func TestFillLookupHitMiss(t *testing.T) {
 	if _, hit := c.Lookup(100); hit {
 		t.Fatal("unexpected hit in empty cache")
 	}
-	v := c.Fill(100, false, false, policy.Meta{Addr: 100})
+	v := fill(c, 100, false, false, policy.Meta{Addr: 100})
 	if v.Valid {
 		t.Fatal("fill into empty cache evicted something")
 	}
@@ -84,7 +106,7 @@ func TestFillLookupHitMiss(t *testing.T) {
 
 func TestAccessCountsAndDirty(t *testing.T) {
 	c := mkCache(t, 4, 2)
-	c.Fill(8, false, true, policy.Meta{Addr: 8})
+	fill(c, 8, false, true, policy.Meta{Addr: 8})
 	if _, hit := c.Access(8, true, policy.Meta{Addr: 8}); !hit {
 		t.Fatal("expected hit")
 	}
@@ -99,18 +121,15 @@ func TestAccessCountsAndDirty(t *testing.T) {
 	if c.Stats.Accesses != 2 || c.Stats.Hits != 1 || c.Stats.Misses != 1 {
 		t.Errorf("stats = %+v", c.Stats)
 	}
-	if got := c.Stats.MissRate(); got != 0.5 {
-		t.Errorf("MissRate = %v, want 0.5", got)
-	}
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := mkCache(t, 1, 2)
-	c.Fill(1, false, false, policy.Meta{Addr: 1})
-	c.Fill(2, false, false, policy.Meta{Addr: 2})
+	fill(c, 1, false, false, policy.Meta{Addr: 1})
+	fill(c, 2, false, false, policy.Meta{Addr: 2})
 	// Touch 1 so 2 becomes LRU.
 	c.Access(1, false, policy.Meta{Addr: 1})
-	v := c.Fill(3, false, false, policy.Meta{Addr: 3})
+	v := fill(c, 3, false, false, policy.Meta{Addr: 3})
 	if !v.Valid || v.Addr != 2 {
 		t.Fatalf("evicted %+v, want block 2", v)
 	}
@@ -121,7 +140,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := mkCache(t, 4, 2)
-	c.Fill(5, true, false, policy.Meta{Addr: 5})
+	fill(c, 5, true, false, policy.Meta{Addr: 5})
 	b, ok := c.Invalidate(5)
 	if !ok || !b.Dirty || b.Addr != 5 {
 		t.Fatalf("Invalidate returned %+v, %v", b, ok)
@@ -139,7 +158,7 @@ func TestInvalidate(t *testing.T) {
 
 func TestEvictWayAndFillWay(t *testing.T) {
 	c := mkCache(t, 2, 2)
-	c.Fill(2, true, false, policy.Meta{Addr: 2})
+	fill(c, 2, true, false, policy.Meta{Addr: 2})
 	set := c.SetIndex(2)
 	way, _ := c.Lookup(2)
 	b := c.EvictWay(set, way)
@@ -157,7 +176,7 @@ func TestEvictWayAndFillWay(t *testing.T) {
 
 func TestFillWayPanics(t *testing.T) {
 	c := mkCache(t, 2, 1)
-	c.Fill(0, false, false, policy.Meta{})
+	fill(c, 0, false, false, policy.Meta{})
 	t.Run("valid way", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
@@ -189,31 +208,15 @@ func TestEvictWayInvalidPanics(t *testing.T) {
 func TestValidCountAndForEach(t *testing.T) {
 	c := mkCache(t, 4, 2)
 	for i := uint64(0); i < 5; i++ {
-		c.Fill(i, false, false, policy.Meta{Addr: i})
+		fill(c, i, false, false, policy.Meta{Addr: i})
 	}
-	if got := c.ValidCount(); got != 5 {
-		t.Errorf("ValidCount = %d, want 5", got)
+	if got := validCount(c); got != 5 {
+		t.Errorf("valid blocks = %d, want 5", got)
 	}
 	seen := map[uint64]bool{}
 	c.ForEachValid(func(_, _ int, b Block) { seen[b.Addr] = true })
 	if len(seen) != 5 {
 		t.Errorf("ForEachValid visited %d blocks, want 5", len(seen))
-	}
-}
-
-func TestTouchUpdatesRecency(t *testing.T) {
-	c := mkCache(t, 1, 2)
-	c.Fill(1, false, false, policy.Meta{Addr: 1})
-	c.Fill(2, false, false, policy.Meta{Addr: 2})
-	if !c.Touch(1, policy.Meta{Addr: 1}) {
-		t.Fatal("Touch missed resident block")
-	}
-	if c.Touch(9, policy.Meta{Addr: 9}) {
-		t.Fatal("Touch hit absent block")
-	}
-	v := c.Fill(3, false, false, policy.Meta{Addr: 3})
-	if v.Addr != 2 {
-		t.Fatalf("evicted %d, want 2 (Touch should have protected 1)", v.Addr)
 	}
 }
 
@@ -229,12 +232,12 @@ func TestCacheResidencyProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				c.Access(a, rng.Intn(2) == 0, policy.Meta{Addr: a})
 			} else if !c.Contains(a) { // fill-on-miss, as the hierarchy does
-				c.Fill(a, false, false, policy.Meta{Addr: a})
+				fill(c, a, false, false, policy.Meta{Addr: a})
 				if !c.Contains(a) {
 					return false
 				}
 			}
-			if c.ValidCount() > 8*4 {
+			if validCount(c) > 8*4 {
 				return false
 			}
 		}
@@ -253,7 +256,7 @@ func TestCacheResidencyProperty(t *testing.T) {
 	}
 }
 
-// Property: Fill never evicts when an invalid way exists in the target set.
+// Property: a fill never evicts when an invalid way exists in the target set.
 func TestFillPrefersInvalidWays(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -265,7 +268,7 @@ func TestFillPrefersInvalidWays(t *testing.T) {
 			}
 			set := c.SetIndex(a)
 			hadInvalid := c.InvalidWay(set) >= 0
-			v := c.Fill(a, false, false, policy.Meta{Addr: a})
+			v := fill(c, a, false, false, policy.Meta{Addr: a})
 			if hadInvalid && v.Valid {
 				return false
 			}
@@ -281,23 +284,28 @@ func TestFillPrefersInvalidWays(t *testing.T) {
 }
 
 func TestAccessors(t *testing.T) {
-	c := New("dl1", 8, 4, 0, policy.NewLRU())
-	if c.Name() != "dl1" || c.Sets() != 8 || c.Ways() != 4 {
+	c := New("dl1", 8, 4, policy.NewLRU())
+	if c.name != "dl1" || c.sets != 8 || c.Ways() != 4 {
 		t.Error("accessors wrong")
 	}
-	if c.Policy() == nil || c.Policy().Name() != "LRU" {
-		t.Error("Policy accessor wrong")
+	if _, ok := c.pol.(*policy.LRU); !ok {
+		t.Errorf("policy = %T, want *policy.LRU", c.pol)
 	}
 }
 
+// TestVictimRankMatchesPolicy pins Victim to the policy's rank order:
+// the MRU way ranks last and Victim is the first way of the rank.
 func TestVictimRankMatchesPolicy(t *testing.T) {
-	c := New("t", 1, 3, 0, policy.NewLRU())
+	c := New("t", 1, 3, policy.NewLRU())
 	for i := uint64(0); i < 3; i++ {
-		c.Fill(i, false, false, policy.Meta{Addr: i})
+		fill(c, i, false, false, policy.Meta{Addr: i})
 	}
 	c.Access(0, false, policy.Meta{Addr: 0}) // 0 becomes MRU
-	r := c.VictimRank(0)
+	r := c.pol.Rank(0)
 	if len(r) != 3 || r[len(r)-1] != 0 {
-		t.Errorf("VictimRank = %v; MRU way (block 0's) should rank last", r)
+		t.Errorf("Rank = %v; MRU way (block 0's) should rank last", r)
+	}
+	if v := c.Victim(0); v != r[0] {
+		t.Errorf("Victim = %d, want Rank[0] = %d", v, r[0])
 	}
 }

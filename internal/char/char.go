@@ -69,9 +69,6 @@ type Engine struct {
 // NewEngine returns an engine with the default threshold exponent.
 func NewEngine() *Engine { return &Engine{d: DefaultD} }
 
-// D returns the current threshold exponent.
-func (e *Engine) D() int { return e.d }
-
 // SetD lowers the engine's threshold exponent to d if d is smaller than the
 // current value (the paper's monotone-decrease rule; different banks may
 // propose different values).
@@ -109,14 +106,6 @@ func (e *Engine) OnRecall(g uint8) {
 	e.recall[g]++
 }
 
-// RecallRatio returns recall/evict for group g (diagnostics).
-func (e *Engine) RecallRatio(g uint8) float64 {
-	if e.evict[g] == 0 {
-		return 0
-	}
-	return float64(e.recall[g]) / float64(e.evict[g])
-}
-
 // BankThresholder is the per-LLC-bank dynamic threshold controller: it owns
 // the bank's d value, the TRBV, and the minimum-interval pacing between
 // decrements.
@@ -146,9 +135,6 @@ func NewBankThresholder(cores int, minInterval, resetEvery uint64) *BankThreshol
 		resetEvery:  resetEvery,
 	}
 }
-
-// D returns the bank's current threshold exponent.
-func (b *BankThresholder) D() int { return b.d }
 
 // OnEmptyPV is called when a relocation request finds the
 // LikelyDeadNotInPrC PV empty. If permitted (d > 1 and the pacing interval

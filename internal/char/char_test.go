@@ -59,8 +59,8 @@ func TestEngineRecallsSuppressInference(t *testing.T) {
 	if e.OnEvict(g) {
 		t.Error("always-recalled group inferred dead")
 	}
-	if r := e.RecallRatio(g); r < 0.9 {
-		t.Errorf("RecallRatio = %v", r)
+	if r := float64(e.recall[g]) / float64(e.evict[g]); r < 0.9 {
+		t.Errorf("recall ratio = %v", r)
 	}
 }
 
@@ -87,31 +87,31 @@ func TestEngineThresholdSensitivity(t *testing.T) {
 func TestSetDOnlyLowers(t *testing.T) {
 	e := NewEngine()
 	e.SetD(3)
-	if e.D() != 3 {
-		t.Errorf("D = %d, want 3", e.D())
+	if e.d != 3 {
+		t.Errorf("D = %d, want 3", e.d)
 	}
 	e.SetD(5)
-	if e.D() != 3 {
+	if e.d != 3 {
 		t.Error("SetD raised the threshold")
 	}
 	e.SetD(0)
-	if e.D() != 3 {
+	if e.d != 3 {
 		t.Error("SetD accepted d < 1")
 	}
 	e.ResetD()
-	if e.D() != DefaultD {
-		t.Errorf("ResetD -> %d", e.D())
+	if e.d != DefaultD {
+		t.Errorf("ResetD -> %d", e.d)
 	}
 }
 
 func TestBankThresholderDecrementAndTRBV(t *testing.T) {
 	b := NewBankThresholder(4, 10, 0)
-	if b.D() != DefaultD {
-		t.Fatalf("initial D = %d", b.D())
+	if b.d != DefaultD {
+		t.Fatalf("initial D = %d", b.d)
 	}
 	b.OnEmptyPV() // first decrement allowed immediately (paced thereafter)
-	if b.D() != DefaultD-1 {
-		t.Fatalf("D after first OnEmptyPV = %d", b.D())
+	if b.d != DefaultD-1 {
+		t.Fatalf("D after first OnEmptyPV = %d", b.d)
 	}
 	// All cores should receive a piggyback exactly once.
 	for c := 0; c < 4; c++ {
@@ -129,15 +129,15 @@ func TestBankThresholderPacing(t *testing.T) {
 	b := NewBankThresholder(2, 10, 0)
 	b.OnEmptyPV()
 	b.OnEmptyPV() // too soon: must be ignored
-	if b.D() != DefaultD-1 {
-		t.Fatalf("pacing violated: D = %d", b.D())
+	if b.d != DefaultD-1 {
+		t.Fatalf("pacing violated: D = %d", b.d)
 	}
 	for i := 0; i < 10; i++ {
 		b.OnNotice(0)
 	}
 	b.OnEmptyPV()
-	if b.D() != DefaultD-2 {
-		t.Errorf("decrement after pacing interval failed: D = %d", b.D())
+	if b.d != DefaultD-2 {
+		t.Errorf("decrement after pacing interval failed: D = %d", b.d)
 	}
 	if b.Decrements != 2 {
 		t.Errorf("Decrements = %d", b.Decrements)
@@ -150,8 +150,8 @@ func TestBankThresholderFloor(t *testing.T) {
 		b.OnNotice(0)
 		b.OnEmptyPV()
 	}
-	if b.D() != 1 {
-		t.Errorf("D floor violated: %d", b.D())
+	if b.d != 1 {
+		t.Errorf("D floor violated: %d", b.d)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestBankThresholderReset(t *testing.T) {
 	b.OnNotice(0)
 	b.OnEmptyPV()
 	b.Reset()
-	if b.D() != DefaultD {
-		t.Errorf("D after Reset = %d", b.D())
+	if b.d != DefaultD {
+		t.Errorf("D after Reset = %d", b.d)
 	}
 	if _, pb := b.OnNotice(0); pb {
 		t.Error("TRBV not cleared by Reset")
@@ -172,14 +172,14 @@ func TestBankThresholderPeriodicInternalReset(t *testing.T) {
 	b := NewBankThresholder(1, 1, 5)
 	b.OnNotice(0)
 	b.OnEmptyPV()
-	if b.D() != DefaultD-1 {
+	if b.d != DefaultD-1 {
 		t.Fatal("setup failed")
 	}
 	for i := 0; i < 5; i++ {
 		b.OnNotice(0)
 	}
-	if b.D() != DefaultD {
-		t.Errorf("internal periodic reset failed: D = %d", b.D())
+	if b.d != DefaultD {
+		t.Errorf("internal periodic reset failed: D = %d", b.d)
 	}
 }
 

@@ -87,7 +87,7 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	var victim int
 	switch l.cfg.Scheme {
 	case SchemeBaseline:
-		victim = l.worstWay(bk, set)
+		victim = bk.pol.Victim(set)
 	case SchemeQBS:
 		victim = l.qbsVictim(bk, set)
 	case SchemeSHARP:
@@ -179,7 +179,7 @@ func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 //ziv:noalloc
 func (l *LLC) charOnBaseVictim(bk *bank, set int) int {
 	m := &bk.masks[set]
-	v0 := l.worstWay(bk, set)
+	v0 := bk.pol.Victim(set)
 	if m.dead == 0 || m.notInPrC>>uint(v0)&1 != 0 {
 		return v0
 	}

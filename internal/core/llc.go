@@ -197,9 +197,6 @@ type Config struct {
 	// Oracle supplies future-knowledge victim ranking for
 	// PropOracleNotInPrC (required by that property, ignored otherwise).
 	Oracle policy.Oracle
-	// OracleCandidates bounds how many eligible relocation sets the oracle
-	// property evaluates per relocation (default 8).
-	OracleCandidates int
 	// FillCrossBank selects the paper's alternative cross-bank policy
 	// (§III-D1): when the home bank has no eligible relocation set, the
 	// *newly filled* block is placed in another bank as a relocated block
@@ -321,9 +318,8 @@ type bank struct {
 	// Validated by CheckInvariants.
 	masks  []wayMasks
 	pol    policy.Policy
-	rrip   policy.RRPVer        // nil unless the policy exposes RRPVs
-	lru    policy.LRUPositioner // nil unless the policy exposes LRU position
-	pvs    [numLevels]*PV       // only the configured levels are non-nil
+	rrip   policy.RRPVer  // nil unless the policy exposes RRPVs
+	pvs    [numLevels]*PV // only the configured levels are non-nil
 	thresh *char.BankThresholder
 
 	lastReloc     uint64
@@ -406,7 +402,6 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 		b.pol = cfg.NewPolicy()
 		b.pol.Init(cfg.SetsPerBank, cfg.Ways)
 		b.rrip, _ = b.pol.(policy.RRPVer)
-		b.lru, _ = b.pol.(policy.LRUPositioner)
 		for _, lev := range l.levels {
 			b.pvs[lev] = NewPV(cfg.SetsPerBank)
 			// Every set starts with all ways invalid.
@@ -424,8 +419,8 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 	if cfg.Scheme == SchemeZIV {
 		switch cfg.Property {
 		case PropLRUNotInPrC:
-			if l.banks[0].lru == nil {
-				panic("core: LRUNotInPrC requires an LRU-positioned policy")
+			if _, ok := l.banks[0].pol.(*policy.LRU); !ok {
+				panic("core: LRUNotInPrC requires the LRU policy")
 			}
 		case PropMaxRRPVNotInPrC, PropMaxRRPVLikelyDead:
 			if l.banks[0].rrip == nil {
@@ -436,9 +431,6 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 				panic("core: OracleNotInPrC requires an oracle")
 			}
 		}
-	}
-	if l.cfg.OracleCandidates <= 0 {
-		l.cfg.OracleCandidates = 8
 	}
 	return l
 }
@@ -504,14 +496,6 @@ func (l *LLC) Probe(addr uint64) (loc directory.Location, hit bool) {
 		}
 	}
 	return directory.Location{}, false
-}
-
-// worstWay returns the baseline policy's top victim via the single-victim
-// fast path, avoiding the full rank-order sort.
-//
-//ziv:noalloc
-func (l *LLC) worstWay(bk *bank, set int) int {
-	return bk.pol.Victim(set)
 }
 
 // Access performs a lookup for a private-cache miss: on a hit the
@@ -661,7 +645,8 @@ func (l *LLC) Invalidate(addr uint64) (present, dirty bool) {
 
 // setSatisfies evaluates one relocation-set property for (bank, set) from
 // the set's way masks; only the LRU and MaxRRPV properties consult the
-// policy, and only about ways with no private copy.
+// policy. LRU asks Victim, which is the LRU way and has no side effect on
+// LRU; MaxRRPV reads the RRPVs of ways with no private copy.
 //
 //ziv:noalloc
 func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
@@ -674,7 +659,7 @@ func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
 	case levLikelyDead:
 		return m.dead != 0
 	case levLRU:
-		return m.notInPrC != 0 && m.notInPrC>>uint(bk.lru.LRUWay(set))&1 != 0
+		return m.notInPrC != 0 && m.notInPrC>>uint(bk.pol.Victim(set))&1 != 0
 	case levMaxRRPV:
 		max := bk.rrip.MaxRRPV()
 		for n := m.notInPrC; n != 0; n &= n - 1 {

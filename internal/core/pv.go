@@ -33,9 +33,6 @@ func NewPV(sets int) *PV {
 	return &PV{words: make([]uint64, (sets+63)/64), sets: sets}
 }
 
-// Sets returns the number of sets covered.
-func (pv *PV) Sets() int { return pv.sets }
-
 // Get returns the property bit of set.
 func (pv *PV) Get(set int) bool {
 	return pv.words[set>>6]&(1<<(uint(set)&63)) != 0
@@ -86,14 +83,6 @@ func (pv *PV) Lowest() int {
 		return -1
 	}
 	return pv.nextAfter(pv.sets - 1) // wraps: scans from position 0
-}
-
-// Peek returns what NextRS would return without advancing the register.
-func (pv *PV) Peek() int {
-	if pv.ones == 0 {
-		return -1
-	}
-	return pv.nextAfter(pv.rs)
 }
 
 // nextAfter finds the first set bit strictly after position pos, wrapping.

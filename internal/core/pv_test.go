@@ -11,7 +11,7 @@ func TestPVBasics(t *testing.T) {
 	if !pv.Empty() {
 		t.Fatal("new PV not empty")
 	}
-	if pv.NextRS() != -1 || pv.Peek() != -1 {
+	if pv.NextRS() != -1 {
 		t.Fatal("empty PV should return -1")
 	}
 	pv.Set(5, true)
@@ -44,18 +44,6 @@ func TestPVRoundRobin(t *testing.T) {
 		if got := pv.NextRS(); got != w {
 			t.Fatalf("NextRS #%d = %d, want %d", i, got, w)
 		}
-	}
-}
-
-func TestPVPeekDoesNotAdvance(t *testing.T) {
-	pv := NewPV(64)
-	pv.Set(10, true)
-	pv.Set(20, true)
-	if pv.Peek() != 10 || pv.Peek() != 10 {
-		t.Fatal("Peek advanced the register")
-	}
-	if pv.NextRS() != 10 || pv.Peek() != 20 {
-		t.Fatal("NextRS/Peek sequence wrong")
 	}
 }
 

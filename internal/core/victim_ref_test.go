@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"zivsim/internal/policy"
@@ -31,7 +33,7 @@ func (l *LLC) refSetSatisfies(bk *bank, set int, lev level) bool {
 				return true
 			}
 		case lev == levLRU:
-			if w == bk.lru.LRUWay(set) {
+			if w == bk.pol.Rank(set)[0] {
 				return true
 			}
 		case lev == levMaxRRPV:
@@ -132,7 +134,8 @@ func TestVictimSearchesMatchRankWalk(t *testing.T) {
 		if c.scheme != SchemeZIV && c.scheme != SchemeSHARP && c.scheme != SchemeCHARonBase {
 			continue
 		}
-		name := c.scheme.String() + "-" + c.prop.String() + "-" + c.pol().Name()
+		pol := strings.TrimPrefix(fmt.Sprintf("%T", c.pol()), "*policy.")
+		name := c.scheme.String() + "-" + c.prop.String() + "-" + pol
 		t.Run(name, func(t *testing.T) {
 			fast, fastDir := mkLLC(t, c.scheme, c.prop, c.pol)
 			ref, refDir := mkLLC(t, c.scheme, c.prop, c.pol)

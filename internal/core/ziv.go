@@ -20,13 +20,17 @@ func (l *LLC) pickRS(bk *bank, lev level) int {
 	return bk.pvs[lev].NextRS()
 }
 
-// oraclePickRS scans up to OracleCandidates eligible relocation sets and
+// oracleCandidates bounds how many eligible relocation sets the oracle
+// property evaluates per relocation.
+const oracleCandidates = 8
+
+// oraclePickRS scans up to oracleCandidates eligible relocation sets and
 // returns the one holding the NotInPrC block with the furthest next use,
 // along with that block's way (§VI future work: oracle-assisted optimal
 // relocation victim selection).
 func (l *LLC) oraclePickRS(bk *bank) (rs, way int) {
 	pv := bk.pvs[levNotInPrC]
-	n := l.cfg.OracleCandidates
+	n := oracleCandidates
 	if ones := pv.Ones(); ones < n {
 		n = ones
 	}
@@ -75,7 +79,7 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 	if m.Pos > l.oracleNow {
 		l.oracleNow = m.Pos
 	}
-	victim := l.worstWay(bk, set)
+	victim := bk.pol.Victim(set)
 	if bk.masks[set].notInPrC>>uint(victim)&1 != 0 {
 		// The baseline victim is not privately cached: a plain eviction is
 		// already inclusion-victim free.

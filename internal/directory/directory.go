@@ -46,8 +46,12 @@ func (s State) String() string {
 	return "?"
 }
 
-// Sharers is a bitset of core ids (up to 256 cores).
-type Sharers [4]uint64
+// MaxCores is the most cores a directory entry can track: the width of
+// Sharers.
+const MaxCores = 256
+
+// Sharers is a bitset of core ids below MaxCores.
+type Sharers [MaxCores / 64]uint64
 
 // Set marks core as a sharer.
 func (s *Sharers) Set(core int) { s[core>>6] |= 1 << (uint(core) & 63) }
@@ -60,13 +64,16 @@ func (s *Sharers) Has(core int) bool { return s[core>>6]&(1<<(uint(core)&63)) !=
 
 // Count returns the number of sharers.
 func (s *Sharers) Count() int {
-	return bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3])
+	n := 0
+	for _, m := range s {
+		n += bits.OnesCount64(m)
+	}
+	return n
 }
 
 // ForEach calls fn for every sharer core id in ascending order.
 func (s *Sharers) ForEach(fn func(core int)) {
-	for w := 0; w < 4; w++ {
-		m := s[w]
+	for w, m := range s {
 		for m != 0 {
 			b := bits.TrailingZeros64(m)
 			fn(w*64 + b)
@@ -319,16 +326,7 @@ func (d *Directory) Find(blockAddr uint64) (*Entry, Ptr, bool) {
 //
 //ziv:noalloc
 func (d *Directory) Tracked(blockAddr uint64) bool {
-	bank := d.SliceOf(blockAddr)
-	set := d.setOf(blockAddr)
-	sl := &d.slices[bank]
-	base := set * d.cfg.Ways
-	for _, t := range sl.tags[base : base+d.cfg.Ways] {
-		if t == blockAddr {
-			return true
-		}
-	}
-	_, ok := sl.overflow[blockAddr]
+	_, _, ok := d.Find(blockAddr)
 	return ok
 }
 

@@ -136,17 +136,22 @@ func PaperOptions() Options {
 // or run a sweep, or a FaultSpec outside its grammar. Every cache needs
 // a power-of-two set count: the LLC has Cores×128/Scale sets per bank
 // (TPCECores×32/Scale for TPC-E's 256 KB per core), and the L1 holds
-// less than one set below 1/64 scale.
+// less than one set below 1/64 scale. A directory entry tracks at most
+// directory.MaxCores cores, and a heterogeneous mix gives every core a
+// distinct application, so it needs Cores no larger than the app list.
 func (o Options) Validate() error {
 	pow2 := func(n int) bool { return n > 0 && n&(n-1) == 0 }
 	switch {
 	case !pow2(o.Scale) || o.Scale > 64:
 		return fmt.Errorf("scale must be a power of two in [1, 64], got %d", o.Scale)
-	case !pow2(o.Cores):
-		return fmt.Errorf("cores must be a power of two, got %d", o.Cores)
-	case !pow2(o.TPCECores) || o.TPCECores*32 < o.Scale:
-		return fmt.Errorf("TPC-E cores must be a power of two of at least scale/32, got %d at scale %d",
-			o.TPCECores, o.Scale)
+	case !pow2(o.Cores) || o.Cores > directory.MaxCores:
+		return fmt.Errorf("cores must be a power of two of at most %d, got %d", directory.MaxCores, o.Cores)
+	case o.HeteroMixes > 0 && o.Cores > len(workload.Apps()):
+		return fmt.Errorf("heterogeneous mixes need at most %d cores (one distinct app each), got %d",
+			len(workload.Apps()), o.Cores)
+	case !pow2(o.TPCECores) || o.TPCECores*32 < o.Scale || o.TPCECores > directory.MaxCores:
+		return fmt.Errorf("TPC-E cores must be a power of two in [scale/32, %d], got %d at scale %d",
+			directory.MaxCores, o.TPCECores, o.Scale)
 	}
 	for _, f := range []struct {
 		name   string

@@ -165,7 +165,15 @@ func TestOptionsValidate(t *testing.T) {
 		{"scale 3", func(o *Options) { o.Scale = 3 }, false},
 		{"scale 0", func(o *Options) { o.Scale = 0 }, false},
 		{"cores 6", func(o *Options) { o.Cores = 6 }, false},
+		{"cores 256, no hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 256, 0 }, true},
+		{"cores 512, no hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 512, 0 }, false},
+		{"cores 32, hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 32, 1 }, true},
+		{"cores 32, no hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 32, 0 }, true},
+		{"cores 64, hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 64, 1 }, false},
+		{"cores 64, no hetero mixes", func(o *Options) { o.Cores, o.HeteroMixes = 64, 0 }, true},
 		{"tpce cores 12", func(o *Options) { o.TPCECores = 12 }, false},
+		{"tpce cores 256", func(o *Options) { o.TPCECores = 256 }, true},
+		{"tpce cores 512", func(o *Options) { o.TPCECores = 512 }, false},
 		{"tpce cores 1 at scale 64", func(o *Options) { o.Scale, o.TPCECores = 64, 1 }, false},
 		{"tpce cores 1 at scale 32", func(o *Options) { o.Scale, o.TPCECores = 32, 1 }, true},
 		{"measure 0", func(o *Options) { o.Measure = 0 }, false},

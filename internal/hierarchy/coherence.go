@@ -15,7 +15,6 @@ type accessResult struct {
 	l2Hit   bool
 	llcHit  bool // includes relocated-block hits
 	llcMiss bool
-	c2c     bool // non-inclusive cache-to-cache forward
 	mem     bool
 }
 
@@ -294,7 +293,6 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		// The non-inclusive "fourth case": a sharer core supplies the data
 		// (cache-to-cache), and the block is re-allocated in the LLC.
 		res.llcMiss = true
-		res.c2c = true
 		var owner = -1
 		e.Sharers.ForEach(func(id int) {
 			if owner < 0 && id != c.id {

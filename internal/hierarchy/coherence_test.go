@@ -7,13 +7,27 @@ import (
 	"zivsim/internal/trace"
 )
 
+// script is a generator replaying a fixed reference sequence cyclically.
+type script struct {
+	refs []trace.Ref
+	pos  int
+}
+
+func (g *script) Next() trace.Ref {
+	r := g.refs[g.pos]
+	g.pos = (g.pos + 1) % len(g.refs)
+	return r
+}
+
+func (g *script) Reset() { g.pos = 0 }
+
 // scriptMachine builds a machine where each core replays a fixed reference
 // script cyclically.
 func scriptMachine(t *testing.T, cfg Config, scripts [][]trace.Ref, warm, meas int) *Machine {
 	t.Helper()
 	gens := make([]trace.Generator, len(scripts))
 	for i, s := range scripts {
-		gens[i] = trace.NewScript(s)
+		gens[i] = &script{refs: s}
 	}
 	m := New(cfg, gens, warm, meas)
 	m.Run()

@@ -151,8 +151,8 @@ func New(cfg Config, gens []trace.Generator, warmup, measure int) *Machine {
 		m.cores[i] = coreState{
 			id:     i,
 			gen:    gens[i],
-			l1:     cache.New(fmt.Sprintf("l1.%d", i), l1Sets, cfg.L1Ways, 0, policy.NewLRU()),
-			l2:     cache.New(fmt.Sprintf("l2.%d", i), l2Sets, cfg.L2Ways, 0, policy.NewLRU()),
+			l1:     cache.New(fmt.Sprintf("l1.%d", i), l1Sets, cfg.L1Ways, policy.NewLRU()),
+			l2:     cache.New(fmt.Sprintf("l2.%d", i), l2Sets, cfg.L2Ways, policy.NewLRU()),
 			l2meta: make([]l2Meta, l2Sets*cfg.L2Ways),
 		}
 		gens[i].Reset()

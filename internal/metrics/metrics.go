@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CoreStats accumulates per-core execution statistics over the measured
@@ -148,20 +147,4 @@ func CDF(hist []uint64) []float64 {
 		out[i] = float64(acc) / float64(total)
 	}
 	return out
-}
-
-// Percentile returns the p-quantile (0..1) of xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := p * float64(len(s)-1)
-	lo := int(idx)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := idx - float64(lo)
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }

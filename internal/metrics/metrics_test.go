@@ -95,22 +95,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("p0 = %v", got)
-	}
-	if got := Percentile(xs, 1); got != 5 {
-		t.Errorf("p100 = %v", got)
-	}
-	if got := Percentile(xs, 0.5); got != 3 {
-		t.Errorf("p50 = %v", got)
-	}
-	if Percentile(nil, 0.5) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-}
-
 // Property: CDF is monotone non-decreasing and ends at 1 for non-empty
 // histograms.
 func TestCDFMonotoneProperty(t *testing.T) {

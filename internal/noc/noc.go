@@ -23,7 +23,6 @@ func DefaultConfig(cores, banks int) Config {
 // Cores and banks are interleaved across the grid in row-major order, which
 // approximates the tiled CMP floorplans the paper's class of studies use.
 type Mesh struct {
-	cfg       Config
 	hops      [][]int // [core][bank]
 	hopCycles uint64
 }
@@ -36,7 +35,7 @@ func New(cfg Config) *Mesh {
 		cols++
 	}
 	pos := func(tile int) (int, int) { return tile / cols, tile % cols }
-	m := &Mesh{cfg: cfg, hops: make([][]int, cfg.Cores)}
+	m := &Mesh{hops: make([][]int, cfg.Cores)}
 	// Interleave: even tiles are cores (while available), odd are banks.
 	corePos := make([]int, 0, cfg.Cores)
 	bankPos := make([]int, 0, cfg.Banks)
@@ -82,21 +81,3 @@ func (m *Mesh) OneWay(core, bank int) uint64 {
 // RoundTrip returns the round-trip latency in CPU cycles between core and
 // bank.
 func (m *Mesh) RoundTrip(core, bank int) uint64 { return 2 * m.OneWay(core, bank) }
-
-// BankToBank returns the one-way latency between two banks (used for
-// cross-bank relocations and cache-to-cache forwarding approximations).
-func (m *Mesh) BankToBank(a, b int) uint64 {
-	if a == b {
-		return 0
-	}
-	// Approximate with the average of core paths; banks are near-uniformly
-	// spread, so use hop distance via core 0 as a deterministic proxy.
-	d := abs(m.hops[0][a] - m.hops[0][b])
-	if d == 0 {
-		d = 1
-	}
-	return uint64(d) * m.hopCycles
-}
-
-// HopCycles returns the per-hop latency in CPU cycles.
-func (m *Mesh) HopCycles() uint64 { return m.hopCycles }

@@ -7,8 +7,8 @@ import (
 
 func TestMeshBasics(t *testing.T) {
 	m := New(DefaultConfig(8, 8))
-	if m.HopCycles() != 6 { // 1.5 ns at 4 GHz
-		t.Errorf("HopCycles = %d, want 6", m.HopCycles())
+	if m.hopCycles != 6 { // 1.5 ns at 4 GHz
+		t.Errorf("hopCycles = %d, want 6", m.hopCycles)
 	}
 	for c := 0; c < 8; c++ {
 		for b := 0; b < 8; b++ {
@@ -19,7 +19,7 @@ func TestMeshBasics(t *testing.T) {
 			if m.RoundTrip(c, b) != 2*m.OneWay(c, b) {
 				t.Errorf("round trip is not 2x one way")
 			}
-			if m.OneWay(c, b) != uint64(h)*m.HopCycles() {
+			if m.OneWay(c, b) != uint64(h)*m.hopCycles {
 				t.Errorf("OneWay inconsistent with hops")
 			}
 		}
@@ -39,16 +39,6 @@ func TestMeshLargeConfig(t *testing.T) {
 	// 160 tiles -> 13x13 grid; the diameter is at most 24 hops.
 	if maxHop < 2 || maxHop > 24 {
 		t.Errorf("128-core mesh max hops = %d, outside plausible range", maxHop)
-	}
-}
-
-func TestBankToBank(t *testing.T) {
-	m := New(DefaultConfig(8, 8))
-	if m.BankToBank(3, 3) != 0 {
-		t.Error("same-bank distance should be 0")
-	}
-	if m.BankToBank(0, 7) == 0 {
-		t.Error("distinct banks should have nonzero latency")
 	}
 }
 

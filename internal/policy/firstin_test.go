@@ -30,10 +30,6 @@ func lockstepState(t *testing.T, p Policy) any {
 		c := *q
 		c.rankBuf = rankBuf{}
 		return c
-	case *Random:
-		c := *q
-		c.rankBuf = rankBuf{}
-		return c
 	case *SRRIP:
 		c := *q
 		c.rankBuf = rankBuf{}
@@ -57,7 +53,7 @@ func lockstepState(t *testing.T, p Policy) any {
 // Victim and the other Rank: the FirstIn answer must be the first Rank way
 // in the mask, the Victim answer Rank's first way, and the two instances'
 // replacement state must stay equal afterwards, so both queries have
-// exactly Rank's side effects (SRRIP's aging, Random's draw).
+// exactly Rank's side effects (SRRIP's aging).
 func TestFirstInMatchesRank(t *testing.T) {
 	const sets, ways, steps = 4, 8, 3000
 	rng := rand.New(rand.NewSource(42))

@@ -138,9 +138,6 @@ func NewHawkeye(sampleStride int) *Hawkeye {
 	return &Hawkeye{sampleMask: sampleStride - 1, sampleMatch: 0}
 }
 
-// Name implements Policy.
-func (p *Hawkeye) Name() string { return "Hawkeye" }
-
 // Init implements Policy.
 func (p *Hawkeye) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways

@@ -14,9 +14,6 @@ type LRU struct {
 // NewLRU returns a true-LRU policy.
 func NewLRU() *LRU { return &LRU{} }
 
-// Name implements Policy.
-func (p *LRU) Name() string { return "LRU" }
-
 // Init implements Policy.
 func (p *LRU) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways
@@ -73,25 +70,7 @@ func (p *LRU) FirstIn(set int, ways uint64) int {
 	return best
 }
 
-// LRUWay implements LRUPositioner: the valid way with the smallest timestamp.
-// Invalid ways (stamp 0) would sort first, but the cache substrate only
-// consults LRUWay on full sets, and stamps are cleared on eviction, so a zero
-// stamp on a full set cannot occur.
-func (p *LRU) LRUWay(set int) int {
-	base := set * p.ways
-	best, bestStamp := 0, p.stamp[base]
-	for w := 1; w < p.ways; w++ {
-		if p.stamp[base+w] < bestStamp {
-			best, bestStamp = w, p.stamp[base+w]
-		}
-	}
-	return best
-}
-
-var (
-	_ Policy        = (*LRU)(nil)
-	_ LRUPositioner = (*LRU)(nil)
-)
+var _ Policy = (*LRU)(nil)
 
 // Promote implements Policy: move to MRU.
 func (p *LRU) Promote(set, way int) { p.touch(set, way) }

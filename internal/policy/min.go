@@ -68,9 +68,6 @@ type MIN struct {
 // NewMIN returns the offline MIN policy driven by the given oracle.
 func NewMIN(oracle Oracle) *MIN { return &MIN{oracle: oracle} }
 
-// Name implements Policy.
-func (p *MIN) Name() string { return "MIN" }
-
 // Init implements Policy.
 func (p *MIN) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways

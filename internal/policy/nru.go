@@ -15,9 +15,6 @@ type NRU struct {
 // NewNRU returns a 1-bit NRU policy.
 func NewNRU() *NRU { return &NRU{} }
 
-// Name implements Policy.
-func (p *NRU) Name() string { return "NRU" }
-
 // Init implements Policy.
 func (p *NRU) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways

@@ -1,6 +1,6 @@
 // Package policy implements the cache replacement policies evaluated in the
-// ZIV paper: LRU, NRU, Random, SRRIP, Hawkeye (OPTgen-trained RRIP) and the
-// offline Belady MIN oracle.
+// ZIV paper: LRU, NRU, SRRIP, Hawkeye (OPTgen-trained RRIP) and the offline
+// Belady MIN oracle.
 //
 // Policies are pure replacement-state machines over a (set, way) grid; the
 // cache substrate invokes the hooks and asks for a victim ranking. Ranking —
@@ -21,8 +21,6 @@ type Meta struct {
 // Policy is the replacement-state machine contract. Implementations must be
 // deterministic given the same call sequence.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Init sizes the policy's state for a sets x ways geometry. It is called
 	// exactly once, before any other method.
 	Init(sets, ways int)
@@ -41,14 +39,14 @@ type Policy interface {
 	// before ranking. The returned slice is reused across calls.
 	Rank(set int) []int
 	// Victim returns Rank(set)[0], with exactly Rank's side effects
-	// (SRRIP ages the set, Random draws), without materializing or sorting
+	// (SRRIP ages the set), without materializing or sorting
 	// the order. The caches ask it on every replacement, which makes it
 	// the hottest policy entry point; the full Rank order is only needed
 	// by QBS, which promotes ways mid-walk, and SHARP's directory stage.
 	Victim(set int) int
 	// FirstIn returns the first way of Rank(set) whose bit is set in ways
 	// (bit w stands for way w), or -1 when there is none. It has exactly
-	// Rank's side effects (SRRIP ages the set, Random draws) but builds no
+	// Rank's side effects (SRRIP ages the set) but builds no
 	// permutation: the LLC victim searches that only need the first
 	// eligible way in preference order ask for it directly.
 	FirstIn(set int, ways uint64) int
@@ -65,14 +63,6 @@ type RRPVer interface {
 	RRPV(set, way int) int
 	// MaxRRPV returns the distant-future RRPV value (2^bits - 1).
 	MaxRRPV() int
-}
-
-// LRUPositioner is implemented by recency-ordered policies. The ZIV
-// LRUNotInPrC property consults it.
-type LRUPositioner interface {
-	// LRUWay returns the way currently in the least-recently-used position
-	// of set (the next baseline victim among valid ways).
-	LRUWay(set int) int
 }
 
 // rankBuf is a reusable ranking buffer embedded by implementations.

@@ -75,12 +75,11 @@ type namedPolicy struct {
 	mk   func() Policy
 }
 
-// allPolicies lists the six policies; MIN consults oracle.
+// allPolicies lists the five policies; MIN consults oracle.
 func allPolicies(oracle Oracle) []namedPolicy {
 	return []namedPolicy{
 		{"LRU", func() Policy { return NewLRU() }},
 		{"NRU", func() Policy { return NewNRU() }},
-		{"Random", func() Policy { return NewRandom(7) }},
 		{"SRRIP", func() Policy { return NewSRRIP(2) }},
 		{"Hawkeye", func() Policy { return NewHawkeye(2) }},
 		{"MIN", func() Policy { return NewMIN(oracle) }},
@@ -122,8 +121,8 @@ func TestLRUStackOrder(t *testing.T) {
 			t.Fatalf("rank = %v, want %v", r, want)
 		}
 	}
-	if p.LRUWay(0) != 1 {
-		t.Errorf("LRUWay = %d, want 1", p.LRUWay(0))
+	if p.Victim(0) != 1 {
+		t.Errorf("Victim = %d, want 1", p.Victim(0))
 	}
 }
 
@@ -135,8 +134,8 @@ func TestLRUWayAfterEvict(t *testing.T) {
 	}
 	p.OnEvict(0, 0)
 	p.OnFill(0, 0, Meta{})
-	if got := p.LRUWay(0); got != 1 {
-		t.Errorf("LRUWay = %d, want 1", got)
+	if got := p.Victim(0); got != 1 {
+		t.Errorf("Victim = %d, want 1", got)
 	}
 }
 
@@ -155,20 +154,6 @@ func TestNRUVictimIsUnreferenced(t *testing.T) {
 	r = p.Rank(0)
 	if r[0] == 0 || r[0] == 3 {
 		t.Fatalf("rank[0] = %d; ways 0 and 3 are referenced", r[0])
-	}
-}
-
-func TestRandomDeterminism(t *testing.T) {
-	a, b := NewRandom(42), NewRandom(42)
-	a.Init(2, 8)
-	b.Init(2, 8)
-	for i := 0; i < 50; i++ {
-		ra, rb := a.Rank(i%2), b.Rank(i%2)
-		for j := range ra {
-			if ra[j] != rb[j] {
-				t.Fatal("same-seed Random policies diverged")
-			}
-		}
 	}
 }
 

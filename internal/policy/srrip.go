@@ -21,9 +21,6 @@ func NewSRRIP(bits int) *SRRIP {
 	return &SRRIP{bits: bits, max: (1 << bits) - 1}
 }
 
-// Name implements Policy.
-func (p *SRRIP) Name() string { return "SRRIP" }
-
 // Init implements Policy.
 func (p *SRRIP) Init(sets, ways int) {
 	p.sets, p.ways = sets, ways

@@ -70,6 +70,3 @@ func (p *MIN) Victim(set int) int {
 	}
 	return best
 }
-
-// Victim implements Policy: the rotation start Rank draws.
-func (p *Random) Victim(int) int { return int(p.next() % uint64(p.ways)) }

@@ -50,9 +50,6 @@ type Config struct {
 	// Default 10s. The events stream is exempt: it lives until the feed
 	// closes or the client disconnects.
 	RequestTimeout time.Duration
-	// Registry receives the server's metrics and backs /metrics; New
-	// creates one when nil.
-	Registry *telemetry.Registry
 }
 
 // Server is the zivsimd application object: job store, queues, executor
@@ -117,12 +114,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
 	}
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
 	s := &Server{
 		cfg:          cfg,
-		reg:          cfg.Registry,
+		reg:          telemetry.NewRegistry(),
 		workAvail:    make(chan struct{}, 1),
 		jobs:         make(map[string]*Job),
 		queues:       make(map[string][]*Job),
@@ -161,12 +155,6 @@ func New(cfg Config) (*Server, error) {
 			"API requests served, by route.", "route", rt.Pattern)
 	}
 	return s, nil
-}
-
-// Registry exposes the server's metrics registry (for wiring ledgers or
-// extra instruments in package main).
-func (s *Server) Registry() *telemetry.Registry {
-	return s.reg
 }
 
 // nowUS is the server's wall clock in µs since epoch.

@@ -561,6 +561,7 @@ func TestBadRequests(t *testing.T) {
 		{"scale 3", `{"figs":["fig8"],"options":{"scale":3}}`},
 		{"cores 6", `{"figs":["fig8"],"options":{"cores":6}}`},
 		{"tpce_cores 12", `{"figs":["fig8"],"options":{"tpce_cores":12}}`},
+		{"tpce_cores 512", `{"figs":["fig8"],"options":{"tpce_cores":512}}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))

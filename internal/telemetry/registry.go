@@ -58,11 +58,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set replaces the gauge value.
-//
-//ziv:noalloc
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add moves the gauge by delta (negative to decrement).
 //
 //ziv:noalloc

@@ -1,47 +1,20 @@
-// The telemetry endpoint. Server is the seed of zivsimd's serving
-// surface: /metrics (Prometheus text exposition of the registry),
-// /healthz (liveness JSON), and net/http/pprof under /debug/pprof. It
-// deliberately owns no goroutines — Serve blocks on the listener and
-// Close unblocks it — so the caller spawns and joins in one scope,
-// which is the join shape the goleak analyzer proves. cmd/zivsim wires
-// it behind -telemetry-addr.
+// The telemetry endpoints: /metrics (Prometheus text exposition of the
+// registry), /healthz (liveness JSON), and net/http/pprof under
+// /debug/pprof. Each serving surface — zivsim -telemetry-addr and
+// zivsimd — mounts them on its own mux and runs its own http.Server.
 package telemetry
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
 
-// Server serves the telemetry endpoints for one registry.
-type Server struct {
-	reg *Registry
-	srv *http.Server
-}
-
-// NewServer builds a server exposing reg. It owns no listener until
-// Serve is called.
-func NewServer(reg *Registry) *Server {
-	s := &Server{reg: reg}
-	s.srv = &http.Server{Handler: s.Handler()}
-	return s
-}
-
-// Handler returns the server's route mux: /metrics, /healthz, and the
-// pprof family under /debug/pprof/. Exposed separately so tests can
-// drive the routes without a socket.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	RegisterRoutes(mux, s.reg, nil)
-	return mux
-}
-
 // RegisterRoutes mounts the base telemetry endpoints on mux: /metrics
 // (Prometheus text exposition of reg), /healthz (liveness/readiness
 // JSON) and the pprof family under /debug/pprof/. It is the shared
-// mount point for every serving surface — telemetry.Server (zivsim
-// -telemetry-addr) and cmd/zivsimd both build their muxes on it.
+// mount point for every serving surface — zivsim -telemetry-addr and
+// cmd/zivsimd both build their muxes on it.
 //
 // health, when non-nil, supplies the /healthz status string per
 // request; any value other than "ok" is reported with 503 so load
@@ -71,27 +44,4 @@ func RegisterRoutes(mux *http.ServeMux, reg *Registry, health func() string) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// Serve accepts connections on ln until Close; it blocks, returning nil
-// on a clean shutdown. The caller owns the goroutine: spawn Serve and
-// join it after Close, e.g.
-//
-//	served := make(chan struct{})
-//	go func() { srv.Serve(ln); close(served) }()
-//	defer func() { srv.Close(); <-served }()
-func (s *Server) Serve(ln net.Listener) error {
-	err := s.srv.Serve(ln)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Close immediately closes the listener and any active connections,
-// unblocking Serve. Immediate close (rather than graceful shutdown) is
-// deliberate: a hanging pprof stream must not keep a finished sweep's
-// process alive.
-func (s *Server) Close() error {
-	return s.srv.Close()
 }

@@ -1,20 +1,20 @@
 package telemetry
 
 import (
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-// TestServerRoutes drives the handler mux directly (no socket): the
+// TestServerRoutes drives RegisterRoutes on a fresh mux (no socket): the
 // /metrics exposition must parse, /healthz must report ok, and the
 // pprof index must answer.
 func TestServerRoutes(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("zivsim_sweep_jobs_queued_total", "Jobs.").Add(4)
-	h := NewServer(reg).Handler()
+	h := http.NewServeMux()
+	RegisterRoutes(h, reg, nil)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -42,34 +42,5 @@ func TestServerRoutes(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/pprof/", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/debug/pprof/ status = %d", rec.Code)
-	}
-}
-
-// TestServerServeClose pins the ownership contract: Serve blocks on a
-// real listener, Close unblocks it with a nil error, and the spawning
-// scope joins the goroutine.
-func TestServerServeClose(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	srv := NewServer(NewRegistry())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
-	if err != nil {
-		t.Fatalf("GET /healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/healthz over TCP = %d", resp.StatusCode)
-	}
-
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := <-served; err != nil {
-		t.Fatalf("Serve returned %v after Close, want nil", err)
 	}
 }

@@ -385,32 +385,3 @@ func CanonicalStream(gens []Generator, refsPerCore int) []uint64 {
 	}
 	return out
 }
-
-// Script replays a fixed reference sequence, wrapping at the end. It exists
-// for precise scenario construction in tests and custom experiments.
-type Script struct {
-	refs []Ref
-	pos  int
-}
-
-// NewScript returns a generator replaying refs cyclically. The slice is not
-// copied; callers must not mutate it afterwards.
-func NewScript(refs []Ref) *Script {
-	if len(refs) == 0 {
-		panic("trace: NewScript needs at least one reference")
-	}
-	return &Script{refs: refs}
-}
-
-// Next implements Generator.
-func (g *Script) Next() Ref {
-	r := g.refs[g.pos]
-	g.pos++
-	if g.pos == len(g.refs) {
-		g.pos = 0
-	}
-	return r
-}
-
-// Reset implements Generator.
-func (g *Script) Reset() { g.pos = 0 }

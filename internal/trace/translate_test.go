@@ -94,32 +94,6 @@ func TestTranslateReset(t *testing.T) {
 	}
 }
 
-func TestScriptGenerator(t *testing.T) {
-	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}}
-	g := NewScript(refs)
-	for round := 0; round < 2; round++ {
-		for i, want := range refs {
-			if got := g.Next(); got != want {
-				t.Fatalf("round %d ref %d = %+v, want %+v", round, i, got, want)
-			}
-		}
-	}
-	g.Next()
-	g.Reset()
-	if g.Next().Addr != 1 {
-		t.Fatal("Script Reset failed")
-	}
-}
-
-func TestScriptEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewScript(nil) did not panic")
-		}
-	}()
-	NewScript(nil)
-}
-
 func TestDriftingHotMovesWindow(t *testing.T) {
 	g := NewDriftingHot(0, 4096, 1<<16, 1.0, 0, 0, 500, 9) // all-hot, slow drift
 	early := map[uint64]bool{}

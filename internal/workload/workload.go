@@ -277,6 +277,9 @@ func HomogeneousMixes(cores int) []Mix {
 // with equal representation across mixes (each archetype appears the same
 // number of times overall, as in the paper), deterministically from seed.
 func HeterogeneousMixes(cores, n int, seed uint64) []Mix {
+	if n == 0 {
+		return nil
+	}
 	if cores > len(appList) {
 		panic(fmt.Sprintf("workload: cannot draw %d distinct apps from %d", cores, len(appList)))
 	}

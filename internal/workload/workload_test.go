@@ -115,6 +115,14 @@ func TestHeterogeneousMixesDeterministic(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousMixesNoneForManyCores pins that asking for no mixes
+// draws nothing, so a machine with more cores than apps can still ask.
+func TestHeterogeneousMixesNoneForManyCores(t *testing.T) {
+	if mixes := HeterogeneousMixes(64, 0, 1); len(mixes) != 0 {
+		t.Fatalf("HeterogeneousMixes(64, 0, 1) = %d mixes, want 0", len(mixes))
+	}
+}
+
 func TestBuildMixDisjointAddressSpaces(t *testing.T) {
 	p := testParams()
 	mix := Mix{Name: "t", Apps: []string{"stream.a", "rand.a", "hot.fit.a"}}
