@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check perfbench-test vet lint lint-stats-baseline test race fuzz microbench bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
+.PHONY: all build fmt-check perfbench-test perfbench-check vet lint lint-stats-baseline test race fuzz microbench bench bench-quick bench-compare obs-smoke resume-smoke telemetry-smoke serve-smoke ci
 
 all: ci
 
@@ -21,6 +21,13 @@ vet:
 # compile it against internal API changes.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The pinned-statistics gate: one full pass of each simulator workload at
+# the default seed (96 and 35 jobs). perfbench exits 1 unless every
+# simulated statistic matches the digests in perfbench/pinned.json.
+perfbench-check:
+	bash perfbench/run.sh --workload mp-lru --seconds 1 --trace 0
+	bash perfbench/run.sh --workload mt-hawkeye --seconds 1 --trace 0
 
 # One gate, two ways to fail: any finding, or a //ziv:ignore waiver
 # count above the committed budget in zivlint.stats.json (a change that
@@ -41,8 +48,11 @@ test:
 race:
 	GORACE=halt_on_error=1 $(GO) test -race -timeout=45m ./internal/...
 
+# -fuzzminimizetime bounds the shrinking of each new interesting input;
+# at the default 60 s one input can take the whole 20 s budget, leaving
+# the worker executing nothing new.
 fuzz:
-	$(GO) test -fuzz=FuzzScheme -fuzztime=20s ./internal/core
+	$(GO) test -fuzz=FuzzScheme -fuzztime=20s -fuzzminimizetime=2s ./internal/core
 
 # Every micro-benchmark for one iteration, plus the alloc guards
 # (CI's bench-smoke job runs this target).
@@ -254,4 +264,4 @@ serve-smoke:
 	@echo "serve-smoke: job API round-trip, metrics and clean drain all validate"
 	rm -rf serve-smoke.tmp
 
-ci: build fmt-check vet perfbench-test lint test race
+ci: build fmt-check vet perfbench-test perfbench-check lint test race

@@ -38,12 +38,6 @@ type Block struct {
 	Preds []*Block
 }
 
-// NodePos locates a top-level node inside a Graph.
-type NodePos struct {
-	Block *Block // the containing block
-	Index int    // position within Block.Nodes
-}
-
 // Graph is the CFG of one function body.
 type Graph struct {
 	Blocks []*Block // all blocks, in creation order
@@ -51,14 +45,12 @@ type Graph struct {
 	// Exit is the virtual exit block (no nodes). Normal returns and
 	// falling off the end of the body lead here; panicking paths do not.
 	Exit *Block
-	// Pos maps every top-level node to its block and intra-block index.
-	Pos map[ast.Node]NodePos
 }
 
 // New builds the CFG of a function body. A nil body (declaration without
 // a definition) yields a two-block graph with Entry wired to Exit.
 func New(body *ast.BlockStmt) *Graph {
-	g := &Graph{Pos: map[ast.Node]NodePos{}}
+	g := &Graph{}
 	b := &builder{g: g, labels: map[string]*labelScope{}}
 	g.Entry = b.newBlock()
 	g.Exit = b.newBlock()
@@ -103,10 +95,9 @@ func ScanRoots(n ast.Node) []ast.Node {
 // labelScope records the jump targets a label or an enclosing
 // breakable/continuable statement exposes.
 type labelScope struct {
-	block        *Block // label target (for goto)
-	breakBlock   *Block
-	continueBlk  *Block
-	pendingLabel string // label waiting to be attached to the next loop/switch
+	block       *Block // label target (for goto)
+	breakBlock  *Block
+	continueBlk *Block
 }
 
 type pendingGoto struct {
@@ -145,7 +136,6 @@ func (b *builder) add(n ast.Node) {
 	if b.cur == nil {
 		b.cur = b.newBlock()
 	}
-	b.g.Pos[n] = NodePos{Block: b.cur, Index: len(b.cur.Nodes)}
 	b.cur.Nodes = append(b.cur.Nodes, n)
 }
 

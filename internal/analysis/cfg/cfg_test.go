@@ -29,9 +29,11 @@ func buildFunc(t *testing.T, src string) (*Graph, *ast.FuncDecl, *token.FileSet)
 // line.
 func nodeBlock(t *testing.T, g *Graph, fset *token.FileSet, line int) *Block {
 	t.Helper()
-	for n, pos := range g.Pos {
-		if fset.Position(n.Pos()).Line == line {
-			return pos.Block
+	for _, b := range g.Blocks {
+		for _, n := range b.Nodes {
+			if fset.Position(n.Pos()).Line == line {
+				return b
+			}
 		}
 	}
 	t.Fatalf("no node on line %d", line)

@@ -59,7 +59,6 @@ type callSite struct {
 }
 
 type fnInfo struct {
-	decl      *ast.FuncDecl
 	fn        *types.Func
 	annotated bool
 	takesCtx  bool
@@ -137,7 +136,7 @@ func (a *analyzer) collect(fd *ast.FuncDecl) {
 	if fn == nil {
 		return
 	}
-	fi := &fnInfo{decl: fd, fn: fn, takesCtx: takesCtx(fn)}
+	fi := &fnInfo{fn: fn, takesCtx: takesCtx(fn)}
 	fi.annotated = a.blockingDirective(fd)
 	a.scanBody(fd.Body, fi)
 	a.fns = append(a.fns, fi)

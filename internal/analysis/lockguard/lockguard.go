@@ -141,11 +141,6 @@ type inferKey struct {
 	mu    string
 }
 
-type inferSite struct {
-	pos   token.Pos
-	write bool
-}
-
 type analyzer struct {
 	pass *framework.Pass
 	info *types.Info
@@ -162,7 +157,7 @@ type analyzer struct {
 	obligations map[string][]oblig
 
 	inferHeld   map[inferKey]int
-	inferUnheld map[inferKey][]inferSite
+	inferUnheld map[inferKey][]token.Pos // the unlocked access sites
 
 	// Per-function state.
 	fn       *types.Func
@@ -211,7 +206,7 @@ func run(pass *framework.Pass) (any, error) {
 		inferCands:  map[*types.Var][]string{},
 		obligations: map[string][]oblig{},
 		inferHeld:   map[inferKey]int{},
-		inferUnheld: map[inferKey][]inferSite{},
+		inferUnheld: map[inferKey][]token.Pos{},
 	}
 	a.collectSpecs()
 
@@ -841,7 +836,7 @@ func (a *analyzer) tallyInference(cur *heldSet, ev event) {
 		if !a.exported && a.paramIndexOf(ev.inferBase) != -2 {
 			continue
 		}
-		a.inferUnheld[k] = append(a.inferUnheld[k], inferSite{pos: ev.pos, write: ev.write})
+		a.inferUnheld[k] = append(a.inferUnheld[k], ev.pos)
 	}
 }
 
@@ -863,8 +858,8 @@ func (a *analyzer) reportInference() {
 			continue
 		}
 		tn := framework.OwnerTypeName(k.field)
-		for _, site := range unheld {
-			a.pass.Reportf(site.pos,
+		for _, pos := range unheld {
+			a.pass.Reportf(pos,
 				"field %s of %s is accessed under %s in %d other place(s) but not here (annotate //ziv:guards(%s) to enforce)",
 				k.field.Name(), tn, k.mu, held, k.mu)
 		}

@@ -63,25 +63,11 @@ type Cache struct {
 	// steady-state case after warmup) without scanning.
 	validCnt []uint16
 	pol      policy.Policy
-
-	// Stats accumulates the event counters for this cache instance.
-	Stats Stats
 }
 
 // tagNone marks an invalid way in the tag sidecar; it lies outside the
 // 48-bit physical block-address space so it can never match a real block.
 const tagNone = ^uint64(0)
-
-// Stats holds per-cache event counters.
-type Stats struct {
-	Accesses    uint64
-	Hits        uint64
-	Misses      uint64
-	Fills       uint64
-	Evictions   uint64 // replacement-driven evictions of valid blocks
-	DirtyEvicts uint64
-	Invals      uint64 // externally forced invalidations (back-invals, coherence)
-}
 
 // New builds a cache with the given geometry. sets must be a power of two and
 // ways positive.
@@ -155,17 +141,14 @@ func (c *Cache) Contains(blockAddr uint64) bool {
 
 // Access performs a full access: on a hit it updates the replacement state
 // (and dirtiness for writes) and returns the way with hit=true; on a miss it
-// only counts the miss. It never fills — the caller decides fill policy.
+// changes nothing. It never fills — the caller decides fill policy.
 //
 //ziv:noalloc
 func (c *Cache) Access(blockAddr uint64, write bool, m policy.Meta) (way int, hit bool) {
-	c.Stats.Accesses++
 	way, hit = c.Lookup(blockAddr)
 	if !hit {
-		c.Stats.Misses++
 		return -1, false
 	}
-	c.Stats.Hits++
 	set := c.SetIndex(blockAddr)
 	b := c.Block(set, way)
 	if write {
@@ -213,7 +196,6 @@ func (c *Cache) FillWay(set, way int, blockAddr uint64, dirty, writable bool, m 
 	c.tags[set*c.ways+way] = blockAddr
 	c.validCnt[set]++
 	c.mru[set] = int32(way)
-	c.Stats.Fills++
 	c.pol.OnFill(set, way, m)
 }
 
@@ -227,10 +209,6 @@ func (c *Cache) EvictWay(set, way int) Block {
 		panic(fmt.Sprintf("cache %s: EvictWay on invalid way (set %d way %d)", c.name, set, way))
 	}
 	evicted := *b
-	c.Stats.Evictions++
-	if b.Dirty {
-		c.Stats.DirtyEvicts++
-	}
 	c.pol.OnEvict(set, way)
 	*b = Block{}
 	c.tags[set*c.ways+way] = tagNone
@@ -249,7 +227,6 @@ func (c *Cache) Invalidate(blockAddr uint64) (removed Block, ok bool) {
 	}
 	set := c.SetIndex(blockAddr)
 	removed = *c.Block(set, way)
-	c.Stats.Invals++
 	c.pol.OnInvalidate(set, way)
 	*c.Block(set, way) = Block{}
 	c.tags[set*c.ways+way] = tagNone

@@ -118,8 +118,8 @@ func TestAccessCountsAndDirty(t *testing.T) {
 	if !c.Block(set, way).Dirty {
 		t.Error("write access did not set dirty")
 	}
-	if c.Stats.Accesses != 2 || c.Stats.Hits != 1 || c.Stats.Misses != 1 {
-		t.Errorf("stats = %+v", c.Stats)
+	if c.Contains(12) {
+		t.Error("a missed Access installed the block")
 	}
 }
 
@@ -151,9 +151,6 @@ func TestInvalidate(t *testing.T) {
 	if _, ok := c.Invalidate(5); ok {
 		t.Fatal("second invalidate succeeded")
 	}
-	if c.Stats.Invals != 1 {
-		t.Errorf("Invals = %d, want 1", c.Stats.Invals)
-	}
 }
 
 func TestEvictWayAndFillWay(t *testing.T) {
@@ -164,9 +161,6 @@ func TestEvictWayAndFillWay(t *testing.T) {
 	b := c.EvictWay(set, way)
 	if b.Addr != 2 || !b.Dirty {
 		t.Fatalf("EvictWay returned %+v", b)
-	}
-	if c.Stats.DirtyEvicts != 1 {
-		t.Errorf("DirtyEvicts = %d", c.Stats.DirtyEvicts)
 	}
 	c.FillWay(set, way, 4, false, false, policy.Meta{Addr: 4})
 	if !c.Contains(4) {

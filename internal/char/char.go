@@ -59,11 +59,6 @@ type Engine struct {
 	d      int
 	evict  [NumGroups]uint64
 	recall [NumGroups]uint64
-
-	// Stats
-	Inferences uint64 // evictions classified
-	Dead       uint64 // evictions inferred dead
-	Recalls    uint64
 }
 
 // NewEngine returns an engine with the default threshold exponent.
@@ -86,53 +81,38 @@ func (e *Engine) ResetD() { e.d = DefaultD }
 // the block is inferred dead: recall/evict < 1/2^d, implemented as
 // (recall << d) < evict per the paper.
 func (e *Engine) OnEvict(g uint8) (inferredDead bool) {
-	e.Inferences++
 	e.evict[g]++
 	if e.evict[g] >= counterCap {
 		e.evict[g] >>= 1
 		e.recall[g] >>= 1
 	}
-	dead := (e.recall[g] << uint(e.d)) < e.evict[g]
-	if dead {
-		e.Dead++
-	}
-	return dead
+	return (e.recall[g] << uint(e.d)) < e.evict[g]
 }
 
 // OnRecall records that a block previously evicted from this core's L2 in
 // group g was fetched again from the LLC.
-func (e *Engine) OnRecall(g uint8) {
-	e.Recalls++
-	e.recall[g]++
-}
+func (e *Engine) OnRecall(g uint8) { e.recall[g]++ }
+
+// minInterval is the paper's pacing between threshold decrements: a bank
+// lowers d at most once per this many eviction notices.
+const minInterval = 4096
 
 // BankThresholder is the per-LLC-bank dynamic threshold controller: it owns
-// the bank's d value, the TRBV, and the minimum-interval pacing between
+// the bank's d value, the TRBV, and the minInterval pacing between
 // decrements.
 type BankThresholder struct {
-	d           int
-	trbv        []bool
-	notices     uint64 // eviction notices seen since the last decrement
-	minInterval uint64
-	resetEvery  uint64 // notices between periodic resets to DefaultD; 0 disables
-	sinceReset  uint64
-
-	// Decrements counts threshold reductions (diagnostics).
-	Decrements uint64
+	d       int
+	trbv    []bool
+	notices uint64 // eviction notices seen since the last decrement
 }
 
 // NewBankThresholder returns a controller for a bank serving the given
-// number of cores. minInterval is the paper's 4096-notice pacing.
-func NewBankThresholder(cores int, minInterval, resetEvery uint64) *BankThresholder {
-	if minInterval == 0 {
-		minInterval = 4096
-	}
+// number of cores.
+func NewBankThresholder(cores int) *BankThresholder {
 	return &BankThresholder{
-		d:           DefaultD,
-		trbv:        make([]bool, cores),
-		notices:     minInterval, // allow an immediate first decrement
-		minInterval: minInterval,
-		resetEvery:  resetEvery,
+		d:       DefaultD,
+		trbv:    make([]bool, cores),
+		notices: minInterval, // allow an immediate first decrement
 	}
 }
 
@@ -141,11 +121,10 @@ func NewBankThresholder(cores int, minInterval, resetEvery uint64) *BankThreshol
 // has elapsed), d is decremented and the TRBV is fully set so the new value
 // propagates to every core.
 func (b *BankThresholder) OnEmptyPV() {
-	if b.d <= 1 || b.notices < b.minInterval {
+	if b.d <= 1 || b.notices < minInterval {
 		return
 	}
 	b.d--
-	b.Decrements++
 	b.notices = 0
 	for i := range b.trbv {
 		b.trbv[i] = true
@@ -154,20 +133,9 @@ func (b *BankThresholder) OnEmptyPV() {
 
 // OnNotice is called when the bank receives a private-cache eviction notice
 // or writeback from core. It returns the d value to piggyback on the
-// acknowledgement and whether to piggyback at all, and may trigger the
-// periodic reset to DefaultD.
+// acknowledgement and whether to piggyback at all.
 func (b *BankThresholder) OnNotice(core int) (d int, piggyback bool) {
 	b.notices++
-	if b.resetEvery > 0 {
-		b.sinceReset++
-		if b.sinceReset >= b.resetEvery {
-			b.sinceReset = 0
-			b.d = DefaultD
-			for i := range b.trbv {
-				b.trbv[i] = true
-			}
-		}
-	}
 	if core >= 0 && core < len(b.trbv) && b.trbv[core] {
 		b.trbv[core] = false
 		return b.d, true
@@ -175,12 +143,12 @@ func (b *BankThresholder) OnNotice(core int) (d int, piggyback bool) {
 	return b.d, false
 }
 
-// Reset restores the default threshold exponent. The hierarchy drives
-// periodic global resets (banks and engines together) through this and
-// Engine.ResetD to handle phase changes, per the paper.
+// Reset restores the default threshold exponent. The hierarchy's periodic
+// global reset (banks and engines together, every CharResetInterval
+// notices) drives this and Engine.ResetD to handle phase changes, per the
+// paper; it is the only reset.
 func (b *BankThresholder) Reset() {
 	b.d = DefaultD
-	b.sinceReset = 0
 	for i := range b.trbv {
 		b.trbv[i] = false
 	}

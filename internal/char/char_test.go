@@ -43,8 +43,8 @@ func TestEngineInfersDeadWithoutRecalls(t *testing.T) {
 			t.Fatal("group with zero recalls must be inferred dead")
 		}
 	}
-	if e.Dead != 100 || e.Inferences != 100 {
-		t.Errorf("stats: %+v", e)
+	if e.evict[g] != 100 {
+		t.Errorf("evictions classified = %d, want 100", e.evict[g])
 	}
 }
 
@@ -105,7 +105,7 @@ func TestSetDOnlyLowers(t *testing.T) {
 }
 
 func TestBankThresholderDecrementAndTRBV(t *testing.T) {
-	b := NewBankThresholder(4, 10, 0)
+	b := NewBankThresholder(4)
 	if b.d != DefaultD {
 		t.Fatalf("initial D = %d", b.d)
 	}
@@ -126,28 +126,32 @@ func TestBankThresholderDecrementAndTRBV(t *testing.T) {
 }
 
 func TestBankThresholderPacing(t *testing.T) {
-	b := NewBankThresholder(2, 10, 0)
+	b := NewBankThresholder(2)
 	b.OnEmptyPV()
 	b.OnEmptyPV() // too soon: must be ignored
 	if b.d != DefaultD-1 {
 		t.Fatalf("pacing violated: D = %d", b.d)
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < minInterval-1; i++ {
 		b.OnNotice(0)
 	}
+	b.OnEmptyPV() // one notice short of the interval: still ignored
+	if b.d != DefaultD-1 {
+		t.Fatalf("pacing violated after %d notices: D = %d", minInterval-1, b.d)
+	}
+	b.OnNotice(0)
 	b.OnEmptyPV()
 	if b.d != DefaultD-2 {
 		t.Errorf("decrement after pacing interval failed: D = %d", b.d)
 	}
-	if b.Decrements != 2 {
-		t.Errorf("Decrements = %d", b.Decrements)
-	}
 }
 
 func TestBankThresholderFloor(t *testing.T) {
-	b := NewBankThresholder(1, 1, 0)
+	b := NewBankThresholder(1)
 	for i := 0; i < 20; i++ {
-		b.OnNotice(0)
+		for j := 0; j < minInterval; j++ {
+			b.OnNotice(0)
+		}
 		b.OnEmptyPV()
 	}
 	if b.d != 1 {
@@ -156,8 +160,7 @@ func TestBankThresholderFloor(t *testing.T) {
 }
 
 func TestBankThresholderReset(t *testing.T) {
-	b := NewBankThresholder(2, 1, 0)
-	b.OnNotice(0)
+	b := NewBankThresholder(2)
 	b.OnEmptyPV()
 	b.Reset()
 	if b.d != DefaultD {
@@ -165,21 +168,6 @@ func TestBankThresholderReset(t *testing.T) {
 	}
 	if _, pb := b.OnNotice(0); pb {
 		t.Error("TRBV not cleared by Reset")
-	}
-}
-
-func TestBankThresholderPeriodicInternalReset(t *testing.T) {
-	b := NewBankThresholder(1, 1, 5)
-	b.OnNotice(0)
-	b.OnEmptyPV()
-	if b.d != DefaultD-1 {
-		t.Fatal("setup failed")
-	}
-	for i := 0; i < 5; i++ {
-		b.OnNotice(0)
-	}
-	if b.d != DefaultD {
-		t.Errorf("internal periodic reset failed: D = %d", b.d)
 	}
 }
 

@@ -49,7 +49,20 @@ func relocatedSetup(t *testing.T) (*LLC, *directory.Directory, uint64, directory
 	if err := llc.CheckInvariants(); err != nil {
 		t.Fatalf("setup not clean before corruption: %v", err)
 	}
-	return llc, dir, addr, out.Relocation.To
+	return llc, dir, addr, relocatedLoc(t, dir, addrs[:4])
+}
+
+// relocatedLoc returns the location of the one block among addrs whose
+// directory entry marks it relocated.
+func relocatedLoc(t *testing.T, dir *directory.Directory, addrs []uint64) directory.Location {
+	t.Helper()
+	for _, a := range addrs {
+		if e, _, ok := dir.Find(a); ok && e.Relocated {
+			return e.Loc
+		}
+	}
+	t.Fatalf("none of %#x is relocated", addrs)
+	return directory.Location{}
 }
 
 func TestCheckInvariantsDetectsTagSidecarCorruption(t *testing.T) {

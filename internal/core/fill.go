@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"zivsim/internal/directory"
 	"zivsim/internal/policy"
 )
 
@@ -19,36 +18,29 @@ type Evicted struct {
 	InPrC bool
 }
 
-// Relocation describes a ZIV block relocation performed during a fill.
-// Valid is false when the fill performed no relocation; the other fields are
-// meaningful only when it is true. The relocated block is BlockAt(To), and
-// Stats.RelocationsByLevel attributes the move to its priority level.
+// Relocation describes a ZIV block relocation performed during a fill: what
+// the hierarchy charges for it. Valid is false when the fill performed no
+// relocation; the other fields are meaningful only when it is true. The
+// relocated block's directory entry holds its new location, and Stats
+// attributes the move to its priority level and counts re-relocations.
 type Relocation struct {
-	Valid        bool
-	From, To     directory.Location
-	CrossBank    bool
-	ReRelocation bool // the relocated block was already in Relocated state
+	Valid     bool
+	CrossBank bool
 	// Depth is the block's relocation-chain length after this move (1 for a
 	// first relocation), feeding the observability depth histogram.
 	Depth uint8
 }
 
-// FillOutcome reports everything a fill did. Fill returns a pointer to an
-// LLC-owned outcome that the next Fill overwrites, so a miss neither
-// allocates nor copies the record.
+// FillOutcome reports what a fill did that the hierarchy must act on. Fill
+// returns a pointer to an LLC-owned outcome that the next Fill overwrites,
+// so a miss neither allocates nor copies the record.
 type FillOutcome struct {
-	// Loc is where the new block landed.
-	Loc directory.Location
 	// Evicted is the block that left the LLC (Valid=false when an invalid
 	// way absorbed the fill, or when a relocation landed on an invalid way).
 	Evicted Evicted
 	// Relocation has Valid=true when the ZIV scheme moved a privately cached
-	// victim to a relocation set.
+	// block to a relocation set.
 	Relocation Relocation
-	// AlternateVictim is true when the ZIV scheme avoided relocation by
-	// picking a different victim within the original set (the original set
-	// itself satisfied the relocation property).
-	AlternateVictim bool
 }
 
 // Fill allocates addr in its home set, running the configured victim-
@@ -77,7 +69,7 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	// invalid way absorbs the fill with no eviction at all.
 	if w := l.invalidWay(bk, set); w >= 0 {
 		l.fillWay(bk, set, w, addr, dirty, inPrC, m)
-		return l.outcome(bk, set, w)
+		return l.outcome()
 	}
 
 	if l.cfg.Scheme == SchemeZIV {
@@ -100,16 +92,14 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	return l.replace(bk, set, victim, addr, dirty, inPrC, m)
 }
 
-// outcome resets the LLC-owned fill outcome for a fill landing at (bank,
-// set, way) that evicted and relocated nothing, and returns it.
+// outcome resets the LLC-owned fill outcome to a fill that evicted and
+// relocated nothing, and returns it.
 //
 //ziv:noalloc
-func (l *LLC) outcome(bk *bank, set, way int) *FillOutcome {
+func (l *LLC) outcome() *FillOutcome {
 	o := &l.out
-	o.Loc = directory.Location{Bank: bk.id, Set: set, Way: way}
 	o.Evicted = Evicted{}
 	o.Relocation.Valid = false
-	o.AlternateVictim = false
 	return o
 }
 
@@ -118,7 +108,7 @@ func (l *LLC) outcome(bk *bank, set, way int) *FillOutcome {
 //
 //ziv:noalloc
 func (l *LLC) replace(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m policy.Meta) *FillOutcome {
-	o := l.outcome(bk, set, way)
+	o := l.outcome()
 	o.Evicted = l.evictWay(bk, set, way)
 	l.fillWay(bk, set, way, addr, dirty, inPrC, m)
 	return o

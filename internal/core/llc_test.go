@@ -191,19 +191,12 @@ func (d *driver) check() {
 
 func mkLLC(t *testing.T, scheme Scheme, prop Property, pol func() policy.Policy) (*LLC, *directory.Directory) {
 	t.Helper()
-	dir := directory.New(directory.Config{Slices: 2, SetsPerSlice: 32, Ways: 8})
-	llc := New(Config{
-		Banks: 2, SetsPerBank: 8, Ways: 4,
-		Scheme: scheme, Property: prop,
-		NewPolicy:   pol,
-		DebugChecks: true,
-	}, dir)
-	return llc, dir
+	return schemeCombo{scheme: scheme, prop: prop, pol: pol}.mkLLC(t)
 }
 
 func lruPol() policy.Policy     { return policy.NewLRU() }
 func hawkeyePol() policy.Policy { return policy.NewHawkeye(2) }
-func srripPol() policy.Policy   { return policy.NewSRRIP(2) }
+func srripPol() policy.Policy   { return policy.NewSRRIP() }
 
 func TestFillAndHit(t *testing.T) {
 	llc, dir := mkLLC(t, SchemeBaseline, PropNone, lruPol)
@@ -745,8 +738,9 @@ func TestSixtyFourWaySet(t *testing.T) {
 	dir := directory.New(directory.Config{Slices: 1, SetsPerSlice: 64, Ways: 8})
 	llc := New(Config{Banks: 1, SetsPerBank: 1, Ways: 64, NewPolicy: lruPol, DebugChecks: true}, dir)
 	for a := uint64(0); a < 64; a++ {
-		if out := llc.Fill(a, 0, false, false, policy.Meta{Addr: a}, a); out.Evicted.Valid || out.Loc.Way != int(a) {
-			t.Fatalf("fill %d: %+v, want way %d with no eviction", a, *out, a)
+		out := llc.Fill(a, 0, false, false, policy.Meta{Addr: a}, a)
+		if loc, _ := llc.Probe(a); out.Evicted.Valid || loc.Way != int(a) {
+			t.Fatalf("fill %d: %+v at %+v, want way %d with no eviction", a, *out, loc, a)
 		}
 	}
 	if w := llc.invalidWay(&llc.banks[0], 0); w != -1 {

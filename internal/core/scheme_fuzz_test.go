@@ -15,7 +15,7 @@ func TestAllSchemesModelProperty(t *testing.T) {
 	combos := schemeCombos()
 	f := func(seed int64, pick uint8) bool {
 		c := combos[int(pick)%len(combos)]
-		llc, dir := mkLLC(t, c.scheme, c.prop, c.pol)
+		llc, dir := c.mkLLC(t)
 		d := newDriver(t, llc, dir, 12)
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 1200; i++ {

@@ -104,7 +104,6 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 				panic("core: original set satisfies property but has no relocation victim")
 			}
 			o := l.replace(bk, set, alt, addr, dirty, inPrC, m)
-			o.AlternateVictim = true
 			l.Stats.AlternateVictims++
 			if l.obs != nil {
 				l.obs.Record(obs.EvInclusionAverted, -1, int16(bk.id), addr, uint64(lev))
@@ -138,7 +137,7 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 		for _, lev := range l.levels {
 			if rs := l.pickRS(dst, lev); rs >= 0 {
 				if l.cfg.FillCrossBank {
-					return l.fillRelocated(bk, dst, rs, lev, addr, dirty, m, now)
+					return l.fillRelocated(bk, dst, rs, lev, addr, dirty)
 				}
 				return l.relocate(bk, set, victim, dst, rs, -1, lev, addr, dirty, inPrC, m, now)
 			}
@@ -193,9 +192,8 @@ func (l *LLC) relocVictimWay(bk *bank, set int) int {
 }
 
 // relocate moves the privately cached victim at (home, homeSet, victimWay)
-// into the relocation set (dst, rs) chosen at priority level lev, updates
-// its sparse-directory entry to the new location, and fills the new block
-// into the freed home way. Fig. 5's full flow.
+// into the relocation set (dst, rs) chosen at priority level lev, and fills
+// the new block into the freed home way. Fig. 5's full flow.
 //
 //ziv:noalloc
 func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWayOverride int, lev level,
@@ -206,10 +204,6 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	depth := vb.RelocDepth
 	if depth < ^uint8(0) {
 		depth++
-	}
-	if l.obs != nil {
-		l.obs.Record(obs.EvRelocBegin, -1, int16(home.id), vAddr, uint64(lev))
-		l.obs.Record(obs.EvRelocSetSelect, -1, int16(dst.id), uint64(rs), uint64(lev))
 	}
 
 	// Locate the victim's directory entry: a relocated block carries the
@@ -234,64 +228,10 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	home.tags[homeSet*l.cfg.Ways+victimWay] = tagNone
 	home.masks[homeSet].sync(victimWay, vb)
 
-	// Find the destination way and evict its occupant if needed.
-	o := l.outcome(home, homeSet, victimWay)
-	var dstWay int
-	if lev == levInvalid {
-		dstWay = l.invalidWay(dst, rs)
-		if dstWay < 0 {
-			panic("core: Invalid PV pointed at a full set")
-		}
-	} else {
-		dstWay = dstWayOverride
-		if dstWay < 0 {
-			dstWay = l.relocVictimWay(dst, rs)
-		}
-		if dstWay < 0 {
-			panic(fmt.Sprintf("core: %v PV pointed at set with no eligible victim", lev))
-		}
-		o.Evicted = l.evictWay(dst, rs, dstWay)
-		if l.cfg.DebugChecks && o.Evicted.InPrC {
-			panic("core: relocation-set victim was privately cached")
-		}
-	}
+	o := l.placeRelocated(home, dst, rs, dstWayOverride, lev, vAddr, vDirty, ptr, depth)
 
-	// Install the relocated block. The insertion protects it (MRU/RRPV 0)
-	// without predictor training: a relocation is not a program access.
-	db := &dst.blocks[rs*l.cfg.Ways+dstWay]
-	*db = Block{
-		Valid:      true,
-		Dirty:      vDirty,
-		Relocated:  true,
-		Addr:       vAddr,
-		DirPtr:     ptr,
-		EvictCore:  -1,
-		RelocDepth: depth,
-	}
-	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone // relocated blocks are invisible to lookups
-	dst.masks[rs].sync(dstWay, db)
-	dst.pol.Promote(rs, dstWay)
-
-	// Record the new location in the directory entry.
-	e := l.dir.At(ptr)
-	if e == nil || !e.Valid {
-		panic(fmt.Sprintf("core: relocation directory pointer %+v is stale", ptr))
-	}
-	to := directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
-	e.Relocated = true
-	e.Loc = to
-
-	l.updateSet(dst, rs)
-	dst.relocTargets[rs]++
-
-	// Statistics: counts, per-level attribution, inter-relocation interval
-	// CDF and the modeled relocation-FIFO occupancy (§III-D1, Fig. 18).
-	l.Stats.Relocations++
-	l.Stats.RelocationsByLevel[lev]++
-	cross := dst.id != home.id
-	if cross {
-		l.Stats.CrossBankRelocations++
-	}
+	// Statistics: re-relocations, the inter-relocation interval CDF and the
+	// modeled relocation-FIFO occupancy (§III-D1, Fig. 18).
 	if reReloc {
 		l.Stats.ReRelocations++
 	}
@@ -314,18 +254,6 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 
 	// Finally, fill the new block into the freed home way.
 	l.fillWay(home, homeSet, victimWay, addr, dirty, inPrC, m)
-
-	if l.obs != nil {
-		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), vAddr, uint64(depth))
-	}
-
-	r := &o.Relocation
-	r.Valid = true
-	r.From = o.Loc
-	r.To = to
-	r.CrossBank = cross
-	r.ReRelocation = reReloc
-	r.Depth = depth
 	return o
 }
 
@@ -336,29 +264,49 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 // fills (a directory entry must exist to locate the block).
 //
 //ziv:noalloc
-func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dirty bool, m policy.Meta, now uint64) *FillOutcome {
+func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dirty bool) *FillOutcome {
 	_, ptr, ok := l.dir.Find(addr)
 	if !ok {
 		panic(fmt.Sprintf("core: FillCrossBank for untracked block %#x", addr))
 	}
+	return l.placeRelocated(home, dst, rs, -1, lev, addr, dirty, ptr, 1)
+}
+
+// placeRelocated installs block addr, whose directory entry ptr addresses,
+// as a relocated block of depth depth in the relocation set (dst, rs) that
+// a fill into home chose at priority level lev. The block takes the set's
+// invalid way at the Invalid level; otherwise it evicts the block at dstWay,
+// or at the set's relocation victim when dstWay is -1. The insertion
+// protects the block (MRU/RRPV 0) without predictor training, since a
+// relocation is not a program access, and the directory entry is pointed
+// at the new location. It returns the fill outcome holding the eviction and
+// the relocation.
+//
+//ziv:noalloc
+func (l *LLC) placeRelocated(home, dst *bank, rs, dstWay int, lev level, addr uint64, dirty bool, ptr directory.Ptr, depth uint8) *FillOutcome {
 	if l.obs != nil {
 		l.obs.Record(obs.EvRelocBegin, -1, int16(home.id), addr, uint64(lev))
 		l.obs.Record(obs.EvRelocSetSelect, -1, int16(dst.id), uint64(rs), uint64(lev))
 	}
-	var dstWay int
-	var evicted Evicted
+	o := l.outcome()
 	if lev == levInvalid {
 		dstWay = l.invalidWay(dst, rs)
 		if dstWay < 0 {
 			panic("core: Invalid PV pointed at a full set")
 		}
 	} else {
-		dstWay = l.relocVictimWay(dst, rs)
+		if dstWay < 0 {
+			dstWay = l.relocVictimWay(dst, rs)
+		}
 		if dstWay < 0 {
 			panic(fmt.Sprintf("core: %v PV pointed at set with no eligible victim", lev))
 		}
-		evicted = l.evictWay(dst, rs, dstWay)
+		o.Evicted = l.evictWay(dst, rs, dstWay)
+		if l.cfg.DebugChecks && o.Evicted.InPrC {
+			panic("core: relocation-set victim was privately cached")
+		}
 	}
+
 	db := &dst.blocks[rs*l.cfg.Ways+dstWay]
 	*db = Block{
 		Valid:      true,
@@ -367,32 +315,31 @@ func (l *LLC) fillRelocated(home, dst *bank, rs int, lev level, addr uint64, dir
 		Addr:       addr,
 		DirPtr:     ptr,
 		EvictCore:  -1,
-		RelocDepth: 1,
+		RelocDepth: depth,
 	}
-	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone
+	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone // relocated blocks are invisible to lookups
 	dst.masks[rs].sync(dstWay, db)
 	dst.pol.Promote(rs, dstWay)
-	to := directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
+
 	e := l.dir.At(ptr)
+	if e == nil || !e.Valid {
+		panic(fmt.Sprintf("core: relocation directory pointer %+v is stale", ptr))
+	}
 	e.Relocated = true
-	e.Loc = to
+	e.Loc = directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
+
 	l.updateSet(dst, rs)
 	dst.relocTargets[rs]++
+	cross := dst.id != home.id
 	l.Stats.Relocations++
 	l.Stats.RelocationsByLevel[lev]++
-	l.Stats.CrossBankRelocations++
-	if l.obs != nil {
-		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), addr, 1)
+	if cross {
+		l.Stats.CrossBankRelocations++
 	}
-	o := l.outcome(dst, rs, dstWay)
-	o.Evicted = evicted
-	r := &o.Relocation
-	r.Valid = true
-	r.From = directory.Location{Bank: home.id}
-	r.To = to
-	r.CrossBank = true
-	r.ReRelocation = false
-	r.Depth = 1
+	if l.obs != nil {
+		l.obs.Record(obs.EvRelocEnd, -1, int16(dst.id), addr, uint64(depth))
+	}
+	o.Relocation = Relocation{Valid: true, CrossBank: cross, Depth: depth}
 	return o
 }
 

@@ -189,27 +189,36 @@ func TestFillOutcomeRelocationFields(t *testing.T) {
 	if _, evicted, _ := dir.Allocate(addr, 0, directory.Exclusive); evicted != nil {
 		t.Fatal("unexpected directory eviction in setup")
 	}
+	homes := make(map[uint64]directory.Location)
+	for _, a := range addrs[:4] {
+		loc, hit := llc.Probe(a)
+		if !hit {
+			t.Fatalf("block %#x not resident before the fill", a)
+		}
+		homes[a] = loc
+	}
 	before := llc.Stats.RelocationsByLevel[levNotInPrC]
 	out := llc.Fill(addr, 0, false, true, policy.Meta{Addr: addr}, 123)
 	if !out.Relocation.Valid {
 		t.Fatalf("expected relocation, got %+v", *out)
 	}
-	rel := &out.Relocation
 	if got := llc.Stats.RelocationsByLevel[levNotInPrC] - before; got != 1 {
 		t.Errorf("fill added %d NotInPrC-level relocations, want 1", got)
 	}
-	if rel.From == rel.To {
-		t.Error("relocation did not move the block")
-	}
-	if rel.From != out.Loc {
-		t.Errorf("relocation left %+v, but the fill landed at %+v", rel.From, out.Loc)
-	}
-	b := llc.BlockAt(rel.To)
+	to := relocatedLoc(t, dir, addrs[:4])
+	b := llc.BlockAt(to)
 	if !b.Relocated || (b.Addr != addrs[0] && b.Addr != addrs[1] && b.Addr != addrs[2] && b.Addr != addrs[3]) {
 		t.Errorf("block at relocation target: %+v", b)
 	}
-	if e, _, ok := dir.Find(b.Addr); !ok || !e.Relocated || e.Loc != rel.To {
-		t.Errorf("directory entry of relocated block %#x does not point at %+v", b.Addr, rel.To)
+	from, hit := llc.Probe(addr)
+	if !hit {
+		t.Fatalf("filled block %#x not resident", addr)
+	}
+	if from == to {
+		t.Error("relocation did not move the block")
+	}
+	if home := homes[b.Addr]; from != home {
+		t.Errorf("relocation left %+v, but the fill landed at %+v", home, from)
 	}
 	if !out.Evicted.Valid || out.Evicted.InPrC {
 		t.Errorf("relocation-set eviction wrong: %+v", out.Evicted)

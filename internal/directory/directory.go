@@ -176,8 +176,9 @@ type Directory struct {
 	bankBits uint
 	setMask  uint64
 	slices   []slice
-	// overflowLive tracks the live overflow population across all slices so
-	// the MaxOverflow high-water update is O(1) per spill.
+	// overflowLive is the live overflow population across all slices: a
+	// spill adds one entry, Free removes one, and nothing else writes the
+	// overflow maps. It keeps the MaxOverflow high-water update O(1).
 	overflowLive int
 	// obs is the attached event ring, nil when observability is off; every
 	// probe point guards on it, so the detached cost is one branch.
@@ -410,16 +411,8 @@ func (d *Directory) OverflowPtr(blockAddr uint64) Ptr {
 	return Ptr{Bank: d.SliceOf(blockAddr), Set: d.setOf(blockAddr), Way: -1, OverflowAddr: blockAddr}
 }
 
-func (d *Directory) overflowCount() int {
-	n := 0
-	for i := range d.slices {
-		n += len(d.slices[i].overflow)
-	}
-	return n
-}
-
 // OverflowCount returns the live overflow entry count (ZeroDEV mode).
-func (d *Directory) OverflowCount() int { return d.overflowCount() }
+func (d *Directory) OverflowCount() int { return d.overflowLive }
 
 // Free invalidates the entry at p (all sharers gone). The caller handles any
 // relocated-block invalidation before calling Free.

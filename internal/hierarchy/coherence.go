@@ -141,6 +141,37 @@ func (m *Machine) allocateDir(id int, blockAddr uint64, st directory.State) {
 	}
 }
 
+// backInvalidate force-invalidates the private copies of blockAddr held by
+// every core in sharers, and returns whether any copy was dirty. Each core
+// that held a copy suffers an inclusion victim: it is counted when the core
+// is inside its measured segment, as directory-induced (Fig. 15) when
+// dirInduced is set, and recorded as a back-invalidation event whose arg is
+// 1 for a directory-induced one and 0 for an LLC eviction's.
+func (m *Machine) backInvalidate(sharers *directory.Sharers, blockAddr uint64, dirInduced bool) (anyDirty bool) {
+	arg := uint64(0)
+	if dirInduced {
+		arg = 1
+	}
+	sharers.ForEach(func(id int) {
+		present, dirty := m.dropPrivate(&m.cores[id], blockAddr)
+		anyDirty = anyDirty || dirty
+		if !present {
+			return
+		}
+		if m.inMeasured(id) {
+			if dirInduced {
+				m.cores[id].stats.DirInclusionVictims++
+			} else {
+				m.cores[id].stats.InclusionVictims++
+			}
+		}
+		if m.ring != nil {
+			m.ring.Record(obs.EvBackInval, int16(id), int16(m.llc.BankOf(blockAddr)), blockAddr, arg)
+		}
+	})
+	return anyDirty
+}
+
 // handleDirSpill retargets a relocated block's tag-encoded directory
 // pointer after ZeroDEV moved its entry into the overflow structure.
 func (m *Machine) handleDirSpill(spilled *directory.Entry) {
@@ -154,18 +185,7 @@ func (m *Machine) handleDirSpill(spilled *directory.Entry) {
 // directory-induced inclusion victims, the effect Fig. 15 studies), and a
 // relocated block loses its only locator and dies with it (§III-F).
 func (m *Machine) handleDirEviction(ev *directory.Entry) {
-	anyDirty := false
-	ev.Sharers.ForEach(func(id int) {
-		present, dirty := m.dropPrivate(&m.cores[id], ev.Addr)
-		anyDirty = anyDirty || dirty
-		if present && m.inMeasured(id) {
-			m.cores[id].stats.DirInclusionVictims++
-		}
-		if present && m.ring != nil {
-			// Arg 1: directory-induced back-invalidation.
-			m.ring.Record(obs.EvBackInval, int16(id), int16(m.llc.BankOf(ev.Addr)), ev.Addr, 1)
-		}
-	})
+	anyDirty := m.backInvalidate(&ev.Sharers, ev.Addr, true)
 	if ev.Relocated {
 		relocDirty := m.llc.InvalidateRelocated(ev.Loc)
 		if anyDirty || relocDirty {
@@ -205,17 +225,9 @@ func (m *Machine) handleFillOutcome(requester int, out *core.FillOutcome) {
 	if ev.InPrC && m.cfg.Mode == Inclusive {
 		anyDirty := ev.Dirty
 		if e, p, ok := m.dir.Find(ev.Addr); ok {
-			e.Sharers.ForEach(func(id int) {
-				present, dirty := m.dropPrivate(&m.cores[id], ev.Addr)
-				anyDirty = anyDirty || dirty
-				if present && m.inMeasured(id) {
-					m.cores[id].stats.InclusionVictims++
-				}
-				if present && m.ring != nil {
-					// Arg 0: LLC-eviction inclusion victim.
-					m.ring.Record(obs.EvBackInval, int16(id), int16(m.llc.BankOf(ev.Addr)), ev.Addr, 0)
-				}
-			})
+			if m.backInvalidate(&e.Sharers, ev.Addr, false) {
+				anyDirty = true
+			}
 			m.dir.Free(p)
 		}
 		if anyDirty {

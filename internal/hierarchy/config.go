@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"zivsim/internal/core"
+	"zivsim/internal/directory"
 	"zivsim/internal/dram"
 )
 
@@ -127,6 +128,9 @@ type Config struct {
 func (c Config) Validate() {
 	if c.Cores <= 0 {
 		panic("hierarchy: Cores must be positive")
+	}
+	if c.Cores > directory.MaxCores {
+		panic(fmt.Sprintf("hierarchy: %d cores exceed directory.MaxCores (%d), the width of a directory entry's sharer vector", c.Cores, directory.MaxCores))
 	}
 	if c.Scheme == core.SchemeZIV && c.Mode != Inclusive {
 		panic("hierarchy: ZIV is an inclusive-LLC design")

@@ -1,9 +1,14 @@
 package hierarchy
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"zivsim/internal/char"
 	"zivsim/internal/core"
+	"zivsim/internal/directory"
+	"zivsim/internal/energy"
 	"zivsim/internal/trace"
 )
 
@@ -249,23 +254,61 @@ func TestNonInclusiveFourthCase(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cases := []func(*Config){
-		func(c *Config) { c.Cores = 0 },
-		func(c *Config) { c.Scheme = core.SchemeZIV; c.Property = core.PropNotInPrC; c.Mode = NonInclusive },
-		func(c *Config) { c.Policy = PolicyMIN; c.Scheme = core.SchemeQBS },
-		func(c *Config) { c.LLCBytes = c.Cores * (c.L1Bytes + c.L2Bytes) }, // aggregate private >= LLC
+	cases := []struct {
+		mut  func(*Config)
+		want string // fragment of the panic message; "" accepts any
+	}{
+		{func(c *Config) { c.Cores = 0 }, ""},
+		{func(c *Config) { c.Scheme = core.SchemeZIV; c.Property = core.PropNotInPrC; c.Mode = NonInclusive }, ""},
+		{func(c *Config) { c.Policy = PolicyMIN; c.Scheme = core.SchemeQBS }, ""},
+		{func(c *Config) { c.LLCBytes = c.Cores * (c.L1Bytes + c.L2Bytes) }, ""}, // aggregate private >= LLC
+		// More cores than a sharer vector holds; non-inclusive, so the
+		// capacity rule cannot fire instead.
+		{func(c *Config) { c.Cores = directory.MaxCores + 1; c.Mode = NonInclusive }, "directory.MaxCores"},
 	}
-	for i, mut := range cases {
+	for i, tc := range cases {
 		cfg := testConfig()
-		mut(&cfg)
+		tc.mut(&cfg)
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("case %d did not panic", i)
+				} else if msg := fmt.Sprint(r); !strings.Contains(msg, tc.want) {
+					t.Errorf("case %d panicked with %q, want a message naming %q", i, msg, tc.want)
 				}
 			}()
 			cfg.Validate()
 		}()
+	}
+}
+
+// TestCharResetEveryInterval: the hierarchy's reset every
+// CharResetInterval eviction notices is the only one that restores a
+// lowered CHAR threshold. Each bank's threshold is lowered just before the
+// run, so pacing (a decrement at most once per 4096 notices) keeps it from
+// falling again during the short run; with an interval of 1, the notices of
+// the run must bring every bank back to char.DefaultD.
+func TestCharResetEveryInterval(t *testing.T) {
+	cfg := testConfig()
+	cfg.Scheme = core.SchemeZIV
+	cfg.Property = core.PropLikelyDead
+	cfg.CharResetInterval = 1
+	m := New(cfg, thrashGens(cfg, 17), 0, 500)
+	for i, th := range m.thresholders {
+		th.OnEmptyPV()
+		if d, _ := th.OnNotice(0); d != char.DefaultD-1 {
+			t.Fatalf("bank %d: d = %d after OnEmptyPV, want %d", i, d, char.DefaultD-1)
+		}
+	}
+	m.Run()
+	if m.noticeCount == 0 || m.noticeCount >= 4096 {
+		t.Fatalf("run sent %d eviction notices; the test needs between 1 and 4095", m.noticeCount)
+	}
+	for i, th := range m.thresholders {
+		if d, _ := th.OnNotice(0); d != char.DefaultD {
+			t.Errorf("bank %d: d = %d after the run, want %d", i, d, char.DefaultD)
+		}
 	}
 }
 
@@ -339,7 +382,7 @@ func TestEnergyAccounting(t *testing.T) {
 	if m.Meter().EPI(insts) <= 0 {
 		t.Error("EPI not positive")
 	}
-	if m.LLC().Stats.Relocations > 0 && m.Meter().Count(8 /* energy.Relocation */) == 0 {
+	if m.LLC().Stats.Relocations > 0 && m.Meter().Count(energy.Relocation) == 0 {
 		t.Error("relocations happened but no relocation energy recorded")
 	}
 }

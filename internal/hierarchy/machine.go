@@ -122,7 +122,7 @@ func New(cfg Config, gens []trace.Generator, warmup, measure int) *Machine {
 		}
 		m.thresholders = make([]*char.BankThresholder, cfg.LLCBanks)
 		for i := range m.thresholders {
-			m.thresholders[i] = char.NewBankThresholder(cfg.Cores, 4096, 0)
+			m.thresholders[i] = char.NewBankThresholder(cfg.Cores)
 		}
 	}
 
@@ -170,7 +170,7 @@ func (m *Machine) newLLCPolicy() policy.Policy {
 	case PolicyMIN:
 		return policy.NewMIN(m.minOracle)
 	case PolicySRRIP:
-		return policy.NewSRRIP(2)
+		return policy.NewSRRIP()
 	}
 	panic("hierarchy: unknown policy kind")
 }

@@ -11,7 +11,7 @@ package policy
 // vector covering 8x-associativity time quanta per sampled set.
 type Hawkeye struct {
 	rankBuf
-	sets, ways int
+	ways int
 
 	rrpv     []int
 	friendly []bool
@@ -20,9 +20,8 @@ type Hawkeye struct {
 
 	pred predictor
 
-	sampleMask  int // sets with (set & sampleMask) == sampleMatch are sampled
-	sampleMatch int
-	samplers    map[int]*optgenSet
+	sampleMask int // sets with set&sampleMask == 0 are sampled
+	samplers   map[int]*optgenSet
 }
 
 const (
@@ -129,18 +128,20 @@ func (o *optgenSet) access(addr, pc uint64) (trainPC uint64, optHit, trainable b
 	return trainPC, optHit, trainable
 }
 
-// NewHawkeye returns a Hawkeye policy sampling roughly one in sampleStride
-// sets (power of two; 8 mirrors the paper's ~6% sampling at LLC scale).
+// NewHawkeye returns a Hawkeye policy that samples one set in
+// sampleStride: the sets whose index is a multiple of it (a power of two;
+// values below 1 mean 8). The hierarchy builds every Hawkeye LLC bank with
+// stride 4, which samples 25% of its sets.
 func NewHawkeye(sampleStride int) *Hawkeye {
 	if sampleStride < 1 {
 		sampleStride = 8
 	}
-	return &Hawkeye{sampleMask: sampleStride - 1, sampleMatch: 0}
+	return &Hawkeye{sampleMask: sampleStride - 1}
 }
 
 // Init implements Policy.
 func (p *Hawkeye) Init(sets, ways int) {
-	p.sets, p.ways = sets, ways
+	p.ways = ways
 	n := sets * ways
 	p.rrpv = make([]int, n)
 	p.friendly = make([]bool, n)
@@ -156,7 +157,7 @@ func (p *Hawkeye) Init(sets, ways int) {
 	// stride mask, and creating one lazily would allocate mid-fill.
 	p.samplers = make(map[int]*optgenSet)
 	for set := 0; set < sets; set++ {
-		if set&p.sampleMask == p.sampleMatch {
+		if set&p.sampleMask == 0 {
 			p.samplers[set] = newOptgenSet(ways)
 		}
 	}
@@ -164,7 +165,7 @@ func (p *Hawkeye) Init(sets, ways int) {
 }
 
 func (p *Hawkeye) sampler(set int) *optgenSet {
-	if set&p.sampleMask != p.sampleMatch {
+	if set&p.sampleMask != 0 {
 		return nil
 	}
 	return p.samplers[set]

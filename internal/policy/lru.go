@@ -6,9 +6,9 @@ import "math/bits"
 // timestamps. Victim ranking is oldest-first.
 type LRU struct {
 	rankBuf
-	sets, ways int
-	stamp      []uint64 // sets*ways access timestamps; 0 = never touched
-	clock      uint64
+	ways  int
+	stamp []uint64 // sets*ways access timestamps; 0 = never touched
+	clock uint64
 }
 
 // NewLRU returns a true-LRU policy.
@@ -16,7 +16,7 @@ func NewLRU() *LRU { return &LRU{} }
 
 // Init implements Policy.
 func (p *LRU) Init(sets, ways int) {
-	p.sets, p.ways = sets, ways
+	p.ways = ways
 	p.stamp = make([]uint64, sets*ways)
 	p.clock = 0
 	p.grow(ways)

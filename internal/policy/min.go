@@ -57,12 +57,12 @@ func (o *StreamOracle) NextUse(addr, after uint64) uint64 {
 // because inclusion victims would otherwise perturb the LLC stream.
 type MIN struct {
 	rankBuf
-	sets, ways int
-	oracle     Oracle
-	addr       []uint64 // block address per (set, way)
-	valid      []bool
-	now        uint64 // most recent global stream position observed
-	nextUse    []uint64
+	ways    int
+	oracle  Oracle
+	addr    []uint64 // block address per (set, way)
+	valid   []bool
+	now     uint64 // most recent global stream position observed
+	nextUse []uint64
 }
 
 // NewMIN returns the offline MIN policy driven by the given oracle.
@@ -70,7 +70,7 @@ func NewMIN(oracle Oracle) *MIN { return &MIN{oracle: oracle} }
 
 // Init implements Policy.
 func (p *MIN) Init(sets, ways int) {
-	p.sets, p.ways = sets, ways
+	p.ways = ways
 	p.addr = make([]uint64, sets*ways)
 	p.valid = make([]bool, sets*ways)
 	p.nextUse = make([]uint64, ways)

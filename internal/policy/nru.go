@@ -8,8 +8,8 @@ import "math/bits"
 // referenced are cleared.
 type NRU struct {
 	rankBuf
-	sets, ways int
-	ref        []bool
+	ways int
+	ref  []bool
 }
 
 // NewNRU returns a 1-bit NRU policy.
@@ -17,7 +17,7 @@ func NewNRU() *NRU { return &NRU{} }
 
 // Init implements Policy.
 func (p *NRU) Init(sets, ways int) {
-	p.sets, p.ways = sets, ways
+	p.ways = ways
 	p.ref = make([]bool, sets*ways)
 	p.grow(ways)
 }

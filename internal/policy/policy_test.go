@@ -80,7 +80,7 @@ func allPolicies(oracle Oracle) []namedPolicy {
 	return []namedPolicy{
 		{"LRU", func() Policy { return NewLRU() }},
 		{"NRU", func() Policy { return NewNRU() }},
-		{"SRRIP", func() Policy { return NewSRRIP(2) }},
+		{"SRRIP", func() Policy { return NewSRRIP() }},
 		{"Hawkeye", func() Policy { return NewHawkeye(2) }},
 		{"MIN", func() Policy { return NewMIN(oracle) }},
 	}
@@ -158,7 +158,7 @@ func TestNRUVictimIsUnreferenced(t *testing.T) {
 }
 
 func TestSRRIPInsertionAndPromotion(t *testing.T) {
-	p := NewSRRIP(2)
+	p := NewSRRIP()
 	p.Init(1, 4)
 	p.OnFill(0, 0, Meta{})
 	if got := p.RRPV(0, 0); got != 2 {
@@ -174,7 +174,7 @@ func TestSRRIPInsertionAndPromotion(t *testing.T) {
 }
 
 func TestSRRIPAgingOnRank(t *testing.T) {
-	p := NewSRRIP(2)
+	p := NewSRRIP()
 	p.Init(1, 2)
 	p.OnFill(0, 0, Meta{})
 	p.OnFill(0, 1, Meta{})
@@ -191,7 +191,7 @@ func TestSRRIPAgingOnRank(t *testing.T) {
 }
 
 func TestSRRIPRanksDescendingRRPV(t *testing.T) {
-	p := NewSRRIP(2)
+	p := NewSRRIP()
 	p.Init(1, 3)
 	p.OnFill(0, 0, Meta{}) // 2
 	p.OnFill(0, 1, Meta{}) // 2

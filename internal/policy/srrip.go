@@ -1,32 +1,27 @@
 package policy
 
 // SRRIP implements static re-reference interval prediction (Jaleel et al.,
-// ISCA 2010) with configurable RRPV width. Fills insert at long re-reference
-// (max-1), hits promote to 0, and victim selection ages the set until some
-// block reaches the distant-future value.
+// ISCA 2010) with the paper-standard 2-bit RRPVs. Fills insert at long
+// re-reference (max-1), hits promote to 0, and victim selection ages the set
+// until some block reaches the distant-future value.
 type SRRIP struct {
 	rankBuf
-	sets, ways int
-	bits       int
-	max        int
-	rrpv       []int
+	ways int
+	rrpv []int
 }
 
-// NewSRRIP returns an SRRIP policy with the given RRPV width in bits
-// (2 is the paper-standard configuration).
-func NewSRRIP(bits int) *SRRIP {
-	if bits < 1 {
-		bits = 2
-	}
-	return &SRRIP{bits: bits, max: (1 << bits) - 1}
-}
+// srripMaxRRPV is the distant-future value of a 2-bit RRPV.
+const srripMaxRRPV = 3
+
+// NewSRRIP returns a 2-bit SRRIP policy.
+func NewSRRIP() *SRRIP { return &SRRIP{} }
 
 // Init implements Policy.
 func (p *SRRIP) Init(sets, ways int) {
-	p.sets, p.ways = sets, ways
+	p.ways = ways
 	p.rrpv = make([]int, sets*ways)
 	for i := range p.rrpv {
-		p.rrpv[i] = p.max
+		p.rrpv[i] = srripMaxRRPV
 	}
 	p.grow(ways)
 }
@@ -35,13 +30,13 @@ func (p *SRRIP) Init(sets, ways int) {
 func (p *SRRIP) OnHit(set, way int, _ Meta) { p.rrpv[set*p.ways+way] = 0 }
 
 // OnFill implements Policy: insert with long re-reference interval.
-func (p *SRRIP) OnFill(set, way int, _ Meta) { p.rrpv[set*p.ways+way] = p.max - 1 }
+func (p *SRRIP) OnFill(set, way int, _ Meta) { p.rrpv[set*p.ways+way] = srripMaxRRPV - 1 }
 
 // OnEvict implements Policy.
-func (p *SRRIP) OnEvict(set, way int) { p.rrpv[set*p.ways+way] = p.max }
+func (p *SRRIP) OnEvict(set, way int) { p.rrpv[set*p.ways+way] = srripMaxRRPV }
 
 // OnInvalidate implements Policy.
-func (p *SRRIP) OnInvalidate(set, way int) { p.rrpv[set*p.ways+way] = p.max }
+func (p *SRRIP) OnInvalidate(set, way int) { p.rrpv[set*p.ways+way] = srripMaxRRPV }
 
 // Rank implements Policy: descending RRPV (ties broken by way index). The
 // aging step of the canonical algorithm (incrementing all RRPVs until one
@@ -78,7 +73,7 @@ func (p *SRRIP) age(set int) []int {
 			maxSeen = r
 		}
 	}
-	if delta := p.max - maxSeen; delta > 0 {
+	if delta := srripMaxRRPV - maxSeen; delta > 0 {
 		for w := range rrpv {
 			rrpv[w] += delta
 		}
@@ -90,7 +85,7 @@ func (p *SRRIP) age(set int) []int {
 func (p *SRRIP) RRPV(set, way int) int { return p.rrpv[set*p.ways+way] }
 
 // MaxRRPV implements RRPVer.
-func (p *SRRIP) MaxRRPV() int { return p.max }
+func (p *SRRIP) MaxRRPV() int { return srripMaxRRPV }
 
 var (
 	_ Policy = (*SRRIP)(nil)

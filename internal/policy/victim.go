@@ -32,7 +32,7 @@ func (p *NRU) Victim(set int) int {
 // sort.
 func (p *SRRIP) Victim(set int) int {
 	for w, r := range p.age(set) {
-		if r == p.max {
+		if r == srripMaxRRPV {
 			return w
 		}
 	}

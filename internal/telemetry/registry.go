@@ -104,12 +104,12 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // series is one labeled instrument of a family. Exactly one of c/g/h is
-// non-nil, matching the family kind.
+// non-nil, matching the family kind. Its family's series map keys it by
+// its rendered, key-sorted label signature ("" for none).
 type series struct {
-	labels string // rendered, key-sorted label signature ("" for none)
-	c      *Counter
-	g      *Gauge
-	h      *Histogram
+	c *Counter
+	g *Gauge
+	h *Histogram
 }
 
 // family is one metric name: its kind, help text and every label
@@ -195,7 +195,7 @@ func (r *Registry) lookup(name, help string, kind metricKind, buckets []float64,
 	}
 	s := fam.series[sig]
 	if s == nil {
-		s = &series{labels: sig}
+		s = &series{}
 		switch kind {
 		case kindCounter:
 			s.c = &Counter{}
