@@ -95,11 +95,18 @@ obs-smoke:
 # SIGKILLed once its store holds two results, and the rerun over that
 # store must match a clean run byte for byte while its ledger shows at
 # least two results adopted from the store and at least one simulated.
+# Then a failed job shared by six figures: `-fig all` with one job
+# faulted must exit 3 and count that job once — one failed job on
+# stderr, "| 1 failed |" on the last progress line and one failed row
+# in the ledger report — and a faultspec naming an attempt count
+# (`panic:X@1`) must be rejected with exit 2.
 # Uses built binaries, not `go run`, because go run collapses exit codes.
 RESUME_SMOKE_FLAGS = -fig fig1 -scale 32 -cores 2 -mixes 2 -homo 0 \
 	-warmup 1000 -refs 4000 -parallel 1 -csv
 RESUME_SMOKE_MT_FLAGS = -fig fig16 -scale 32 -cores 2 -mixes 2 -homo 0 \
 	-warmup 1000 -refs 4000 -tpce-cores 4 -parallel 1 -csv
+RESUME_SMOKE_ALL_FLAGS = -fig all -scale 32 -cores 2 -mixes 1 -homo 0 \
+	-warmup 1000 -refs 4000 -tpce-cores 4 -parallel 2 -csv
 
 resume-smoke:
 	rm -rf resume-smoke.tmp && mkdir -p resume-smoke.tmp
@@ -150,6 +157,25 @@ resume-smoke:
 		echo "resume-smoke: rerun after the kill: $$hits cache-hit, $$done done; want >= 2 and >= 1"; \
 		cat resume-smoke.tmp/killed.md; exit 1; fi; \
 	echo "resume-smoke: rerun after SIGKILL is byte-identical ($$hits adopted, $$done simulated)"
+	./resume-smoke.tmp/zivsim $(RESUME_SMOKE_ALL_FLAGS) -progress -ledger resume-smoke.tmp/faulted.ndjson \
+		-faultspec 'panic:NI-LRU-256KB|hetero.00' > resume-smoke.tmp/faulted.csv \
+		2> resume-smoke.tmp/faulted.log; \
+		st=$$?; if [ $$st -ne 3 ]; then \
+			echo "resume-smoke: faulted -fig all: want exit 3 (failed jobs), got $$st"; exit 1; fi
+	@grep -q '^zivsim: 1 job(s) failed' resume-smoke.tmp/faulted.log || { \
+		echo "resume-smoke: faulted -fig all: want one failed job on stderr"; \
+		grep 'job(s) failed' resume-smoke.tmp/faulted.log; exit 1; }
+	@last=$$(tr '\r' '\n' < resume-smoke.tmp/faulted.log | grep 'runs' | tail -1); \
+	echo "$$last" | grep -q '| 1 failed |' || { \
+		echo "resume-smoke: faulted -fig all: last progress line '$$last' does not count one failed job"; exit 1; }
+	./resume-smoke.tmp/zivreport -ledger resume-smoke.tmp/faulted.ndjson > resume-smoke.tmp/faulted.md
+	@grep -q '^| failed | 1 |$$' resume-smoke.tmp/faulted.md || { \
+		echo "resume-smoke: faulted -fig all: the ledger does not count one failed job"; \
+		cat resume-smoke.tmp/faulted.md; exit 1; }
+	@echo "resume-smoke: a failed job shared by every figure ran and was counted once"
+	./resume-smoke.tmp/zivsim -fig fig1 -faultspec 'panic:X@1' > /dev/null 2>&1; \
+		st=$$?; if [ $$st -ne 2 ]; then \
+			echo "resume-smoke: -faultspec 'panic:X@1': want exit 2 (invalid options), got $$st"; exit 1; fi
 	rm -rf resume-smoke.tmp
 
 # End-to-end telemetry check (OPERATIONS.md): run a tiny sweep with the

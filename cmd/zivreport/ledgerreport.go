@@ -1,6 +1,6 @@
 // Ledger reporting: `zivreport -ledger` summarizes a telemetry run
 // ledger (written by `zivsim -ledger`) as markdown — outcome counts,
-// wall-time percentiles, cache-hit rate and the retry/fault breakdown —
+// wall-time percentiles, cache-hit rate and the fault breakdown —
 // and `zivreport -checkmetrics` validates a scraped /metrics exposition
 // the way CI's telemetry-smoke job does.
 package main
@@ -15,15 +15,6 @@ import (
 	"zivsim/internal/telemetry"
 )
 
-// terminalLedgerOutcomes are the per-job outcomes in report order; every
-// job contributes exactly one (retry records are per-attempt extras).
-var terminalLedgerOutcomes = []string{
-	telemetry.OutcomeDone,
-	telemetry.OutcomeCacheHit,
-	telemetry.OutcomeFailed,
-	telemetry.OutcomeSkipped,
-}
-
 // ledgerReport renders the ledger at path as a markdown summary on w.
 func ledgerReport(path string, w io.Writer) error {
 	hdr, recs, err := telemetry.ReadLedger(path)
@@ -34,19 +25,16 @@ func ledgerReport(path string, w io.Writer) error {
 	byOutcome := map[string]int{}
 	errCounts := map[string]int{}
 	var doneDurUS []int64
-	var attempts, retries int
+	var simulated int
 	var totalRefs uint64
 	var totalDurUS int64
 	for _, rec := range recs {
 		byOutcome[rec.Outcome]++
-		if rec.Attempt > 0 {
-			attempts++
+		if rec.Type == telemetry.SimAttemptEnd {
+			simulated++
 			totalDurUS += rec.DurUS
 		}
 		switch rec.Outcome {
-		case telemetry.OutcomeRetry:
-			retries++
-			errCounts[rec.Err]++
 		case telemetry.OutcomeFailed:
 			errCounts[rec.Err]++
 		case telemetry.OutcomeDone:
@@ -55,7 +43,7 @@ func ledgerReport(path string, w io.Writer) error {
 		}
 	}
 	terminal := 0
-	for _, oc := range terminalLedgerOutcomes {
+	for _, oc := range telemetry.TerminalOutcomes {
 		terminal += byOutcome[oc]
 	}
 
@@ -65,7 +53,7 @@ func ledgerReport(path string, w io.Writer) error {
 		fmt.Fprintf(w, ", options %.12s…", hdr.Options)
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "- jobs: %d terminal, %d attempts (%d retried)\n", terminal, attempts, retries)
+	fmt.Fprintf(w, "- jobs: %d terminal, %d simulated\n", terminal, simulated)
 	if terminal > 0 {
 		adopted := byOutcome[telemetry.OutcomeCacheHit]
 		fmt.Fprintf(w, "- cache-hit rate: %.1f%% (%d of %d served without running)\n",
@@ -78,11 +66,8 @@ func ledgerReport(path string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "\n| outcome | jobs |\n|---|---|\n")
-	for _, oc := range terminalLedgerOutcomes {
+	for _, oc := range telemetry.TerminalOutcomes {
 		fmt.Fprintf(w, "| %s | %d |\n", oc, byOutcome[oc])
-	}
-	if retries > 0 {
-		fmt.Fprintf(w, "| (retry attempts) | %d |\n", retries)
 	}
 
 	if len(doneDurUS) > 0 {
@@ -95,23 +80,19 @@ func ledgerReport(path string, w io.Writer) error {
 	}
 
 	if len(errCounts) > 0 {
-		type ec struct {
-			err string
-			n   int
+		errs := make([]string, 0, len(errCounts))
+		for e := range errCounts {
+			errs = append(errs, e)
 		}
-		ecs := make([]ec, 0, len(errCounts))
-		for e, n := range errCounts {
-			ecs = append(ecs, ec{e, n})
-		}
-		sort.Slice(ecs, func(i, j int) bool {
-			if ecs[i].n != ecs[j].n {
-				return ecs[i].n > ecs[j].n
+		sort.Slice(errs, func(i, j int) bool {
+			if ni, nj := errCounts[errs[i]], errCounts[errs[j]]; ni != nj {
+				return ni > nj
 			}
-			return ecs[i].err < ecs[j].err
+			return errs[i] < errs[j]
 		})
-		fmt.Fprintf(w, "\n| fault | failed attempts |\n|---|---|\n")
-		for _, e := range ecs {
-			fmt.Fprintf(w, "| %s | %d |\n", e.err, e.n)
+		fmt.Fprintf(w, "\n| fault | failed jobs |\n|---|---|\n")
+		for _, e := range errs {
+			fmt.Fprintf(w, "| %s | %d |\n", e, errCounts[e])
 		}
 	}
 	return nil

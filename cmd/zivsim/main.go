@@ -17,7 +17,7 @@
 //	zivsim -config               # print the simulated machine (Table I)
 //
 // Long sweeps are fault-isolated: a panic in one simulation fails that
-// job only (after -retries attempts) and the sweep continues. SIGINT or
+// job only — it runs once — and the sweep continues. SIGINT or
 // SIGTERM triggers a graceful drain — dispatching stops, in-flight jobs
 // finish (bounded by -job-deadline), completed work is flushed to the
 // -store directory and observability artifacts — and a second signal
@@ -34,6 +34,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -73,15 +74,14 @@ func run() int {
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned text")
 
 		storeDir    = flag.String("store", "", "result store directory: every finished simulation is stored there and reused, so rerunning with the same -store resumes a sweep (empty = off)")
-		retries     = flag.Int("retries", 2, "attempts per job before it is recorded as failed")
 		jobDeadline = flag.Duration("job-deadline", 0, "after an interrupt, how long to wait for in-flight jobs (0 = until they finish)")
-		faultspec   = flag.String("faultspec", "", "deterministic fault injection for testing, e.g. 'panic:KEY@1;drain-after:3' (see OPERATIONS.md)")
+		faultspec   = flag.String("faultspec", "", "deterministic fault injection for testing, e.g. 'panic:KEY;drain-after:3' (see OPERATIONS.md)")
 		obsIval     = flag.Uint64("obs-interval", 0, "sample machine counters every N simulated cycles and keep each run's last 4096 simulator events (0 = off)")
 		obsOut      = flag.String("obs-out", "obsout", "directory for observability artifacts (trace/NDJSON/CSV)")
 		progress    = flag.Bool("progress", false, "live run progress on stderr")
 		telAddr     = flag.String("telemetry-addr", "", "serve /metrics, /healthz and /debug/pprof on this address for the duration of the run (empty = off)")
 		telLinger   = flag.Duration("telemetry-linger", 0, "keep the telemetry endpoint serving this long after the sweep finishes (interrupt to stop early)")
-		ledgerPath  = flag.String("ledger", "", "append one NDJSON record per job attempt to this run-ledger file (see zivreport -ledger)")
+		ledgerPath  = flag.String("ledger", "", "append one NDJSON record per job to this run-ledger file (see zivreport -ledger)")
 		sweepTrace  = flag.String("sweep-trace", "", "write the sweep's per-job lifecycle timeline as Chrome trace JSON to this file")
 	)
 	flag.Parse()
@@ -95,7 +95,6 @@ func run() int {
 	opt := options()
 	opt.Parallelism = *par
 	opt.CacheDir = *storeDir
-	opt.MaxAttempts = *retries
 	opt.FaultSpec = *faultspec
 	if *obsIval > 0 {
 		opt.Obs = &harness.ObsOptions{IntervalCycles: *obsIval, OutDir: *obsOut}
@@ -105,7 +104,7 @@ func run() int {
 		return exitUsage
 	}
 	if *showCfg {
-		printConfig(opt.Cores, opt.Scale)
+		printConfig(os.Stdout, opt.Cores, opt.Scale)
 		return exitOK
 	}
 	if *figID == "" {
@@ -290,21 +289,33 @@ func reportFailures(st harness.SweepStatus, experimentPanics int) {
 	fmt.Fprintln(os.Stderr, "zivsim: rerun with the same -store to retry only the failed jobs (see OPERATIONS.md)")
 }
 
-// printConfig echoes the simulated machine parameters (the paper's Table I)
-// for each L2 configuration.
-func printConfig(cores, scale int) {
-	fmt.Printf("Simulated CMP (scale 1/%d of the paper's machine)\n\n", scale)
+// printConfig writes the simulated machine parameters (the paper's
+// Table I) for each L2 configuration to w.
+func printConfig(w io.Writer, cores, scale int) {
+	fmt.Fprintf(w, "Simulated CMP (scale 1/%d of the paper's machine)\n\n", scale)
 	for _, l2 := range []int{256 << 10, 512 << 10, 768 << 10} {
 		cfg := hierarchy.DefaultConfig(cores, l2, scale)
-		fmt.Printf("L2 %dKB configuration:\n", l2>>10)
-		fmt.Printf("  cores:            %d (x86-like trace-driven, 4 GHz)\n", cfg.Cores)
-		fmt.Printf("  L1D:              %d KB, %d-way, LRU, %d-cycle\n", cfg.L1Bytes>>10, cfg.L1Ways, cfg.L1Latency)
-		fmt.Printf("  L2:               %d KB, %d-way, LRU, %d-cycle\n", cfg.L2Bytes>>10, cfg.L2Ways, cfg.L2Latency)
-		fmt.Printf("  LLC:              %d MB total, %d banks, %d-way, tag %d + data %d cycles\n",
-			cfg.LLCBytes>>20, cfg.LLCBanks, cfg.LLCWays, cfg.LLCTagLat, cfg.LLCDataLat)
-		fmt.Printf("  sparse directory: %.2gx, %d-way, NRU\n", cfg.DirFactor, cfg.DirWays)
-		fmt.Printf("  relocated access: +%d cycles\n", cfg.RelocAccessDelta)
-		fmt.Printf("  memory:           %d ch DDR3-2133, %d ranks, %d banks, %dB rows\n\n",
+		fmt.Fprintf(w, "L2 %dKB configuration:\n", l2>>10)
+		fmt.Fprintf(w, "  cores:            %d (x86-like trace-driven, 4 GHz)\n", cfg.Cores)
+		fmt.Fprintf(w, "  L1D:              %s, %d-way, LRU, %d-cycle\n", size(cfg.L1Bytes), cfg.L1Ways, cfg.L1Latency)
+		fmt.Fprintf(w, "  L2:               %s, %d-way, LRU, %d-cycle\n", size(cfg.L2Bytes), cfg.L2Ways, cfg.L2Latency)
+		fmt.Fprintf(w, "  LLC:              %s total, %d banks, %d-way, tag %d + data %d cycles\n",
+			size(cfg.LLCBytes), cfg.LLCBanks, cfg.LLCWays, cfg.LLCTagLat, cfg.LLCDataLat)
+		fmt.Fprintf(w, "  sparse directory: %.2gx, %d-way, NRU\n", cfg.DirFactor, cfg.DirWays)
+		fmt.Fprintf(w, "  relocated access: +%d cycles\n", cfg.RelocAccessDelta)
+		fmt.Fprintf(w, "  memory:           %d ch DDR3-2133, %d ranks, %d banks, %dB rows\n\n",
 			cfg.Mem.Channels, cfg.Mem.Ranks, cfg.Mem.Banks, cfg.Mem.RowBytes)
 	}
+}
+
+// size renders a byte count in the largest of MB, KB and B that divides
+// it exactly, so scaled-down caches never print as zero.
+func size(bytes int) string {
+	switch {
+	case bytes >= 1<<20 && bytes%(1<<20) == 0:
+		return fmt.Sprintf("%d MB", bytes>>20)
+	case bytes >= 1<<10 && bytes%(1<<10) == 0:
+		return fmt.Sprintf("%d KB", bytes>>10)
+	}
+	return fmt.Sprintf("%d B", bytes)
 }

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zivsim/internal/harness"
@@ -35,6 +36,28 @@ func TestModelFlags(t *testing.T) {
 		}
 		if got := options(); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%q: options = %+v, want %+v", c.args, got, c.want)
+		}
+	}
+}
+
+// TestPrintConfigSizes checks that -config prints every cache in the
+// largest unit that divides it exactly, so the scaled-down machines the
+// smoke runs use never print a cache as zero.
+func TestPrintConfigSizes(t *testing.T) {
+	for _, c := range []struct {
+		cores, scale int
+		want         []string
+	}{
+		{8, 32, []string{"  LLC:              256 KB total,", "  L1D:              1 KB,"}},
+		{2, 64, []string{"  L1D:              512 B,", "  LLC:              32 KB total,"}},
+		{8, 1, []string{"  LLC:              8 MB total,", "  L2:               768 KB,"}},
+	} {
+		var b strings.Builder
+		printConfig(&b, c.cores, c.scale)
+		for _, want := range c.want {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("cores %d scale %d: output lacks %q:\n%s", c.cores, c.scale, want, b.String())
+			}
 		}
 	}
 }

@@ -61,7 +61,6 @@ func run() int {
 		queueDepth    = flag.Int("queue-depth", 8, "max pending (queued+running) jobs per client before submissions get 429")
 		workers       = flag.Int("workers", 1, "how many sweeps run concurrently (each parallelizes internally)")
 		par           = flag.Int("parallel", 0, "cap on each sweep's concurrent simulations (0 = no cap; submissions may ask for less)")
-		retries       = flag.Int("retries", 2, "attempts per simulation before it is recorded as failed")
 		reqTimeout    = flag.Duration("request-timeout", 10*time.Second, "deadline for non-streaming API requests")
 		drainDeadline = flag.Duration("drain-deadline", 0, "after an interrupt, how long to wait for in-flight sweeps (0 = until they finish)")
 	)
@@ -77,7 +76,6 @@ func run() int {
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		Parallelism:    *par,
-		Retries:        *retries,
 		RequestTimeout: *reqTimeout,
 	})
 	if err != nil {

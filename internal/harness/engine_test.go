@@ -53,7 +53,6 @@ func TestIdentityKeyCanonical(t *testing.T) {
 	neutral := opt
 	neutral.Parallelism = 7
 	neutral.CacheDir = "/elsewhere"
-	neutral.MaxAttempts = 9
 	if k, _ := (Request{Figs: []string{"fig8"}, Options: neutral}).IdentityKey(); k != base {
 		t.Fatal("result-neutral options changed the identity key")
 	}
@@ -113,7 +112,6 @@ func TestIdentityHashNormalizesOptions(t *testing.T) {
 	neutral := a
 	neutral.Parallelism = 7
 	neutral.CacheDir = "/elsewhere"
-	neutral.MaxAttempts = 3
 	neutral.FaultSpec = "drain-after:1"
 	if a.IdentityHash() != neutral.IdentityHash() {
 		t.Error("result-neutral options changed the options identity")
@@ -191,7 +189,6 @@ func TestSweepReportCountsOwnJobs(t *testing.T) {
 	o.Warmup = 200
 	o.Measure = 800
 	o.Parallelism = 1
-	o.MaxAttempts = 1
 
 	faulted := o
 	faulted.FaultSpec = "panic:NI-LRU"

@@ -1,15 +1,17 @@
 // Fault isolation and deterministic fault injection.
 //
 // Long sweeps must survive a single misbehaving job: a panic inside one
-// simulation is recovered per attempt, retried a bounded number of times
-// (immediately — no wall clock enters the decision path) and, if it keeps
-// failing, recorded as a FailedJob diagnostic instead of killing the
-// sweep. A Drain value coordinates graceful shutdown: once requested, the
-// worker pool stops dispatching new jobs and in-flight simulations either
-// finish or are abandoned when the drain deadline expires.
+// simulation is recovered and recorded as a FailedJob diagnostic instead
+// of killing the sweep. The job runs once: a simulation is a pure
+// function of its configuration, mix and seed, so running it again in
+// the same sweep would panic again. Recovery is a rerun over the result
+// store, which simulates exactly the jobs that did not finish. A Drain
+// value coordinates graceful shutdown: once requested, the worker pool
+// stops dispatching new jobs and in-flight simulations either finish or
+// are abandoned when the drain deadline expires.
 //
 // Faults are injected deterministically through Options.FaultSpec so the
-// recovery, retry, store and drain paths are testable end to end
+// recovery, store and drain paths are testable end to end
 // (see resilience_test.go and the CI resume-smoke job). The spec grammar
 // is documented on Options.FaultSpec.
 package harness
@@ -21,8 +23,8 @@ import (
 	"sync"
 )
 
-// FailedJob is the diagnostic recorded for a job that exhausted its
-// attempts. It carries everything needed to reproduce the failure in
+// FailedJob is the diagnostic recorded for a job whose simulation
+// panicked. It carries everything needed to reproduce the failure in
 // isolation: the configuration label, the mix, and the sweep seed.
 type FailedJob struct {
 	// CfgLabel is the machine-configuration label of the failed job.
@@ -32,18 +34,15 @@ type FailedJob struct {
 	// Seed is the sweep seed; rerunning the same (config, mix) under it
 	// reproduces the failure deterministically.
 	Seed uint64 `json:"seed"`
-	// Attempts is how many times the job was attempted before giving up.
-	Attempts int `json:"attempts"`
 	// Err is the recovered panic value, formatted.
 	Err string `json:"err"`
-	// Stack is the goroutine stack captured at the final failing attempt.
+	// Stack is the goroutine stack captured where the job panicked.
 	Stack string `json:"stack,omitempty"`
 }
 
 // String renders a one-line summary (the stack is reported separately).
 func (f FailedJob) String() string {
-	return fmt.Sprintf("%s on %s (seed %d): %s after %d attempt(s)",
-		f.CfgLabel, f.Mix, f.Seed, f.Err, f.Attempts)
+	return fmt.Sprintf("%s on %s (seed %d): %s", f.CfgLabel, f.Mix, f.Seed, f.Err)
 }
 
 // Drain coordinates graceful shutdown of a sweep. Request stops the
@@ -98,9 +97,8 @@ func (d *Drain) expired() <-chan struct{} {
 
 // faultRule is one parsed FaultSpec directive.
 type faultRule struct {
-	kind     string // "panic", "corrupt", "hang"
-	substr   string // matched against the job key "cfgLabel|mixName"
-	attempts int    // panic: fail attempts <= attempts (0 = every attempt)
+	kind   string // "panic", "corrupt", "hang"
+	substr string // matched against the job key "cfgLabel|mixName"
 }
 
 // faultPlan is a compiled FaultSpec.
@@ -137,22 +135,13 @@ func compileFaultSpec(spec string) (*faultPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("faultspec: %q: want KIND:ARG", dir)
 		}
+		if strings.Contains(arg, "@") {
+			// No job key contains "@", so such an argument would
+			// silently match no job.
+			return nil, fmt.Errorf("faultspec: %q: \"@\" is not part of the grammar", dir)
+		}
 		switch kind {
-		case "panic":
-			substr, att, hasAt := strings.Cut(arg, "@")
-			rule := faultRule{kind: "panic", substr: substr}
-			if hasAt {
-				n, err := strconv.Atoi(att)
-				if err != nil || n < 1 {
-					return nil, fmt.Errorf("faultspec: %q: attempt count must be a positive integer", dir)
-				}
-				rule.attempts = n
-			}
-			if rule.substr == "" {
-				return nil, fmt.Errorf("faultspec: %q: empty job substring", dir)
-			}
-			plan.rules = append(plan.rules, rule)
-		case "corrupt", "hang":
+		case "panic", "corrupt", "hang":
 			if arg == "" {
 				return nil, fmt.Errorf("faultspec: %q: empty job substring", dir)
 			}
@@ -170,10 +159,10 @@ func compileFaultSpec(spec string) (*faultPlan, error) {
 	return plan, nil
 }
 
-// beforeAttempt runs the panic/hang faults that apply to an attempt of
-// the job identified by key. Called from inside the recovered attempt, so
-// an injected panic follows the same path as a genuine simulator bug.
-func (p *faultPlan) beforeAttempt(key string, attempt int) {
+// beforeAttempt runs the panic/hang faults that apply to the job
+// identified by key. Called from inside the recovered attempt, so an
+// injected panic follows the same path as a genuine simulator bug.
+func (p *faultPlan) beforeAttempt(key string) {
 	if p == nil {
 		return
 	}
@@ -188,9 +177,7 @@ func (p *faultPlan) beforeAttempt(key string, attempt int) {
 				<-g.release
 			}
 		case "panic":
-			if r.attempts == 0 || attempt <= r.attempts {
-				panic(fmt.Sprintf("faultspec: injected panic for %s (attempt %d)", key, attempt))
-			}
+			panic("faultspec: injected panic for " + key)
 		}
 	}
 }

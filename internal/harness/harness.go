@@ -64,23 +64,13 @@ type Options struct {
 	// that), so it is excluded from cache keys — but artifact production
 	// needs real runs, so obs runs bypass the result-store read path.
 	Obs *ObsOptions `json:"-"`
-	// MaxAttempts bounds how many times a panicking job is attempted
-	// before it is recorded as failed; 0 and 1 both mean a single attempt.
-	// Retries are immediate re-executions of the same pure simulation —
-	// no wall clock enters the decision path — so they only help against
-	// faults injected per attempt (and real-world transients like memory
-	// pressure), never against deterministic simulator bugs. Cannot affect
-	// results, so it is excluded from cache keys.
-	MaxAttempts int `json:"-"`
 	// FaultSpec injects deterministic faults for testing the recovery,
-	// retry, store and drain machinery. Empty injects nothing; Validate
-	// rejects a spec outside the grammar of semicolon-separated
-	// directives:
+	// store and drain machinery. Empty injects nothing; Validate rejects
+	// a spec outside the grammar of semicolon-separated directives (no
+	// argument may contain "@"):
 	//
-	//	panic:SUBSTR       panic every attempt of jobs whose "cfgLabel|mix"
-	//	                   key contains SUBSTR
-	//	panic:SUBSTR@N     panic only on attempts 1..N (the job succeeds on
-	//	                   attempt N+1 if retries allow)
+	//	panic:SUBSTR       panic in jobs whose "cfgLabel|mix" key
+	//	                   contains SUBSTR
 	//	corrupt:SUBSTR     store only the first half of the matching job's
 	//	                   result-store entry (exercises the corruption-
 	//	                   tolerant read path)
@@ -246,9 +236,10 @@ type runner struct {
 	opt  Options
 	plan *faultPlan // opt.FaultSpec compiled; nil injects nothing
 	mu   sync.Mutex
-	// jobs records every job the sweep has settled, by key. Only done
-	// and adopted jobs are final: a later runAll over the same matrix
-	// re-attempts a failed or skipped one.
+	// jobs records every job the sweep has settled, by key. A settled
+	// job is final: a later runAll over an overlapping matrix reuses its
+	// record, so each job runs at most once per sweep (recovery is a
+	// rerun over the result store).
 	//ziv:guards(mu)
 	jobs map[string]jobRecord
 	// completedRuns counts the sweep's real simulations (adoptions
@@ -287,7 +278,6 @@ func (o Options) normalized() Options {
 	o.Parallelism = 0
 	o.CacheDir = ""
 	o.Obs = nil
-	o.MaxAttempts = 0
 	o.FaultSpec = ""
 	o.Drain = nil
 	o.Telemetry = nil
@@ -327,9 +317,9 @@ func (r *runner) nominalRefs(j job) uint64 {
 // which keeps the dispatch sequence deterministic (results are keyed, so
 // completion order never affects output).
 //
-// The pool is fault-isolated: a panic inside one simulation is recovered,
-// retried up to Options.MaxAttempts times, and finally recorded as a
-// FailedJob — the rest of the sweep is unaffected. Completed jobs are
+// The pool is fault-isolated: a panic inside one simulation is recovered
+// and recorded as a FailedJob — the rest of the sweep is unaffected. Only
+// jobs the sweep has not settled yet are queued. Completed jobs are
 // stored (when CacheDir is set) as they finish, and a requested Drain
 // stops dispatch, waits for in-flight jobs until the drain expires, and
 // marks everything left as skipped.
@@ -344,9 +334,9 @@ func (r *runner) runAll(jobs []job) {
 		}
 		seen[k] = true
 		r.mu.Lock()
-		outcome := r.jobs[k].outcome
+		_, settled := r.jobs[k]
 		r.mu.Unlock()
-		if outcome != telemetry.OutcomeDone && outcome != telemetry.OutcomeCacheHit {
+		if !settled {
 			todo = append(todo, j)
 		}
 	}
@@ -362,7 +352,7 @@ func (r *runner) runAll(jobs []job) {
 		return
 	}
 	for _, j := range todo {
-		r.report(j, telemetry.SimQueued, 0, "", r.nominalRefs(j), "")
+		r.report(j, telemetry.SimQueued, "", r.nominalRefs(j), "")
 	}
 	// Store adoption. Observability artifacts come from real runs, so
 	// obs runs skip the read path (stores still happen: results stay
@@ -432,69 +422,53 @@ func (r *runner) runAll(jobs []job) {
 	r.flushObsManifest()
 }
 
-// runJob runs one job to completion, failure, or abandonment, with
-// bounded immediate retry around recovered panics.
+// runJob runs one job once, to completion, failure, or abandonment.
 func (r *runner) runJob(j job) {
 	k := r.key(j.cfgLabel, j.mix.Name)
-	attempts := r.opt.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	r.report(j, telemetry.SimAttemptStart, "", 0, "")
+	res, o, failure := r.attemptJob(j)
+	if failure != nil {
+		r.report(j, telemetry.SimAttemptEnd, telemetry.OutcomeFailed, 0, failure.Err)
+		r.mu.Lock()
+		r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeFailed, res: placeholderResult(j), failure: *failure}
+		r.mu.Unlock()
+		return
 	}
-	refs := r.nominalRefs(j)
-	var last FailedJob
-	for a := 1; a <= attempts; a++ {
-		r.report(j, telemetry.SimAttemptStart, a, "", 0, "")
-		res, o, failure := r.attemptJob(j, a)
-		if failure == nil {
-			r.report(j, telemetry.SimAttemptEnd, a, telemetry.OutcomeDone, refs, "")
-			var artifacts []string
-			if o != nil {
-				artifacts = r.exportObs(j, o)
-			}
-			r.mu.Lock()
-			r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeDone, res: res, artifacts: artifacts}
-			r.completedRuns++
-			n := r.completedRuns
-			r.mu.Unlock()
-			if r.opt.CacheDir != "" {
-				r.diskStore(j, res, r.plan.wantsCorrupt(k))
-			}
-			if p := r.plan; p != nil && p.drainAfter > 0 && n == p.drainAfter && r.opt.Drain != nil {
-				r.opt.Drain.Request()
-			}
-			return
-		}
-		last = *failure
-		outcome := telemetry.OutcomeRetry
-		if a == attempts {
-			outcome = telemetry.OutcomeFailed
-		}
-		r.report(j, telemetry.SimAttemptEnd, a, outcome, 0, failure.Err)
+	r.report(j, telemetry.SimAttemptEnd, telemetry.OutcomeDone, r.nominalRefs(j), "")
+	var artifacts []string
+	if o != nil {
+		artifacts = r.exportObs(j, o)
 	}
-	last.Attempts = attempts
 	r.mu.Lock()
-	r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeFailed, res: placeholderResult(j), failure: last}
+	r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeDone, res: res, artifacts: artifacts}
+	r.completedRuns++
+	n := r.completedRuns
 	r.mu.Unlock()
+	if r.opt.CacheDir != "" {
+		r.diskStore(j, res, r.plan.wantsCorrupt(k))
+	}
+	if p := r.plan; p != nil && p.drainAfter > 0 && n == p.drainAfter && r.opt.Drain != nil {
+		r.opt.Drain.Request()
+	}
 }
 
-// attemptJob performs one recovered attempt of a job. A panic — the
+// attemptJob performs a job's one recovered attempt. A panic — the
 // simulator's invariant checks panic by design, and FaultSpec injects
 // panics on the same path — becomes a FailedJob carrying the stack.
-func (r *runner) attemptJob(j job, attempt int) (res Result, o *obs.Observer, failure *FailedJob) {
+func (r *runner) attemptJob(j job) (res Result, o *obs.Observer, failure *FailedJob) {
 	defer func() {
 		if p := recover(); p != nil {
 			failure = &FailedJob{
 				CfgLabel: j.cfgLabel,
 				Mix:      j.mix.Name,
 				Seed:     r.opt.Seed,
-				Attempts: attempt,
 				Err:      fmt.Sprint(p),
 				Stack:    string(debug.Stack()),
 			}
 			o = nil
 		}
 	}()
-	r.plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name), attempt)
+	r.plan.beforeAttempt(r.key(j.cfgLabel, j.mix.Name))
 	gens := j.gens(paramsFor(j.cfg, j.baseL2), r.opt.Seed)
 	if oo := r.opt.Obs; oo != nil {
 		o = obs.New(j.cfg.Cores, j.cfg.LLCBanks, obs.Config{
@@ -512,38 +486,37 @@ func (r *runner) adopt(j job, res Result) {
 	r.mu.Lock()
 	r.jobs[r.key(j.cfgLabel, j.mix.Name)] = jobRecord{j: j, outcome: telemetry.OutcomeCacheHit, res: res}
 	r.mu.Unlock()
-	r.report(j, telemetry.SimAdopted, 0, telemetry.OutcomeCacheHit, 0, "")
+	r.report(j, telemetry.SimAdopted, telemetry.OutcomeCacheHit, 0, "")
 }
 
 // report hands one lifecycle step of job j to the telemetry sink as a
 // record.
-func (r *runner) report(j job, typ string, attempt int, outcome string, refs uint64, errMsg string) {
+func (r *runner) report(j job, typ, outcome string, refs uint64, errMsg string) {
 	if r.opt.Telemetry == nil {
 		return
 	}
 	r.opt.Telemetry.Report(telemetry.Record{Type: typ, Sim: r.key(j.cfgLabel, j.mix.Name),
-		Key: j.dk, Cfg: j.cfgLabel, Mix: j.mix.Name, Attempt: attempt, Outcome: outcome,
-		Refs: refs, Err: errMsg})
+		Key: j.dk, Cfg: j.cfgLabel, Mix: j.mix.Name, Outcome: outcome, Refs: refs, Err: errMsg})
 }
 
-// markSkipped records every job of the slice that has neither completed
-// nor failed as skipped by the drain, with a placeholder result so table
-// rendering stays total. The skips are reported outside the critical
-// section (the telemetry sink takes its own locks).
+// markSkipped records every job of the slice that has no record yet as
+// skipped by the drain, with a placeholder result so table rendering
+// stays total. The skips are reported outside the critical section (the
+// telemetry sink takes its own locks).
 func (r *runner) markSkipped(jobs []job) {
 	var skipped []job
 	r.mu.Lock()
 	for _, j := range jobs {
 		k := r.key(j.cfgLabel, j.mix.Name)
-		if rec, ok := r.jobs[k]; ok && rec.outcome != telemetry.OutcomeSkipped {
-			continue // completed or failed
+		if _, ok := r.jobs[k]; ok {
+			continue // already settled
 		}
 		r.jobs[k] = jobRecord{j: j, outcome: telemetry.OutcomeSkipped, res: placeholderResult(j)}
 		skipped = append(skipped, j)
 	}
 	r.mu.Unlock()
 	for _, j := range skipped {
-		r.report(j, telemetry.SimSkipped, 0, telemetry.OutcomeSkipped, 0, "")
+		r.report(j, telemetry.SimSkipped, telemetry.OutcomeSkipped, 0, "")
 	}
 }
 
@@ -575,8 +548,8 @@ type SweepStatus struct {
 	Completed int `json:"completed"`
 	// CacheHits counts jobs adopted from the result store (CacheDir).
 	CacheHits int `json:"cache_hits"`
-	// Failed lists jobs that exhausted their attempts, sorted by
-	// (config label, mix).
+	// Failed lists jobs whose simulation panicked, sorted by (config
+	// label, mix).
 	Failed []FailedJob `json:"failed,omitempty"`
 	// Skipped lists the "cfgLabel|mix" keys a drain prevented from
 	// running, sorted.

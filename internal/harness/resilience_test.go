@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -89,9 +90,6 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 	if fj.CfgLabel != "NI-LRU-256KB" || fj.Mix != "hetero.00" {
 		t.Errorf("failed job is %s on %s, want the faulted job", fj.CfgLabel, fj.Mix)
 	}
-	if fj.Attempts != 1 {
-		t.Errorf("Attempts = %d, want 1 (MaxAttempts unset)", fj.Attempts)
-	}
 	if !strings.Contains(fj.Err, "injected panic") {
 		t.Errorf("Err = %q, want the recovered panic value", fj.Err)
 	}
@@ -103,28 +101,6 @@ func TestPanicFailsOnlyThatJob(t *testing.T) {
 	}
 	if len(st.Skipped) != 0 {
 		t.Errorf("Skipped = %v, want none (no drain was requested)", st.Skipped)
-	}
-}
-
-// TestRetryRecoversTransientFault: a fault confined to attempt 1 must be
-// invisible under MaxAttempts 2 — same table bytes as a clean run, no
-// FailedJob.
-func TestRetryRecoversTransientFault(t *testing.T) {
-	clean, total := cleanRun(t, "fig1")
-
-	o := resilienceOptions()
-	o.FaultSpec = "panic:" + faultedJob + "@1"
-	o.MaxAttempts = 2
-	got, st := figTable(t, "fig1", o)
-
-	if got != clean {
-		t.Errorf("retried run differs from clean run:\nclean:\n%s\nretried:\n%s", clean, got)
-	}
-	if len(st.Failed) != 0 {
-		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
-	}
-	if st.Completed != total {
-		t.Errorf("Completed = %d, want %d", st.Completed, total)
 	}
 }
 
@@ -261,32 +237,40 @@ func TestUnusableStoreRunsClean(t *testing.T) {
 }
 
 // TestParallelFaultedSweep drives the whole recovery machinery — fault
-// injection, retry, result storing and progress rendering — at elevated
+// injection, result storing and progress rendering — at elevated
 // parallelism. The rest of the resilience suite stays serial for
 // deterministic interruption points; this test exists for the race
 // detector: eight workers storing results and advancing shared counters
-// concurrently must still produce the same table bytes as a clean
-// serial run.
+// concurrently must still produce the same table bytes and status as the
+// serial faulted run.
 func TestParallelFaultedSweep(t *testing.T) {
-	clean, total := cleanRun(t, "fig1")
+	o := resilienceOptions()
+	o.FaultSpec = "panic:" + faultedJob
+	serial, sst := figTable(t, "fig1", o)
 
 	var buf bytes.Buffer
-	o := resilienceOptions()
-	o.Parallelism = 8
-	o.FaultSpec = "panic:" + faultedJob + "@1"
-	o.MaxAttempts = 2
-	o.CacheDir = t.TempDir()
-	o.Telemetry = telemetry.NewSink(func() time.Time { return time.Unix(1000, 0) }, telemetry.Outputs{Progress: &buf})
-	got, st := figTable(t, "fig1", o)
+	p := o
+	p.Parallelism = 8
+	p.CacheDir = t.TempDir()
+	p.Telemetry = telemetry.NewSink(func() time.Time { return time.Unix(1000, 0) }, telemetry.Outputs{Progress: &buf})
+	got, pst := figTable(t, "fig1", p)
 
-	if got != clean {
-		t.Errorf("parallel faulted run differs from clean serial run:\nclean:\n%s\nparallel:\n%s", clean, got)
+	if got != serial {
+		t.Errorf("parallel faulted run differs from serial faulted run:\nserial:\n%s\nparallel:\n%s", serial, got)
 	}
-	if len(st.Failed) != 0 {
-		t.Errorf("Failed = %v, want none (attempt 2 succeeds)", st.Failed)
+	// Stacks name the goroutine, so they differ between the runs.
+	unstacked := func(st SweepStatus) SweepStatus {
+		st.Failed = append([]FailedJob(nil), st.Failed...)
+		for i := range st.Failed {
+			st.Failed[i].Stack = ""
+		}
+		return st
 	}
-	if st.Completed != total {
-		t.Errorf("Completed = %d, want %d", st.Completed, total)
+	if a, b := unstacked(pst), unstacked(sst); !reflect.DeepEqual(a, b) {
+		t.Errorf("parallel status %+v, serial status %+v", a, b)
+	}
+	if len(pst.Failed) != 1 {
+		t.Errorf("Failed = %v, want the faulted job only", pst.Failed)
 	}
 	if !strings.Contains(buf.String(), "runs") {
 		t.Error("progress reporter never rendered")
@@ -351,10 +335,9 @@ func TestParseFaultSpec(t *testing.T) {
 	valid := []string{
 		"",
 		"panic:I-LRU",
-		"panic:I-LRU@2",
 		"corrupt:hetero.00; hang:homo",
 		"drain-after:5",
-		"panic:a@1;corrupt:b;drain-after:1",
+		"panic:a;corrupt:b;drain-after:1",
 	}
 	for _, s := range valid {
 		if err := validate(s); err != nil {
@@ -364,13 +347,16 @@ func TestParseFaultSpec(t *testing.T) {
 	invalid := []string{
 		"panic",             // no argument
 		"panic:",            // empty substring
-		"panic:x@zero",      // non-numeric attempt count
-		"panic:x@0",         // attempt count must be >= 1
+		"panic:I-LRU@2",     // a job runs once: no attempt count
+		"panic:x@zero",      // "@" in any argument
+		"corrupt:x@1",       // ... of any directive
+		"hang:@",            // ... even alone
 		"corrupt:",          // empty substring
 		"drain-after:x",     // non-numeric job count
 		"drain-after:-1",    // negative job count
 		"explode:x",         // unknown directive
 		"panic:x;explode:y", // one bad directive rejects the spec
+		"panic:a@1;corrupt:b;drain-after:1",
 	}
 	for _, s := range invalid {
 		if err := validate(s); err == nil {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,20 +42,20 @@ func fullSink(t *testing.T, dir string, opt Options) (*telemetry.Sink, *telemetr
 
 // TestTelemetryInvariance proves attaching the full telemetry layer —
 // registry, timeline, ledger — does not change a single simulated
-// decision, even while the sweep retries an injected fault: the figure
-// renders byte-identically with telemetry off and on.
+// decision, even in a sweep with a failed job: the figure renders
+// byte-identically with telemetry off and on.
 func TestTelemetryInvariance(t *testing.T) {
-	off, _ := figTable(t, "fig1", obsOptions())
+	off := obsOptions()
+	off.FaultSpec = "panic:" + faultedJob
+	want, _ := figTable(t, "fig1", off)
 
-	on := obsOptions()
-	on.MaxAttempts = 2
-	on.FaultSpec = "panic:" + faultedJob + "@1"
+	on := off
 	sink, _, _ := fullSink(t, t.TempDir(), on)
 	on.Telemetry = sink
 	got, _ := figTable(t, "fig1", on)
 
-	if got != off {
-		t.Fatalf("telemetry changed simulator output:\n--- off ---\n%s\n--- on ---\n%s", off, got)
+	if got != want {
+		t.Fatalf("telemetry changed simulator output:\n--- off ---\n%s\n--- on ---\n%s", want, got)
 	}
 }
 
@@ -77,21 +78,20 @@ func storeKeys(t *testing.T, dir string) map[string]bool {
 // TestTelemetrySweepLedger runs a faulted sweep with full telemetry and
 // a result store, and cross-checks every surface against the harness's
 // own records: the ledger's done keys must equal the store's key set
-// exactly, the retry must be visible, the metrics must tally, and the
-// sweep trace must be a valid span timeline.
+// exactly, the failed job must appear once with its error, the metrics
+// must tally, and the sweep trace must be a valid span timeline.
 func TestTelemetrySweepLedger(t *testing.T) {
 	dir := t.TempDir()
 
 	opt := obsOptions()
-	opt.MaxAttempts = 2
-	opt.FaultSpec = "panic:" + faultedJob + "@1"
+	opt.FaultSpec = "panic:" + faultedJob
 	opt.CacheDir = filepath.Join(dir, "store")
 	sink, reg, ledgerPath := fullSink(t, dir, opt)
 	opt.Telemetry = sink
 	_, st := runFig(t, "fig1", opt)
 
-	if len(st.Failed) != 0 || len(st.Skipped) != 0 {
-		t.Fatalf("faulted sweep did not recover: %+v", st)
+	if len(st.Failed) != 1 || len(st.Skipped) != 0 {
+		t.Fatalf("faulted sweep: %+v, want one failed job and none skipped", st)
 	}
 
 	// Ledger ↔ store: the set of keys the ledger marked done must equal
@@ -101,10 +101,13 @@ func TestTelemetrySweepLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	doneKeys := map[string]bool{}
-	retries := 0
+	failed := 0
 	for _, rec := range recs {
 		switch rec.Outcome {
 		case telemetry.OutcomeDone:
+			if rec.Sim == faultedJob {
+				t.Fatalf("ledger recorded the faulted job done: %+v", rec)
+			}
 			if doneKeys[rec.Key] {
 				t.Fatalf("ledger recorded key %s done twice", rec.Key)
 			}
@@ -112,10 +115,10 @@ func TestTelemetrySweepLedger(t *testing.T) {
 			if rec.DurUS <= 0 || rec.Refs == 0 {
 				t.Fatalf("done record missing duration/refs: %+v", rec)
 			}
-		case telemetry.OutcomeRetry:
-			retries++
-			if rec.Err == "" {
-				t.Fatalf("retry record carries no error: %+v", rec)
+		case telemetry.OutcomeFailed:
+			failed++
+			if rec.Sim != faultedJob || rec.Err == "" {
+				t.Fatalf("failed record is not the faulted job's or carries no error: %+v", rec)
 			}
 		}
 	}
@@ -131,8 +134,8 @@ func TestTelemetrySweepLedger(t *testing.T) {
 			t.Fatalf("stored key %s missing from ledger", k)
 		}
 	}
-	if retries != 1 {
-		t.Fatalf("ledger recorded %d retries, want 1 (one injected fault)", retries)
+	if failed != 1 {
+		t.Fatalf("ledger recorded %d failed jobs, want 1 (one injected fault)", failed)
 	}
 	if st.Completed != len(doneKeys) {
 		t.Fatalf("harness completed %d jobs, ledger recorded %d", st.Completed, len(doneKeys))
@@ -148,7 +151,7 @@ func TestTelemetrySweepLedger(t *testing.T) {
 	}
 	for _, want := range []string{
 		`zivsim_sweep_jobs_total{outcome="done"} ` + strconv.Itoa(st.Completed),
-		"zivsim_sweep_retries_total 1",
+		`zivsim_sweep_jobs_total{outcome="failed"} 1`,
 		"zivsim_sweep_jobs_inflight 0",
 	} {
 		if !strings.Contains(expo.String(), want) {
@@ -156,7 +159,8 @@ func TestTelemetrySweepLedger(t *testing.T) {
 		}
 	}
 
-	// Spans: the sweep trace is a valid timeline with one retry span.
+	// Spans: the sweep trace is a valid timeline with one running span
+	// per simulated job, the failed one included.
 	var trace strings.Builder
 	if err := sink.WriteSweepTrace(&trace, "test"); err != nil {
 		t.Fatal(err)
@@ -176,11 +180,8 @@ func TestTelemetrySweepLedger(t *testing.T) {
 			names[ev.Name]++
 		}
 	}
-	if names["retry 2"] != 1 {
-		t.Fatalf("trace spans = %v, want exactly one 'retry 2'", sortedSpanNames(names))
-	}
-	if names["running"] == 0 || names["queued"] == 0 {
-		t.Fatalf("trace spans = %v, want running and queued phases", sortedSpanNames(names))
+	if names["running"] != st.Completed+1 || names["queued"] != st.Completed+1 {
+		t.Fatalf("trace spans = %v, want %d running and queued phases", sortedSpanNames(names), st.Completed+1)
 	}
 }
 
@@ -223,4 +224,49 @@ func sortedSpanNames(names map[string]int) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestFailedJobRunsOnce: a failing job that several figures of one sweep
+// share (Figs. 1, 3 and 4 all run the faulted job) is simulated once and
+// counted once — by the sweep status, the jobs_total counter and the
+// progress line.
+func TestFailedJobRunsOnce(t *testing.T) {
+	opt := obsOptions()
+	opt.FaultSpec = "panic:" + faultedJob
+	reg := telemetry.NewRegistry()
+	var progress strings.Builder
+	var starts atomic.Int64
+	opt.Telemetry = telemetry.NewSink(telClock(), telemetry.Outputs{Registry: reg, Progress: &progress,
+		Observer: func(rec telemetry.Record) {
+			if rec.Type == telemetry.SimAttemptStart && rec.Sim == faultedJob {
+				starts.Add(1)
+			}
+		}})
+	_, st := runFigs(t, opt, "fig1", "fig3", "fig4")
+	opt.Telemetry.Finish()
+
+	if n := starts.Load(); n != 1 {
+		t.Errorf("the faulted job started %d times, want 1", n)
+	}
+	if len(st.Failed) != 1 {
+		t.Errorf("Failed = %d jobs, want 1: %v", len(st.Failed), st.Failed)
+	}
+	var expo strings.Builder
+	if err := telemetry.WriteExposition(&expo, reg); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`zivsim_sweep_jobs_total{outcome="failed"} 1`,
+		"zivsim_sweep_attempts_total " + strconv.Itoa(st.Completed+1),
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, expo.String())
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(progress.String()), "\r")
+	last := lines[len(lines)-1]
+	if want := fmt.Sprintf("%d/%d runs", st.Completed, st.Completed+1); !strings.HasPrefix(last, want) ||
+		!strings.Contains(last, "| 1 failed |") {
+		t.Errorf("final progress line %q, want %q ... \"| 1 failed |\"", last, want)
+	}
 }

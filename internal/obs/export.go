@@ -135,7 +135,7 @@ type TimelineSpan struct {
 	// Track names the Perfetto thread row the span renders on (the
 	// harness uses one track per job key).
 	Track string
-	// Name is the span label ("running", "retry", ...).
+	// Name is the span label ("queued", "running", ...).
 	Name string
 	// StartUS is the span start in microseconds since the timeline epoch.
 	StartUS uint64

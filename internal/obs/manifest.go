@@ -19,7 +19,7 @@ type ManifestEntry struct {
 	// Stem is the filesystem-safe artifact file stem shared by the job's
 	// trace/NDJSON/CSV files.
 	Stem string `json:"stem"`
-	// Status is "completed", "failed" (the job exhausted its attempts) or
+	// Status is "completed", "failed" (the job's simulation panicked) or
 	// "skipped" (a drain stopped the sweep before the job ran).
 	Status string `json:"status"`
 	// Artifacts lists the artifact filenames written for the job; empty

@@ -463,7 +463,6 @@ func (s *Server) execute(j *Job) {
 	j.events.append(Event{WallUS: s.nowUS(), Record: telemetry.Record{Type: EventStarted}})
 
 	opt := j.opt
-	opt.MaxAttempts = s.cfg.Retries
 	opt.Drain = j.drain
 	opt.CacheDir = s.cacheDir
 	opt.Telemetry = telemetry.NewSink(s.cfg.Now, telemetry.Outputs{

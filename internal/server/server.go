@@ -43,9 +43,6 @@ type Config struct {
 	// Parallelism caps every job's within-sweep parallelism, whatever
 	// the submission asks for. 0 leaves submissions uncapped.
 	Parallelism int
-	// Retries is the per-simulation attempt budget (harness
-	// Options.MaxAttempts). Default 2.
-	Retries int
 	// RequestTimeout bounds every non-streaming request's context.
 	// Default 10s. The events stream is exempt: it lives until the feed
 	// closes or the client disconnects.
@@ -107,9 +104,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.Retries <= 0 {
-		cfg.Retries = 2
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second

@@ -1,11 +1,12 @@
 // The run ledger. A ledger file is an append-only NDJSON journal of a
-// sweep's job-level history — one lifecycle Record per job attempt end,
-// adoption or skip: a header line naming the format version and the
-// options identity, then one JSON line per record, each appended with a
-// single write so a crash can tear at most the final line, which
-// ReadLedger drops. Results themselves live in the harness result store; the ledger
-// stores provenance for reporting: `zivreport -ledger` turns it into
-// wall-time percentiles, cache-hit rates and retry/fault breakdowns.
+// sweep's job-level history — one lifecycle Record per job, written at
+// its attempt end, adoption or skip: a header line naming the format
+// version and the options identity, then one JSON line per record, each
+// appended with a single write so a crash can tear at most the final
+// line, which ReadLedger drops. Results themselves live in the harness
+// result store; the ledger stores provenance for reporting: `zivreport
+// -ledger` turns it into wall-time percentiles, cache-hit rates and
+// fault breakdowns.
 package telemetry
 
 import (
@@ -17,11 +18,12 @@ import (
 )
 
 // LedgerVersion stamps the ledger header; bump it when the record
-// schema changes incompatibly. v3 lines are lifecycle Records, whose
-// attempt duration is dur_us (v2 called it wall_us); v2 dropped the
-// checkpoint-hit outcome. A ledger of any other version is rejected
-// rather than miscounted.
-const LedgerVersion = "zivsim-ledger-v3"
+// schema changes incompatibly. v4 records hold one line per job (v3 could
+// add retry lines and an attempt number); v3 lines are lifecycle
+// Records, whose attempt duration is dur_us (v2 called it wall_us); v2
+// dropped the checkpoint-hit outcome. A ledger of any other version is
+// rejected rather than miscounted.
+const LedgerVersion = "zivsim-ledger-v4"
 
 // LedgerHeader is the first line of a ledger file.
 type LedgerHeader struct {

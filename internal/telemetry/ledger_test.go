@@ -16,8 +16,8 @@ func TestLedgerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Type: SimAttemptEnd, Sim: "I-LRU|hetero/0", Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 1, Outcome: OutcomeRetry, DurUS: 1500, Err: "boom"},
-		{Type: SimAttemptEnd, Sim: "I-LRU|hetero/0", Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Attempt: 2, Outcome: OutcomeDone, DurUS: 2500, Refs: 10000, RefsPerSec: 4e6},
+		{Type: SimAttemptEnd, Sim: "NI-LRU|hetero/0", Key: "k0", Cfg: "NI-LRU", Mix: "hetero/0", Outcome: OutcomeFailed, DurUS: 1500, Err: "boom"},
+		{Type: SimAttemptEnd, Sim: "I-LRU|hetero/0", Key: "k1", Cfg: "I-LRU", Mix: "hetero/0", Outcome: OutcomeDone, DurUS: 2500, Refs: 10000, RefsPerSec: 4e6},
 		{Type: SimAdopted, Sim: "ZIV|hetero/1", Key: "k2", Cfg: "ZIV", Mix: "hetero/1", Outcome: OutcomeCacheHit},
 	}
 	for _, rec := range recs {
@@ -112,5 +112,16 @@ func TestLedgerHeaderRequired(t *testing.T) {
 	}
 	if _, _, err := ReadLedger(path); err == nil {
 		t.Fatal("ReadLedger accepted a v2 ledger")
+	}
+	// A v3 ledger may hold retry lines beside the job's final record: it
+	// must be rejected, not read with the retried job counted twice.
+	v3 := `{"version":"zivsim-ledger-v3"}` + "\n" +
+		`{"key":"k1","attempt":1,"outcome":"retry","err":"boom"}` + "\n" +
+		`{"key":"k1","attempt":2,"outcome":"done","dur_us":1500}` + "\n"
+	if err := os.WriteFile(path, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadLedger(path); err == nil {
+		t.Fatal("ReadLedger accepted a v3 ledger")
 	}
 }

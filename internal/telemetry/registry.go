@@ -4,7 +4,7 @@
 // and an append-only NDJSON run ledger. It is the operational complement
 // of internal/obs — obs records the simulated-cycle domain and is
 // byte-identical across runs; telemetry records the wall-clock domain
-// (how long jobs took, what was retried, what the cache served) and is
+// (how long jobs took, which failed, what the cache served) and is
 // therefore kept strictly out of simulation results. Every clock is
 // injected (pass time.Now from package main), so the whole layer is
 // deterministic under test, and the golden-figure invariance tests pin
@@ -243,39 +243,47 @@ func formatValue(v float64) string {
 // format (version 0.0.4): families sorted by name, series sorted by
 // label signature, histograms expanded into cumulative _bucket/_sum/
 // _count samples. The output is deterministic for a given registry
-// state, which the round-trip tests rely on.
+// state, which the round-trip tests rely on. The (family, signature,
+// series) triples are copied under the registry lock, since a
+// registration may insert into the maps concurrently; the instrument
+// values are atomics, read while formatting after the lock is released.
 func WriteExposition(w io.Writer, r *Registry) error {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	type sample struct {
+		fam *family
+		sig string
+		s   *series
 	}
-	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
-	for _, name := range names {
-		fams = append(fams, r.families[name])
+	var all []sample
+	r.mu.Lock()
+	for _, fam := range r.families {
+		for sig, s := range fam.series {
+			all = append(all, sample{fam, sig, s})
+		}
 	}
 	r.mu.Unlock()
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].fam.name != all[j].fam.name {
+			return all[i].fam.name < all[j].fam.name
+		}
+		return all[i].sig < all[j].sig
+	})
 
 	var b strings.Builder
-	for _, fam := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n", fam.name, fam.help)
-		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.kind)
-		sigs := make([]string, 0, len(fam.series))
-		for sig := range fam.series {
-			sigs = append(sigs, sig)
+	for i, sm := range all {
+		fam := sm.fam
+		// A family's first lookup makes a series, so every family has a
+		// first sample to print its header before.
+		if i == 0 || fam != all[i-1].fam {
+			fmt.Fprintf(&b, "# HELP %s %s\n", fam.name, fam.help)
+			fmt.Fprintf(&b, "# TYPE %s %s\n", fam.name, fam.kind)
 		}
-		sort.Strings(sigs)
-		for _, sig := range sigs {
-			s := fam.series[sig]
-			switch fam.kind {
-			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", fam.name, sig, formatValue(float64(s.c.Value())))
-			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", fam.name, sig, formatValue(float64(s.g.Value())))
-			case kindHistogram:
-				writeHistogram(&b, fam.name, sig, s.h)
-			}
+		switch fam.kind {
+		case kindCounter:
+			fmt.Fprintf(&b, "%s%s %s\n", fam.name, sm.sig, formatValue(float64(sm.s.c.Value())))
+		case kindGauge:
+			fmt.Fprintf(&b, "%s%s %s\n", fam.name, sm.sig, formatValue(float64(sm.s.g.Value())))
+		case kindHistogram:
+			writeHistogram(&b, fam.name, sm.sig, sm.s.h)
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,5 +144,45 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h_seconds", "H.", []float64{1}).Count(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
+	}
+}
+
+// TestExpositionConcurrentRegistration scrapes the registry while
+// another goroutine registers new series of the family being rendered,
+// as a /metrics scrape can while a sweep's sink registers its counters.
+// Under -race an exposition that reads a family's series map after
+// releasing the registry lock is reported; every scrape must also parse,
+// and the last one must hold every series.
+func TestExpositionConcurrentRegistration(t *testing.T) {
+	const n = 200
+	r := NewRegistry()
+	r.Counter("x_total", "X.", "k", "first").Inc()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			r.Counter("x_total", "X.", "k", strconv.Itoa(i)).Inc()
+		}
+	}()
+	scrape := func() string {
+		var buf strings.Builder
+		if err := WriteExposition(&buf, r); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := CheckExposition(strings.NewReader(buf.String())); err != nil {
+			t.Fatalf("concurrent scrape does not parse: %v", err)
+		}
+		return buf.String()
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+			scrape()
+		}
+	}
+	if _, samples, _ := CheckExposition(strings.NewReader(scrape())); samples != n+1 {
+		t.Fatalf("final scrape has %d samples, want %d", samples, n+1)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -44,11 +43,9 @@ type Record struct {
 	Cfg string `json:"cfg,omitempty"`
 	// Mix is the workload mix name of the job.
 	Mix string `json:"mix,omitempty"`
-	// Attempt is the 1-based attempt number, on attempt steps.
-	Attempt int `json:"attempt,omitempty"`
-	// Outcome classifies a step that finishes something: done, retry or
-	// failed on an attempt end, cache-hit on an adoption, skipped on a
-	// skip.
+	// Outcome is the job's terminal outcome, on the step that settles
+	// it: done or failed on an attempt end, cache-hit on an adoption,
+	// skipped on a skip.
 	Outcome string `json:"outcome,omitempty"`
 	// DurUS is the attempt's wall time in microseconds, on attempt ends.
 	DurUS int64 `json:"dur_us,omitempty"`
@@ -58,8 +55,7 @@ type Record struct {
 	Refs uint64 `json:"refs,omitempty"`
 	// RefsPerSec is the attempt's simulation rate, on attempt ends.
 	RefsPerSec float64 `json:"refs_per_sec,omitempty"`
-	// Err carries the recovered panic message on retry/failed attempt
-	// ends.
+	// Err carries the recovered panic message on a failed attempt end.
 	Err string `json:"err,omitempty"`
 }
 
@@ -67,10 +63,11 @@ type Record struct {
 const (
 	// SimQueued marks a deduplicated job entering the scheduler.
 	SimQueued = "sim-queued"
-	// SimAttemptStart marks one simulation attempt beginning.
+	// SimAttemptStart marks a job's simulation beginning (a job runs
+	// once per sweep).
 	SimAttemptStart = "sim-attempt-start"
-	// SimAttemptEnd marks one simulation attempt ending; Outcome is
-	// done, retry or failed.
+	// SimAttemptEnd marks a job's simulation ending; Outcome is done or
+	// failed.
 	SimAttemptEnd = "sim-attempt-end"
 	// SimAdopted marks a job served from the result store without
 	// running; Outcome is cache-hit.
@@ -84,17 +81,17 @@ const (
 // zivsim_sweep_jobs_total outcome label.
 const (
 	OutcomeDone     = "done"
-	OutcomeRetry    = "retry"
 	OutcomeFailed   = "failed"
 	OutcomeCacheHit = "cache-hit"
 	OutcomeSkipped  = "skipped"
 )
 
-// terminalOutcomes enumerates the outcome label values pre-registered
-// on the jobs_total counter (retry is an attempt outcome, not a job
-// outcome, and has its own counter).
-var terminalOutcomes = []string{
-	OutcomeDone, OutcomeFailed, OutcomeCacheHit, OutcomeSkipped,
+// TerminalOutcomes lists every outcome, in report order. Each job
+// settles on exactly one; the jobs_total counter pre-registers one
+// series per value and zivreport's ledger table prints one row per
+// value. Read-only.
+var TerminalOutcomes = []string{
+	OutcomeDone, OutcomeCacheHit, OutcomeFailed, OutcomeSkipped,
 }
 
 // Outputs selects what a Sink feeds; every output is optional.
@@ -114,8 +111,8 @@ type Outputs struct {
 	Observer func(Record)
 }
 
-// phase is a job's timeline phase in progress (queued, running or
-// retry N) and the time it began.
+// phase is a job's timeline phase in progress (queued or running) and
+// the time it began.
 type phase struct {
 	name  string
 	start time.Time
@@ -133,7 +130,6 @@ type Sink struct {
 	jobsQueued  *Counter
 	outcomes    map[string]*Counter // per terminal outcome, fixed key set
 	attempts    *Counter
-	retries     *Counter
 	refsTotal   *Counter
 	inflight    *Gauge
 	jobWallSecs *Histogram
@@ -177,18 +173,16 @@ func NewSink(now func() time.Time, out Outputs) *Sink {
 		reg = NewRegistry()
 	}
 	s := &Sink{now: now, out: out, open: make(map[string]phase),
-		outcomes: make(map[string]*Counter, len(terminalOutcomes)),
+		outcomes: make(map[string]*Counter, len(TerminalOutcomes)),
 		weights:  make(map[string]uint64)}
 	s.jobsQueued = reg.Counter("zivsim_sweep_jobs_queued_total",
 		"Jobs entering the sweep scheduler (deduplicated, not yet adopted).")
-	for _, oc := range terminalOutcomes {
+	for _, oc := range TerminalOutcomes {
 		s.outcomes[oc] = reg.Counter("zivsim_sweep_jobs_total",
 			"Jobs reaching a terminal outcome.", "outcome", oc)
 	}
 	s.attempts = reg.Counter("zivsim_sweep_attempts_total",
-		"Simulation attempts started (retries included).")
-	s.retries = reg.Counter("zivsim_sweep_retries_total",
-		"Attempts that failed and were retried.")
+		"Simulation attempts started (one per simulated job).")
 	s.refsTotal = reg.Counter("zivsim_sweep_refs_simulated_total",
 		"Memory references simulated by completed attempts.")
 	s.inflight = reg.Gauge("zivsim_sweep_jobs_inflight",
@@ -228,9 +222,7 @@ func (s *Sink) Report(rec Record) {
 		s.jobWallSecs.Observe(wall.Seconds())
 		s.refsTotal.Add(rec.Refs)
 	}
-	if rec.Outcome == OutcomeRetry {
-		s.retries.Inc()
-	} else if c := s.outcomes[rec.Outcome]; c != nil {
+	if c := s.outcomes[rec.Outcome]; c != nil {
 		c.Inc()
 	}
 	if rec.Outcome != "" {
@@ -263,9 +255,6 @@ func (s *Sink) advanceLocked(rec Record, t time.Time) time.Duration {
 		next = "queued"
 	case SimAttemptStart:
 		next = "running"
-		if rec.Attempt > 1 {
-			next = "retry " + strconv.Itoa(rec.Attempt)
-		}
 	}
 	var wall time.Duration
 	if p, ok := s.open[rec.Sim]; ok {
@@ -277,9 +266,6 @@ func (s *Sink) advanceLocked(rec Record, t time.Time) time.Duration {
 			var args map[string]any
 			if next == "" {
 				args = map[string]any{"outcome": rec.Outcome}
-				if rec.Attempt > 0 {
-					args["attempt"] = rec.Attempt
-				}
 				if rec.Err != "" {
 					args["err"] = rec.Err
 				}
@@ -336,7 +322,7 @@ func (s *Sink) tallyLocked(rec Record, t time.Time) {
 		s.cached++
 	case OutcomeFailed:
 		s.failed++
-	default: // a retry or a skip finishes no job
+	default: // a skip finishes no job
 		return
 	}
 	s.finishedRefs += s.weights[rec.Sim]

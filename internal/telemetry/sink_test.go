@@ -21,15 +21,17 @@ func fakeClock(stepMS int64) func() time.Time {
 	}
 }
 
-// lifecycle is one job's queued → retry → done history plus an adopted
-// and a skipped job, as the runner reports them.
+// lifecycle is a failed job's and a done job's queued → running →
+// outcome history plus an adopted and a skipped job, as the runner
+// reports them.
 func lifecycle() []Record {
 	return []Record{
+		{Type: SimQueued, Sim: "cfg|mix0", Key: "key0", Cfg: "cfg", Mix: "mix0"},
+		{Type: SimAttemptStart, Sim: "cfg|mix0", Key: "key0", Cfg: "cfg", Mix: "mix0"},
+		{Type: SimAttemptEnd, Sim: "cfg|mix0", Key: "key0", Cfg: "cfg", Mix: "mix0", Outcome: OutcomeFailed, Err: "boom"},
 		{Type: SimQueued, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix"},
-		{Type: SimAttemptStart, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix", Attempt: 1},
-		{Type: SimAttemptEnd, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix", Attempt: 1, Outcome: OutcomeRetry, Err: "boom"},
-		{Type: SimAttemptStart, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix", Attempt: 2},
-		{Type: SimAttemptEnd, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix", Attempt: 2, Outcome: OutcomeDone, Refs: 5000},
+		{Type: SimAttemptStart, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix"},
+		{Type: SimAttemptEnd, Sim: "cfg|mix", Key: "key1", Cfg: "cfg", Mix: "mix", Outcome: OutcomeDone, Refs: 5000},
 		{Type: SimQueued, Sim: "cfg|mix2", Key: "key2", Cfg: "cfg", Mix: "mix2"},
 		{Type: SimAdopted, Sim: "cfg|mix2", Key: "key2", Cfg: "cfg", Mix: "mix2", Outcome: OutcomeCacheHit},
 		{Type: SimQueued, Sim: "cfg|mix3", Key: "key3", Cfg: "cfg", Mix: "mix3"},
@@ -50,7 +52,7 @@ func TestSinkObserverMirrorsLifecycle(t *testing.T) {
 
 	wantTypes := []string{
 		SimQueued, SimAttemptStart, SimAttemptEnd,
-		SimAttemptStart, SimAttemptEnd,
+		SimQueued, SimAttemptStart, SimAttemptEnd,
 		SimQueued, SimAdopted, SimQueued, SimSkipped,
 	}
 	if len(got) != len(wantTypes) {
@@ -61,23 +63,23 @@ func TestSinkObserverMirrorsLifecycle(t *testing.T) {
 			t.Fatalf("record %d type = %s, want %s", i, rec.Type, wantTypes[i])
 		}
 	}
-	retry := got[2]
-	if retry.Sim != "cfg|mix" || retry.Key != "key1" || retry.Attempt != 1 ||
-		retry.Outcome != OutcomeRetry || retry.Err != "boom" {
-		t.Fatalf("retry record fields: %+v", retry)
+	failed := got[2]
+	if failed.Sim != "cfg|mix0" || failed.Key != "key0" || failed.Outcome != OutcomeFailed ||
+		failed.Err != "boom" || failed.Refs != 0 {
+		t.Fatalf("failed record fields: %+v", failed)
 	}
-	done := got[4]
-	if done.Attempt != 2 || done.Outcome != OutcomeDone || done.Refs != 5000 || done.Err != "" {
+	done := got[5]
+	if done.Key != "key1" || done.Outcome != OutcomeDone || done.Refs != 5000 || done.Err != "" {
 		t.Fatalf("done record fields: %+v", done)
 	}
 	if done.DurUS <= 0 || done.RefsPerSec <= 0 {
 		t.Fatalf("done record missing the sink's duration/rate: %+v", done)
 	}
-	adopted := got[6]
+	adopted := got[7]
 	if adopted.Sim != "cfg|mix2" || adopted.Outcome != OutcomeCacheHit || adopted.Mix != "mix2" || adopted.DurUS != 0 {
 		t.Fatalf("adopted record fields: %+v", adopted)
 	}
-	skipped := got[8]
+	skipped := got[9]
 	if skipped.Outcome != OutcomeSkipped || skipped.Key != "key3" {
 		t.Fatalf("skipped record fields: %+v", skipped)
 	}
@@ -97,8 +99,8 @@ func TestSinkObserverNilReceivers(t *testing.T) {
 	}
 }
 
-// TestSinkLifecycle reports a queued → retry → done lifecycle plus an
-// adoption and a skip, then checks every surface: metrics, ledger, and
+// TestSinkLifecycle reports a failed and a done job plus an adoption
+// and a skip, then checks every surface: metrics, ledger, and
 // that the ledger's lines are the observer's outcome records, field for
 // field.
 func TestSinkLifecycle(t *testing.T) {
@@ -124,12 +126,12 @@ func TestSinkLifecycle(t *testing.T) {
 	}
 	exp := buf.String()
 	for _, want := range []string{
-		"zivsim_sweep_jobs_queued_total 3",
+		"zivsim_sweep_jobs_queued_total 4",
 		`zivsim_sweep_jobs_total{outcome="done"} 1`,
+		`zivsim_sweep_jobs_total{outcome="failed"} 1`,
 		`zivsim_sweep_jobs_total{outcome="cache-hit"} 1`,
 		`zivsim_sweep_jobs_total{outcome="skipped"} 1`,
 		"zivsim_sweep_attempts_total 2",
-		"zivsim_sweep_retries_total 1",
 		"zivsim_sweep_refs_simulated_total 5000",
 		"zivsim_sweep_jobs_inflight 0",
 	} {
@@ -146,7 +148,7 @@ func TestSinkLifecycle(t *testing.T) {
 	for _, rec := range recs {
 		outcomes = append(outcomes, rec.Outcome)
 	}
-	want := []string{OutcomeRetry, OutcomeDone, OutcomeCacheHit, OutcomeSkipped}
+	want := []string{OutcomeFailed, OutcomeDone, OutcomeCacheHit, OutcomeSkipped}
 	if strings.Join(outcomes, ",") != strings.Join(want, ",") {
 		t.Fatalf("ledger outcomes = %v, want %v", outcomes, want)
 	}
@@ -194,8 +196,8 @@ func TestSpanRecorderTimeline(t *testing.T) {
 	s := NewSink(fakeClock(1), Outputs{Timeline: true})
 	s.Report(Record{Type: SimQueued, Sim: "jobA"})
 	s.Report(Record{Type: SimQueued, Sim: "jobB"})
-	s.Report(Record{Type: SimAttemptStart, Sim: "jobA", Attempt: 1}) // ends queued
-	s.Report(Record{Type: SimAttemptEnd, Sim: "jobA", Attempt: 1, Outcome: OutcomeDone})
+	s.Report(Record{Type: SimAttemptStart, Sim: "jobA"}) // ends queued
+	s.Report(Record{Type: SimAttemptEnd, Sim: "jobA", Outcome: OutcomeDone})
 	// jobB's queued phase stays open: the trace must close it as "open".
 
 	var buf strings.Builder
@@ -247,8 +249,8 @@ func TestSpanRecorderDeterministic(t *testing.T) {
 	render := func() string {
 		s := NewSink(fakeClock(7), Outputs{Timeline: true})
 		s.Report(Record{Type: SimQueued, Sim: "j"})
-		s.Report(Record{Type: SimAttemptStart, Sim: "j", Attempt: 1})
-		s.Report(Record{Type: SimAttemptEnd, Sim: "j", Attempt: 1, Outcome: OutcomeFailed, Err: "boom"})
+		s.Report(Record{Type: SimAttemptStart, Sim: "j"})
+		s.Report(Record{Type: SimAttemptEnd, Sim: "j", Outcome: OutcomeFailed, Err: "boom"})
 		var buf strings.Builder
 		if err := s.WriteSweepTrace(&buf, "d"); err != nil {
 			t.Fatal(err)
@@ -288,8 +290,8 @@ func TestSinkConcurrentReports(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < jobsEach; i++ {
 				sim := fmt.Sprintf("w%d|j%d", w, i)
-				s.Report(Record{Type: SimAttemptStart, Sim: sim, Key: sim, Attempt: 1})
-				s.Report(Record{Type: SimAttemptEnd, Sim: sim, Key: sim, Attempt: 1, Outcome: OutcomeDone, Refs: 10})
+				s.Report(Record{Type: SimAttemptStart, Sim: sim, Key: sim})
+				s.Report(Record{Type: SimAttemptEnd, Sim: sim, Key: sim, Outcome: OutcomeDone, Refs: 10})
 			}
 		}(w)
 	}
