@@ -50,9 +50,11 @@ race:
 
 # -fuzzminimizetime bounds the shrinking of each new interesting input;
 # at the default 60 s one input can take the whole 20 s budget, leaving
-# the worker executing nothing new.
+# the worker executing nothing new. The second target holds the private
+# cache to its reference model.
 fuzz:
 	$(GO) test -fuzz=FuzzScheme -fuzztime=20s -fuzzminimizetime=2s ./internal/core
+	$(GO) test -fuzz='^FuzzCacheMatchesReference$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/cache
 
 # Every micro-benchmark for one iteration, plus the alloc guards
 # (CI's bench-smoke job runs this target).

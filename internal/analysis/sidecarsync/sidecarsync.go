@@ -1,16 +1,16 @@
 // Package sidecarsync checks that every write to a primary structure is
 // followed — on every non-panicking path — by an update of its declared
 // sidecar mirrors. The simulator keeps several redundant structures for
-// speed (the cache tag sidecar, per-set valid counts, the LLC property
-// vectors refreshed by updateSet, the hierarchy's contiguous cycle
-// mirror): a write that reaches one and not the other is a silent
+// speed (the LLC and directory tag sidecars, the LLC way masks and the
+// property vectors refreshed by updateSet, the hierarchy's contiguous
+// cycle mirror): a write that reaches one and not the other is a silent
 // desynchronization that CheckInvariants may only catch long after the
 // fact, if at all.
 //
 // Obligations are declared where the structure lives:
 //
 //	type bank struct {
-//	    //ziv:mirror(tags,validCnt)
+//	    //ziv:mirror(tags,masks)
 //	    //ziv:mirror(updateSet) on Valid,NotInPrC,LikelyDead
 //	    blocks []Block
 //	    ...
@@ -33,7 +33,7 @@
 // postdominator sweep: a mirror updated on both arms of an if/else now
 // counts, while one behind a single arm still does not.
 //
-// Mentions are base-sensitive: t.validCnt records the receiver chain's
+// Mentions are base-sensitive: t.masks records the receiver chain's
 // root variable, and a write to dst's primary is not discharged by
 // updating src's mirror of the same name. Bases match up to
 // intra-function derivation — a handle carved out of the structure

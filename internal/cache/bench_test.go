@@ -1,16 +1,12 @@
 package cache
 
-import (
-	"testing"
-
-	"zivsim/internal/policy"
-)
+import "testing"
 
 func benchCache() *Cache {
-	c := New("bench", 64, 16, policy.NewLRU())
+	c := New("bench", 64, 16)
 	for s := 0; s < 64; s++ {
 		for w := 0; w < 16; w++ {
-			fill(c, uint64(s+w*64), false, false, policy.Meta{})
+			fill(c, uint64(s+w*64), false, false)
 		}
 	}
 	return c
@@ -20,7 +16,7 @@ func benchCache() *Cache {
 // accesses to the set's most recently used way.
 func BenchmarkLookupMRUHit(b *testing.B) {
 	c := benchCache()
-	c.Access(7, false, policy.Meta{})
+	c.Access(7, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, hit := c.Lookup(7); !hit {
@@ -29,8 +25,8 @@ func BenchmarkLookupMRUHit(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupScanHit measures the sidecar scan: the hit way differs
-// from the MRU hint on every probe.
+// BenchmarkLookupScanHit measures the tag scan: the hit way differs from
+// the MRU hint on every probe.
 func BenchmarkLookupScanHit(b *testing.B) {
 	c := benchCache()
 	b.ResetTimer()
@@ -58,7 +54,7 @@ func BenchmarkFillEvictChurn(b *testing.B) {
 	c := benchCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fill(c, uint64(i)<<6, false, false, policy.Meta{})
+		fill(c, uint64(i)<<6, false, false)
 	}
 }
 
@@ -72,7 +68,7 @@ func TestHitPathNoAllocs(t *testing.T) {
 		t.Errorf("Lookup allocates %v per op; want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Access(7, false, policy.Meta{})
+		c.Access(7, false)
 	}); n != 0 {
 		t.Errorf("Access allocates %v per op; want 0", n)
 	}
@@ -83,7 +79,7 @@ func TestFillPathNoAllocs(t *testing.T) {
 	c := benchCache()
 	addr := uint64(1 << 20)
 	if n := testing.AllocsPerRun(1000, func() {
-		fill(c, addr, false, false, policy.Meta{})
+		fill(c, addr, false, false)
 		addr += 64 << 6
 	}); n != 0 {
 		t.Errorf("fill allocates %v per op; want 0", n)

@@ -1,7 +1,8 @@
 // Package cache provides the set-associative tag store of the private L1
-// and L2 caches: address mapping, tag storage, and the low-level way
-// operations (lookup, fill, evict, invalidate) the hierarchy drives. The
-// shared LLC keeps its own banks in internal/core.
+// and L2 caches: address mapping, tag storage, true-LRU replacement, and
+// the low-level way operations (lookup, fill, evict, invalidate) the
+// hierarchy drives. The shared LLC keeps its own banks in internal/core,
+// and only the LLC consults the pluggable policies of internal/policy.
 //
 // The package deliberately stores only tag-array state. Data payloads are not
 // simulated; the simulator tracks dirtiness and block identity, which is all
@@ -12,8 +13,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"zivsim/internal/policy"
 )
 
 // BlockBits is the log2 of the simulated cache block size. The paper uses
@@ -26,73 +25,73 @@ const BlockBytes = 1 << BlockBits
 // BlockAddr converts a byte address to a block address.
 func BlockAddr(byteAddr uint64) uint64 { return byteAddr >> BlockBits }
 
-// Block is one tag-array entry. Payload data is not simulated.
+// Block is a copy of one valid tag-array entry, as EvictWay, Invalidate and
+// ForEachValid hand it out. Payload data is not simulated.
 type Block struct {
-	Valid bool
 	Dirty bool
 	// Writable mirrors the MESI M/E privilege for private-cache lines: a
-	// store may complete locally only when the line is writable. The shared
-	// LLC ignores this field (write permission lives in the directory).
+	// store may complete locally only when the line is writable.
 	Writable bool
 	// Addr is the block address (byte address >> BlockBits) of the cached
-	// block. Valid only when Valid is true.
+	// block.
 	Addr uint64
 }
 
-// Cache is a set-associative tag store with a pluggable replacement policy.
+// Per-way state bits in Cache.flags.
+const (
+	flagDirty uint8 = 1 << iota
+	flagWritable
+)
+
+// Cache is a set-associative tag store with true-LRU replacement, kept as
+// parallel per-way arrays (sets*ways, row-major by set).
 type Cache struct {
 	name    string // for panic messages
-	sets    int
 	ways    int
 	setMask uint64
-	// blocks is the primary tag store. sidecarsync enforces that every
-	// whole-element write also refreshes the tag sidecar and the valid
-	// count on every subsequent path.
-	//
-	//ziv:mirror(tags,validCnt)
-	blocks []Block // sets*ways, row-major by set
-	// tags mirrors blocks for the hot lookup path: the block address of a
-	// valid way, tagNone otherwise. Scanning a contiguous []uint64 touches
-	// one cache line per 8 ways instead of striding over Block structs.
-	// Maintained by FillWay/EvictWay/Invalidate.
+	// tags is the store: the block address of a valid way, tagNone
+	// otherwise. Scanning a contiguous []uint64 touches one host cache line
+	// per 8 ways.
 	tags []uint64
+	// flags holds each valid way's flagDirty and flagWritable bits; an
+	// invalid way's bits are stale until FillWay overwrites them.
+	flags []uint8
+	// stamp holds each way's LRU timestamp: 0 for an invalid way, and a
+	// clock value of at least 1 from the way's last fill or hit. So the
+	// smallest stamp of a set names its first invalid way, or else its LRU
+	// way.
+	stamp []uint64
+	clock uint64
 	// mru holds the last way hit or filled per set: the first probe of
 	// Lookup. A stale hint is harmless (the tag comparison decides).
 	mru []int32
-	// validCnt counts valid ways per set so InvalidWay answers "-1" (the
-	// steady-state case after warmup) without scanning.
-	validCnt []uint16
-	pol      policy.Policy
 }
 
-// tagNone marks an invalid way in the tag sidecar; it lies outside the
-// 48-bit physical block-address space so it can never match a real block.
+// tagNone marks an invalid way; it lies outside the 48-bit physical
+// block-address space so it can never match a real block.
 const tagNone = ^uint64(0)
 
 // New builds a cache with the given geometry. sets must be a power of two and
 // ways positive.
-func New(name string, sets, ways int, pol policy.Policy) *Cache {
+func New(name string, sets, ways int) *Cache {
 	if sets <= 0 || bits.OnesCount(uint(sets)) != 1 {
 		panic(fmt.Sprintf("cache %s: sets must be a positive power of two, got %d", name, sets))
 	}
 	if ways <= 0 {
 		panic(fmt.Sprintf("cache %s: ways must be positive, got %d", name, ways))
 	}
-	pol.Init(sets, ways)
 	tags := make([]uint64, sets*ways)
 	for i := range tags {
 		tags[i] = tagNone
 	}
 	return &Cache{
-		name:     name,
-		sets:     sets,
-		ways:     ways,
-		setMask:  uint64(sets - 1),
-		blocks:   make([]Block, sets*ways),
-		tags:     tags,
-		mru:      make([]int32, sets),
-		validCnt: make([]uint16, sets),
-		pol:      pol,
+		name:    name,
+		ways:    ways,
+		setMask: uint64(sets - 1),
+		tags:    tags,
+		flags:   make([]uint8, sets*ways),
+		stamp:   make([]uint64, sets*ways),
+		mru:     make([]int32, sets),
 	}
 }
 
@@ -104,18 +103,9 @@ func (c *Cache) SetIndex(blockAddr uint64) int {
 	return int(blockAddr & c.setMask)
 }
 
-// Block returns a pointer to the tag entry at (set, way). The pointer is
-// valid until the next structural change; callers must not retain it.
-// Writes through it inherit the blocks field's sidecar obligations.
-//
-//ziv:aliases(blocks)
-func (c *Cache) Block(set, way int) *Block {
-	return &c.blocks[set*c.ways+way]
-}
-
 // Lookup finds blockAddr without updating replacement state. It returns the
 // way and true on a hit. The MRU way of the set is probed first (most hits
-// land there), then the tag sidecar is scanned contiguously.
+// land there), then the set's tags are scanned contiguously.
 //
 //ziv:noalloc
 func (c *Cache) Lookup(blockAddr uint64) (way int, hit bool) {
@@ -139,81 +129,81 @@ func (c *Cache) Contains(blockAddr uint64) bool {
 	return hit
 }
 
-// Access performs a full access: on a hit it updates the replacement state
-// (and dirtiness for writes) and returns the way with hit=true; on a miss it
+// touch makes (set, way) the set's most recently used way.
+func (c *Cache) touch(set, way int) {
+	c.clock++
+	c.stamp[set*c.ways+way] = c.clock
+	c.mru[set] = int32(way)
+}
+
+// Access performs a full access: on a hit it updates the LRU order (and
+// dirtiness for writes) and returns the way with hit=true; on a miss it
 // changes nothing. It never fills — the caller decides fill policy.
 //
 //ziv:noalloc
-func (c *Cache) Access(blockAddr uint64, write bool, m policy.Meta) (way int, hit bool) {
+func (c *Cache) Access(blockAddr uint64, write bool) (way int, hit bool) {
 	way, hit = c.Lookup(blockAddr)
 	if !hit {
 		return -1, false
 	}
 	set := c.SetIndex(blockAddr)
-	b := c.Block(set, way)
 	if write {
-		b.Dirty = true
+		c.flags[set*c.ways+way] |= flagDirty
 	}
-	c.pol.OnHit(set, way, m)
-	c.mru[set] = int32(way)
+	c.touch(set, way)
 	return way, true
 }
 
-// InvalidWay returns an invalid way in set, or -1 when the set is full.
-// Full sets (the steady state) answer from the per-set valid count.
+// Victim returns the way a fill into set takes: the first invalid way, or
+// else the least recently used way (lowest index on ties). valid reports
+// whether that way holds a block, which the caller must EvictWay before
+// FillWay.
 //
 //ziv:noalloc
-func (c *Cache) InvalidWay(set int) int {
-	if int(c.validCnt[set]) == c.ways {
-		return -1
-	}
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tagNone {
-			return w
+func (c *Cache) Victim(set int) (way int, valid bool) {
+	stamp := c.stamp[set*c.ways : (set+1)*c.ways]
+	best, bestStamp := 0, stamp[0]
+	for w := 1; w < len(stamp); w++ {
+		if s := stamp[w]; s < bestStamp {
+			best, bestStamp = w, s
 		}
 	}
-	return -1
-}
-
-// Victim returns the policy's top victim way for set.
-func (c *Cache) Victim(set int) int {
-	return c.pol.Victim(set)
+	return best, bestStamp != 0
 }
 
 // FillWay inserts blockAddr at an exact (set, way), which must be invalid.
 //
 //ziv:noalloc
-func (c *Cache) FillWay(set, way int, blockAddr uint64, dirty, writable bool, m policy.Meta) {
-	b := c.Block(set, way)
-	if b.Valid {
+func (c *Cache) FillWay(set, way int, blockAddr uint64, dirty, writable bool) {
+	i := set*c.ways + way
+	if c.tags[i] != tagNone {
 		panic(fmt.Sprintf("cache %s: FillWay into valid way (set %d way %d)", c.name, set, way))
 	}
 	if got := c.SetIndex(blockAddr); got != set {
 		panic(fmt.Sprintf("cache %s: FillWay set mismatch: block %#x maps to set %d, not %d", c.name, blockAddr, got, set))
 	}
-	*b = Block{Valid: true, Dirty: dirty, Writable: writable, Addr: blockAddr}
-	c.tags[set*c.ways+way] = blockAddr
-	c.validCnt[set]++
-	c.mru[set] = int32(way)
-	c.pol.OnFill(set, way, m)
+	var f uint8
+	if dirty {
+		f |= flagDirty
+	}
+	if writable {
+		f |= flagWritable
+	}
+	c.tags[i] = blockAddr
+	c.flags[i] = f
+	c.touch(set, way)
 }
 
 // EvictWay removes the valid block at (set, way) as a replacement decision
-// and returns it. The policy's OnEvict hook runs (e.g. Hawkeye detraining).
+// and returns it.
 //
 //ziv:noalloc
 func (c *Cache) EvictWay(set, way int) Block {
-	b := c.Block(set, way)
-	if !b.Valid {
+	i := set*c.ways + way
+	if c.tags[i] == tagNone {
 		panic(fmt.Sprintf("cache %s: EvictWay on invalid way (set %d way %d)", c.name, set, way))
 	}
-	evicted := *b
-	c.pol.OnEvict(set, way)
-	*b = Block{}
-	c.tags[set*c.ways+way] = tagNone
-	c.validCnt[set]--
-	return evicted
+	return c.remove(i)
 }
 
 // Invalidate removes blockAddr if present (an externally forced removal, not
@@ -225,23 +215,48 @@ func (c *Cache) Invalidate(blockAddr uint64) (removed Block, ok bool) {
 	if !hit {
 		return Block{}, false
 	}
-	set := c.SetIndex(blockAddr)
-	removed = *c.Block(set, way)
-	c.pol.OnInvalidate(set, way)
-	*c.Block(set, way) = Block{}
-	c.tags[set*c.ways+way] = tagNone
-	c.validCnt[set]--
-	return removed, true
+	return c.remove(c.SetIndex(blockAddr)*c.ways + way), true
 }
 
-// ForEachValid calls fn for every valid block.
-func (c *Cache) ForEachValid(fn func(set, way int, b Block)) {
-	for s := 0; s < c.sets; s++ {
-		for w := 0; w < c.ways; w++ {
-			b := c.blocks[s*c.ways+w]
-			if b.Valid {
-				fn(s, w, b)
-			}
+// remove invalidates the valid way at index i and returns its block. The
+// zero stamp makes the way the first candidate of its set's Victim.
+func (c *Cache) remove(i int) Block {
+	b := c.block(i)
+	c.tags[i] = tagNone
+	c.stamp[i] = 0
+	return b
+}
+
+// block copies out the valid way at index i.
+func (c *Cache) block(i int) Block {
+	f := c.flags[i]
+	return Block{Dirty: f&flagDirty != 0, Writable: f&flagWritable != 0, Addr: c.tags[i]}
+}
+
+// SetDirty marks the valid block at (set, way) dirty.
+func (c *Cache) SetDirty(set, way int) { c.flags[set*c.ways+way] |= flagDirty }
+
+// SetWritable grants the valid block at (set, way) write permission.
+func (c *Cache) SetWritable(set, way int) { c.flags[set*c.ways+way] |= flagWritable }
+
+// Writable reports whether the valid block at (set, way) may be written
+// without an upgrade.
+func (c *Cache) Writable(set, way int) bool { return c.flags[set*c.ways+way]&flagWritable != 0 }
+
+// Downgrade clears the dirty and writable bits of the valid block at
+// (set, way) and reports whether it was dirty.
+func (c *Cache) Downgrade(set, way int) (wasDirty bool) {
+	i := set*c.ways + way
+	wasDirty = c.flags[i]&flagDirty != 0
+	c.flags[i] = 0
+	return wasDirty
+}
+
+// ForEachValid calls fn for every valid block, in set then way order.
+func (c *Cache) ForEachValid(fn func(b Block)) {
+	for i, t := range c.tags {
+		if t != tagNone {
+			fn(c.block(i))
 		}
 	}
 }

@@ -2,40 +2,33 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
-	"testing/quick"
-
-	"zivsim/internal/policy"
 )
 
 func mkCache(t *testing.T, sets, ways int) *Cache {
 	t.Helper()
-	return New("test", sets, ways, policy.NewLRU())
+	return New("test", sets, ways)
 }
 
-// fill inserts blockAddr the way the hierarchy's fill paths do — an
-// invalid way if the set has one, else the policy's victim — and returns
-// the evicted block (Valid=false when an invalid way absorbed the fill).
-func fill(c *Cache, blockAddr uint64, dirty, writable bool, m policy.Meta) (victim Block) {
+// fill inserts blockAddr the way the hierarchy's fill paths do — into the
+// set's Victim way, evicting its block first when it holds one — and
+// returns the evicted block and whether there was one.
+func fill(c *Cache, blockAddr uint64, dirty, writable bool) (victim Block, evicted bool) {
 	set := c.SetIndex(blockAddr)
-	way := c.InvalidWay(set)
-	if way < 0 {
-		way = c.Victim(set)
+	way, valid := c.Victim(set)
+	if valid {
 		victim = c.EvictWay(set, way)
 	}
-	c.FillWay(set, way, blockAddr, dirty, writable, m)
-	return victim
+	c.FillWay(set, way, blockAddr, dirty, writable)
+	return victim, valid
 }
 
-// validCount counts the valid blocks of the whole cache.
-func validCount(c *Cache) int {
-	n := 0
-	for i := range c.blocks {
-		if c.blocks[i].Valid {
-			n++
-		}
-	}
-	return n
+// contents lists the valid blocks of the whole cache in ForEachValid order.
+func contents(c *Cache) []Block {
+	var out []Block
+	c.ForEachValid(func(b Block) { out = append(out, b) })
+	return out
 }
 
 func TestBlockAddr(t *testing.T) {
@@ -63,7 +56,7 @@ func TestNewValidation(t *testing.T) {
 					t.Errorf("New(%d,%d) did not panic", tc.sets, tc.ways)
 				}
 			}()
-			New("bad", tc.sets, tc.ways, policy.NewLRU())
+			New("bad", tc.sets, tc.ways)
 		}()
 	}
 }
@@ -74,14 +67,14 @@ func TestNewValidation(t *testing.T) {
 func TestSizeBytes(t *testing.T) {
 	c := mkCache(t, 64, 8)
 	for a := uint64(0); a < 64*8; a++ {
-		if v := fill(c, a, false, false, policy.Meta{Addr: a}); v.Valid {
+		if v, evicted := fill(c, a, false, false); evicted {
 			t.Fatalf("fill %d evicted %+v below capacity", a, v)
 		}
 	}
-	if got, want := validCount(c)*BlockBytes, 64*8*64; got != want {
+	if got, want := len(contents(c))*BlockBytes, 64*8*64; got != want {
 		t.Errorf("resident bytes = %d, want %d", got, want)
 	}
-	if v := fill(c, 64*8, false, false, policy.Meta{Addr: 64 * 8}); !v.Valid {
+	if _, evicted := fill(c, 64*8, false, false); !evicted {
 		t.Error("fill beyond capacity evicted nothing")
 	}
 }
@@ -91,31 +84,27 @@ func TestFillLookupHitMiss(t *testing.T) {
 	if _, hit := c.Lookup(100); hit {
 		t.Fatal("unexpected hit in empty cache")
 	}
-	v := fill(c, 100, false, false, policy.Meta{Addr: 100})
-	if v.Valid {
+	if _, evicted := fill(c, 100, false, false); evicted {
 		t.Fatal("fill into empty cache evicted something")
 	}
-	way, hit := c.Lookup(100)
-	if !hit {
+	if _, hit := c.Lookup(100); !hit {
 		t.Fatal("miss after fill")
 	}
-	if b := c.Block(c.SetIndex(100), way); b.Addr != 100 || !b.Valid {
-		t.Fatalf("bad block state: %+v", b)
+	if got := contents(c); len(got) != 1 || got[0] != (Block{Addr: 100}) {
+		t.Fatalf("bad block state: %+v", got)
 	}
 }
 
 func TestAccessCountsAndDirty(t *testing.T) {
 	c := mkCache(t, 4, 2)
-	fill(c, 8, false, true, policy.Meta{Addr: 8})
-	if _, hit := c.Access(8, true, policy.Meta{Addr: 8}); !hit {
+	fill(c, 8, false, true)
+	if _, hit := c.Access(8, true); !hit {
 		t.Fatal("expected hit")
 	}
-	if _, hit := c.Access(12, false, policy.Meta{Addr: 12}); hit {
+	if _, hit := c.Access(12, false); hit {
 		t.Fatal("expected miss")
 	}
-	set, _ := c.SetIndex(8), 0
-	way, _ := c.Lookup(8)
-	if !c.Block(set, way).Dirty {
+	if b, _ := c.Invalidate(8); !b.Dirty {
 		t.Error("write access did not set dirty")
 	}
 	if c.Contains(12) {
@@ -125,13 +114,13 @@ func TestAccessCountsAndDirty(t *testing.T) {
 
 func TestLRUEvictionOrder(t *testing.T) {
 	c := mkCache(t, 1, 2)
-	fill(c, 1, false, false, policy.Meta{Addr: 1})
-	fill(c, 2, false, false, policy.Meta{Addr: 2})
+	fill(c, 1, false, false)
+	fill(c, 2, false, false)
 	// Touch 1 so 2 becomes LRU.
-	c.Access(1, false, policy.Meta{Addr: 1})
-	v := fill(c, 3, false, false, policy.Meta{Addr: 3})
-	if !v.Valid || v.Addr != 2 {
-		t.Fatalf("evicted %+v, want block 2", v)
+	c.Access(1, false)
+	v, evicted := fill(c, 3, false, false)
+	if !evicted || v.Addr != 2 {
+		t.Fatalf("evicted %+v (%v), want block 2", v, evicted)
 	}
 	if !c.Contains(1) || !c.Contains(3) || c.Contains(2) {
 		t.Fatal("wrong residency after eviction")
@@ -140,7 +129,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestInvalidate(t *testing.T) {
 	c := mkCache(t, 4, 2)
-	fill(c, 5, true, false, policy.Meta{Addr: 5})
+	fill(c, 5, true, false)
 	b, ok := c.Invalidate(5)
 	if !ok || !b.Dirty || b.Addr != 5 {
 		t.Fatalf("Invalidate returned %+v, %v", b, ok)
@@ -155,14 +144,14 @@ func TestInvalidate(t *testing.T) {
 
 func TestEvictWayAndFillWay(t *testing.T) {
 	c := mkCache(t, 2, 2)
-	fill(c, 2, true, false, policy.Meta{Addr: 2})
+	fill(c, 2, true, false)
 	set := c.SetIndex(2)
 	way, _ := c.Lookup(2)
 	b := c.EvictWay(set, way)
 	if b.Addr != 2 || !b.Dirty {
 		t.Fatalf("EvictWay returned %+v", b)
 	}
-	c.FillWay(set, way, 4, false, false, policy.Meta{Addr: 4})
+	c.FillWay(set, way, 4, false, false)
 	if !c.Contains(4) {
 		t.Fatal("FillWay did not install block")
 	}
@@ -170,14 +159,14 @@ func TestEvictWayAndFillWay(t *testing.T) {
 
 func TestFillWayPanics(t *testing.T) {
 	c := mkCache(t, 2, 1)
-	fill(c, 0, false, false, policy.Meta{})
+	fill(c, 0, false, false)
 	t.Run("valid way", func(t *testing.T) {
 		defer func() {
 			if recover() == nil {
 				t.Error("FillWay into valid way did not panic")
 			}
 		}()
-		c.FillWay(0, 0, 2, false, false, policy.Meta{})
+		c.FillWay(0, 0, 2, false, false)
 	})
 	t.Run("wrong set", func(t *testing.T) {
 		defer func() {
@@ -185,7 +174,7 @@ func TestFillWayPanics(t *testing.T) {
 				t.Error("FillWay with wrong set did not panic")
 			}
 		}()
-		c.FillWay(1, 0, 2, false, false, policy.Meta{}) // block 2 maps to set 0
+		c.FillWay(1, 0, 2, false, false) // block 2 maps to set 0
 	})
 }
 
@@ -202,104 +191,204 @@ func TestEvictWayInvalidPanics(t *testing.T) {
 func TestValidCountAndForEach(t *testing.T) {
 	c := mkCache(t, 4, 2)
 	for i := uint64(0); i < 5; i++ {
-		fill(c, i, false, false, policy.Meta{Addr: i})
-	}
-	if got := validCount(c); got != 5 {
-		t.Errorf("valid blocks = %d, want 5", got)
+		fill(c, i, false, false)
 	}
 	seen := map[uint64]bool{}
-	c.ForEachValid(func(_, _ int, b Block) { seen[b.Addr] = true })
+	for _, b := range contents(c) {
+		seen[b.Addr] = true
+	}
 	if len(seen) != 5 {
 		t.Errorf("ForEachValid visited %d blocks, want 5", len(seen))
 	}
 }
 
-// Property: after any sequence of fills and accesses, the number of valid
-// blocks never exceeds capacity, residency matches a model map per set, and
-// a fill always makes its block resident.
-func TestCacheResidencyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := mkCache(t, 8, 4)
-		for i := 0; i < 500; i++ {
-			a := uint64(rng.Intn(128))
-			if rng.Intn(2) == 0 {
-				c.Access(a, rng.Intn(2) == 0, policy.Meta{Addr: a})
-			} else if !c.Contains(a) { // fill-on-miss, as the hierarchy does
-				fill(c, a, false, false, policy.Meta{Addr: a})
-				if !c.Contains(a) {
-					return false
-				}
-			}
-			if validCount(c) > 8*4 {
-				return false
-			}
-		}
-		// No duplicate tags anywhere.
-		seen := map[uint64]int{}
-		c.ForEachValid(func(_, _ int, b Block) { seen[b.Addr]++ })
-		for _, n := range seen {
-			if n > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a fill never evicts when an invalid way exists in the target set.
-func TestFillPrefersInvalidWays(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := mkCache(t, 4, 4)
-		for i := 0; i < 200; i++ {
-			a := uint64(rng.Intn(64))
-			if c.Contains(a) {
-				continue
-			}
-			set := c.SetIndex(a)
-			hadInvalid := c.InvalidWay(set) >= 0
-			v := fill(c, a, false, false, policy.Meta{Addr: a})
-			if hadInvalid && v.Valid {
-				return false
-			}
-			if !hadInvalid && !v.Valid {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAccessors(t *testing.T) {
-	c := New("dl1", 8, 4, policy.NewLRU())
-	if c.name != "dl1" || c.sets != 8 || c.Ways() != 4 {
+	c := New("dl1", 8, 4)
+	if c.name != "dl1" || c.Ways() != 4 || c.SetIndex(8*3+5) != 5 {
 		t.Error("accessors wrong")
 	}
-	if _, ok := c.pol.(*policy.LRU); !ok {
-		t.Errorf("policy = %T, want *policy.LRU", c.pol)
-	}
 }
 
-// TestVictimRankMatchesPolicy pins Victim to the policy's rank order:
-// the MRU way ranks last and Victim is the first way of the rank.
-func TestVictimRankMatchesPolicy(t *testing.T) {
-	c := New("t", 1, 3, policy.NewLRU())
-	for i := uint64(0); i < 3; i++ {
-		fill(c, i, false, false, policy.Meta{Addr: i})
+// refEntry is one valid way of the reference cache.
+type refEntry struct {
+	addr            uint64
+	dirty, writable bool
+	tick            uint64 // last fill or hit
+}
+
+// refCache is the obviously-correct model of Cache: each set is a slice of
+// ways, nil for an invalid way, and one global tick orders every fill and
+// hit.
+type refCache struct {
+	sets [][]*refEntry
+	tick uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	r := &refCache{sets: make([][]*refEntry, sets)}
+	for s := range r.sets {
+		r.sets[s] = make([]*refEntry, ways)
 	}
-	c.Access(0, false, policy.Meta{Addr: 0}) // 0 becomes MRU
-	r := c.pol.Rank(0)
-	if len(r) != 3 || r[len(r)-1] != 0 {
-		t.Errorf("Rank = %v; MRU way (block 0's) should rank last", r)
+	return r
+}
+
+func (r *refCache) setOf(addr uint64) int { return int(addr % uint64(len(r.sets))) }
+
+// find returns the way holding addr, or -1.
+func (r *refCache) find(addr uint64) int {
+	for w, e := range r.sets[r.setOf(addr)] {
+		if e != nil && e.addr == addr {
+			return w
+		}
 	}
-	if v := c.Victim(0); v != r[0] {
-		t.Errorf("Victim = %d, want Rank[0] = %d", v, r[0])
+	return -1
+}
+
+// victim returns the lowest invalid way, or else the way with the smallest
+// tick (lowest index on ties), and whether that way is valid.
+func (r *refCache) victim(set int) (int, bool) {
+	ways := r.sets[set]
+	for w, e := range ways {
+		if e == nil {
+			return w, false
+		}
 	}
+	best := 0
+	for w, e := range ways {
+		if e.tick < ways[best].tick {
+			best = w
+		}
+	}
+	return best, true
+}
+
+func (r *refCache) touch(e *refEntry) {
+	r.tick++
+	e.tick = r.tick
+}
+
+func (e *refEntry) block() Block {
+	return Block{Dirty: e.dirty, Writable: e.writable, Addr: e.addr}
+}
+
+// contents lists the valid blocks in set then way order.
+func (r *refCache) contents() []Block {
+	var out []Block
+	for _, ways := range r.sets {
+		for _, e := range ways {
+			if e != nil {
+				out = append(out, e.block())
+			}
+		}
+	}
+	return out
+}
+
+// Geometries FuzzCacheMatchesReference decodes from its first input byte.
+var (
+	fuzzSets = [...]int{1, 2, 8}
+	fuzzWays = [...]int{1, 2, 3, 8, 12, 64}
+)
+
+// FuzzCacheMatchesReference drives a Cache and the refCache model with the
+// same op stream on a decoded geometry, and requires the same answer from
+// every op and the same contents after it. The first input byte picks the
+// geometry; each following 3-byte group is one op (its kind, then the
+// address) over addresses spanning three times the capacity, so the stream
+// both hits and conflicts.
+func FuzzCacheMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for g := 0; g < len(fuzzSets)*len(fuzzWays); g++ {
+		ops := make([]byte, 1+3*400)
+		rng.Read(ops)
+		ops[0] = byte(g)
+		f.Add(ops)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		g := int(data[0]) % (len(fuzzSets) * len(fuzzWays))
+		sets, ways := fuzzSets[g%len(fuzzSets)], fuzzWays[g/len(fuzzSets)]
+		span := 3 * sets * ways
+		c, ref := New("fuzz", sets, ways), newRefCache(sets, ways)
+		data = data[1:]
+		for step := 0; len(data) >= 3 && step < 1000; step, data = step+1, data[3:] {
+			op := data[0]
+			addr := uint64((int(data[1])<<8 | int(data[2])) % span)
+			set := c.SetIndex(addr)
+			rw := ref.find(addr)
+			switch op % 8 {
+			case 0, 1: // Access, a read or a write
+				write := op%8 == 1
+				way, hit := c.Access(addr, write)
+				if hit != (rw >= 0) || (hit && way != rw) {
+					t.Fatalf("step %d: Access(%d) = way %d, hit %v; reference way %d", step, addr, way, hit, rw)
+				}
+				if hit {
+					e := ref.sets[set][rw]
+					e.dirty = e.dirty || write
+					ref.touch(e)
+				}
+			case 2, 3, 4: // fill on a miss: Victim, EvictWay, FillWay
+				if rw >= 0 {
+					break
+				}
+				dirty, writable := op&0x10 != 0, op&0x20 != 0
+				way, valid := c.Victim(set)
+				rway, rvalid := ref.victim(set)
+				if way != rway || valid != rvalid {
+					t.Fatalf("step %d: Victim(%d) = %d, %v; reference %d, %v", step, set, way, valid, rway, rvalid)
+				}
+				if valid {
+					if got, want := c.EvictWay(set, way), ref.sets[set][way].block(); got != want {
+						t.Fatalf("step %d: EvictWay(%d, %d) = %+v, reference %+v", step, set, way, got, want)
+					}
+				}
+				c.FillWay(set, way, addr, dirty, writable)
+				e := &refEntry{addr: addr, dirty: dirty, writable: writable}
+				ref.sets[set][way] = e
+				ref.touch(e)
+			case 5: // Invalidate
+				got, ok := c.Invalidate(addr)
+				if ok != (rw >= 0) {
+					t.Fatalf("step %d: Invalidate(%d) ok = %v, reference resident %v", step, addr, ok, rw >= 0)
+				}
+				if ok {
+					if want := ref.sets[set][rw].block(); got != want {
+						t.Fatalf("step %d: Invalidate(%d) = %+v, reference %+v", step, addr, got, want)
+					}
+					ref.sets[set][rw] = nil
+				}
+			default: // SetDirty, SetWritable or Downgrade on a resident block
+				if rw < 0 {
+					break
+				}
+				e := ref.sets[set][rw]
+				switch (op >> 3) % 3 {
+				case 0:
+					c.SetDirty(set, rw)
+					e.dirty = true
+				case 1:
+					c.SetWritable(set, rw)
+					e.writable = true
+				default:
+					if got := c.Downgrade(set, rw); got != e.dirty {
+						t.Fatalf("step %d: Downgrade(%d, %d) = %v, reference dirty %v", step, set, rw, got, e.dirty)
+					}
+					e.dirty, e.writable = false, false
+				}
+				if got := c.Writable(set, rw); got != e.writable {
+					t.Fatalf("step %d: Writable(%d, %d) = %v, reference %v", step, set, rw, got, e.writable)
+				}
+			}
+			way, valid := c.Victim(set)
+			if rway, rvalid := ref.victim(set); way != rway || valid != rvalid {
+				t.Fatalf("step %d: after op %d, Victim(%d) = %d, %v; reference %d, %v", step, op%8, set, way, valid, rway, rvalid)
+			}
+			if got, want := contents(c), ref.contents(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: after op %d, contents %+v; reference %+v", step, op%8, got, want)
+			}
+		}
+	})
 }

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"zivsim/internal/obs"
-	"zivsim/internal/policy"
 )
 
 // State is the MESI directory state of a tracked block.
@@ -198,8 +197,10 @@ type slice struct {
 	entries []Entry // sets*ways
 	// tags mirrors entries for fast lookup: the tracked block address for a
 	// valid entry, tagNone otherwise.
-	tags     []uint64
-	pol      *policy.NRU
+	tags []uint64
+	// ref holds the 1-bit NRU (not-recently-used) reference bit of every
+	// way, the paper's directory replacement policy: see touch and victim.
+	ref      []bool
 	overflow map[uint64]*Entry
 	// free recycles overflow Entry boxes: a ZeroDEV workload churns
 	// spill/free pairs in the steady state, and reusing the boxes keeps the
@@ -229,8 +230,6 @@ func New(cfg Config) *Directory {
 		slices:   make([]slice, cfg.Slices),
 	}
 	for i := range d.slices {
-		pol := policy.NewNRU()
-		pol.Init(cfg.SetsPerSlice, cfg.Ways)
 		tags := make([]uint64, cfg.SetsPerSlice*cfg.Ways)
 		for j := range tags {
 			tags[j] = tagNone
@@ -238,7 +237,7 @@ func New(cfg Config) *Directory {
 		d.slices[i] = slice{
 			entries:  make([]Entry, cfg.SetsPerSlice*cfg.Ways),
 			tags:     tags,
-			pol:      pol,
+			ref:      make([]bool, cfg.SetsPerSlice*cfg.Ways),
 			overflow: make(map[uint64]*Entry),
 		}
 	}
@@ -289,7 +288,7 @@ func (d *Directory) Lookup(blockAddr uint64) (*Entry, Ptr) {
 	for w, t := range sl.tags[base : base+d.cfg.Ways] {
 		if t == blockAddr {
 			d.Stats.Hits++
-			sl.pol.OnHit(set, w, policy.Meta{Addr: blockAddr})
+			sl.touch(base, w, d.cfg.Ways)
 			return &sl.entries[base+w], Ptr{Bank: bank, Set: set, Way: w}
 		}
 	}
@@ -362,9 +361,8 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, victi
 		}
 	}
 	if way < 0 {
-		way = sl.pol.Victim(set)
+		way = sl.victim(base, d.cfg.Ways)
 		old := &sl.entries[base+way]
-		sl.pol.OnEvict(set, way)
 		d.Stats.Evictions++
 		if d.cfg.ZeroDEV {
 			d.Stats.Spills++
@@ -401,8 +399,34 @@ func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, victi
 	*e = Entry{Valid: true, Addr: blockAddr, State: st}
 	e.Sharers.Set(core)
 	sl.tags[base+way] = blockAddr
-	sl.pol.OnFill(set, way, policy.Meta{Addr: blockAddr})
+	sl.touch(base, way, d.cfg.Ways)
 	return Ptr{Bank: bank, Set: set, Way: way}, victim, spilled
+}
+
+// touch marks the way at base+way referenced. When that leaves every way
+// of the set referenced, the other ways' bits clear.
+func (sl *slice) touch(base, way, ways int) {
+	ref := sl.ref[base : base+ways]
+	ref[way] = true
+	for _, r := range ref {
+		if !r {
+			return
+		}
+	}
+	for w := range ref {
+		ref[w] = w == way
+	}
+}
+
+// victim returns the NRU victim of the full set at base: its first
+// unreferenced way, or way 0 when every way is referenced.
+func (sl *slice) victim(base, ways int) int {
+	for w, r := range sl.ref[base : base+ways] {
+		if !r {
+			return w
+		}
+	}
+	return 0
 }
 
 // OverflowPtr returns the pointer addressing blockAddr's overflow-resident
@@ -428,9 +452,10 @@ func (d *Directory) Free(p Ptr) {
 		}
 		return
 	}
-	sl.entries[p.Set*d.cfg.Ways+p.Way] = Entry{}
-	sl.tags[p.Set*d.cfg.Ways+p.Way] = tagNone
-	sl.pol.OnInvalidate(p.Set, p.Way)
+	i := p.Set*d.cfg.Ways + p.Way
+	sl.entries[i] = Entry{}
+	sl.tags[i] = tagNone
+	sl.ref[i] = false
 }
 
 // ValidCount returns the number of valid entries (main arrays + overflow).

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -213,46 +214,179 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// Property: the directory tracks exactly the model set of allocated-and-not-
-// freed addresses, and in ZeroDEV mode nothing is ever silently dropped.
+// refWay is one way of the reference directory: the tracked address of a
+// valid entry and the way's NRU reference bit.
+type refWay struct {
+	valid bool
+	addr  uint64
+	ref   bool
+}
+
+// refDir is the reference model of a directory: every set as a slice of
+// ways, with the paper's 1-bit NRU written out directly, plus the ZeroDEV
+// overflow as a set of addresses.
+type refDir struct {
+	slices, sets int
+	ways         [][]refWay // indexed by slice*sets + set
+	overflow     map[uint64]bool
+}
+
+func newRefDir(slices, sets, ways int) *refDir {
+	r := &refDir{slices: slices, sets: sets, ways: make([][]refWay, slices*sets), overflow: map[uint64]bool{}}
+	for i := range r.ways {
+		r.ways[i] = make([]refWay, ways)
+	}
+	return r
+}
+
+// set returns the ways of blockAddr's set: slice from the low address
+// bits, set from the bits above them.
+func (r *refDir) set(blockAddr uint64) []refWay {
+	slice := int(blockAddr % uint64(r.slices))
+	set := int(blockAddr / uint64(r.slices) % uint64(r.sets))
+	return r.ways[slice*r.sets+set]
+}
+
+// find returns the way tracking blockAddr in its set, or -1.
+func (r *refDir) find(blockAddr uint64) int {
+	for w, x := range r.set(blockAddr) {
+		if x.valid && x.addr == blockAddr {
+			return w
+		}
+	}
+	return -1
+}
+
+// refTouch sets way w's reference bit; when every bit of the set is then
+// set, all but w's clear.
+func refTouch(set []refWay, w int) {
+	set[w].ref = true
+	for _, x := range set {
+		if !x.ref {
+			return
+		}
+	}
+	for i := range set {
+		set[i].ref = i == w
+	}
+}
+
+// allocate installs blockAddr in the first invalid way of its set, or else
+// in the first unreferenced way (way 0 when every way is referenced), and
+// returns that way and the address it displaced, if any.
+func (r *refDir) allocate(blockAddr uint64) (way int, victim uint64, evicted bool) {
+	set := r.set(blockAddr)
+	way = -1
+	for w, x := range set {
+		if !x.valid {
+			way = w
+			break
+		}
+	}
+	if way < 0 {
+		way = 0
+		for w, x := range set {
+			if !x.ref {
+				way = w
+				break
+			}
+		}
+		victim, evicted = set[way].addr, true
+	}
+	set[way].valid, set[way].addr = true, blockAddr
+	refTouch(set, way)
+	return way, victim, evicted
+}
+
+// Property: the directory evicts (or, in ZeroDEV mode, spills) exactly the
+// entry the reference NRU names, places every allocation in the way the
+// reference does, and tracks exactly the reference's addresses. Lookup hits
+// touch the reference bits and frees clear them, so the op mix reaches
+// every NRU rule.
 func TestDirectoryModelProperty(t *testing.T) {
-	run := func(seed int64, zeroDEV bool) bool {
+	const slices, sets = 2, 2
+	run := func(seed int64, zeroDEV bool, ways int) error {
 		rng := rand.New(rand.NewSource(seed))
-		d := New(Config{Slices: 2, SetsPerSlice: 2, Ways: 2, ZeroDEV: zeroDEV})
-		model := map[uint64]bool{}
-		for i := 0; i < 300; i++ {
-			a := uint64(rng.Intn(32))
-			if model[a] {
-				if rng.Intn(2) == 0 {
-					_, p := d.Lookup(a)
-					d.Free(p)
-					delete(model, a)
-				} else if !d.Tracked(a) {
-					return false
+		d := New(Config{Slices: slices, SetsPerSlice: sets, Ways: ways, ZeroDEV: zeroDEV})
+		ref := newRefDir(slices, sets, ways)
+		span := 3 * slices * sets * ways
+		for i := 0; i < 400; i++ {
+			a := uint64(rng.Intn(span))
+			w := ref.find(a)
+			tracked := w >= 0 || ref.overflow[a]
+			switch {
+			case !tracked:
+				p, ev, spilled := d.Allocate(a, rng.Intn(8), Shared)
+				rw, victim, evicted := ref.allocate(a)
+				if p.Way != rw {
+					return fmt.Errorf("step %d: Allocate(%d) took way %d, reference way %d", i, a, p.Way, rw)
 				}
-				continue
-			}
-			_, ev, spilled := d.Allocate(a, rng.Intn(8), Shared)
-			model[a] = true
-			if ev != nil && !spilled {
-				if zeroDEV {
-					return false // ZeroDEV must never surface an eviction
+				if (ev != nil) != evicted {
+					return fmt.Errorf("step %d: Allocate(%d) displaced %v, reference displaced %v", i, a, ev != nil, evicted)
 				}
-				delete(model, ev.Addr)
+				if evicted {
+					if ev.Addr != victim || spilled != zeroDEV {
+						return fmt.Errorf("step %d: Allocate(%d) displaced %d (spilled %v), reference %d (spilled %v)", i, a, ev.Addr, spilled, victim, zeroDEV)
+					}
+					if zeroDEV {
+						ref.overflow[victim] = true
+					}
+				}
+			case rng.Intn(2) == 0:
+				e, p := d.Lookup(a)
+				if e == nil || e.Addr != a {
+					return fmt.Errorf("step %d: Lookup(%d) missed a tracked block", i, a)
+				}
+				if p.Way != w {
+					return fmt.Errorf("step %d: Lookup(%d) found way %d, reference way %d", i, a, p.Way, w)
+				}
+				if w >= 0 {
+					refTouch(ref.set(a), w)
+				}
+			default:
+				_, p, ok := d.Find(a)
+				if !ok {
+					return fmt.Errorf("step %d: Find(%d) missed a tracked block", i, a)
+				}
+				d.Free(p)
+				if w >= 0 {
+					ref.set(a)[w] = refWay{}
+				} else {
+					delete(ref.overflow, a)
+				}
 			}
 		}
-		for a := range model {
-			if !d.Tracked(a) {
-				return false
+		n := len(ref.overflow)
+		for _, set := range ref.ways {
+			for w, x := range set {
+				if !x.valid {
+					continue
+				}
+				n++
+				if _, p, ok := d.Find(x.addr); !ok || p.Way != w {
+					return fmt.Errorf("block %d: Find = way %d, %v; reference way %d", x.addr, p.Way, ok, w)
+				}
 			}
 		}
-		if d.ValidCount() != len(model) {
+		for a := range ref.overflow {
+			if _, p, ok := d.Find(a); !ok || p.Way >= 0 {
+				return fmt.Errorf("block %d: not in the overflow", a)
+			}
+		}
+		if got := d.ValidCount(); got != n {
+			return fmt.Errorf("ValidCount = %d, reference %d", got, n)
+		}
+		return nil
+	}
+	f := func(seed int64, zeroDEV bool, pick uint8) bool {
+		ways := [...]int{1, 2, 3, 8}[pick%4]
+		if err := run(seed, zeroDEV, ways); err != nil {
+			t.Logf("seed %d, ZeroDEV %v, %d ways: %v", seed, zeroDEV, ways, err)
 			return false
 		}
 		return true
 	}
-	f := func(seed int64, zeroDEV bool) bool { return run(seed, zeroDEV) }
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
 }

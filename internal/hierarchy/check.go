@@ -22,7 +22,7 @@ func (m *Machine) CheckInclusion() error {
 	for i := range m.cores {
 		c := &m.cores[i]
 		var err error
-		visit := func(_, _ int, b cache.Block) {
+		visit := func(b cache.Block) {
 			if err != nil {
 				return
 			}

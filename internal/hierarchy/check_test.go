@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"zivsim/internal/directory"
-	"zivsim/internal/policy"
 )
 
 // Negative-path tests for CheckInclusion: each corrupts a consistent
@@ -64,12 +63,11 @@ func TestCheckInclusionDetectsUntrackedPrivateBlock(t *testing.T) {
 		t.Fatalf("bogus address %#x unexpectedly tracked", bogus)
 	}
 	set := c.l1.SetIndex(bogus)
-	way := c.l1.InvalidWay(set)
-	if way < 0 {
-		way = 0
+	way, valid := c.l1.Victim(set)
+	if valid {
 		c.l1.EvictWay(set, way) // drop the occupant silently: l2 still holds it
 	}
-	c.l1.FillWay(set, way, bogus, false, false, policy.Meta{Addr: bogus})
+	c.l1.FillWay(set, way, bogus, false, false)
 	wantInclusionError(t, m, "holds untracked block")
 }
 

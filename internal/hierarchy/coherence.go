@@ -28,17 +28,11 @@ func (m *Machine) inMeasured(id int) bool {
 // core id's copies of blockAddr, for a read by another core.
 func (m *Machine) downgradePrivate(id int, blockAddr uint64) (wasDirty bool) {
 	c := &m.cores[id]
-	if w, hit := c.l1.Lookup(blockAddr); hit {
-		b := c.l1.Block(c.l1.SetIndex(blockAddr), w)
-		wasDirty = wasDirty || b.Dirty
-		b.Dirty = false
-		b.Writable = false
+	if w, hit := c.l1.Lookup(blockAddr); hit && c.l1.Downgrade(c.l1.SetIndex(blockAddr), w) {
+		wasDirty = true
 	}
-	if w, hit := c.l2.Lookup(blockAddr); hit {
-		b := c.l2.Block(c.l2.SetIndex(blockAddr), w)
-		wasDirty = wasDirty || b.Dirty
-		b.Dirty = false
-		b.Writable = false
+	if w, hit := c.l2.Lookup(blockAddr); hit && c.l2.Downgrade(c.l2.SetIndex(blockAddr), w) {
+		wasDirty = true
 	}
 	return wasDirty
 }
@@ -47,10 +41,10 @@ func (m *Machine) downgradePrivate(id int, blockAddr uint64) (wasDirty bool) {
 func (m *Machine) setWritable(id int, blockAddr uint64) {
 	c := &m.cores[id]
 	if w, hit := c.l1.Lookup(blockAddr); hit {
-		c.l1.Block(c.l1.SetIndex(blockAddr), w).Writable = true
+		c.l1.SetWritable(c.l1.SetIndex(blockAddr), w)
 	}
 	if w, hit := c.l2.Lookup(blockAddr); hit {
-		c.l2.Block(c.l2.SetIndex(blockAddr), w).Writable = true
+		c.l2.SetWritable(c.l2.SetIndex(blockAddr), w)
 	}
 }
 
@@ -281,8 +275,8 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		} else {
 			writable = m.joinSharers(c, e, write, blockAddr)
 		}
-		m.fillL2(c, blockAddr, false, writable, meta, l2Meta{llcHit: true})
-		m.fillL1(c, blockAddr, write, writable, meta)
+		m.fillL2(c, blockAddr, false, writable, l2Meta{llcHit: true})
+		m.fillL1(c, blockAddr, write, writable)
 		return lat
 	}
 
@@ -295,8 +289,8 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 			m.llc.AccessRelocated(e.Loc, meta)
 			res.llcHit = true
 			writable := m.joinSharers(c, e, write, blockAddr)
-			m.fillL2(c, blockAddr, false, writable, meta, l2Meta{llcHit: true})
-			m.fillL1(c, blockAddr, write, writable, meta)
+			m.fillL2(c, blockAddr, false, writable, l2Meta{llcHit: true})
+			m.fillL1(c, blockAddr, write, writable)
 			return lat
 		}
 		if m.cfg.Mode == Inclusive {
@@ -321,8 +315,8 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
 		m.meter.Add(energy.LLCDataWrite, 1)
 		m.handleFillOutcome(c.id, out)
-		m.fillL2(c, blockAddr, false, writable, meta, l2Meta{llcHit: false})
-		m.fillL1(c, blockAddr, write, writable, meta)
+		m.fillL2(c, blockAddr, false, writable, l2Meta{llcHit: false})
+		m.fillL1(c, blockAddr, write, writable)
 		return lat
 	}
 
@@ -341,7 +335,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 	out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
 	m.meter.Add(energy.LLCDataWrite, 1)
 	m.handleFillOutcome(c.id, out)
-	m.fillL2(c, blockAddr, false, true, meta, l2Meta{llcHit: false})
-	m.fillL1(c, blockAddr, write, true, meta)
+	m.fillL2(c, blockAddr, false, true, l2Meta{llcHit: false})
+	m.fillL1(c, blockAddr, write, true)
 	return lat
 }

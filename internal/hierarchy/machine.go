@@ -151,8 +151,8 @@ func New(cfg Config, gens []trace.Generator, warmup, measure int) *Machine {
 		m.cores[i] = coreState{
 			id:     i,
 			gen:    gens[i],
-			l1:     cache.New(fmt.Sprintf("l1.%d", i), l1Sets, cfg.L1Ways, policy.NewLRU()),
-			l2:     cache.New(fmt.Sprintf("l2.%d", i), l2Sets, cfg.L2Ways, policy.NewLRU()),
+			l1:     cache.New(fmt.Sprintf("l1.%d", i), l1Sets, cfg.L1Ways),
+			l2:     cache.New(fmt.Sprintf("l2.%d", i), l2Sets, cfg.L2Ways),
 			l2meta: make([]l2Meta, l2Sets*cfg.L2Ways),
 		}
 		gens[i].Reset()
@@ -212,15 +212,13 @@ func (m *Machine) privateHolds(c *coreState, blockAddr uint64) bool {
 }
 
 // fillL1 installs a block in core c's L1, cascading the victim.
-func (m *Machine) fillL1(c *coreState, blockAddr uint64, dirty, writable bool, meta policy.Meta) {
+func (m *Machine) fillL1(c *coreState, blockAddr uint64, dirty, writable bool) {
 	set := c.l1.SetIndex(blockAddr)
-	way := c.l1.InvalidWay(set)
-	if way < 0 {
-		way = c.l1.Victim(set)
-		victim := c.l1.EvictWay(set, way)
-		m.handleL1Victim(c, victim)
+	way, valid := c.l1.Victim(set)
+	if valid {
+		m.handleL1Victim(c, c.l1.EvictWay(set, way))
 	}
-	c.l1.FillWay(set, way, blockAddr, dirty, writable, meta)
+	c.l1.FillWay(set, way, blockAddr, dirty, writable)
 }
 
 // handleL1Victim processes an L1 replacement victim: dirty data merges into
@@ -229,13 +227,13 @@ func (m *Machine) fillL1(c *coreState, blockAddr uint64, dirty, writable bool, m
 func (m *Machine) handleL1Victim(c *coreState, victim cache.Block) {
 	if w, hit := c.l2.Lookup(victim.Addr); hit {
 		if victim.Dirty {
-			c.l2.Block(c.l2.SetIndex(victim.Addr), w).Dirty = true
+			c.l2.SetDirty(c.l2.SetIndex(victim.Addr), w)
 		}
 		return
 	}
 	if victim.Dirty {
 		// Writeback-allocate into the (non-inclusive) private L2.
-		m.fillL2(c, victim.Addr, true, victim.Writable, policy.Meta{Addr: victim.Addr}, l2Meta{})
+		m.fillL2(c, victim.Addr, true, victim.Writable, l2Meta{})
 		return
 	}
 	// Clean block leaving the core entirely: dataless eviction notice. L1
@@ -246,16 +244,15 @@ func (m *Machine) handleL1Victim(c *coreState, victim cache.Block) {
 
 // fillL2 installs a block in core c's L2, cascading the victim, and records
 // its CHAR metadata.
-func (m *Machine) fillL2(c *coreState, blockAddr uint64, dirty, writable bool, meta policy.Meta, md l2Meta) {
+func (m *Machine) fillL2(c *coreState, blockAddr uint64, dirty, writable bool, md l2Meta) {
 	set := c.l2.SetIndex(blockAddr)
-	way := c.l2.InvalidWay(set)
-	if way < 0 {
-		way = c.l2.Victim(set)
+	way, valid := c.l2.Victim(set)
+	if valid {
 		victim := c.l2.EvictWay(set, way)
 		vm := *c.l2MetaAt(set, way)
 		m.handleL2Victim(c, victim, vm)
 	}
-	c.l2.FillWay(set, way, blockAddr, dirty, writable, meta)
+	c.l2.FillWay(set, way, blockAddr, dirty, writable)
 	*c.l2MetaAt(set, way) = md
 }
 
@@ -266,7 +263,7 @@ func (m *Machine) fillL2(c *coreState, blockAddr uint64, dirty, writable bool, m
 func (m *Machine) handleL2Victim(c *coreState, victim cache.Block, md l2Meta) {
 	if w, hit := c.l1.Lookup(victim.Addr); hit {
 		if victim.Dirty {
-			c.l1.Block(c.l1.SetIndex(victim.Addr), w).Dirty = true
+			c.l1.SetDirty(c.l1.SetIndex(victim.Addr), w)
 		}
 		return
 	}

@@ -28,8 +28,8 @@ func (m *Machine) step(c *coreState) {
 
 	m.meter.Add(energy.L1Access, 1)
 	set := c.l1.SetIndex(blockAddr)
-	if way, hit := c.l1.Access(blockAddr, ref.Write, meta); hit {
-		if ref.Write && !c.l1.Block(set, way).Writable {
+	if way, hit := c.l1.Access(blockAddr, ref.Write); hit {
+		if ref.Write && !c.l1.Writable(set, way) {
 			cycles += m.upgrade(c, blockAddr)
 		}
 		if measured {
@@ -80,18 +80,18 @@ func (m *Machine) accessL2(c *coreState, blockAddr uint64, write bool, meta poli
 	lat := uint64(m.cfg.L2Latency)
 	m.meter.Add(energy.L2Access, 1)
 	set := c.l2.SetIndex(blockAddr)
-	if way, hit := c.l2.Access(blockAddr, false, meta); hit {
+	if way, hit := c.l2.Access(blockAddr, false); hit {
 		res.l2Hit = true
 		md := c.l2MetaAt(set, way)
 		if md.demandReuses < 255 {
 			md.demandReuses++
 		}
-		writable := c.l2.Block(set, way).Writable
+		writable := c.l2.Writable(set, way)
 		if write && !writable {
 			lat += m.upgrade(c, blockAddr)
 			writable = true
 		}
-		m.fillL1(c, blockAddr, write, writable, meta)
+		m.fillL1(c, blockAddr, write, writable)
 		return lat
 	}
 	return lat + m.llcTransaction(c, blockAddr, write, meta, res)

@@ -26,10 +26,6 @@ func lockstepState(t *testing.T, p Policy) any {
 		c := *q
 		c.rankBuf = rankBuf{}
 		return c
-	case *NRU:
-		c := *q
-		c.rankBuf = rankBuf{}
-		return c
 	case *SRRIP:
 		c := *q
 		c.rankBuf = rankBuf{}

@@ -1,9 +1,11 @@
-// Package policy implements the cache replacement policies evaluated in the
-// ZIV paper: LRU, NRU, SRRIP, Hawkeye (OPTgen-trained RRIP) and the offline
-// Belady MIN oracle.
+// Package policy implements the four LLC replacement policies evaluated in
+// the ZIV paper: LRU, SRRIP, Hawkeye (OPTgen-trained RRIP) and the offline
+// Belady MIN oracle. The private caches keep their own true LRU
+// (internal/cache) and the sparse directory its own 1-bit NRU
+// (internal/directory).
 //
 // Policies are pure replacement-state machines over a (set, way) grid; the
-// cache substrate invokes the hooks and asks for a victim ranking. Ranking —
+// LLC banks invoke the hooks and ask for a victim ranking. Ranking —
 // rather than a single victim — is exposed because several LLC victim-
 // selection schemes from the paper (QBS, SHARP, CHARonBase, ZIV) walk the
 // policy's preference order looking for a victim with particular properties.
@@ -29,18 +31,18 @@ type Policy interface {
 	// OnFill records a fill of a previously invalid (set, way).
 	OnFill(set, way int, m Meta)
 	// OnEvict records that the block at (set, way) was replaced by the
-	// cache's own replacement decision (Hawkeye detrains on this).
+	// LLC's own replacement decision (Hawkeye detrains on this).
 	OnEvict(set, way int)
 	// OnInvalidate records an externally forced removal (back-invalidation,
 	// coherence invalidation, relocation) of the block at (set, way).
 	OnInvalidate(set, way int)
 	// Rank returns the ways of set ordered best-victim-first. Only valid
-	// (filled) ways need a meaningful order; the cache consults invalid ways
+	// (filled) ways need a meaningful order; the LLC consults invalid ways
 	// before ranking. The returned slice is reused across calls.
 	Rank(set int) []int
 	// Victim returns Rank(set)[0], with exactly Rank's side effects
 	// (SRRIP ages the set), without materializing or sorting
-	// the order. The caches ask it on every replacement, which makes it
+	// the order. The LLC banks ask it on every replacement, which makes it
 	// the hottest policy entry point; the full Rank order is only needed
 	// by QBS, which promotes ways mid-walk, and SHARP's directory stage.
 	Victim(set int) int

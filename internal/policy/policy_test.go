@@ -75,11 +75,10 @@ type namedPolicy struct {
 	mk   func() Policy
 }
 
-// allPolicies lists the five policies; MIN consults oracle.
+// allPolicies lists the four policies; MIN consults oracle.
 func allPolicies(oracle Oracle) []namedPolicy {
 	return []namedPolicy{
 		{"LRU", func() Policy { return NewLRU() }},
-		{"NRU", func() Policy { return NewNRU() }},
 		{"SRRIP", func() Policy { return NewSRRIP() }},
 		{"Hawkeye", func() Policy { return NewHawkeye(2) }},
 		{"MIN", func() Policy { return NewMIN(oracle) }},
@@ -136,24 +135,6 @@ func TestLRUWayAfterEvict(t *testing.T) {
 	p.OnFill(0, 0, Meta{})
 	if got := p.Victim(0); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
-	}
-}
-
-func TestNRUVictimIsUnreferenced(t *testing.T) {
-	p := NewNRU()
-	p.Init(1, 4)
-	for w := 0; w < 4; w++ {
-		p.OnFill(0, w, Meta{})
-	}
-	// All referenced -> last fill (way 3) triggered a clear of all but way 3.
-	r := p.Rank(0)
-	if r[0] == 3 {
-		t.Fatalf("rank[0] = 3; way 3 is the only referenced way")
-	}
-	p.OnHit(0, 0, Meta{})
-	r = p.Rank(0)
-	if r[0] == 0 || r[0] == 3 {
-		t.Fatalf("rank[0] = %d; ways 0 and 3 are referenced", r[0])
 	}
 }
 

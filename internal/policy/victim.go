@@ -13,18 +13,6 @@ func (p *LRU) Victim(set int) int {
 	return best
 }
 
-// Victim implements Policy: the first unreferenced way, or way 0 when
-// every way is referenced — identical to Rank's two-class order.
-func (p *NRU) Victim(set int) int {
-	base := set * p.ways
-	for w := 0; w < p.ways; w++ {
-		if !p.ref[base+w] {
-			return w
-		}
-	}
-	return 0
-}
-
 // Victim implements Policy. The canonical SRRIP aging step is applied
 // exactly as Rank does (the side effect must happen regardless of which
 // entry point picks the victim); afterwards the first way at the

@@ -4,7 +4,7 @@
 //
 // It provides a complete chip-multiprocessor cache-hierarchy simulator —
 // per-core L1/L2 private caches, a banked shared last-level cache with
-// pluggable replacement policies (LRU, NRU, SRRIP, Hawkeye, offline MIN), a
+// pluggable replacement policies (LRU, SRRIP, Hawkeye, offline MIN), a
 // sparse MESI coherence directory, a DDR3 memory model and a mesh
 // interconnect — together with the paper's contribution: the ZIV LLC, an
 // inclusive last-level cache that guarantees zero inclusion victims by
