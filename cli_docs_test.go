@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -21,21 +22,21 @@ const cliDocsPath = "docs/cli.md"
 // cliCommands are the commands documented in docs/cli.md, in file order.
 var cliCommands = []string{"zivsim", "zivsimd", "zivbench", "zivreport", "zivlint", "zivtrace"}
 
-// usageLine matches flag's default header, which embeds the temp binary
-// path that `go run` builds ("Usage of /tmp/go-build…/exe/zivsim:").
+// usageLine matches flag's default header, which embeds the path of the
+// built binary ("Usage of /tmp/zivsim-cmd-…/zivsim:").
 var usageLine = regexp.MustCompile(`(?m)^Usage of \S*?([a-z]+):$`)
 
-// helpOutput runs `go run ./cmd/<name> -help` and returns its combined
-// output with the build-dependent binary path normalized away. -help may
-// exit nonzero (the flag package's default is status 2); only failures to
-// run the command at all are fatal.
+// helpOutput runs `<name> -help` on the binary that commands built and
+// returns its combined output with the binary path normalized away. -help
+// may exit nonzero (the flag package's default is status 2); only
+// failures to run the command at all are fatal.
 func helpOutput(t *testing.T, name string) string {
 	t.Helper()
-	cmd := exec.Command("go", "run", "./cmd/"+name, "-help")
+	cmd := exec.Command(filepath.Join(commands(t), name), "-help")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("go run ./cmd/%s -help: %v\n%s", name, err, out)
+			t.Fatalf("%s -help: %v\n%s", name, err, out)
 		}
 	}
 	text := usageLine.ReplaceAllString(string(out), "Usage of $1:")
@@ -96,7 +97,7 @@ func extractHelp(doc, name string) (string, error) {
 // change.
 func TestCLIDocsInSync(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds every command via go run; skipped in -short mode")
+		t.Skip("builds every command; skipped in -short mode")
 	}
 	raw, err := os.ReadFile(cliDocsPath)
 	if err != nil {

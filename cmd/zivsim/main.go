@@ -111,6 +111,10 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "usage: zivsim -fig <id>|all  (see -list)")
 		return exitUsage
 	}
+	if _, err := harness.ResolveFigs([]string{*figID}); err != nil {
+		fmt.Fprintf(os.Stderr, "zivsim: unknown experiment %q (see -list)\n", *figID)
+		return exitUsage
+	}
 
 	// Graceful drain: the first SIGINT/SIGTERM stops dispatching and arms
 	// the -job-deadline timer; in-flight simulations finish (or are
@@ -189,11 +193,6 @@ func run() int {
 				}
 			}()
 		}
-	}
-
-	if _, err := harness.ResolveFigs([]string{*figID}); err != nil {
-		fmt.Fprintf(os.Stderr, "zivsim: unknown experiment %q (see -list)\n", *figID)
-		return exitUsage
 	}
 
 	// The sweep itself lives in the harness library (RunSweep); this
