@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"zivsim/internal/telemetry"
@@ -92,11 +93,15 @@ func ledgerReport(path string, w io.Writer) error {
 		})
 		fmt.Fprintf(w, "\n| fault | failed jobs |\n|---|---|\n")
 		for _, e := range errs {
-			fmt.Fprintf(w, "| %s | %d |\n", e, errCounts[e])
+			fmt.Fprintf(w, "| %s | %d |\n", cellEscaper.Replace(e), errCounts[e])
 		}
 	}
 	return nil
 }
+
+// cellEscaper keeps text inside one markdown table cell: fault messages
+// hold job keys ("cfg|mix") and may span lines.
+var cellEscaper = strings.NewReplacer("|", `\|`, "\r\n", " ", "\n", " ")
 
 // percentileUS returns the p-th percentile (nearest-rank) of sorted
 // microsecond samples.

@@ -2,8 +2,8 @@
 // followed — on every non-panicking path — by an update of its declared
 // sidecar mirrors. The simulator keeps several redundant structures for
 // speed (the LLC and directory tag sidecars, the LLC way masks and the
-// property vectors refreshed by updateSet, the hierarchy's contiguous
-// cycle mirror): a write that reaches one and not the other is a silent
+// property vectors refreshed by updateSet, the scheduler's warm-up
+// countdown): a write that reaches one and not the other is a silent
 // desynchronization that CheckInvariants may only catch long after the
 // fact, if at all.
 //

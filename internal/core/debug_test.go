@@ -172,3 +172,48 @@ func TestCheckInvariantsDetectsMaskBitFlip(t *testing.T) {
 	llc.banks[0].masks[0].notInPrC ^= 1
 	wantInvariantError(t, llc, "way masks")
 }
+
+func TestCheckInvariantsDetectsLikelyDeadInPrC(t *testing.T) {
+	llc, dir := mkLLC(t, SchemeBaseline, PropNone, lruPol)
+	d := newDriver(t, llc, dir, 16)
+	d.access(0, 11, 4)
+	loc, hit := llc.Probe(11)
+	if !hit {
+		t.Fatal("filled block not found")
+	}
+	// The block is privately cached, so it cannot be likely dead.
+	llc.block(loc).LikelyDead = true
+	wantInvariantError(t, llc, "LikelyDead without NotInPrC")
+}
+
+func TestCheckInvariantsDetectsDuplicateBlock(t *testing.T) {
+	llc, dir := mkLLC(t, SchemeBaseline, PropNone, lruPol)
+	d := newDriver(t, llc, dir, 16)
+	d.access(0, 12, 4)
+	d.access(0, 13, 4)
+	from, hit12 := llc.Probe(12)
+	to, hit13 := llc.Probe(13)
+	if !hit12 || !hit13 {
+		t.Fatal("filled blocks not found")
+	}
+	// Copy block 12 over block 13, tag sidecar included, so that only the
+	// second copy of address 12 is wrong.
+	*llc.block(to) = *llc.block(from)
+	llc.banks[to.Bank].tags[to.Set*llc.cfg.Ways+to.Way] = 12
+	wantInvariantError(t, llc, "duplicated in LLC")
+}
+
+func TestCheckInvariantsDetectsRelocatedAddressMismatch(t *testing.T) {
+	llc, _, _, to := relocatedSetup(t)
+	// Give the relocated block an address no other block holds: its
+	// pointer, state and location still agree with the directory entry.
+	llc.block(to).Addr = 0xfeedf00d
+	wantInvariantError(t, llc, "relocated block debug address")
+}
+
+func TestCheckInvariantsDetectsRelocatedNotInPrC(t *testing.T) {
+	llc, _, _, to := relocatedSetup(t)
+	// A block is relocated only while private copies pin it.
+	llc.block(to).NotInPrC = true
+	wantInvariantError(t, llc, "marked NotInPrC (must have private copies)")
+}

@@ -79,7 +79,7 @@ func (l *LLC) Fill(addr uint64, requester int, dirty, inPrC bool, m policy.Meta,
 	var victim int
 	switch l.cfg.Scheme {
 	case SchemeBaseline:
-		victim = bk.pol.Victim(set)
+		victim = bk.pol.Victim(set, l.allWays)
 	case SchemeQBS:
 		victim = l.qbsVictim(bk, set)
 	case SchemeSHARP:
@@ -135,14 +135,14 @@ func (l *LLC) qbsVictim(bk *bank, set int) int {
 
 // sharpVictim implements the SHARP victim search: (1) a block with no
 // private copies, (2) a block cached only in the requester's private
-// hierarchy, (3) a random block. Either stage 1 finds its way with FirstIn
+// hierarchy, (3) a random block. Either stage 1 finds its way with Victim
 // or the directory stage walks Rank, so each search queries the policy
 // order once.
 //
 //ziv:noalloc
 func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 	if notInPrC := bk.masks[set].notInPrC; notInPrC != 0 {
-		return bk.pol.FirstIn(set, notInPrC)
+		return bk.pol.Victim(set, notInPrC)
 	}
 	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
 	base := set * l.cfg.Ways
@@ -162,18 +162,18 @@ func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 // charOnBaseVictim implements CHARonBase (§V-A): when the baseline victim is
 // privately cached, prefer a CHAR-inferred likely-dead block from the same
 // set (in baseline preference order); otherwise fall back to the baseline
-// victim even though it generates inclusion victims. The FirstIn query
-// after the Victim query repeats no side effect for the LLC policies the
+// victim even though it generates inclusion victims. The LikelyDead query
+// after the whole-set query repeats no side effect for the LLC policies the
 // hierarchy builds: SRRIP's aging is a no-op once a way sits at max RRPV.
 //
 //ziv:noalloc
 func (l *LLC) charOnBaseVictim(bk *bank, set int) int {
 	m := &bk.masks[set]
-	v0 := bk.pol.Victim(set)
+	v0 := bk.pol.Victim(set, l.allWays)
 	if m.dead == 0 || m.notInPrC>>uint(v0)&1 != 0 {
 		return v0
 	}
-	return bk.pol.FirstIn(set, m.dead)
+	return bk.pol.Victim(set, m.dead)
 }
 
 // fillWay installs addr at (bank, set, way), which must be invalid, and

@@ -276,7 +276,8 @@ type LLC struct {
 	bankMask uint64
 	setMask  uint64
 	bankBits uint
-	// allWays has one bit per way: a set whose valid mask equals it is full.
+	// allWays has one bit per way: a set whose valid mask equals it is
+	// full, and the policy's Victim over it is the set's baseline victim.
 	allWays  uint64
 	levels   []level
 	rngState uint64
@@ -659,7 +660,7 @@ func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
 	case levLikelyDead:
 		return m.dead != 0
 	case levLRU:
-		return m.notInPrC != 0 && m.notInPrC>>uint(bk.pol.Victim(set))&1 != 0
+		return m.notInPrC != 0 && m.notInPrC>>uint(bk.pol.Victim(set, l.allWays))&1 != 0
 	case levMaxRRPV:
 		max := bk.rrip.MaxRRPV()
 		for n := m.notInPrC; n != 0; n &= n - 1 {

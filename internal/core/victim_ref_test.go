@@ -10,9 +10,10 @@ import (
 )
 
 // The reference victim searches below are the rank-walk versions that
-// predate the way masks and FirstIn: each walks the full Rank order over
-// the set's Blocks. TestVictimSearchesMatchRankWalk holds the mask-driven
-// searches to them, and the property predicates to a scan of the Blocks.
+// predate the way masks and the masked Victim query: each walks the full
+// Rank order over the set's Blocks. TestVictimSearchesMatchRankWalk holds
+// the mask-driven searches to them, and the property predicates to a scan
+// of the Blocks.
 
 // refSetSatisfies evaluates a relocation-set property by scanning the
 // set's Blocks.

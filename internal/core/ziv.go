@@ -79,7 +79,7 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 	if m.Pos > l.oracleNow {
 		l.oracleNow = m.Pos
 	}
-	victim := bk.pol.Victim(set)
+	victim := bk.pol.Victim(set, l.allWays)
 	if bk.masks[set].notInPrC>>uint(victim)&1 != 0 {
 		// The baseline victim is not privately cached: a plain eviction is
 		// already inclusion-victim free.
@@ -157,7 +157,7 @@ func (l *LLC) zivFill(bk *bank, set int, addr uint64, dirty, inPrC bool, m polic
 // following the configured property's priority chain. Invalid ways are
 // handled by the caller. It returns -1 when the set holds no block that can
 // be evicted without inclusion victims. Each candidate class is a way mask,
-// and FirstIn finds its first way in the baseline policy's order.
+// and Victim finds its first way in the baseline policy's order.
 //
 //ziv:noalloc
 func (l *LLC) relocVictimWay(bk *bank, set int) int {
@@ -166,13 +166,13 @@ func (l *LLC) relocVictimWay(bk *bank, set int) int {
 	case PropNotInPrC, PropLRUNotInPrC, PropMaxRRPVNotInPrC:
 		// The NotInPrC block closest to the LRU position, or with as high
 		// an RRPV as possible (the rank order is descending RRPV).
-		return bk.pol.FirstIn(set, m.notInPrC)
+		return bk.pol.Victim(set, m.notInPrC)
 	case PropLikelyDead:
 		// LikelyDead closest to LRU, else NotInPrC closest to LRU.
 		if m.dead != 0 {
-			return bk.pol.FirstIn(set, m.dead)
+			return bk.pol.Victim(set, m.dead)
 		}
-		return bk.pol.FirstIn(set, m.notInPrC)
+		return bk.pol.Victim(set, m.notInPrC)
 	case PropOracleNotInPrC:
 		w, _ := l.oracleVictimIn(bk, set)
 		return w
@@ -182,11 +182,11 @@ func (l *LLC) relocVictimWay(bk *bank, set int) int {
 		// high an RRPV as possible. The rank order is descending RRPV, so
 		// the first NotInPrC way is at max RRPV if any NotInPrC way is;
 		// querying it first also runs SRRIP's aging before any RRPV read.
-		w := bk.pol.FirstIn(set, m.notInPrC)
+		w := bk.pol.Victim(set, m.notInPrC)
 		if w < 0 || bk.rrip.RRPV(set, w) == bk.rrip.MaxRRPV() || m.dead == 0 {
 			return w
 		}
-		return bk.pol.FirstIn(set, m.dead)
+		return bk.pol.Victim(set, m.dead)
 	}
 	return -1
 }

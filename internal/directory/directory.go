@@ -281,22 +281,14 @@ func (d *Directory) At(p Ptr) *Entry {
 //ziv:noalloc
 func (d *Directory) Lookup(blockAddr uint64) (*Entry, Ptr) {
 	d.Stats.Lookups++
-	bank := d.SliceOf(blockAddr)
-	set := d.setOf(blockAddr)
-	sl := &d.slices[bank]
-	base := set * d.cfg.Ways
-	for w, t := range sl.tags[base : base+d.cfg.Ways] {
-		if t == blockAddr {
-			d.Stats.Hits++
-			sl.touch(base, w, d.cfg.Ways)
-			return &sl.entries[base+w], Ptr{Bank: bank, Set: set, Way: w}
+	e, p, ok := d.Find(blockAddr)
+	if ok {
+		d.Stats.Hits++
+		if p.Way >= 0 {
+			d.slices[p.Bank].touch(p.Set*d.cfg.Ways, p.Way, d.cfg.Ways)
 		}
 	}
-	if e, ok := sl.overflow[blockAddr]; ok {
-		d.Stats.Hits++
-		return e, Ptr{Bank: bank, Set: set, Way: -1, OverflowAddr: blockAddr}
-	}
-	return nil, Ptr{}
+	return e, p
 }
 
 // Find locates the entry tracking blockAddr without updating replacement

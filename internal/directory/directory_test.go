@@ -302,7 +302,8 @@ func (r *refDir) allocate(blockAddr uint64) (way int, victim uint64, evicted boo
 // entry the reference NRU names, places every allocation in the way the
 // reference does, and tracks exactly the reference's addresses. Lookup hits
 // touch the reference bits and frees clear them, so the op mix reaches
-// every NRU rule.
+// every NRU rule. Lookups of untracked blocks miss, and Stats counts every
+// lookup and every hit, in the main array and the overflow alike.
 func TestDirectoryModelProperty(t *testing.T) {
 	const slices, sets = 2, 2
 	run := func(seed int64, zeroDEV bool, ways int) error {
@@ -310,11 +311,17 @@ func TestDirectoryModelProperty(t *testing.T) {
 		d := New(Config{Slices: slices, SetsPerSlice: sets, Ways: ways, ZeroDEV: zeroDEV})
 		ref := newRefDir(slices, sets, ways)
 		span := 3 * slices * sets * ways
+		var lookups, hits uint64
 		for i := 0; i < 400; i++ {
 			a := uint64(rng.Intn(span))
 			w := ref.find(a)
 			tracked := w >= 0 || ref.overflow[a]
 			switch {
+			case !tracked && rng.Intn(4) == 0:
+				if e, p := d.Lookup(a); e != nil || p != (Ptr{}) {
+					return fmt.Errorf("step %d: Lookup(%d) of an untracked block returned %v, %+v", i, a, e != nil, p)
+				}
+				lookups++
 			case !tracked:
 				p, ev, spilled := d.Allocate(a, rng.Intn(8), Shared)
 				rw, victim, evicted := ref.allocate(a)
@@ -343,6 +350,8 @@ func TestDirectoryModelProperty(t *testing.T) {
 				if w >= 0 {
 					refTouch(ref.set(a), w)
 				}
+				lookups++
+				hits++
 			default:
 				_, p, ok := d.Find(a)
 				if !ok {
@@ -375,6 +384,9 @@ func TestDirectoryModelProperty(t *testing.T) {
 		}
 		if got := d.ValidCount(); got != n {
 			return fmt.Errorf("ValidCount = %d, reference %d", got, n)
+		}
+		if d.Stats.Lookups != lookups || d.Stats.Hits != hits {
+			return fmt.Errorf("Stats.Lookups = %d, Stats.Hits = %d; reference %d, %d", d.Stats.Lookups, d.Stats.Hits, lookups, hits)
 		}
 		return nil
 	}

@@ -312,7 +312,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		m.meter.Add(energy.MeshHop, uint64(2*m.mesh.Hops(owner, bank)))
 		m.meter.Add(energy.L2Access, 1)
 		writable := m.joinSharers(c, e, write, blockAddr)
-		out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
+		out := m.llc.Fill(blockAddr, c.id, false, true, meta, m.clock[c.id])
 		m.meter.Add(energy.LLCDataWrite, 1)
 		m.handleFillOutcome(c.id, out)
 		m.fillL2(c, blockAddr, false, writable, l2Meta{llcHit: false})
@@ -324,7 +324,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 	// (Fig. 5 order), then fill the private caches.
 	res.llcMiss = true
 	res.mem = true
-	dramLat := m.mem.Access(blockAddr, false, c.cycle)
+	dramLat := m.mem.Access(blockAddr, false, m.clock[c.id])
 	m.meter.Add(energy.DRAMAccess, 1)
 	lat += uint64(float64(dramLat) * m.cfg.MLPOverlap)
 	st := directory.Exclusive
@@ -332,7 +332,7 @@ func (m *Machine) llcTransaction(c *coreState, blockAddr uint64, write bool, met
 		st = directory.Modified
 	}
 	m.allocateDir(c.id, blockAddr, st)
-	out := m.llc.Fill(blockAddr, c.id, false, true, meta, c.cycle)
+	out := m.llc.Fill(blockAddr, c.id, false, true, meta, m.clock[c.id])
 	m.meter.Add(energy.LLCDataWrite, 1)
 	m.handleFillOutcome(c.id, out)
 	m.fillL2(c, blockAddr, false, true, l2Meta{llcHit: false})

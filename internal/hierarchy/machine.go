@@ -30,12 +30,6 @@ type coreState struct {
 	l2     *cache.Cache
 	l2meta []l2Meta
 
-	// cycle is this core's local clock. Run keeps a contiguous copy in
-	// cycleMirror for the min-scan; sidecarsync makes every advance
-	// (step's += and its call sites) refresh that mirror.
-	//
-	//ziv:mirror(cycleMirror)
-	cycle uint64
 	// refIdx counts references issued (warmup + measured). The warmup
 	// bookkeeping in Run watches it through the notWarm countdown, which
 	// must be re-examined after every advance.
@@ -51,6 +45,10 @@ type coreState struct {
 type Machine struct {
 	cfg   Config
 	cores []coreState
+	// clock holds each core's local clock, indexed by core id, in one
+	// contiguous array: earliest's per-step scan touches a couple of
+	// cache lines instead of striding across the coreState structs.
+	clock []uint64
 	llc   *core.LLC
 	dir   *directory.Directory
 	mem   *dram.Memory
@@ -145,6 +143,7 @@ func New(cfg Config, gens []trace.Generator, warmup, measure int) *Machine {
 	m.llc = core.New(llcCfg, dir)
 
 	m.cores = make([]coreState, cfg.Cores)
+	m.clock = make([]uint64, cfg.Cores)
 	for i := range m.cores {
 		l1Sets := cfg.L1Bytes / cache.BlockBytes / cfg.L1Ways
 		l2Sets := cfg.L2Bytes / cache.BlockBytes / cfg.L2Ways
@@ -365,7 +364,7 @@ func (m *Machine) evictionNotice(c *coreState, blockAddr uint64, dirty, dead boo
 // memWriteback sends dirty data to a memory controller (off the critical
 // path; only bank occupancy and energy are modeled).
 func (m *Machine) memWriteback(coreID int, blockAddr uint64) {
-	now := m.cores[coreID%len(m.cores)].cycle
+	now := m.clock[coreID%len(m.clock)]
 	m.mem.Access(blockAddr, true, now)
 	m.meter.Add(energy.DRAMAccess, 1)
 }

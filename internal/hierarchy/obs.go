@@ -63,7 +63,7 @@ func (m *Machine) gatherObs(now uint64) obs.MachineSnap {
 }
 
 // sampleInterval closes the current observation interval at global cycle
-// now (the minimum core clock, computed by Run's scheduler scan).
+// now (the minimum core clock, from earliest).
 //
 //ziv:noalloc
 func (m *Machine) sampleInterval(now uint64) {
@@ -77,12 +77,6 @@ func (m *Machine) sampleInterval(now uint64) {
 // baseline at their current cumulative values. The observer therefore
 // covers exactly the measured region, like every Stats struct.
 func (m *Machine) rebaseObs() {
-	now := m.cores[0].cycle
-	for i := 1; i < len(m.cores); i++ {
-		if cy := m.cores[i].cycle; cy < now {
-			now = cy
-		}
-	}
-	mach := m.gatherObs(now)
-	m.obsv.Rebase(now, m.obsCoreSnap, m.obsBankReloc, mach)
+	_, now := m.earliest()
+	m.obsv.Rebase(now, m.obsCoreSnap, m.obsBankReloc, m.gatherObs(now))
 }

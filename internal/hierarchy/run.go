@@ -12,7 +12,7 @@ func (m *Machine) step(c *coreState) {
 		// Stamp the event ring with the issuing core's clock so the
 		// cycle-ignorant core and directory probe points record simulated
 		// time.
-		m.ring.SetNow(c.cycle)
+		m.ring.SetNow(m.clock[c.id])
 	}
 	ref := c.gen.Next()
 	pos := c.refIdx*uint64(m.cfg.Cores) + uint64(c.id)
@@ -58,7 +58,7 @@ func (m *Machine) step(c *coreState) {
 		}
 	}
 
-	c.cycle += cycles
+	m.clock[c.id] += cycles
 	if measured {
 		c.stats.Refs++
 		c.stats.Instructions += insts
@@ -115,33 +115,17 @@ func (m *Machine) Run() {
 	if m.warmupRefs > 0 {
 		notWarm = len(m.cores)
 	}
-	// cycleMirror mirrors each core's local clock in one contiguous array:
-	// the per-step min-scan below touches a couple of cache lines instead
-	// of striding across the coreState structs. Only the stepped core's
-	// clock ever changes, so one write-back per step keeps it exact.
-	cycleMirror := make([]uint64, len(m.cores))
-	for i := range m.cores {
-		cycleMirror[i] = m.cores[i].cycle
-	}
 	for remaining > 0 {
 		// Min-cycle scheduling: the core furthest behind in time issues
 		// next, so slow (miss-heavy) cores issue fewer references per unit
-		// of global time. Ties go to the lowest core index.
-		ci := 0
-		min := cycleMirror[0]
-		for i := 1; i < len(cycleMirror); i++ {
-			if cy := cycleMirror[i]; cy < min {
-				min = cy
-				ci = i
-			}
-		}
+		// of global time.
+		ci, now := m.earliest()
 		c := &m.cores[ci]
 		m.step(c)
-		cycleMirror[ci] = c.cycle
-		// min (the stepped core's pre-step clock) is the global simulated
+		// now (the stepped core's pre-step clock) is the global simulated
 		// time: sample when it crosses the next interval boundary.
-		if m.obsv != nil && min >= m.obsv.NextSampleAt() {
-			m.sampleInterval(min)
+		if m.obsv != nil && now >= m.obsv.NextSampleAt() {
+			m.sampleInterval(now)
 		}
 		if !c.done && c.refIdx >= target {
 			c.done = true
@@ -154,6 +138,19 @@ func (m *Machine) Run() {
 			}
 		}
 	}
+}
+
+// earliest returns the core whose clock is furthest behind and that
+// clock, the global simulated time. On equal clocks the lowest core index
+// wins.
+func (m *Machine) earliest() (ci int, now uint64) {
+	now = m.clock[0]
+	for i, cy := range m.clock {
+		if cy < now {
+			ci, now = i, cy
+		}
+	}
+	return ci, now
 }
 
 // resetGlobalStats clears the shared-structure counters at the end of

@@ -2,11 +2,12 @@ package policy
 
 import "testing"
 
-// firstInSink keeps the benchmarked FirstIn results live.
+// firstInSink keeps the benchmarked Victim results live.
 var firstInSink int
 
-// BenchmarkFirstIn times FirstIn for each policy on a 16-way set state left
-// by a mixed workload, with masks of one, a few and all ways.
+// BenchmarkFirstIn times Victim for each policy on a 16-way set state left
+// by a mixed workload, with masks of one, a few and all ways: the first
+// way of a candidate class, and the baseline victim of a full set.
 func BenchmarkFirstIn(b *testing.B) {
 	const sets, ways = 64, 16
 	stream := make([]uint64, 4096)
@@ -20,7 +21,7 @@ func BenchmarkFirstIn(b *testing.B) {
 			exercise(p, sets, ways, 1, 4096)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				firstInSink = p.FirstIn(i%sets, masks[i%len(masks)])
+				firstInSink = p.Victim(i%sets, masks[i%len(masks)])
 			}
 		})
 	}

@@ -16,7 +16,6 @@ type Hawkeye struct {
 	rrpv     []int
 	friendly []bool
 	pcOf     []uint64
-	validPC  []bool
 
 	pred predictor
 
@@ -146,7 +145,6 @@ func (p *Hawkeye) Init(sets, ways int) {
 	p.rrpv = make([]int, n)
 	p.friendly = make([]bool, n)
 	p.pcOf = make([]uint64, n)
-	p.validPC = make([]bool, n)
 	for i := range p.rrpv {
 		p.rrpv[i] = hawkeyeMaxRRPV
 	}
@@ -186,7 +184,6 @@ func (p *Hawkeye) OnHit(set, way int, m Meta) {
 	fr := p.pred.friendly(m.PC)
 	p.friendly[i] = fr
 	p.pcOf[i] = m.PC
-	p.validPC[i] = true
 	if fr {
 		p.rrpv[i] = 0
 	} else {
@@ -201,7 +198,6 @@ func (p *Hawkeye) OnFill(set, way int, m Meta) {
 	fr := p.pred.friendly(m.PC)
 	p.friendly[i] = fr
 	p.pcOf[i] = m.PC
-	p.validPC[i] = true
 	if fr {
 		// Age the other cache-friendly lines, then insert at 0.
 		base := set * p.ways
@@ -218,10 +214,11 @@ func (p *Hawkeye) OnFill(set, way int, m Meta) {
 }
 
 // OnEvict implements Policy: evicting a cache-friendly line means the
-// predictor was wrong about its PC — detrain it.
+// predictor was wrong about its PC — detrain it. Only OnHit and OnFill
+// mark a way friendly, and both record its PC.
 func (p *Hawkeye) OnEvict(set, way int) {
 	i := set*p.ways + way
-	if p.friendly[i] && p.validPC[i] {
+	if p.friendly[i] {
 		p.pred.train(p.pcOf[i], false)
 	}
 	p.clear(i)
@@ -234,7 +231,6 @@ func (p *Hawkeye) OnInvalidate(set, way int) { p.clear(set*p.ways + way) }
 func (p *Hawkeye) clear(i int) {
 	p.rrpv[i] = hawkeyeMaxRRPV
 	p.friendly[i] = false
-	p.validPC[i] = false
 	p.pcOf[i] = 0
 }
 
@@ -254,9 +250,9 @@ func (p *Hawkeye) Rank(set int) []int {
 	return out
 }
 
-// FirstIn implements Policy: the way in ways with the highest RRPV, ties
+// Victim implements Policy: the way in ways with the highest RRPV, ties
 // broken by way index, as in Rank's stable descending sort.
-func (p *Hawkeye) FirstIn(set int, ways uint64) int {
+func (p *Hawkeye) Victim(set int, ways uint64) int {
 	return firstMaxIn(p.rrpv[set*p.ways:(set+1)*p.ways], ways)
 }
 

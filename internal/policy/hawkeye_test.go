@@ -119,7 +119,7 @@ func TestHawkeyeInvalidateClearsState(t *testing.T) {
 	if p.RRPV(0, 0) != hawkeyeMaxRRPV {
 		t.Fatal("invalidated way not reset to max RRPV")
 	}
-	if p.validPC[0] {
+	if p.friendly[0] || p.pcOf[0] != 0 {
 		t.Fatal("invalidated way kept its PC")
 	}
 }

@@ -1,7 +1,5 @@
 package policy
 
-import "math/bits"
-
 // LRU implements true least-recently-used replacement using per-way
 // timestamps. Victim ranking is oldest-first.
 type LRU struct {
@@ -55,17 +53,17 @@ func (p *LRU) Rank(set int) []int {
 	return out
 }
 
-// FirstIn implements Policy: the way in ways with the smallest timestamp,
-// ties broken by lowest way index, as in Rank's stable ascending sort.
-func (p *LRU) FirstIn(set int, ways uint64) int {
-	stamp := p.stamp[set*p.ways : (set+1)*p.ways]
-	best := -1
-	var bestStamp uint64
-	for m := inWays(ways, p.ways); m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if s := stamp[w]; best < 0 || s < bestStamp {
-			best, bestStamp = w, s
+// Victim implements Policy: the way in ways with the smallest timestamp,
+// ties broken by lowest way index, as in Rank's stable ascending sort. A way
+// outside ways keys as ^uint64(0), which no stamp reaches (the clock counts
+// touches), so the loop compiles to conditional moves, not mask branches.
+func (p *LRU) Victim(set int, ways uint64) int {
+	best, bestKey := -1, ^uint64(0)
+	for w, s := range p.stamp[set*p.ways : (set+1)*p.ways] {
+		if k := s | (ways&1 - 1); k < bestKey {
+			best, bestKey = w, k
 		}
+		ways >>= 1
 	}
 	return best
 }

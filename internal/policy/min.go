@@ -1,9 +1,6 @@
 package policy
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // Oracle supplies future knowledge of the global L1 access stream to the
 // offline MIN policy. Positions index the canonical interleaved stream of L1
@@ -123,18 +120,20 @@ func (p *MIN) Rank(set int) []int {
 	return out
 }
 
-// FirstIn implements Policy: the way in ways whose next use lies furthest
+// Victim implements Policy: the way in ways whose next use lies furthest
 // in the future (invalid ways query as most-imminent), ties broken by way
 // index, as in Rank's stable descending sort.
-func (p *MIN) FirstIn(set int, ways uint64) int {
+func (p *MIN) Victim(set int, ways uint64) int {
 	base := set * p.ways
 	best := -1
 	var bestNU uint64
-	for m := inWays(ways, p.ways); m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
+	for w, valid := range p.valid[base : base+p.ways] {
+		if ways>>uint(w)&1 == 0 {
+			continue
+		}
 		var nu uint64
-		if i := base + w; p.valid[i] {
-			nu = p.oracle.NextUse(p.addr[i], p.now)
+		if valid {
+			nu = p.oracle.NextUse(p.addr[base+w], p.now)
 		}
 		if best < 0 || nu > bestNU {
 			best, bestNU = w, nu

@@ -11,8 +11,6 @@
 // policy's preference order looking for a victim with particular properties.
 package policy
 
-import "math/bits"
-
 // Meta carries the access context a policy may learn from.
 type Meta struct {
 	PC   uint64 // program counter of the access (Hawkeye trains on this)
@@ -40,18 +38,15 @@ type Policy interface {
 	// (filled) ways need a meaningful order; the LLC consults invalid ways
 	// before ranking. The returned slice is reused across calls.
 	Rank(set int) []int
-	// Victim returns Rank(set)[0], with exactly Rank's side effects
-	// (SRRIP ages the set), without materializing or sorting
-	// the order. The LLC banks ask it on every replacement, which makes it
-	// the hottest policy entry point; the full Rank order is only needed
-	// by QBS, which promotes ways mid-walk, and SHARP's directory stage.
-	Victim(set int) int
-	// FirstIn returns the first way of Rank(set) whose bit is set in ways
-	// (bit w stands for way w), or -1 when there is none. It has exactly
-	// Rank's side effects (SRRIP ages the set) but builds no
-	// permutation: the LLC victim searches that only need the first
-	// eligible way in preference order ask for it directly.
-	FirstIn(set int, ways uint64) int
+	// Victim returns the first way of Rank(set) whose bit is set in ways
+	// (bit w stands for way w), or -1 when there is none, with exactly
+	// Rank's side effects (SRRIP ages the set) but without building the
+	// permutation. The LLC banks ask it with every way set for the
+	// baseline victim of a full set, the hottest policy entry point, and
+	// with a candidate class's mask for that class's first way in
+	// preference order; only QBS, which promotes ways mid-walk, and
+	// SHARP's directory stage need the full Rank order.
+	Victim(set int, ways uint64) int
 	// Promote moves (set, way) to the most-protected position (MRU or
 	// RRPV 0) without any predictor training side effects. QBS uses this to
 	// move privately cached victim candidates out of harm's way (paper §II).
@@ -90,25 +85,17 @@ func (r *rankBuf) take(ways int) []int {
 	return r.buf[:ways]
 }
 
-// inWays drops the bits of a FirstIn mask that name no way of an n-way
-// set: Rank never returns them, so FirstIn must never match them.
-func inWays(ways uint64, n int) uint64 {
-	if n >= 64 {
-		return ways
-	}
-	return ways & (1<<uint(n) - 1)
-}
-
 // firstMaxIn returns the way in ways with the largest value, ties broken by
 // lowest way index: the first of ways in a stable descending sort by value,
-// which is how the RRIP policies rank.
+// which is how the RRIP policies rank. RRPVs are non-negative, so a way
+// outside ways keys as -1 and the loop compiles to conditional moves.
 func firstMaxIn(vals []int, ways uint64) int {
-	best, bestVal := -1, 0
-	for m := inWays(ways, len(vals)); m != 0; m &= m - 1 {
-		w := bits.TrailingZeros64(m)
-		if v := vals[w]; best < 0 || v > bestVal {
-			best, bestVal = w, v
+	best, bestKey := -1, -1
+	for w, v := range vals {
+		if k := v | (int(ways&1) - 1); k > bestKey {
+			best, bestKey = w, k
 		}
+		ways >>= 1
 	}
 	return best
 }

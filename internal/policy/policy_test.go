@@ -120,8 +120,8 @@ func TestLRUStackOrder(t *testing.T) {
 			t.Fatalf("rank = %v, want %v", r, want)
 		}
 	}
-	if p.Victim(0) != 1 {
-		t.Errorf("Victim = %d, want 1", p.Victim(0))
+	if got := p.Victim(0, 0xf); got != 1 {
+		t.Errorf("Victim = %d, want 1", got)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestLRUWayAfterEvict(t *testing.T) {
 	}
 	p.OnEvict(0, 0)
 	p.OnFill(0, 0, Meta{})
-	if got := p.Victim(0); got != 1 {
+	if got := p.Victim(0, 0x7); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
 	}
 }

@@ -56,9 +56,9 @@ func (p *SRRIP) Rank(set int) []int {
 	return out
 }
 
-// FirstIn implements Policy: after Rank's aging step, the way in ways with
+// Victim implements Policy: after Rank's aging step, the way in ways with
 // the highest RRPV, ties broken by way index.
-func (p *SRRIP) FirstIn(set int, ways uint64) int {
+func (p *SRRIP) Victim(set int, ways uint64) int {
 	return firstMaxIn(p.age(set), ways)
 }
 
