@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 )
 
@@ -75,14 +76,20 @@ func main() {
 	}
 }
 
-// convert renders zivsim table output from r as markdown onto w.
+// convert renders zivsim table output from r as markdown onto w. A table
+// whose header does not split into one name per value column (Format runs
+// names of 12 or more characters together) is kept verbatim in a fenced
+// code block, so no value lands under another column's name.
 func convert(r io.Reader, w io.Writer) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var cols []string
+	var table, notes []string // the open table's header and rows, as printed
 	inTable := false
-	var notes []string
-	flushNotes := func() {
+	flush := func() {
+		if len(table) > 0 {
+			writeTable(w, table)
+			table = nil
+		}
 		if len(notes) > 0 {
 			fmt.Fprintln(w)
 			for _, n := range notes {
@@ -95,30 +102,45 @@ func convert(r io.Reader, w io.Writer) error {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "== ") && strings.HasSuffix(line, " =="):
-			flushNotes()
+			flush()
 			title := strings.TrimSuffix(strings.TrimPrefix(line, "== "), " ==")
 			fmt.Fprintf(w, "\n### %s\n\n", title)
 			inTable = true
-			cols = nil
-		case inTable && cols == nil && strings.TrimSpace(line) != "":
-			cols = strings.Fields(line)
-			fmt.Fprintf(w, "| %s | %s |\n", "configuration", strings.Join(cols, " | "))
-			fmt.Fprintf(w, "|%s\n", strings.Repeat("---|", len(cols)+1))
 		case strings.HasPrefix(line, "note: "):
 			notes = append(notes, strings.TrimPrefix(line, "note: "))
 		case strings.HasPrefix(line, "("):
 			inTable = false
-			flushNotes()
+			flush()
 		case inTable && strings.TrimSpace(line) != "":
-			fields := strings.Fields(line)
-			if len(fields) <= len(cols) {
-				// Label may contain no spaces in our tables; values follow.
-				continue
-			}
-			label := strings.Join(fields[:len(fields)-len(cols)], " ")
-			fmt.Fprintf(w, "| %s | %s |\n", label, strings.Join(fields[len(fields)-len(cols):], " | "))
+			table = append(table, line)
 		}
 	}
-	flushNotes()
+	flush()
 	return sc.Err()
+}
+
+// writeTable renders a table's header line and rows as markdown. Each row
+// must be a label (which may hold spaces) followed by exactly one number
+// per header name; otherwise the lines go out verbatim in a code block.
+func writeTable(w io.Writer, lines []string) {
+	cols := strings.Fields(lines[0])
+	for _, row := range lines[1:] {
+		f := strings.Fields(row)
+		if len(f) <= len(cols) || isNumber(f[len(f)-len(cols)-1]) {
+			fmt.Fprintf(w, "```\n%s\n```\n", strings.Join(lines, "\n"))
+			return
+		}
+	}
+	fmt.Fprintf(w, "| %s | %s |\n", "configuration", strings.Join(cols, " | "))
+	fmt.Fprintf(w, "|%s\n", strings.Repeat("---|", len(cols)+1))
+	for _, row := range lines[1:] {
+		f := strings.Fields(row)
+		label := strings.Join(f[:len(f)-len(cols)], " ")
+		fmt.Fprintf(w, "| %s | %s |\n", label, strings.Join(f[len(f)-len(cols):], " | "))
+	}
+}
+
+func isNumber(s string) bool {
+	_, err := strconv.ParseFloat(s, 64)
+	return err == nil
 }

@@ -1,25 +1,26 @@
 // Package sidecarsync checks that every write to a primary structure is
 // followed — on every non-panicking path — by an update of its declared
-// sidecar mirrors. The simulator keeps several redundant structures for
-// speed (the LLC and directory tag sidecars, the LLC way masks and the
-// property vectors refreshed by updateSet, the scheduler's warm-up
-// countdown): a write that reaches one and not the other is a silent
+// sidecar mirrors. The simulator keeps several derived structures for
+// speed (the LLC and directory tag sidecars, the LLC property vectors
+// refreshed by updateSet, the scheduler's warm-up countdown): a write
+// that reaches the primary and not its mirror is a silent
 // desynchronization that CheckInvariants may only catch long after the
 // fact, if at all.
 //
 // Obligations are declared where the structure lives:
 //
 //	type bank struct {
-//	    //ziv:mirror(tags,masks)
-//	    //ziv:mirror(updateSet) on Valid,NotInPrC,LikelyDead
-//	    blocks []Block
+//	    //ziv:mirror(tags)
+//	    slots []slot
+//	    //ziv:mirror(tags,updateSet) on valid
+//	    masks []wayMasks
 //	    ...
 //	}
 //
-// The first form requires every whole-element write (bk.blocks[i] = x,
+// The first form requires every whole-element write (bk.slots[i] = x,
 // *alias = x, or reassigning the field itself) to be followed by a
-// mention of each mirror name. The `on` form additionally constrains
-// writes to the listed element fields (b.Valid = true).
+// mention of each mirror name. The `on` form constrains writes to the
+// listed element fields instead (m.valid |= bit).
 //
 // Discharge is a backward must-reach dataflow problem solved with
 // dataflow.Backward: the fact at each program point is the set of
@@ -33,9 +34,9 @@
 // postdominator sweep: a mirror updated on both arms of an if/else now
 // counts, while one behind a single arm still does not.
 //
-// Mentions are base-sensitive: t.masks records the receiver chain's
-// root variable, and a write to dst's primary is not discharged by
-// updating src's mirror of the same name. Bases match up to
+// Mentions are base-sensitive: t.tags, or a call t.updateSet(...),
+// records the receiver chain's root variable, and a write to dst's
+// primary is not discharged by updating src's mirror of the same name. Bases match up to
 // intra-function derivation — a handle carved out of the structure
 // (bk := &l.banks[i]) shares l's base — and a bare identifier mention
 // (no selector base) conservatively matches any base. Derivation does
@@ -45,8 +46,8 @@
 //
 // Accessor functions that hand out interior pointers declare it:
 //
-//	//ziv:aliases(blocks)
-//	func (l *LLC) block(loc directory.Location) *Block { ... }
+//	//ziv:aliases(slots)
+//	func (l *LLC) slot(loc directory.Location) *slot { ... }
 //
 // and writes through their results are checked like direct writes.
 // Alias declarations, call obligations, and the mirror field specs
@@ -466,7 +467,7 @@ func (a *analyzer) aliasCall(call *ast.CallExpr) (aliasInfo, bool) {
 	return info, true
 }
 
-// fieldSpec resolves base.field expressions (bk.blocks) to the field's
+// fieldSpec resolves base.field expressions (bk.slots) to the field's
 // rules and the base chain's root variable.
 func (a *analyzer) fieldSpec(e ast.Expr) ([]Rule, *types.Var) {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)

@@ -81,7 +81,7 @@ func TestCheckInvariantsDetectsStaleDirectoryPointer(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// Point the relocated block's tag-encoded pointer at an overflow
 	// address no directory slice tracks: At resolves it to nil.
-	llc.block(to).DirPtr = directory.Ptr{Bank: to.Bank, Way: -1, OverflowAddr: 0xdeadbeef}
+	llc.slot(to).DirPtr = directory.Ptr{Bank: to.Bank, Way: -1, OverflowAddr: 0xdeadbeef}
 	wantInvariantError(t, llc, "stale directory pointer")
 }
 
@@ -98,21 +98,16 @@ func TestCheckInvariantsDetectsNonRelocatedEntryTarget(t *testing.T) {
 	if !found {
 		t.Fatal("no non-relocated directory entry available")
 	}
-	llc.block(to).DirPtr = victim
+	llc.slot(to).DirPtr = victim
 	wantInvariantError(t, llc, "directory entry not in Relocated state")
 }
 
 func TestCheckInvariantsDetectsBrokenReverseLinkage(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// Vanish the relocated LLC copy while the directory entry still points
-	// at it. The tag sidecar already holds tagNone for a relocated way, so
-	// only the way masks and property vectors need recomputing for the
-	// emptied set.
-	bk := &llc.banks[to.Bank]
-	b := &bk.blocks[to.Set*llc.cfg.Ways+to.Way]
-	*b = Block{}
-	bk.masks[to.Set].sync(to.Way, b)
-	llc.updateSet(bk, to.Set)
+	// at it; clearWay leaves the way's masks, tag and the set's property
+	// vectors consistent with the emptied way.
+	llc.banks[to.Bank].clearWay(llc, to.Set, to.Way)
 	wantInvariantError(t, llc, "but LLC block there is")
 }
 
@@ -129,7 +124,7 @@ func TestCheckInvariantsDetectsBackPointerMismatch(t *testing.T) {
 	e2 := dir.At(p2)
 	e2.Relocated = true
 	e2.Loc = to
-	e2.Addr = llc.block(to).Addr
+	e2.Addr = llc.slot(to).Addr
 	wantInvariantError(t, llc, "block back-pointer")
 }
 
@@ -157,20 +152,22 @@ func TestCheckInvariantsDetectsNotInPrCDisagreement(t *testing.T) {
 		t.Fatal("filled block not found")
 	}
 	// The block is privately cached (directory tracks it), so NotInPrC
-	// must be false; flip it behind the accessors' back.
-	llc.block(loc).NotInPrC = true
+	// must be false; flip its mask bit behind the accessors' back.
+	llc.banks[loc.Bank].masks[loc.Set].notInPrC |= 1 << uint(loc.Way)
 	wantInvariantError(t, llc, "directory tracked")
 }
 
-func TestCheckInvariantsDetectsMaskBitFlip(t *testing.T) {
-	llc, dir := mkLLC(t, SchemeZIV, PropNotInPrC, lruPol)
-	d := newDriver(t, llc, dir, 32)
-	for _, a := range conflictAddrs(4) {
-		d.access(0, a, 4) // privately cached: no NotInPrC bit in set 0
+func TestCheckInvariantsDetectsNotInPrCOnInvalidWay(t *testing.T) {
+	llc, dir := mkLLC(t, SchemeBaseline, PropNone, lruPol)
+	d := newDriver(t, llc, dir, 16)
+	d.access(0, 10, 4)
+	loc, hit := llc.Probe(10)
+	if !hit {
+		t.Fatal("filled block not found")
 	}
-	d.check()
-	llc.banks[0].masks[0].notInPrC ^= 1
-	wantInvariantError(t, llc, "way masks")
+	// The set's next way holds no block, so it cannot be NotInPrC.
+	llc.banks[loc.Bank].masks[loc.Set].notInPrC |= 1 << uint(loc.Way+1)
+	wantInvariantError(t, llc, "NotInPrC without Valid")
 }
 
 func TestCheckInvariantsDetectsLikelyDeadInPrC(t *testing.T) {
@@ -182,7 +179,7 @@ func TestCheckInvariantsDetectsLikelyDeadInPrC(t *testing.T) {
 		t.Fatal("filled block not found")
 	}
 	// The block is privately cached, so it cannot be likely dead.
-	llc.block(loc).LikelyDead = true
+	llc.banks[loc.Bank].masks[loc.Set].dead |= 1 << uint(loc.Way)
 	wantInvariantError(t, llc, "LikelyDead without NotInPrC")
 }
 
@@ -196,9 +193,10 @@ func TestCheckInvariantsDetectsDuplicateBlock(t *testing.T) {
 	if !hit12 || !hit13 {
 		t.Fatal("filled blocks not found")
 	}
-	// Copy block 12 over block 13, tag sidecar included, so that only the
+	// Copy block 12's slot over block 13's, tag sidecar included (both are
+	// privately cached, so their mask bits already agree), so that only the
 	// second copy of address 12 is wrong.
-	*llc.block(to) = *llc.block(from)
+	*llc.slot(to) = *llc.slot(from)
 	llc.banks[to.Bank].tags[to.Set*llc.cfg.Ways+to.Way] = 12
 	wantInvariantError(t, llc, "duplicated in LLC")
 }
@@ -206,14 +204,15 @@ func TestCheckInvariantsDetectsDuplicateBlock(t *testing.T) {
 func TestCheckInvariantsDetectsRelocatedAddressMismatch(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// Give the relocated block an address no other block holds: its
-	// pointer, state and location still agree with the directory entry.
-	llc.block(to).Addr = 0xfeedf00d
-	wantInvariantError(t, llc, "relocated block debug address")
+	// pointer, state and location still agree with the directory entry, so
+	// only the reverse walk's address comparison sees it.
+	llc.slot(to).Addr = 0xfeedf00d
+	wantInvariantError(t, llc, "but LLC block there is")
 }
 
 func TestCheckInvariantsDetectsRelocatedNotInPrC(t *testing.T) {
 	llc, _, _, to := relocatedSetup(t)
 	// A block is relocated only while private copies pin it.
-	llc.block(to).NotInPrC = true
+	llc.banks[to.Bank].masks[to.Set].notInPrC |= 1 << uint(to.Way)
 	wantInvariantError(t, llc, "marked NotInPrC (must have private copies)")
 }

@@ -147,11 +147,11 @@ func (l *LLC) sharpVictim(bk *bank, set, requester int) int {
 	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
 	base := set * l.cfg.Ways
 	for _, w := range order {
-		b := &bk.blocks[base+w]
-		if b.Relocated {
+		s := &bk.slots[base+w]
+		if s.Relocated {
 			continue
 		}
-		if e, _, ok := l.dir.Find(b.Addr); ok && e.Sharers.Count() == 1 && e.Sharers.Has(requester) {
+		if e, _, ok := l.dir.Find(s.Addr); ok && e.Sharers.Count() == 1 && e.Sharers.Has(requester) {
 			return w
 		}
 	}
@@ -176,20 +176,23 @@ func (l *LLC) charOnBaseVictim(bk *bank, set int) int {
 	return bk.pol.Victim(set, m.dead)
 }
 
-// fillWay installs addr at (bank, set, way), which must be invalid, and
-// refreshes the set's property bits.
+// fillWay installs addr at (bank, set, way), which must be invalid (no
+// mask bit set), and refreshes the set's property bits.
 //
 //ziv:noalloc
 func (l *LLC) fillWay(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m policy.Meta) {
-	b := &bk.blocks[set*l.cfg.Ways+way]
-	if l.cfg.DebugChecks && b.Valid {
+	wm, bit := &bk.masks[set], uint64(1)<<uint(way)
+	if l.cfg.DebugChecks && wm.valid&bit != 0 {
 		panic(fmt.Sprintf("core: fillWay into valid way (bank %d set %d way %d)", bk.id, set, way))
 	}
-	*b = Block{Valid: true, Dirty: dirty, NotInPrC: !inPrC, Addr: addr, EvictCore: -1}
+	wm.valid |= bit
+	if !inPrC {
+		wm.notInPrC |= bit
+	}
+	bk.slots[set*l.cfg.Ways+way] = slot{Dirty: dirty, Addr: addr, EvictCore: -1}
 	bk.tags[set*l.cfg.Ways+way] = addr
-	bk.masks[set].sync(way, b)
 	bk.pol.OnFill(set, way, m)
-	l.updateSet(bk, set)
+	bk.updateSet(l, set)
 }
 
 // evictWay removes the block at (bank, set, way) as a replacement decision,
@@ -197,11 +200,11 @@ func (l *LLC) fillWay(bk *bank, set, way int, addr uint64, dirty, inPrC bool, m 
 //
 //ziv:noalloc
 func (l *LLC) evictWay(bk *bank, set, way int) Evicted {
-	b := &bk.blocks[set*l.cfg.Ways+way]
-	if l.cfg.DebugChecks && !b.Valid {
+	s, wm, bit := &bk.slots[set*l.cfg.Ways+way], &bk.masks[set], uint64(1)<<uint(way)
+	if l.cfg.DebugChecks && wm.valid&bit == 0 {
 		panic(fmt.Sprintf("core: evictWay of invalid way (bank %d set %d way %d)", bk.id, set, way))
 	}
-	ev := Evicted{Valid: true, Addr: b.Addr, Dirty: b.Dirty, InPrC: !b.NotInPrC}
+	ev := Evicted{Valid: true, Addr: s.Addr, Dirty: s.Dirty, InPrC: wm.notInPrC&bit == 0}
 	l.Stats.Evictions++
 	if ev.Dirty {
 		l.Stats.DirtyWritebacks++
@@ -210,9 +213,6 @@ func (l *LLC) evictWay(bk *bank, set, way int) Evicted {
 		l.Stats.InPrCEvictions++
 	}
 	bk.pol.OnEvict(set, way)
-	*b = Block{}
-	bk.tags[set*l.cfg.Ways+way] = tagNone
-	bk.masks[set].sync(way, b)
-	l.updateSet(bk, set)
+	bk.clearWay(l, set, way)
 	return ev
 }

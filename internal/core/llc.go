@@ -151,22 +151,35 @@ func levelsFor(p Property) []level {
 	return nil
 }
 
-// Block is one LLC tag entry with the ZIV state extensions.
+// Block is one LLC way's state with the ZIV extensions, as BlockAt and
+// ForEachValid assemble it from the set's way masks and the way's slot,
+// whose fields (Dirty, Relocated, RelocDepth, CharGroup, EvictCore, Addr,
+// DirPtr) it promotes.
 type Block struct {
 	Valid bool
-	Dirty bool
-	// Relocated marks a block living outside its home set (§III-C). A
-	// relocated block is invisible to normal tag lookups; it is reached only
-	// through its sparse-directory entry.
-	Relocated bool
 	// NotInPrC is the per-block state bit tracking absence from all private
 	// caches (§III-D3).
 	NotInPrC bool
 	// LikelyDead is the CHAR-inferred dead bit (§III-D6). LikelyDead implies
 	// NotInPrC.
 	LikelyDead bool
+	slot
+}
+
+// slot is the per-way state the way masks do not hold.
+type slot struct {
+	Dirty bool
+	// Relocated marks a block living outside its home set (§III-C). A
+	// relocated block is invisible to normal tag lookups; it is reached only
+	// through its sparse-directory entry.
+	Relocated bool
+	// RelocDepth counts how many times this block has been relocated since
+	// its fill (saturating). Observability metadata only: no victim-
+	// selection decision reads it.
+	RelocDepth uint8
 	// CharGroup and EvictCore attribute a future recall to the CHAR group
-	// and engine of the evicting core.
+	// and engine of the evicting core. They are read only while the block
+	// is NotInPrC, and every write that sets NotInPrC writes both.
 	CharGroup uint8
 	EvictCore int16
 	// Addr is the block address. For a relocated block, hardware would hold
@@ -176,10 +189,6 @@ type Block struct {
 	// DirPtr locates the sparse-directory entry of a relocated block
 	// (§III-C3); it is the content of the repurposed tag.
 	DirPtr directory.Ptr
-	// RelocDepth counts how many times this block has been relocated since
-	// its fill (saturating). Observability metadata only: no victim-
-	// selection decision reads it.
-	RelocDepth uint8
 }
 
 // Config describes an LLC instance.
@@ -301,22 +310,24 @@ type LLC struct {
 
 type bank struct {
 	id int
-	// blocks is the primary store. sidecarsync enforces the sidecars:
-	// whole-element writes must refresh tags and masks, and writes to the
-	// private-residency state must refresh masks and re-derive the
-	// property vectors via updateSet.
+	// slots holds each way's state besides its mask bits. sidecarsync
+	// enforces the tag index: a whole-slot write, or a write to a field the
+	// tag derives from, must refresh tags.
 	//
-	//ziv:mirror(tags,masks)
-	//ziv:mirror(masks,updateSet) on NotInPrC,LikelyDead
-	//ziv:mirror(tags,masks) on Valid,Relocated,Addr
-	blocks []Block
-	// tags mirrors blocks for fast probing: the block address when the way
+	//ziv:mirror(tags)
+	//ziv:mirror(tags) on Relocated,Addr
+	slots []slot
+	// tags indexes slots for fast probing: the block address when the way
 	// holds a valid non-relocated block, tagNone otherwise. Maintained by
 	// the few mutation points and validated by CheckInvariants.
 	tags []uint64
-	// masks mirrors each set's blocks as way bitmasks (see wayMasks), so
-	// the fill path and the property predicates never read a Block.
-	// Validated by CheckInvariants.
+	// masks is the only store of each way's valid, NotInPrC and LikelyDead
+	// bits (see wayMasks). sidecarsync enforces the derived indexes: a
+	// valid bit write must refresh tags and the property vectors
+	// (updateSet), a NotInPrC or LikelyDead bit write the property vectors.
+	//
+	//ziv:mirror(tags,updateSet) on valid
+	//ziv:mirror(updateSet) on notInPrC,dead
 	masks  []wayMasks
 	pol    policy.Policy
 	rrip   policy.RRPVer  // nil unless the policy exposes RRPVs
@@ -329,32 +340,12 @@ type bank struct {
 	relocTargets  []uint32 // per-set count of relocations landing in the set
 }
 
-// wayMasks holds one bit per way of a set for the block state the fill
-// path and the relocation properties ask about: the way is valid (relocated
+// wayMasks holds one bit per way of a set: the way is valid (relocated
 // blocks included); valid with no private copy (NotInPrC); and, of those,
-// inferred dead by CHAR (LikelyDead).
+// inferred dead by CHAR (LikelyDead). An invalid way has no bit set. The
+// fill path and the property predicates read the masks directly.
 type wayMasks struct {
 	valid, notInPrC, dead uint64
-}
-
-// sync refreshes way's bits from its block b after a write to b.
-//
-//ziv:noalloc
-func (m *wayMasks) sync(way int, b *Block) {
-	bit := uint64(1) << uint(way)
-	m.valid &^= bit
-	m.notInPrC &^= bit
-	m.dead &^= bit
-	if !b.Valid {
-		return
-	}
-	m.valid |= bit
-	if b.NotInPrC {
-		m.notInPrC |= bit
-		if b.LikelyDead {
-			m.dead |= bit
-		}
-	}
 }
 
 // New builds an LLC. dir may be nil only for SchemeBaseline/QBS/CHARonBase
@@ -393,7 +384,7 @@ func New(cfg Config, dir *directory.Directory) *LLC {
 	for i := range l.banks {
 		b := &l.banks[i]
 		b.id = i
-		b.blocks = make([]Block, cfg.SetsPerBank*cfg.Ways)
+		b.slots = make([]slot, cfg.SetsPerBank*cfg.Ways)
 		b.tags = make([]uint64, cfg.SetsPerBank*cfg.Ways)
 		for j := range b.tags {
 			b.tags[j] = tagNone
@@ -468,16 +459,20 @@ func (l *LLC) BankOf(addr uint64) int { return int(addr & l.bankMask) }
 // SetOf maps a block address to its set within the home bank.
 func (l *LLC) SetOf(addr uint64) int { return int((addr >> l.bankBits) & l.setMask) }
 
-// block returns the interior pointer for loc; writes through it inherit
-// the blocks field's sidecar obligations.
+// slot returns the interior pointer to loc's slot; writes through it
+// inherit the slots field's sidecar obligations.
 //
-//ziv:aliases(blocks)
-func (l *LLC) block(loc directory.Location) *Block {
-	return &l.banks[loc.Bank].blocks[loc.Set*l.cfg.Ways+loc.Way]
+//ziv:aliases(slots)
+func (l *LLC) slot(loc directory.Location) *slot {
+	return &l.banks[loc.Bank].slots[loc.Set*l.cfg.Ways+loc.Way]
 }
 
-// BlockAt returns a copy of the block at loc (diagnostics and tests).
-func (l *LLC) BlockAt(loc directory.Location) Block { return *l.block(loc) }
+// BlockAt returns the block at loc, assembled from its set's way masks and
+// its slot (diagnostics, tests and CHAR recall attribution).
+func (l *LLC) BlockAt(loc directory.Location) Block {
+	m, sh := l.banks[loc.Bank].masks[loc.Set], uint(loc.Way)
+	return Block{m.valid>>sh&1 != 0, m.notInPrC>>sh&1 != 0, m.dead>>sh&1 != 0, *l.slot(loc)}
+}
 
 // tagNone marks a way with no probe-visible block (invalid or relocated);
 // it is outside the 48-bit physical block-address space.
@@ -518,12 +513,10 @@ func (l *LLC) Access(addr uint64, m policy.Meta) (loc directory.Location, hit bo
 	l.Stats.Hits++
 	bk := &l.banks[loc.Bank]
 	bk.pol.OnHit(loc.Set, loc.Way, m)
-	b := l.block(loc)
-	b.NotInPrC = false
-	b.LikelyDead = false
-	b.EvictCore = -1
-	bk.masks[loc.Set].sync(loc.Way, b)
-	l.updateSet(bk, loc.Set)
+	wm := &bk.masks[loc.Set]
+	wm.notInPrC &^= 1 << uint(loc.Way)
+	wm.dead &^= 1 << uint(loc.Way)
+	bk.updateSet(l, loc.Set)
 	return loc, true
 }
 
@@ -534,14 +527,15 @@ func (l *LLC) Access(addr uint64, m policy.Meta) (loc directory.Location, hit bo
 //ziv:noalloc
 func (l *LLC) AccessRelocated(loc directory.Location, m policy.Meta) {
 	bk := &l.banks[loc.Bank]
-	b := l.block(loc)
-	if l.cfg.DebugChecks && (!b.Valid || !b.Relocated) {
-		panic(fmt.Sprintf("core: AccessRelocated at non-relocated block %+v", loc))
+	if l.cfg.DebugChecks {
+		if b := l.BlockAt(loc); !b.Valid || !b.Relocated {
+			panic(fmt.Sprintf("core: AccessRelocated at non-relocated block %+v", loc))
+		}
 	}
 	l.Stats.Hits++
 	l.Stats.RelocatedHits++
 	bk.pol.OnHit(loc.Set, loc.Way, m)
-	l.updateSet(bk, loc.Set)
+	bk.updateSet(l, loc.Set)
 }
 
 // MarkNotInPrC records that the last private copy of addr left the private
@@ -557,17 +551,16 @@ func (l *LLC) MarkNotInPrC(addr uint64, dirty, dead bool, group uint8, core int)
 	if !ok {
 		return false
 	}
-	bk := &l.banks[loc.Bank]
-	b := l.block(loc)
-	if dirty {
-		b.Dirty = true
+	bk, s := &l.banks[loc.Bank], l.slot(loc)
+	s.Dirty = s.Dirty || dirty
+	s.CharGroup, s.EvictCore = group, int16(core)
+	wm, bit := &bk.masks[loc.Set], uint64(1)<<uint(loc.Way)
+	wm.notInPrC |= bit
+	wm.dead &^= bit
+	if dead {
+		wm.dead |= bit
 	}
-	b.NotInPrC = true
-	b.LikelyDead = dead
-	b.CharGroup = group
-	b.EvictCore = int16(core)
-	bk.masks[loc.Set].sync(loc.Way, b)
-	l.updateSet(bk, loc.Set)
+	bk.updateSet(l, loc.Set)
 	return true
 }
 
@@ -581,12 +574,12 @@ func (l *LLC) MarkDirty(addr uint64) bool {
 	if !ok {
 		return false
 	}
-	l.block(loc).Dirty = true
+	l.slot(loc).Dirty = true
 	return true
 }
 
 // MarkDirtyAt merges writeback data into the (relocated) block at loc.
-func (l *LLC) MarkDirtyAt(loc directory.Location) { l.block(loc).Dirty = true }
+func (l *LLC) MarkDirtyAt(loc directory.Location) { l.slot(loc).Dirty = true }
 
 // SetDirPtr retargets the tag-encoded directory pointer of the relocated
 // block at loc (the ZeroDEV protocol moves directory entries, so the
@@ -594,11 +587,12 @@ func (l *LLC) MarkDirtyAt(loc directory.Location) { l.block(loc).Dirty = true }
 //
 //ziv:noalloc
 func (l *LLC) SetDirPtr(loc directory.Location, ptr directory.Ptr) {
-	b := l.block(loc)
-	if l.cfg.DebugChecks && (!b.Valid || !b.Relocated) {
-		panic(fmt.Sprintf("core: SetDirPtr at non-relocated block %+v", loc))
+	if l.cfg.DebugChecks {
+		if b := l.BlockAt(loc); !b.Valid || !b.Relocated {
+			panic(fmt.Sprintf("core: SetDirPtr at non-relocated block %+v", loc))
+		}
 	}
-	b.DirPtr = ptr
+	l.slot(loc).DirPtr = ptr
 }
 
 // InvalidateRelocated ends the life of the relocated block at loc (its last
@@ -608,19 +602,14 @@ func (l *LLC) SetDirPtr(loc directory.Location, ptr directory.Ptr) {
 //
 //ziv:noalloc
 func (l *LLC) InvalidateRelocated(loc directory.Location) (dirty bool) {
-	bk := &l.banks[loc.Bank]
-	b := l.block(loc)
+	bk, b := &l.banks[loc.Bank], l.BlockAt(loc)
 	if l.cfg.DebugChecks && (!b.Valid || !b.Relocated) {
 		panic(fmt.Sprintf("core: InvalidateRelocated at non-relocated block %+v", loc))
 	}
-	dirty = b.Dirty
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
-	*b = Block{}
-	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.masks[loc.Set].sync(loc.Way, b)
+	bk.clearWay(l, loc.Set, loc.Way)
 	l.Stats.RelocatedInvalidated++
-	l.updateSet(bk, loc.Set)
-	return dirty
+	return b.Dirty
 }
 
 // Invalidate removes addr's non-relocated copy (used by non-inclusive
@@ -634,13 +623,9 @@ func (l *LLC) Invalidate(addr uint64) (present, dirty bool) {
 		return false, false
 	}
 	bk := &l.banks[loc.Bank]
-	b := l.block(loc)
-	dirty = b.Dirty
+	dirty = l.slot(loc).Dirty
 	bk.pol.OnInvalidate(loc.Set, loc.Way)
-	*b = Block{}
-	bk.tags[loc.Set*l.cfg.Ways+loc.Way] = tagNone
-	bk.masks[loc.Set].sync(loc.Way, b)
-	l.updateSet(bk, loc.Set)
+	bk.clearWay(l, loc.Set, loc.Way)
 	return true, dirty
 }
 
@@ -672,15 +657,29 @@ func (l *LLC) setSatisfies(bk *bank, set int, lev level) bool {
 	return false
 }
 
-// updateSet recomputes every configured property bit of (bank, set). Called
-// after any mutation of the set's blocks or replacement state, once the
-// set's way masks are current.
+// updateSet recomputes every configured property bit of the bank's set.
+// Called after any mutation of the set's way masks or replacement state.
 //
 //ziv:noalloc
-func (l *LLC) updateSet(bk *bank, set int) {
+func (bk *bank) updateSet(l *LLC, set int) {
 	for _, lev := range l.levels {
 		bk.pvs[lev].Set(set, l.setSatisfies(bk, set, lev))
 	}
+}
+
+// clearWay empties the way of the bank's set once its policy has seen the
+// eviction or invalidation: its mask bits, slot and tag, then the set's
+// property bits.
+//
+//ziv:noalloc
+func (bk *bank) clearWay(l *LLC, set, way int) {
+	wm, bit := &bk.masks[set], uint64(1)<<uint(way)
+	wm.valid &^= bit
+	wm.notInPrC &^= bit
+	wm.dead &^= bit
+	bk.slots[set*l.cfg.Ways+way] = slot{}
+	bk.tags[set*l.cfg.Ways+way] = tagNone
+	bk.updateSet(l, set)
 }
 
 // invalidWay returns the lowest invalid way in (bank, set) or -1.
@@ -707,10 +706,8 @@ func (l *LLC) rand() uint64 {
 func (l *LLC) ValidCount() int {
 	n := 0
 	for i := range l.banks {
-		for j := range l.banks[i].blocks {
-			if l.banks[i].blocks[j].Valid {
-				n++
-			}
+		for _, m := range l.banks[i].masks {
+			n += bits.OnesCount64(m.valid)
 		}
 	}
 	return n
@@ -719,12 +716,10 @@ func (l *LLC) ValidCount() int {
 // ForEachValid visits every valid block.
 func (l *LLC) ForEachValid(fn func(loc directory.Location, b Block)) {
 	for i := range l.banks {
-		for s := 0; s < l.cfg.SetsPerBank; s++ {
-			for w := 0; w < l.cfg.Ways; w++ {
-				b := l.banks[i].blocks[s*l.cfg.Ways+w]
-				if b.Valid {
-					fn(directory.Location{Bank: i, Set: s, Way: w}, b)
-				}
+		for s, m := range l.banks[i].masks {
+			for v := m.valid; v != 0; v &= v - 1 {
+				loc := directory.Location{Bank: i, Set: s, Way: bits.TrailingZeros64(v)}
+				fn(loc, l.BlockAt(loc))
 			}
 		}
 	}

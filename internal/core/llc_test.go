@@ -93,20 +93,21 @@ func (d *driver) backInvalidate(addr uint64) {
 	}
 }
 
-// install records a private fill, evicting the core's oldest block when the
-// private cache is full.
+// install records a private fill, then evicts the core's oldest blocks
+// while the private cache is over capacity (with no capacity, the new
+// block itself).
 func (d *driver) install(core int, addr uint64) {
 	if d.priv[addr] != nil && d.priv[addr][core] {
 		return
-	}
-	for len(d.perCore[core]) >= d.maxPriv {
-		d.dropPrivate(core, d.perCore[core][0])
 	}
 	if d.priv[addr] == nil {
 		d.priv[addr] = make(map[int]bool)
 	}
 	d.priv[addr][core] = true
 	d.perCore[core] = append(d.perCore[core], addr)
+	for len(d.perCore[core]) > d.maxPriv {
+		d.dropPrivate(core, d.perCore[core][0])
+	}
 }
 
 // access simulates a private-cache miss for (core, addr) reaching the LLC.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"zivsim/internal/directory"
 	"zivsim/internal/policy"
 )
 
@@ -15,12 +16,16 @@ import (
 // the mask-driven searches to them, and the property predicates to a scan
 // of the Blocks.
 
+// blockOf returns way w of the bank's set as BlockAt assembles it.
+func (l *LLC) blockOf(bk *bank, set, w int) Block {
+	return l.BlockAt(directory.Location{Bank: bk.id, Set: set, Way: w})
+}
+
 // refSetSatisfies evaluates a relocation-set property by scanning the
 // set's Blocks.
 func (l *LLC) refSetSatisfies(bk *bank, set int, lev level) bool {
-	base := set * l.cfg.Ways
 	for w := 0; w < l.cfg.Ways; w++ {
-		b := &bk.blocks[base+w]
+		b := l.blockOf(bk, set, w)
 		switch {
 		case lev == levInvalid:
 			if !b.Valid {
@@ -49,11 +54,10 @@ func (l *LLC) refSetSatisfies(bk *bank, set int, lev level) bool {
 // refRelocVictimWay is the rank-walk relocVictimWay.
 func (l *LLC) refRelocVictimWay(bk *bank, set int) int {
 	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
 	firstWhere := func(pred func(b *Block, w int) bool) int {
 		for _, w := range order {
-			b := &bk.blocks[base+w]
-			if b.Valid && pred(b, w) {
+			b := l.blockOf(bk, set, w)
+			if b.Valid && pred(&b, w) {
 				return w
 			}
 		}
@@ -86,13 +90,12 @@ func (l *LLC) refRelocVictimWay(bk *bank, set int) int {
 // refCharOnBaseVictim is the rank-walk charOnBaseVictim.
 func (l *LLC) refCharOnBaseVictim(bk *bank, set int) int {
 	order := bk.pol.Rank(set)
-	base := set * l.cfg.Ways
 	v0 := order[0]
-	if bk.blocks[base+v0].NotInPrC {
+	if l.blockOf(bk, set, v0).NotInPrC {
 		return v0
 	}
 	for _, w := range order {
-		b := &bk.blocks[base+w]
+		b := l.blockOf(bk, set, w)
 		if b.Valid && b.LikelyDead && b.NotInPrC {
 			return w
 		}
@@ -104,14 +107,13 @@ func (l *LLC) refCharOnBaseVictim(bk *bank, set int) int {
 // copied Rank order before the directory stage walks it again.
 func (l *LLC) refSharpVictim(bk *bank, set, requester int) int {
 	order := l.rankScratch[:copy(l.rankScratch, bk.pol.Rank(set))]
-	base := set * l.cfg.Ways
 	for _, w := range order {
-		if bk.blocks[base+w].NotInPrC {
+		if l.blockOf(bk, set, w).NotInPrC {
 			return w
 		}
 	}
 	for _, w := range order {
-		b := &bk.blocks[base+w]
+		b := l.blockOf(bk, set, w)
 		if b.Relocated {
 			continue
 		}
@@ -181,8 +183,8 @@ func TestVictimSearchesMatchRankWalk(t *testing.T) {
 				// In the fill path an eviction from the searched set follows
 				// every search and refreshes its property bits, which SRRIP's
 				// aging may have changed.
-				fast.updateSet(fb, set)
-				ref.updateSet(rb, set)
+				fb.updateSet(fast, set)
+				rb.updateSet(ref, set)
 
 				coreID, addr, pc := rng.Intn(4), uint64(rng.Intn(100)), uint64(rng.Intn(8))*4
 				df.access(coreID, addr, pc)

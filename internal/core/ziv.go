@@ -56,7 +56,7 @@ func (l *LLC) oracleVictimIn(bk *bank, set int) (way int, nextUse uint64) {
 	way = -1
 	for n := bk.masks[set].notInPrC; n != 0; n &= n - 1 {
 		w := bits.TrailingZeros64(n)
-		nu := l.cfg.Oracle.NextUse(bk.blocks[base+w].Addr, l.oracleNow)
+		nu := l.cfg.Oracle.NextUse(bk.slots[base+w].Addr, l.oracleNow)
 		if way < 0 || nu > nextUse {
 			way, nextUse = w, nu
 		}
@@ -199,7 +199,7 @@ func (l *LLC) relocVictimWay(bk *bank, set int) int {
 func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWayOverride int, lev level,
 	addr uint64, dirty, inPrC bool, m policy.Meta, now uint64) *FillOutcome {
 
-	vb := &home.blocks[homeSet*l.cfg.Ways+victimWay]
+	vb := &home.slots[homeSet*l.cfg.Ways+victimWay]
 	vAddr, vDirty, reReloc := vb.Addr, vb.Dirty, vb.Relocated
 	depth := vb.RelocDepth
 	if depth < ^uint8(0) {
@@ -224,9 +224,7 @@ func (l *LLC) relocate(home *bank, homeSet, victimWay int, dst *bank, rs, dstWay
 	// replacement mistake (the block stays in the LLC), so the policy sees
 	// an invalidation, not an eviction.
 	home.pol.OnInvalidate(homeSet, victimWay)
-	*vb = Block{}
-	home.tags[homeSet*l.cfg.Ways+victimWay] = tagNone
-	home.masks[homeSet].sync(victimWay, vb)
+	home.clearWay(l, homeSet, victimWay)
 
 	o := l.placeRelocated(home, dst, rs, dstWayOverride, lev, vAddr, vDirty, ptr, depth)
 
@@ -307,18 +305,9 @@ func (l *LLC) placeRelocated(home, dst *bank, rs, dstWay int, lev level, addr ui
 		}
 	}
 
-	db := &dst.blocks[rs*l.cfg.Ways+dstWay]
-	*db = Block{
-		Valid:      true,
-		Dirty:      dirty,
-		Relocated:  true,
-		Addr:       addr,
-		DirPtr:     ptr,
-		EvictCore:  -1,
-		RelocDepth: depth,
-	}
+	dst.masks[rs].valid |= 1 << uint(dstWay)
+	dst.slots[rs*l.cfg.Ways+dstWay] = slot{Dirty: dirty, Relocated: true, RelocDepth: depth, Addr: addr, DirPtr: ptr}
 	dst.tags[rs*l.cfg.Ways+dstWay] = tagNone // relocated blocks are invisible to lookups
-	dst.masks[rs].sync(dstWay, db)
 	dst.pol.Promote(rs, dstWay)
 
 	e := l.dir.At(ptr)
@@ -328,7 +317,7 @@ func (l *LLC) placeRelocated(home, dst *bank, rs, dstWay int, lev level, addr ui
 	e.Relocated = true
 	e.Loc = directory.Location{Bank: dst.id, Set: rs, Way: dstWay}
 
-	l.updateSet(dst, rs)
+	dst.updateSet(l, rs)
 	dst.relocTargets[rs]++
 	cross := dst.id != home.id
 	l.Stats.Relocations++

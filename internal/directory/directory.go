@@ -337,21 +337,22 @@ func (d *Directory) Tracked(blockAddr uint64) bool {
 //
 // Allocate must not be called for an address that is already tracked.
 func (d *Directory) Allocate(blockAddr uint64, core int, st State) (p Ptr, victim *Entry, spilled bool) {
-	if d.Tracked(blockAddr) {
-		panic(fmt.Sprintf("directory: Allocate of tracked block %#x", blockAddr))
-	}
-	d.Stats.Allocs++
 	bank := d.SliceOf(blockAddr)
 	set := d.setOf(blockAddr)
 	sl := &d.slices[bank]
 	base := set * d.cfg.Ways
-	way := -1
-	for w := 0; w < d.cfg.Ways; w++ {
-		if sl.tags[base+w] == tagNone {
+	// One scan checks the precondition and finds the first free way.
+	way, tracked := -1, false
+	for w, t := range sl.tags[base : base+d.cfg.Ways] {
+		tracked = tracked || t == blockAddr
+		if t == tagNone && way < 0 {
 			way = w
-			break
 		}
 	}
+	if _, spilt := sl.overflow[blockAddr]; tracked || spilt {
+		panic(fmt.Sprintf("directory: Allocate of tracked block %#x", blockAddr))
+	}
+	d.Stats.Allocs++
 	if way < 0 {
 		way = sl.victim(base, d.cfg.Ways)
 		old := &sl.entries[base+way]

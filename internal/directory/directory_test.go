@@ -88,14 +88,35 @@ func TestLookupAllocateFree(t *testing.T) {
 }
 
 func TestAllocateTrackedPanics(t *testing.T) {
+	wantPanic := func(name string, d *Directory, addr uint64) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: allocating tracked block %#x did not panic", name, addr)
+			}
+		}()
+		d.Allocate(addr, 1, Shared)
+	}
 	d := mkDir(false)
 	d.Allocate(5, 0, Shared)
-	defer func() {
-		if recover() == nil {
-			t.Error("double allocate did not panic")
+	wantPanic("set-resident", d, 5)
+
+	// A ZeroDEV spill moves the entry to the overflow map, where only the
+	// overflow check finds it (slice 0, set 0 holds two ways).
+	z := mkDir(true)
+	for _, a := range []uint64{0, 8, 16} {
+		z.Allocate(a, 0, Shared)
+	}
+	if z.OverflowCount() != 1 {
+		t.Fatalf("overflow holds %d entries, want 1", z.OverflowCount())
+	}
+	var spilt uint64
+	z.ForEach(func(e *Entry, p Ptr) {
+		if p.Way < 0 {
+			spilt = e.Addr
 		}
-	}()
-	d.Allocate(5, 1, Shared)
+	})
+	wantPanic("overflow-resident", z, spilt)
 }
 
 func TestConflictEviction(t *testing.T) {

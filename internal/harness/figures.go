@@ -116,10 +116,17 @@ type family struct {
 	prop   core.Property
 }
 
+// at is the family's machine with an l2-byte L2 and the default LLC and
+// directory, under the one label every figure that runs it shares, so a
+// sweep simulates it once.
+func (f family) at(l2 int) spec {
+	return spec{family: f, label: f.name + "-" + l2Label(l2), l2: l2}
+}
+
 func (f family) specs() []spec {
 	out := make([]spec, 0, len(l2Sweep))
 	for _, l2 := range l2Sweep {
-		out = append(out, spec{family: f, label: f.name + "-" + l2Label(l2), l2: l2})
+		out = append(out, f.at(l2))
 	}
 	return out
 }
@@ -235,7 +242,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig9",
 		Title: "Fig. 9: per-mix speedup of ZIV-LikelyDead (512KB L2, LRU baseline)",
-		run:   func(r *runner) *Table { return perMixTable(r, "ZIV-LikelyDead", lruFamilyByName("ZIV-LikelyDead")) },
+		run:   func(r *runner) *Table { return perMixTable(r, lruFamilyByName("ZIV-LikelyDead")) },
 	})
 	register(Experiment{
 		ID:    "fig10",
@@ -254,9 +261,7 @@ func init() {
 	register(Experiment{
 		ID:    "fig12",
 		Title: "Fig. 12: per-mix speedup of ZIV-MRLikelyDead (512KB L2, Hawkeye baseline)",
-		run: func(r *runner) *Table {
-			return perMixTable(r, "ZIV-MRLikelyDead", hawkFamilyByName("ZIV-MRLikelyDead"))
-		},
+		run:   func(r *runner) *Table { return perMixTable(r, hawkFamilyByName("ZIV-MRLikelyDead")) },
 	})
 	register(Experiment{
 		ID:    "fig13",
@@ -293,11 +298,11 @@ func hawkFamilyByName(name string) family {
 
 // perMixTable renders Fig. 9 / Fig. 12: one row per mix at the 512 KB L2
 // point, weighted speedup vs the baseline config.
-func perMixTable(r *runner, name string, f family) *Table {
-	s := spec{family: f, label: name + "-512KB", l2: kb512}
+func perMixTable(r *runner, f family) *Table {
+	s := f.at(kb512)
 	mixes := sweepMatrix(r, []spec{s})
 	t := &Table{
-		Title:   fmt.Sprintf("%s per-mix speedup at 512KB L2 (vs I-LRU-256KB)", name),
+		Title:   fmt.Sprintf("%s per-mix speedup at 512KB L2 (vs I-LRU-256KB)", f.name),
 		Columns: []string{"speedup"},
 	}
 	var xs []float64
@@ -377,29 +382,29 @@ func fig15(r *runner) *Table {
 	factorLabel := []string{"2x", "1x", "0.5x", "0.25x"}
 	fams := []family{famIHawk, famNIHwk, hawkFamilyByName("ZIV-MRLikelyDead")}
 	var specs []spec
-	for _, zd := range []bool{false, true} {
+	var rows []string
+	for _, proto := range []string{"MESI", "ZeroDEV"} {
 		for _, f := range fams {
+			rows = append(rows, f.name+"/"+proto)
 			for i, fac := range factors {
-				proto := "MESI"
-				if zd {
-					proto = "ZeroDEV"
+				s := spec{family: f, label: fmt.Sprintf("%s-%s-%s", f.name, proto, factorLabel[i]),
+					l2: kb256, dirFactor: fac, zeroDEV: proto == "ZeroDEV"}
+				if s.config(r.opt) == f.at(kb256).config(r.opt) {
+					s = f.at(kb256) // the default directory: Fig. 11's machine
 				}
-				specs = append(specs, spec{family: f, label: fmt.Sprintf("%s-%s-%s", f.name, proto, factorLabel[i]),
-					l2: kb256, dirFactor: fac, zeroDEV: zd})
+				specs = append(specs, s)
 			}
 		}
 	}
 	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 15 — directory size sensitivity (Hawkeye, 256KB L2, vs I-LRU-256KB)", Columns: factorLabel}
-	for _, zd := range []string{"MESI", "ZeroDEV"} {
-		for _, f := range fams {
-			row := Row{Label: f.name + "/" + zd}
-			for _, fl := range factorLabel {
-				gm, _, _ := speedupRow(r, mixes, fmt.Sprintf("%s-%s-%s", f.name, zd, fl))
-				row.Values = append(row.Values, gm)
-			}
-			t.Rows = append(t.Rows, row)
+	for i, label := range rows {
+		row := Row{Label: label}
+		for _, s := range specs[i*len(factors) : (i+1)*len(factors)] {
+			gm, _, _ := speedupRow(r, mixes, s.label)
+			row.Values = append(row.Values, gm)
 		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -472,7 +477,7 @@ func fig18(r *runner) *Table {
 	}
 	var specs []spec
 	for _, d := range designs {
-		specs = append(specs, spec{family: d.f, label: d.name, l2: kb512})
+		specs = append(specs, d.f.at(kb512))
 	}
 	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 18 — CDF of relocation intervals (cycles, log2 buckets; 512KB L2)"}
@@ -485,7 +490,7 @@ func fig18(r *runner) *Table {
 	for i, d := range designs {
 		h := make([]uint64, 40)
 		for _, mix := range mixes {
-			res := r.get(d.name, mix.Name)
+			res := r.get(d.f.at(kb512).label, mix.Name)
 			for b, c := range res.LLC.IntervalHist {
 				h[b] += c
 			}
@@ -531,9 +536,7 @@ func fig19(r *runner) *Table {
 	}
 	var specs []spec
 	for _, d := range designs {
-		for _, l2 := range l2Sweep {
-			specs = append(specs, spec{family: d.f, label: d.name + "-" + l2Label(l2), l2: l2})
-		}
+		specs = append(specs, d.f.specs()...)
 	}
 	mixes := sweepMatrix(r, specs)
 	t := &Table{Title: "Fig. 19 — relocation EPI contribution (pJ/instruction)", Columns: []string{"256KB", "512KB", "768KB"}}
@@ -542,7 +545,7 @@ func fig19(r *runner) *Table {
 		for _, l2 := range l2Sweep {
 			sum := 0.0
 			for _, mix := range mixes {
-				sum += r.get(d.name+"-"+l2Label(l2), mix.Name).RelocEPI
+				sum += r.get(d.f.at(l2).label, mix.Name).RelocEPI
 			}
 			row.Values = append(row.Values, sum/float64(len(mixes)))
 		}
@@ -605,16 +608,14 @@ func ext3(r *runner) *Table {
 // lowest-index selection: performance and relocation-target skew.
 func ext2(r *runner) *Table {
 	f := lruFamilyByName("ZIV-LikelyDead")
-	specs := []spec{
-		{family: f, label: "ZIV-RoundRobin", l2: kb512},
-		{family: f, label: "ZIV-LowestIndex", l2: kb512, selectLowest: true},
-	}
+	rows := []string{"ZIV-RoundRobin", "ZIV-LowestIndex"}
+	specs := []spec{f.at(kb512), {family: f, label: "ZIV-LowestIndex", l2: kb512, selectLowest: true}}
 	mixes := sweepMatrix(r, specs)
 	t := &Table{
 		Title:   "Ext. 2 - nextRS selection ablation (ZIV-LikelyDead, 512KB L2)",
 		Columns: []string{"speedup", "target-skew", "fifo-max"},
 	}
-	for _, s := range specs {
+	for i, s := range specs {
 		gm, _, _ := speedupRow(r, mixes, s.label)
 		skew, fifo := 0.0, 0.0
 		for _, mix := range mixes {
@@ -624,7 +625,7 @@ func ext2(r *runner) *Table {
 				fifo = f
 			}
 		}
-		t.Rows = append(t.Rows, Row{Label: s.label, Values: []float64{gm, skew / float64(len(mixes)), fifo}})
+		t.Rows = append(t.Rows, Row{Label: rows[i], Values: []float64{gm, skew / float64(len(mixes)), fifo}})
 	}
 	t.Notes = append(t.Notes, "target-skew = most-loaded relocation set / mean (1.0 = uniform); round-robin should be markedly flatter")
 	return t

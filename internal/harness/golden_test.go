@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"zivsim/internal/telemetry"
 	"zivsim/internal/workload"
 )
 
@@ -32,35 +33,49 @@ func goldenOptions() Options {
 	}
 }
 
+// mtTally counts the multi-threaded (mt.*) jobs a sweep simulated and
+// the references they simulated.
+type mtTally struct{ jobs, refs uint64 }
+
+// goldenSweep runs every registered experiment at goldenOptions as one
+// sweep, once per test binary, while a telemetry observer tallies the
+// multi-threaded jobs it simulates. TestGoldenDeterminism pins its
+// tables, TestGoldenMultiThreaded its mt.* jobs, and TestFig16And17Shape
+// checks the shape of Figs. 16-17.
+var goldenSweep = sync.OnceValues(func() (*Report, mtTally) {
+	var mu sync.Mutex
+	var mt mtTally
+	o := goldenOptions()
+	o.Telemetry = telemetry.NewSink(telClock(), telemetry.Outputs{Observer: func(rec telemetry.Record) {
+		if rec.Outcome == telemetry.OutcomeDone && strings.HasPrefix(rec.Cfg, "mt.") {
+			mu.Lock()
+			mt.jobs++
+			mt.refs += rec.Refs
+			mu.Unlock()
+		}
+	}})
+	rep, err := RunSweep(Request{Options: o})
+	if err != nil {
+		panic(err) // goldenOptions is valid
+	}
+	return rep, mt
+})
+
 // renderGolden produces the canonical text the golden file stores: every
-// registered experiment's formatted table, in registry order, separated
-// by blank lines. The experiments run as one sweep.
+// registered experiment's formatted table from goldenSweep, in registry
+// order, separated by blank lines.
 func renderGolden(t *testing.T) (ids []string, text string) {
 	t.Helper()
+	rep, _ := goldenSweep()
+	tabs := tablesOf(t, rep)
+	var b strings.Builder
 	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
-	}
-	tabs, _ := runFigs(t, goldenOptions(), ids...)
-	var b strings.Builder
-	for _, id := range ids {
-		b.WriteString(tabs[id].Format())
+		b.WriteString(tabs[e.ID].Format())
 		b.WriteByte('\n')
 	}
 	return ids, b.String()
 }
-
-// mtGoldenSweep runs Figs. 16 and 17 at goldenOptions as one sweep, once
-// per test binary, and returns its report and the references it
-// simulated. TestGoldenMultiThreaded pins it; TestFig16And17Shape checks
-// its shape.
-var mtGoldenSweep = sync.OnceValues(func() (*Report, uint64) {
-	refsBefore := SimulatedRefs()
-	rep, err := RunSweep(Request{Figs: []string{"fig16", "fig17"}, Options: goldenOptions()})
-	if err != nil {
-		panic(err) // both IDs are registered and goldenOptions is valid
-	}
-	return rep, SimulatedRefs() - refsBefore
-})
 
 // TestGoldenDeterminism proves the simulator is bit-identical to the run
 // recorded in testdata/golden_all.txt (generated before the optimization
@@ -98,15 +113,16 @@ func TestGoldenDeterminism(t *testing.T) {
 // TestGoldenMultiThreaded pins how the multi-threaded Figs. 16-17 run
 // (TestGoldenDeterminism pins their tables): the pair must run as runner
 // jobs, per workload the I-LRU anchor (also a fig16 column) and six
-// designs per figure, 60 simulations in all, each in the sweep status.
+// designs per figure, 60 simulations in all, each reported done to the
+// sweep's telemetry.
 func TestGoldenMultiThreaded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden gate skipped in -short mode")
 	}
-	rep, simulated := mtGoldenSweep()
+	_, mt := goldenSweep()
 	o := goldenOptions()
-	if got := rep.Status.Completed; got != 60 {
-		t.Errorf("Completed = %d, want 60 runner jobs", got)
+	if mt.jobs != 60 {
+		t.Errorf("simulated %d mt.* jobs, want 60 runner jobs", mt.jobs)
 	}
 	var refs uint64
 	for _, name := range workload.MTNames() {
@@ -116,8 +132,8 @@ func TestGoldenMultiThreaded(t *testing.T) {
 		}
 		refs += 12 * uint64(cores) * uint64(o.Warmup+o.Measure)
 	}
-	if simulated != refs {
-		t.Errorf("simulated %d refs, want %d (60 jobs)", simulated, refs)
+	if mt.refs != refs {
+		t.Errorf("mt.* jobs simulated %d refs, want %d (60 jobs)", mt.refs, refs)
 	}
 }
 

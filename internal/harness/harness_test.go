@@ -3,6 +3,9 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"zivsim/internal/hierarchy"
+	"zivsim/internal/workload"
 )
 
 // tinyOptions keeps harness tests fast: a 1/64-scale machine, two mixes,
@@ -71,6 +74,48 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if _, ok := ByID("nope"); ok {
 		t.Error("ByID(nope) succeeded")
+	}
+}
+
+// TestNoMachineSimulatedTwice enumerates the jobs of every experiment,
+// on one runner as a -fig all sweep does and on a fresh runner each,
+// with a drain already requested so that each job is recorded as
+// skipped instead of simulated. The runner deduplicates by job key, so
+// a machine (configuration, mix and base L2) under two keys would be
+// simulated twice, and a key that names two machines would hand one
+// figure another figure's result.
+func TestNoMachineSimulatedTwice(t *testing.T) {
+	o := tinyOptions()
+	o.Drain = NewDrain()
+	o.Drain.Request()
+	machineOf := map[string]string{} // job key -> machine
+	keyOf := map[string]string{}     // machine -> job key
+	record := func(r *runner) {
+		for k, rec := range r.jobs {
+			m := contentHash(struct {
+				Config hierarchy.Config
+				Mix    workload.Mix
+				BaseL2 int
+			}{rec.j.cfg, rec.j.mix, rec.j.baseL2})
+			if prev, ok := machineOf[k]; ok && prev != m {
+				t.Errorf("job key %s names two machines", k)
+			}
+			if prev, ok := keyOf[m]; ok && prev != k {
+				t.Errorf("job keys %s and %s name the same machine", prev, k)
+			}
+			machineOf[k], keyOf[m] = m, k
+		}
+	}
+	shared := newRunner(o)
+	for _, e := range Experiments() {
+		own := newRunner(o)
+		e.run(own)
+		record(own)
+		e.run(shared)
+	}
+	record(shared)
+	if len(shared.jobs) != len(keyOf) {
+		t.Errorf("the sweep holds %d jobs for %d machines", len(shared.jobs), len(keyOf))
 	}
 }
 
@@ -270,9 +315,12 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
-// TestFig16And17Shape checks the sweep TestGoldenMultiThreaded pins.
+// TestFig16And17Shape checks Figs. 16-17 of the golden sweep.
 func TestFig16And17Shape(t *testing.T) {
-	rep, _ := mtGoldenSweep()
+	if testing.Short() {
+		t.Skip("golden sweep skipped in -short mode")
+	}
+	rep, _ := goldenSweep()
 	tabs := tablesOf(t, rep)
 	for _, id := range []string{"fig16", "fig17"} {
 		tab := tabs[id]
